@@ -88,6 +88,7 @@ class Config:
             "repro/engine/compression.py",
             "repro/engine/compressed.py",
             "repro/engine/kernels.py",
+            "repro/engine/scan.py",
             "repro/sql/executor.py",
         }
     )
@@ -155,6 +156,7 @@ class Config:
             "repro/engine/compression.py",
             "repro/engine/compressed.py",
             "repro/engine/kernels.py",
+            "repro/engine/scan.py",
             "repro/sql/executor.py",
         }
         | set(_SERVE_MODULES)

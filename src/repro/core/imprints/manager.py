@@ -223,8 +223,9 @@ class ImprintsManager:
         ``<name>.quarantined`` with a warning and a
         ``durability.quarantines`` count — and the first query on that
         column simply rebuilds the index lazily, exactly as if it had
-        never been persisted.  Legacy flat (v1) files and files for
-        tables/columns this database does not know are skipped silently.
+        never been persisted.  Files without the imprint magic and files
+        for tables/columns this database does not know are skipped
+        silently.
         """
         import warnings
 
@@ -256,7 +257,7 @@ class ImprintsManager:
 
         for path in sorted(root.glob("*.imprint")):
             if not looks_like_segmented(path):
-                continue  # legacy v1 / foreign file: lazy build covers it
+                continue  # foreign file: lazy build covers the column
             try:
                 table_name, column_name = read_segmented_key(path)
             except ImprintPersistError as exc:

@@ -5,19 +5,8 @@ does not pay the (cheap, but not free) rebuild on first query.  The
 format here mirrors the column files: a small header plus the raw arrays
 of the bin scheme and the cacheline dictionary.
 
-Two formats share the ``.imprint`` suffix:
-
-Flat (v1, magic ``RIMP``) — one :class:`ColumnImprints`::
-
-    magic    4 bytes  b"RIMP"
-    version  u16
-    vpc      u16      values per cacheline
-    n_rows   u64      indexed snapshot length
-    n_lines  u64
-    4 framed arrays (dtype tag + length + raw bytes, as engine.storage):
-      borders (f8), counters (i8), repeats (bool), vectors (u8 as u64)
-
-Segmented (v3, magic ``RIMS``) — one :class:`SegmentedImprints`::
+One ``.imprint`` file (magic ``RIMS``, version 3) holds one
+:class:`SegmentedImprints`::
 
     magic         4 bytes  b"RIMS"
     version       u16
@@ -30,24 +19,25 @@ Segmented (v3, magic ``RIMS``) — one :class:`SegmentedImprints`::
     column name   u16 length + utf-8 bytes
     per segment:
       start u64, stop u64
-      5 framed arrays: minmax (column dtype, 2 values), borders,
-      counters (i8), repeats (bool), vectors (u64)
+      5 framed arrays (dtype tag + length + raw bytes): minmax (column
+      dtype, 2 values), borders, counters (i8), repeats (bool),
+      vectors (u64)
 
 The header carries the ``(table, column)`` key explicitly; the
 manager's loader reads it from there instead of parsing file names
-(which breaks on table names containing dots).  Version-2 files (the
-same layout minus the ``crc32`` field) are still read; new files are
-written as v3 through the atomic-write protocol of
-:mod:`repro.engine.durable`, and a body-checksum mismatch raises
-:class:`ImprintPersistError` (counting ``durability.checksum_failures``)
-so the manager can quarantine the file and rebuild lazily.
+(which breaks on table names containing dots).  Files are written
+through the atomic-write protocol of :mod:`repro.engine.durable`, and a
+checksum mismatch raises :class:`ImprintPersistError` (counting
+``durability.checksum_failures``) so the manager can quarantine the file
+and rebuild lazily.  Any other version number is rejected the same way:
+there is no unchecksummed format to fall back to.
 """
 
 from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,21 +46,14 @@ from ...engine import durable
 from ...engine.column import Column
 from .dictionary import CachelineDict
 from .histogram import BinScheme
-from .index import ColumnImprints
 
 if TYPE_CHECKING:
     from .segments import SegmentedImprints
 
 PathLike = Union[str, Path]
 
-_MAGIC = b"RIMP"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHHQQ")
-
 _MAGIC_SEG = b"RIMS"
-_VERSION_SEG_V2 = 2
 _VERSION_SEG = 3
-_HEADER_SEG_V2 = struct.Struct("<4sHHQQI")
 _HEADER_SEG = struct.Struct("<4sHHQQII")
 _PREFIX_SEG = struct.Struct("<4sH")
 _SPAN = struct.Struct("<QQ")
@@ -109,76 +92,6 @@ def _unframe(raw: bytes, pos: int) -> Tuple[NDArray[Any], int]:
     return np.frombuffer(data, dtype=dtype), pos + n
 
 
-def save_imprint(imprint: ColumnImprints, path: PathLike) -> int:
-    """Persist a built imprint; returns bytes written."""
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, imprint.vpc, imprint.n_rows, imprint.n_lines
-    )
-    payload = b"".join(
-        [
-            _frame(np.asarray(imprint.scheme.borders, dtype=np.float64)),
-            _frame(imprint.cdict.counters),
-            _frame(imprint.cdict.repeats),
-            _frame(imprint.cdict.vectors),
-        ]
-    )
-    return durable.atomic_write_bytes(path, header + payload, label="imprint")
-
-
-def load_imprint(column: Column, path: PathLike) -> ColumnImprints:
-    """Restore an imprint over its column.
-
-    The stored snapshot length must not exceed the column; a longer column
-    simply leaves the imprint ``stale`` (the manager will rebuild), but a
-    *shorter* column means the file belongs to different data and is
-    rejected.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise ImprintPersistError(f"no imprint file at {path}") from None
-    if len(raw) < _HEADER.size:
-        raise ImprintPersistError(f"{path}: truncated header")
-    magic, version, vpc, n_rows, n_lines = _HEADER.unpack(raw[: _HEADER.size])
-    if magic != _MAGIC:
-        raise ImprintPersistError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise ImprintPersistError(f"{path}: unsupported version {version}")
-    if n_rows > len(column):
-        raise ImprintPersistError(
-            f"{path}: imprint indexes {n_rows} rows but column "
-            f"{column.name!r} holds only {len(column)}"
-        )
-
-    pos = _HEADER.size
-    borders, pos = _unframe(raw, pos)
-    counters, pos = _unframe(raw, pos)
-    repeats, pos = _unframe(raw, pos)
-    vectors, pos = _unframe(raw, pos)
-
-    imprint = ColumnImprints.__new__(ColumnImprints)
-    imprint.column = column
-    imprint.vpc = int(vpc)
-    imprint.n_rows = int(n_rows)
-    imprint.scheme = BinScheme(borders=borders.astype(np.float64))
-    imprint.cdict = CachelineDict(
-        counters=counters.astype(np.int64),
-        repeats=repeats.astype(bool),
-        vectors=vectors.astype(np.uint64),
-        n_lines=int(n_lines),
-    )
-    imprint._coverage = imprint.cdict.coverage()
-    if int(imprint._coverage.sum() if imprint._coverage.shape[0] else 0) != int(
-        n_lines
-    ):
-        raise ImprintPersistError(f"{path}: dictionary does not cover {n_lines} lines")
-    return imprint
-
-
-# -- segmented (v2) -------------------------------------------------------------
-
-
 def _frame_str(text: str) -> bytes:
     raw = text.encode("utf-8")
     return len(raw).to_bytes(2, "little") + raw
@@ -196,37 +109,25 @@ def _unframe_str(raw: bytes, pos: int) -> Tuple[str, int]:
         raise ImprintPersistError(f"bad imprint name ({exc})") from None
 
 
-def _parse_seg_header(raw: bytes, path: Path) -> Tuple[int, int, int, int, int, Optional[int], int]:
-    """(version, vpc, segment_rows, n_rows, n_segments, crc, body offset)."""
+def _parse_seg_header(raw: bytes, path: Path) -> Tuple[int, int, int, int, int, int]:
+    """(vpc, segment_rows, n_rows, n_segments, crc, body offset)."""
     if len(raw) < _PREFIX_SEG.size:
         raise ImprintPersistError(f"{path}: truncated header")
     magic, version = _PREFIX_SEG.unpack(raw[: _PREFIX_SEG.size])
     if magic != _MAGIC_SEG:
         raise ImprintPersistError(f"{path}: bad magic {magic!r}")
-    if version == _VERSION_SEG_V2:
-        header = _HEADER_SEG_V2
-        if len(raw) < header.size:
-            raise ImprintPersistError(f"{path}: truncated header")
-        (_m, _v, vpc, segment_rows, n_rows, n_segments) = header.unpack(
-            raw[: header.size]
-        )
-        crc = None
-    elif version == _VERSION_SEG:
-        header = _HEADER_SEG
-        if len(raw) < header.size:
-            raise ImprintPersistError(f"{path}: truncated header")
-        (_m, _v, vpc, segment_rows, n_rows, n_segments, crc) = header.unpack(
-            raw[: header.size]
-        )
-    else:
+    if version != _VERSION_SEG:
         raise ImprintPersistError(f"{path}: unsupported version {version}")
-    return version, vpc, segment_rows, n_rows, n_segments, crc, header.size
+    if len(raw) < _HEADER_SEG.size:
+        raise ImprintPersistError(f"{path}: truncated header")
+    (_m, _v, vpc, segment_rows, n_rows, n_segments, crc) = _HEADER_SEG.unpack(
+        raw[: _HEADER_SEG.size]
+    )
+    return vpc, segment_rows, n_rows, n_segments, crc, _HEADER_SEG.size
 
 
-def _seg_crc_ok(raw: bytes, offset: int, crc: Optional[int]) -> bool:
-    """Verify a v3 file's CRC (crc32 is the last header field; zero it)."""
-    if crc is None:
-        return True
+def _seg_crc_ok(raw: bytes, offset: int, crc: int) -> bool:
+    """Verify a file's CRC (crc32 is the last header field; zero it)."""
     base = raw[: offset - 4] + b"\x00\x00\x00\x00"
     return durable.checksum(base + raw[offset:]) == crc
 
@@ -275,7 +176,7 @@ def save_segmented(
 def verify_segmented_file(path: PathLike) -> Tuple[str, str]:
     """Structural check of a segmented imprint file on disk.
 
-    Parses the header, verifies the body CRC32 (v3), and returns the
+    Parses the header, verifies the CRC32, and returns the
     ``(table, column)`` key; raises :class:`ImprintPersistError` on any
     corruption.  Does not validate against a live column — that happens
     at load time.
@@ -285,9 +186,7 @@ def verify_segmented_file(path: PathLike) -> Tuple[str, str]:
         raw = path.read_bytes()
     except FileNotFoundError:
         raise ImprintPersistError(f"no imprint file at {path}") from None
-    (_version, _vpc, _seg_rows, _n_rows, _n_segments, crc, pos) = _parse_seg_header(
-        raw, path
-    )
+    (_vpc, _seg_rows, _n_rows, _n_segments, crc, pos) = _parse_seg_header(raw, path)
     if not _seg_crc_ok(raw, pos, crc):
         durable.record_checksum_failure(path)
         raise ImprintPersistError(f"{path}: checksum mismatch")
@@ -299,8 +198,8 @@ def verify_segmented_file(path: PathLike) -> Tuple[str, str]:
 def looks_like_segmented(path: PathLike) -> bool:
     """True when the file starts with the segmented (``RIMS``) magic.
 
-    Lets the manager distinguish legacy/foreign files (skipped silently)
-    from corrupt segmented imprints (quarantined).
+    Lets the manager distinguish foreign files (skipped silently) from
+    corrupt segmented imprints (quarantined).
     """
     try:
         with open(path, "rb") as fh:
@@ -310,9 +209,9 @@ def looks_like_segmented(path: PathLike) -> bool:
 
 
 def read_segmented_key(path: PathLike) -> Tuple[str, str]:
-    """The ``(table_name, column_name)`` key of a v2 imprint file.
+    """The ``(table_name, column_name)`` key of an imprint file.
 
-    Raises :class:`ImprintPersistError` for v1 or foreign files.
+    Raises :class:`ImprintPersistError` for foreign files.
     """
     path = Path(path)
     try:
@@ -329,11 +228,10 @@ def read_segmented_key(path: PathLike) -> Tuple[str, str]:
 def load_segmented(column: Column, path: PathLike) -> "SegmentedImprints":
     """Restore a :class:`SegmentedImprints` over its column.
 
-    Same staleness contract as :func:`load_imprint`: a grown column loads
-    as a stale index (the manager extends it), a shorter column is
-    rejected as foreign data.
+    The stored snapshot length must not exceed the column: a grown column
+    loads as a stale index (the manager extends it), but a *shorter*
+    column means the file belongs to different data and is rejected.
     """
-    from .dictionary import CachelineDict as _CachelineDict
     from .segments import SegmentImprint, SegmentedImprints
 
     path = Path(path)
@@ -341,9 +239,7 @@ def load_segmented(column: Column, path: PathLike) -> "SegmentedImprints":
         raw = path.read_bytes()
     except FileNotFoundError:
         raise ImprintPersistError(f"no imprint file at {path}") from None
-    (_version, vpc, segment_rows, n_rows, n_segments, crc, pos) = _parse_seg_header(
-        raw, path
-    )
+    (vpc, segment_rows, n_rows, n_segments, crc, pos) = _parse_seg_header(raw, path)
     if not _seg_crc_ok(raw, pos, crc):
         durable.record_checksum_failure(path)
         raise ImprintPersistError(f"{path}: checksum mismatch")
@@ -368,7 +264,7 @@ def load_segmented(column: Column, path: PathLike) -> "SegmentedImprints":
         vectors, pos = _unframe(raw, pos)
         if minmax.shape[0] != 2 or start != covered or stop <= start:
             raise ImprintPersistError(f"{path}: inconsistent segment spans")
-        cdict = _CachelineDict(
+        cdict = CachelineDict(
             counters=counters.astype(np.int64),
             repeats=repeats.astype(bool),
             vectors=vectors.astype(np.uint64),

@@ -24,17 +24,22 @@ Segments are the unit of everything the engine wants to scale:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ...engine.column import Column
-from ...engine.kernels import ZONE_FULL, ZONE_PROBE, ZONE_SKIP, zone_verdict
+from ...engine.kernels import (
+    ZONE_FULL,
+    ZONE_PROBE,
+    ZONE_SKIP,
+    RangePredicate,
+    bounds_mask,
+)
 from ...engine.parallel import run_tasks
-from ...obs import heat as _heat
+from ...engine.scan import ScanStats, Segment, scan_segments, zone_verdicts
 from ...obs import queries as _queries
-from ...obs import resources
 from . import bitvec, dictionary
 from .histogram import DEFAULT_SAMPLE, MAX_BINS, BinScheme, build_bins
 from .index import ImprintStats
@@ -44,18 +49,6 @@ from .index import ImprintStats
 #: <= 64 at the default cacheline size), and big enough that per-segment
 #: Python overhead stays far below the numpy kernels it wraps.
 DEFAULT_SEGMENT_ROWS = 64 * 1024
-
-#: Zone-map verdicts — shared with the compressed-execution kernels so
-#: segment pruning has exactly one algebra (:mod:`repro.engine.kernels`).
-_SKIP, _FULL, _PROBE = ZONE_SKIP, ZONE_FULL, ZONE_PROBE
-
-#: Test-injection point: called with each segment just before its probe
-#: runs.  The live-introspection tests install a sleeping hook here to
-#: make scans slow enough to watch ``/debug/queries`` progress tick and
-#: to land deadline checks mid-scan.  ``None`` (production) costs one
-#: read per probe.
-probe_hook: Optional[Callable[["SegmentImprint"], None]] = None
-
 
 @dataclass
 class SegmentImprint:
@@ -294,22 +287,18 @@ class SegmentedImprints:
 
     # -- query -----------------------------------------------------------------
 
-    def _classify(
-        self,
-        seg: SegmentImprint,
-        lo: Optional[Any],
-        hi: Optional[Any],
-        lo_inc: bool,
-        hi_inc: bool,
-    ) -> int:
-        """Zone-map verdict for one segment (skip / accept whole / probe).
+    def _zones(self) -> List[Segment]:
+        """The scanner's view of the index: rows and zone map per segment.
 
-        Delegates to the shared :func:`~repro.engine.kernels.zone_verdict`
-        so imprints and compressed scans prune with identical algebra.
         NaN zone maps compare false everywhere and land on PROBE, so NaN
         data costs time, never correctness.
         """
-        return zone_verdict(seg.zmin, seg.zmax, lo, hi, lo_inc, hi_inc)
+        return [(s.start, s.stop, s.zmin, s.zmax) for s in self.segments]
+
+    def _verdicts(self, lo: Optional[Any], hi: Optional[Any]) -> List[int]:
+        """Zone-map verdict per segment for the closed range ``[lo, hi]``,
+        by the same algebra :meth:`query` scans with."""
+        return zone_verdicts(self._zones(), RangePredicate(lo, hi))
 
     def _candidate_lines(self, seg: SegmentImprint, lo: Optional[Any], hi: Optional[Any]) -> NDArray[Any]:
         """Local candidate-line indices for one probed segment."""
@@ -337,26 +326,18 @@ class SegmentedImprints:
         part = values[seg.start : seg.stop]
         vpc = self.vpc
         n_seg = seg.n_rows
-
-        def check(vals: NDArray[Any]) -> NDArray[Any]:
-            mask = np.ones(vals.shape, dtype=bool)
-            if lo is not None:
-                mask &= (vals >= lo) if lo_inc else (vals > lo)
-            if hi is not None:
-                mask &= (vals <= hi) if hi_inc else (vals < hi)
-            return mask
-
         n_full = n_seg // vpc
         full_lines = lines[lines < n_full]
         pieces: List[NDArray[Any]] = []
         if full_lines.shape[0]:
             blocks = part[: n_full * vpc].reshape(n_full, vpc)[full_lines]
-            hit = check(blocks)
+            hit = bounds_mask(blocks, lo, hi, lo_inc, hi_inc)
             base = full_lines * vpc
             pieces.append((base[:, None] + np.arange(vpc, dtype=np.int64))[hit])
         if lines[-1] >= n_full and n_seg > n_full * vpc:
             tail = part[n_full * vpc : n_seg]
-            pieces.append(np.flatnonzero(check(tail)) + n_full * vpc)
+            hit = bounds_mask(tail, lo, hi, lo_inc, hi_inc)
+            pieces.append(np.flatnonzero(hit) + n_full * vpc)
         if not pieces:
             return np.empty(0, dtype=np.int64)
         local = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
@@ -382,91 +363,39 @@ class SegmentedImprints:
         accounting.
         """
         values = np.asarray(self.column.values)
-        verdicts = [
-            self._classify(seg, lo, hi, lo_inclusive, hi_inclusive)
-            for seg in self.segments
-        ]
-        probe_segments = [
-            seg for seg, v in zip(self.segments, verdicts) if v == _PROBE
-        ]
+        itemsize = int(values.itemsize)
+
+        def probe(i: int) -> Tuple[NDArray[np.int64], int, int]:
+            # Imprint probes read decoded values, so a probed segment's
+            # bytes are all materialized, whatever the vectors ruled out.
+            seg = self.segments[i]
+            oids = self._probe(values, seg, lo, hi, lo_inclusive, hi_inclusive)
+            return oids, 0, seg.n_rows * itemsize
+
+        scan = ScanStats()
+        oids = scan_segments(
+            self.column.name,
+            self._zones(),
+            RangePredicate(lo, hi, lo_inclusive, hi_inclusive),
+            probe,
+            threads=threads,
+            stats=scan,
+        )
         if stats is not None:
-            stats.n_segments_probed += len(probe_segments)
-            stats.n_segments_skipped += len(verdicts) - len(probe_segments)
-        active = _queries.current_query()
-        if active is not None:
-            # Live progress: the denominator is every segment of this
-            # scan; zone-map skips and wholesale accepts complete
-            # instantly, probes tick one-by-one as they finish below.
-            active.add_segments(
-                total=len(verdicts), done=len(verdicts) - len(probe_segments)
-            )
-        tracker = resources.current()
-        if tracker is not None and probe_segments:
-            # Only probed segments' data is read; zone-map skips and
-            # wholesale accepts cost zero data access (the paper's point),
-            # and the attribution reflects that.
-            probe_rows = sum(seg.stop - seg.start for seg in probe_segments)
-            tracker.add_touched(
-                rows=int(probe_rows),
-                nbytes=int(probe_rows * values.itemsize),
-            )
-            tracker.add_scan_bytes(
-                materialized=int(probe_rows * values.itemsize)
-            )
-        heat = _heat.maybe_heat()
-        if heat is not None:
-            # Imprint probes read decoded values, so the probed bytes are
-            # all materialized; one batched update per scan.
-            itemsize = int(values.itemsize)
-            heat.record_scan(
-                self.column.name,
-                probed=[
-                    (i, 0, (seg.stop - seg.start) * itemsize)
-                    for i, (seg, v) in enumerate(
-                        zip(self.segments, verdicts)
-                    )
-                    if v == _PROBE
-                ],
-                skipped=[i for i, v in enumerate(verdicts) if v == _SKIP],
-                full=[i for i, v in enumerate(verdicts) if v == _FULL],
-            )
-        hook = probe_hook
-
-        def probe_one(seg: SegmentImprint) -> NDArray[Any]:
-            if active is not None:
-                active.check_deadline()
-            if hook is not None:
-                hook(seg)
-            piece = self._probe(values, seg, lo, hi, lo_inclusive, hi_inclusive)
-            if active is not None:
-                active.add_segments(done=1)
-            return piece
-
-        probed = run_tasks(probe_one, probe_segments, threads=threads)
-        probed_iter = iter(probed)
-        pieces: List[NDArray[Any]] = []
-        for seg, verdict in zip(self.segments, verdicts):
-            if verdict == _FULL:
-                pieces.append(np.arange(seg.start, seg.stop, dtype=np.int64))
-            elif verdict == _PROBE:
-                piece = next(probed_iter)
-                if piece.shape[0]:
-                    pieces.append(piece)
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+            stats.n_segments_probed += scan.segments_probed
+            stats.n_segments_skipped += scan.segments_skipped + scan.segments_full
+        return oids
 
     # -- diagnostics -----------------------------------------------------------
 
     def candidate_rows(self, lo: Optional[Any], hi: Optional[Any]) -> NDArray[Any]:
         """Candidate oids (superset of the exact result), sorted."""
         pieces: List[NDArray[Any]] = []
-        for seg in self.segments:
+        for seg, verdict in zip(self.segments, self._verdicts(lo, hi)):
             _queries.check_deadline()
-            verdict = self._classify(seg, lo, hi, True, True)
-            if verdict == _SKIP:
+            if verdict == ZONE_SKIP:
                 continue
-            if verdict == _FULL:
+            if verdict == ZONE_FULL:
                 pieces.append(np.arange(seg.start, seg.stop, dtype=np.int64))
                 continue
             lines = self._candidate_lines(seg, lo, hi)
@@ -490,9 +419,9 @@ class SegmentedImprints:
         if total == 0:
             return 0.0
         touched = 0
-        for seg in self.segments:
+        for seg, verdict in zip(self.segments, self._verdicts(lo, hi)):
             _queries.check_deadline()
-            if self._classify(seg, lo, hi, True, True) == _PROBE:
+            if verdict == ZONE_PROBE:
                 touched += int(self._candidate_lines(seg, lo, hi).shape[0])
         return float(touched / total)
 

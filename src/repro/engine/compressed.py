@@ -8,7 +8,7 @@ rather than a storage codec:
 
 * every block carries its value range from encode time, so a range
   predicate prunes whole segments through
-  :func:`repro.engine.kernels.block_zone_verdict` without touching any
+  :func:`repro.engine.kernels.zone_verdict` without touching any
   payload byte;
 * segments that must be probed are evaluated by the packed kernels —
   FOR offsets compared at stored width, dictionary/RLE verdicts
@@ -16,61 +16,30 @@ rather than a storage codec:
 * only predicate survivors are materialized, via
   :func:`repro.engine.kernels.take`.
 
-Probes fan out per segment over :func:`repro.engine.parallel.run_tasks`
-(the same morsel scheduler the uncompressed scans use), and every select
-returns a :class:`ScanStats` so callers can attribute encoded versus
-materialized bytes to the query's resource tracker and to
-``EXPLAIN ANALYZE``.
+The loop around those steps is :func:`repro.engine.scan.scan_segments`,
+shared with the segmented imprints: this module supplies the per-block
+zone maps and the packed prober, the scanner does the pruning, fan-out,
+accounting and gather, and fills a :class:`~repro.engine.scan.ScanStats`
+so ``EXPLAIN ANALYZE`` can show encoded versus materialized bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ..obs import heat as _heat
 from ..obs import queries as _queries
-from ..obs.metrics import get_registry
-from . import kernels, parallel
+from . import kernels
 from .compression import CompressedBlock, CompressionError, decode, encode_adaptive
+from .kernels import RangePredicate
+from .scan import ScanStats, scan_segments
 
 #: Rows per compressed segment; matches the segmented imprints so one
 #: zone-map verdict lines up with one imprint segment.
 DEFAULT_SEGMENT_ROWS = 64 * 1024
-
-
-@dataclass
-class ScanStats:
-    """What one compressed select actually did, for attribution."""
-
-    segments_skipped: int = 0
-    segments_full: int = 0
-    segments_probed: int = 0
-    #: Probed segments evaluated on the packed representation.
-    packed_probes: int = 0
-    #: Encoded payload bytes the probe loops scanned.
-    encoded_bytes: int = 0
-    #: Bytes of decoded arrays built by fallback probes.
-    materialized_bytes: int = 0
-    rows_in: int = 0
-    rows_out: int = 0
-
-    @property
-    def probed_rows(self) -> int:
-        return self.rows_in  # set by the select loops to probed rows only
-
-    def merge(self, other: "ScanStats") -> None:
-        self.segments_skipped += other.segments_skipped
-        self.segments_full += other.segments_full
-        self.segments_probed += other.segments_probed
-        self.packed_probes += other.packed_probes
-        self.encoded_bytes += other.encoded_bytes
-        self.materialized_bytes += other.materialized_bytes
-        self.rows_in += other.rows_in
-        self.rows_out += other.rows_out
 
 
 @dataclass(frozen=True)
@@ -184,97 +153,34 @@ class CompressedColumn:
 
     # -- predicate scans ---------------------------------------------------
 
-    def _probe_segments(
+    def select(
         self,
-        probes: Sequence[int],
-        fn_lo: Optional[Any],
-        fn_hi: Optional[Any],
-        lo_inclusive: bool,
-        hi_inclusive: bool,
-        negate: bool,
-        threads: Optional[int],
-        stats: ScanStats,
-        heat_probed: Optional[List[Tuple[int, int, int]]] = None,
-    ) -> Dict[int, NDArray[np.int64]]:
-        """Run the packed range kernel over the PROBE segments, fanned
-        out per segment; returns ``{segment: global oids}``."""
-        active = _queries.current_query()
-        if active is not None:
-            # Live progress over the whole scan (both select entry
-            # points classify every block before probing): pruned and
-            # wholesale-accepted segments complete for free, probes tick
-            # below as they finish.
-            active.add_segments(
-                total=len(self.blocks), done=len(self.blocks) - len(probes)
-            )
-
-        def probe(i: int) -> Tuple[int, NDArray[np.int64], bool, int]:
-            if active is not None:
-                active.check_deadline()
-            block = self.blocks[i]
-            mask, packed = kernels.range_mask(
-                block, fn_lo, fn_hi, lo_inclusive, hi_inclusive
-            )
-            if negate:
-                mask = ~mask
-            start, _stop = self.segment_bounds(i)
-            oids = (np.flatnonzero(mask) + start).astype(np.int64)
-            if active is not None:
-                active.add_segments(done=1)
-            return i, oids, packed, kernels.scan_bytes(block, packed)
-
-        results = parallel.run_tasks(probe, list(probes), threads)
-        hits: Dict[int, NDArray[np.int64]] = {}
-        for i, oids, packed, nbytes in results:
-            hits[i] = oids
-            stats.segments_probed += 1
-            stats.rows_in += self.blocks[i].count
-            if packed:
-                stats.packed_probes += 1
-                stats.encoded_bytes += nbytes
-            else:
-                stats.materialized_bytes += nbytes
-            if heat_probed is not None:
-                heat_probed.append(
-                    (i, nbytes if packed else 0, 0 if packed else nbytes)
-                )
-        return hits
-
-    def _record_heat(
-        self,
-        heat: "_heat.HeatMap",
-        verdicts: List[int],
-        heat_probed: List[Tuple[int, int, int]],
-    ) -> None:
-        """One batched heat update per scan (never per segment)."""
-        heat.record_scan(
-            self.name,
-            probed=heat_probed,
-            skipped=[
-                i for i, v in enumerate(verdicts) if v == kernels.ZONE_SKIP
-            ],
-            full=[
-                i for i, v in enumerate(verdicts) if v == kernels.ZONE_FULL
-            ],
-        )
-
-    def _gather(
-        self,
-        verdicts: List[int],
-        hits: Dict[int, NDArray[np.int64]],
+        predicate: RangePredicate,
+        threads: Optional[int] = None,
+        stats: Optional[ScanStats] = None,
     ) -> NDArray[np.int64]:
-        """Concatenate FULL ranges and probe hits in segment order —
-        the result is the sorted global candidate list."""
-        pieces: List[NDArray[np.int64]] = []
-        for i, verdict in enumerate(verdicts):
-            if verdict == kernels.ZONE_FULL:
-                start, stop = self.segment_bounds(i)
-                pieces.append(np.arange(start, stop, dtype=np.int64))
-            elif verdict == kernels.ZONE_PROBE:
-                pieces.append(hits[i])
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces)
+        """Row ids matching ``predicate``: zone-map pruning, then the
+        packed kernel on the PROBE segments — decoding nothing that does
+        not survive."""
+
+        def probe(i: int) -> Tuple[NDArray[np.int64], int, int]:
+            block = self.blocks[i]
+            mask, packed = kernels.predicate_mask(block, predicate)
+            oids = (np.flatnonzero(mask) + self._starts[i]).astype(np.int64, copy=False)
+            nbytes = kernels.scan_bytes(block, packed)
+            return (oids, nbytes, 0) if packed else (oids, 0, nbytes)
+
+        return scan_segments(
+            self.name,
+            [
+                (start, start + block.count, block.zmin, block.zmax)
+                for start, block in zip(self._starts, self.blocks)
+            ],
+            predicate,
+            probe,
+            threads=threads,
+            stats=stats,
+        )
 
     def range_select(
         self,
@@ -285,44 +191,10 @@ class CompressedColumn:
         threads: Optional[int] = None,
         stats: Optional[ScanStats] = None,
     ) -> NDArray[np.int64]:
-        """Row ids where ``lo <(=) value <(=) hi`` — zone-map pruning,
-        then packed probes, no decoding of non-survivors."""
-        stats = stats if stats is not None else ScanStats()
-        heat = _heat.maybe_heat()
-        heat_probed: List[Tuple[int, int, int]] = []
-        verdicts: List[int] = []
-        probes: List[int] = []
-        for i, block in enumerate(self.blocks):
-            verdict = kernels.block_zone_verdict(
-                block, lo, hi, lo_inclusive, hi_inclusive
-            )
-            verdicts.append(verdict)
-            if verdict == kernels.ZONE_PROBE:
-                probes.append(i)
-            elif verdict == kernels.ZONE_FULL:
-                stats.segments_full += 1
-            else:
-                stats.segments_skipped += 1
-        hits = self._probe_segments(
-            probes,
-            lo,
-            hi,
-            lo_inclusive,
-            hi_inclusive,
-            False,
-            threads,
-            stats,
-            heat_probed if heat is not None else None,
+        """Row ids where ``lo <(=) value <(=) hi``."""
+        return self.select(
+            RangePredicate(lo, hi, lo_inclusive, hi_inclusive), threads, stats
         )
-        out = self._gather(verdicts, hits)
-        stats.rows_out += out.shape[0]
-        if heat is not None:
-            self._record_heat(heat, verdicts, heat_probed)
-        if stats.packed_probes:
-            get_registry().counter("compression.packed_predicate_hits").inc(
-                stats.packed_probes
-            )
-        return out
 
     def theta_select(
         self,
@@ -332,63 +204,5 @@ class CompressedColumn:
         stats: Optional[ScanStats] = None,
     ) -> NDArray[np.int64]:
         """Row ids where ``value <op> constant`` for the six comparison
-        operators; every operator reduces to a zone-pruned range probe
-        (``!=`` by complementing the ``==`` verdicts)."""
-        stats = stats if stats is not None else ScanStats()
-        lo: Optional[Any]
-        hi: Optional[Any]
-        lo_inc = hi_inc = True
-        negate = False
-        if op in ("==", "!="):
-            lo = hi = constant
-            negate = op == "!="
-        elif op == "<":
-            lo, hi, hi_inc = None, constant, False
-        elif op == "<=":
-            lo, hi = None, constant
-        elif op == ">":
-            lo, hi, lo_inc = constant, None, False
-        elif op == ">=":
-            lo, hi = constant, None
-        else:
-            raise CompressionError(f"unsupported theta operator {op!r}")
-        heat = _heat.maybe_heat()
-        heat_probed: List[Tuple[int, int, int]] = []
-        verdicts: List[int] = []
-        probes: List[int] = []
-        for i, block in enumerate(self.blocks):
-            verdict = kernels.block_zone_verdict(block, lo, hi, lo_inc, hi_inc)
-            if negate:
-                # Complement: every-row-matches becomes no-row-matches
-                # and vice versa; PROBE stays PROBE.
-                if verdict == kernels.ZONE_FULL:
-                    verdict = kernels.ZONE_SKIP
-                elif verdict == kernels.ZONE_SKIP and block.count:
-                    verdict = kernels.ZONE_FULL
-            verdicts.append(verdict)
-            if verdict == kernels.ZONE_PROBE:
-                probes.append(i)
-            elif verdict == kernels.ZONE_FULL:
-                stats.segments_full += 1
-            else:
-                stats.segments_skipped += 1
-        hits = self._probe_segments(
-            probes,
-            lo,
-            hi,
-            lo_inc,
-            hi_inc,
-            negate,
-            threads,
-            stats,
-            heat_probed if heat is not None else None,
-        )
-        out = self._gather(verdicts, hits)
-        stats.rows_out += out.shape[0]
-        if heat is not None:
-            self._record_heat(heat, verdicts, heat_probed)
-        if stats.packed_probes:
-            get_registry().counter("compression.packed_predicate_hits").inc(
-                stats.packed_probes
-            )
-        return out
+        operators; every operator reduces to a zone-pruned range probe."""
+        return self.select(kernels.theta_range(op, constant), threads, stats)

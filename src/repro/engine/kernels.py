@@ -9,9 +9,9 @@ Three levels of work avoidance, cheapest first:
 
 1. :func:`zone_verdict` — the block's encode-time ``zmin``/``zmax``
    (free FOR header fields) decide SKIP / FULL / PROBE before any
-   payload byte is read.  The same function classifies imprint segments
-   in :mod:`repro.core.imprints.segments`, so the zone-map algebra has
-   exactly one implementation.
+   payload byte is read.  :mod:`repro.engine.scan` applies it to every
+   segmented access path (packed blocks and imprint segments alike), so
+   the zone-map algebra has exactly one implementation.
 2. Packed evaluation — on PROBE, FOR blocks translate the range bounds
    into the offset domain (:func:`repro.engine.compression.int_bounds`)
    and compare the stored-width packed words directly; dictionary and
@@ -29,7 +29,7 @@ attribute encoded vs. materialized bytes honestly.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,6 +55,38 @@ ZONE_PROBE = 2
 #: exact integer arithmetic; the FOR kernel decodes instead to stay
 #: bit-identical with the uncompressed baseline.
 _FLOAT_EXACT_LIMIT = 1 << 53
+
+
+class RangePredicate(NamedTuple):
+    """``lo <(=) value <(=) hi`` (either bound may be ``None``), or its
+    complement when ``negate`` is set."""
+
+    lo: Optional[Any]
+    hi: Optional[Any]
+    lo_inclusive: bool = True
+    hi_inclusive: bool = True
+    negate: bool = False
+
+
+#: Every comparison operator as a range predicate on the constant
+#: (``==`` is the degenerate range ``[c, c]``, ``!=`` its complement), so
+#: zone pruning and the packed fast paths cover all six operators.
+_THETA_RANGES: Dict[str, Callable[[Any], RangePredicate]] = {
+    "==": lambda c: RangePredicate(c, c),
+    "!=": lambda c: RangePredicate(c, c, negate=True),
+    "<": lambda c: RangePredicate(None, c, hi_inclusive=False),
+    "<=": lambda c: RangePredicate(None, c),
+    ">": lambda c: RangePredicate(c, None, lo_inclusive=False),
+    ">=": lambda c: RangePredicate(c, None),
+}
+
+
+def theta_range(op: str, constant: Any) -> RangePredicate:
+    """``value <op> constant`` as a :class:`RangePredicate`."""
+    try:
+        return _THETA_RANGES[op](constant)
+    except KeyError:
+        raise CompressionError(f"unsupported theta operator {op!r}") from None
 
 
 def zone_verdict(
@@ -83,25 +115,6 @@ def zone_verdict(
     return ZONE_PROBE
 
 
-def block_zone_verdict(
-    block: CompressedBlock,
-    lo: Optional[Any],
-    hi: Optional[Any],
-    lo_inclusive: bool = True,
-    hi_inclusive: bool = True,
-) -> int:
-    """:func:`zone_verdict` from a block's encode-time header.
-
-    Empty blocks SKIP; blocks without zone metadata (hand-built or
-    pre-zone-map) PROBE.
-    """
-    if block.count == 0:
-        return ZONE_SKIP
-    if block.zmin is None or block.zmax is None:
-        return ZONE_PROBE
-    return zone_verdict(block.zmin, block.zmax, lo, hi, lo_inclusive, hi_inclusive)
-
-
 def _is_float_bound(bound: Optional[Any]) -> bool:
     return isinstance(bound, (float, np.floating))
 
@@ -124,16 +137,18 @@ def _for_needs_decode(
     )
 
 
-def _bounds_mask(
+def bounds_mask(
     values: NDArray[Any],
     lo: Optional[Any],
     hi: Optional[Any],
     lo_inclusive: bool,
     hi_inclusive: bool,
 ) -> NDArray[np.bool_]:
-    """The baseline numpy evaluation of a range predicate (used on
-    small domains: dictionary entries, run values, decoded rows)."""
-    mask = np.ones(values.shape[0], dtype=bool)
+    """The baseline numpy evaluation of a range predicate, of the shape
+    of ``values`` — the plain compare every packed kernel must match
+    (and runs itself on small domains: dictionary entries, run values,
+    decoded rows)."""
+    mask = np.ones(values.shape, dtype=bool)
     if lo is not None:
         mask &= values >= lo if lo_inclusive else values > lo
     if hi is not None:
@@ -194,42 +209,34 @@ def range_mask(
         return _for_range_mask(block, lo, hi, lo_inclusive, hi_inclusive), True
     if block.scheme == "dict":
         uniques, codes = dict_parts(block)
-        umask = _bounds_mask(uniques, lo, hi, lo_inclusive, hi_inclusive)
+        umask = bounds_mask(uniques, lo, hi, lo_inclusive, hi_inclusive)
         return umask[codes], True
     if block.scheme == "rle":
         run_values, run_lengths = rle_parts(block)
-        rmask = _bounds_mask(run_values, lo, hi, lo_inclusive, hi_inclusive)
+        rmask = bounds_mask(run_values, lo, hi, lo_inclusive, hi_inclusive)
         return np.repeat(rmask, run_lengths), True
     if block.scheme == "plain":
         view = plain_view(block)
-        return _bounds_mask(view, lo, hi, lo_inclusive, hi_inclusive), True
+        return bounds_mask(view, lo, hi, lo_inclusive, hi_inclusive), True
     values = decode(block)
-    return _bounds_mask(values, lo, hi, lo_inclusive, hi_inclusive), False
+    return bounds_mask(values, lo, hi, lo_inclusive, hi_inclusive), False
+
+
+def predicate_mask(
+    block: CompressedBlock, predicate: RangePredicate
+) -> Tuple[NDArray[np.bool_], bool]:
+    """:func:`range_mask` of the predicate's range, complemented when it
+    is negated; ``packed`` as for :func:`range_mask`."""
+    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
+    mask, packed = range_mask(block, lo, hi, lo_inclusive, hi_inclusive)
+    return (~mask if negate else mask), packed
 
 
 def theta_mask(
     block: CompressedBlock, op: str, constant: Any
 ) -> Tuple[NDArray[np.bool_], bool]:
-    """Selection mask of ``value <op> constant`` over one block.
-
-    Every comparison reduces to a range probe on the packed words
-    (``==`` is the degenerate range ``[c, c]``; ``!=`` its complement),
-    so the packed fast paths cover all six operators.
-    """
-    if op == "==":
-        return range_mask(block, constant, constant, True, True)
-    if op == "!=":
-        mask, packed = range_mask(block, constant, constant, True, True)
-        return ~mask, packed
-    if op == "<":
-        return range_mask(block, None, constant, True, False)
-    if op == "<=":
-        return range_mask(block, None, constant, True, True)
-    if op == ">":
-        return range_mask(block, constant, None, False, True)
-    if op == ">=":
-        return range_mask(block, constant, None, True, True)
-    raise CompressionError(f"unsupported theta operator {op!r}")
+    """Selection mask of ``value <op> constant`` over one block."""
+    return predicate_mask(block, theta_range(op, constant))
 
 
 def take(block: CompressedBlock, idx: NDArray[Any]) -> NDArray[Any]:
@@ -280,9 +287,12 @@ __all__ = [
     "ZONE_SKIP",
     "ZONE_FULL",
     "ZONE_PROBE",
+    "RangePredicate",
+    "theta_range",
     "zone_verdict",
-    "block_zone_verdict",
+    "bounds_mask",
     "range_mask",
+    "predicate_mask",
     "theta_mask",
     "take",
     "scan_bytes",

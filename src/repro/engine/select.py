@@ -31,7 +31,8 @@ from ..obs.metrics import get_registry
 from ..obs.trace import maybe_span
 from . import parallel
 from .column import Column
-from .compressed import CompressedColumn, ScanStats
+from .kernels import RangePredicate, bounds_mask, theta_range
+from .scan import ScanStats
 
 #: Comparison operators accepted by :func:`theta_select`.
 _THETA_OPS: Dict[str, Callable[[NDArray[Any], object], NDArray[Any]]] = {
@@ -81,44 +82,6 @@ def _numeric_bound(bound: object) -> bool:
     return bound is None or isinstance(bound, (bool, int, float, np.number, np.bool_))
 
 
-def _packed_for(
-    column: Column, candidates: Optional[NDArray[Any]], *bounds: object
-) -> Optional[CompressedColumn]:
-    """The column's compressed mirror, when this select can use it."""
-    if candidates is not None:
-        return None
-    if not all(_numeric_bound(b) for b in bounds):
-        return None
-    return column.packed
-
-
-def _account_packed(packed: CompressedColumn, stats: ScanStats, span: Any) -> None:
-    """Credit a packed select: probed rows and the bytes actually moved
-    (encoded payloads for packed probes, decoded arrays for fallbacks).
-    Zone-map skips and wholesale accepts cost zero bytes, same as the
-    imprint accounting."""
-    tracker = resources.current()
-    touched = stats.encoded_bytes + stats.materialized_bytes
-    if tracker is not None and stats.rows_in:
-        tracker.add_touched(rows=int(stats.rows_in), nbytes=int(touched))
-        tracker.add_scan_bytes(
-            encoded=int(stats.encoded_bytes),
-            materialized=int(stats.materialized_bytes),
-        )
-    saved = packed.plain_nbytes - touched
-    if saved > 0:
-        get_registry().counter("compression.materialized_bytes_saved").inc(saved)
-    span.set(
-        rows_in=packed.n_rows,
-        rows_out=stats.rows_out,
-        segments_skipped=stats.segments_skipped,
-        segments_full=stats.segments_full,
-        segments_probed=stats.segments_probed,
-        encoded_bytes=stats.encoded_bytes,
-        materialized_bytes=stats.materialized_bytes,
-    )
-
-
 def _morsel_mask(
     vals: NDArray[Any],
     kernel: Callable[[NDArray[Any]], NDArray[Any]],
@@ -144,6 +107,51 @@ def _morsel_mask(
     return mask
 
 
+def _select(
+    column: Column,
+    predicate: RangePredicate,
+    kernel: Callable[[NDArray[Any]], NDArray[Any]],
+    candidates: Optional[NDArray[Any]],
+    threads: Optional[int],
+    span: Any,
+) -> NDArray[Any]:
+    """Run one select: ``predicate`` on the compressed mirror when the
+    select starts from the full column and has one, else ``kernel`` (the
+    same predicate as a numpy compare) over the (candidate) values."""
+    packed = column.packed if candidates is None else None
+    if packed is not None and _numeric_bound(predicate.lo) and _numeric_bound(predicate.hi):
+        # The segment scanner has already credited the resource tracker
+        # and the heat map; what is left is compression's own view.
+        stats = ScanStats()
+        result = packed.select(predicate, threads, stats)
+        registry = get_registry()
+        if stats.packed_probes:
+            registry.counter("compression.packed_predicate_hits").inc(stats.packed_probes)
+        saved = packed.plain_nbytes - stats.encoded_bytes - stats.materialized_bytes
+        if saved > 0:
+            registry.counter("compression.materialized_bytes_saved").inc(saved)
+        span.set(
+            rows_in=packed.n_rows,
+            rows_out=stats.rows_out,
+            segments_skipped=stats.segments_skipped,
+            segments_full=stats.segments_full,
+            segments_probed=stats.segments_probed,
+            encoded_bytes=stats.encoded_bytes,
+            materialized_bytes=stats.materialized_bytes,
+        )
+        return result
+    vals = column.values if candidates is None else column.take(candidates)
+    _account_touched(column, vals)
+    result = _as_candidates(_morsel_mask(vals, kernel, threads), candidates)
+    span.set(
+        rows_in=int(vals.shape[0]),
+        rows_out=int(result.shape[0]),
+        encoded_bytes=0,
+        materialized_bytes=int(vals.nbytes),
+    )
+    return result
+
+
 def theta_select(
     column: Column,
     op: str,
@@ -161,24 +169,11 @@ def theta_select(
         fn = _THETA_OPS[op]
     except KeyError:
         raise ValueError(f"unknown theta operator {op!r}") from None
+    predicate = theta_range(op, constant)
     with maybe_span("select.theta", column=column.name, op=op) as span:
-        packed = _packed_for(column, candidates, constant)
-        if packed is not None:
-            stats = ScanStats()
-            result = packed.theta_select(op, constant, threads=threads, stats=stats)
-            _account_packed(packed, stats, span)
-            return result
-        vals = column.values if candidates is None else column.take(candidates)
-        _account_touched(column, vals)
-        mask = _morsel_mask(vals, lambda part: fn(part, constant), threads)
-        result = _as_candidates(mask, candidates)
-        span.set(
-            rows_in=int(vals.shape[0]),
-            rows_out=int(result.shape[0]),
-            encoded_bytes=0,
-            materialized_bytes=int(vals.nbytes),
+        return _select(
+            column, predicate, lambda part: fn(part, constant), candidates, threads, span
         )
-    return result
 
 
 def range_select(
@@ -198,34 +193,16 @@ def range_select(
     into morsels across the worker pool (``1`` = the exact serial path);
     the reassembled result is identical either way.
     """
+    predicate = RangePredicate(lo, hi, lo_inclusive, hi_inclusive)
     with maybe_span("select.range", column=column.name) as span:
-        packed = _packed_for(column, candidates, lo, hi)
-        if packed is not None:
-            stats = ScanStats()
-            result = packed.range_select(
-                lo, hi, lo_inclusive, hi_inclusive, threads=threads, stats=stats
-            )
-            _account_packed(packed, stats, span)
-            return result
-        vals = column.values if candidates is None else column.take(candidates)
-        _account_touched(column, vals)
-
-        def kernel(part: NDArray[Any]) -> NDArray[Any]:
-            mask = np.ones(part.shape[0], dtype=bool)
-            if lo is not None:
-                mask &= (part >= lo) if lo_inclusive else (part > lo)
-            if hi is not None:
-                mask &= (part <= hi) if hi_inclusive else (part < hi)
-            return mask
-
-        result = _as_candidates(_morsel_mask(vals, kernel, threads), candidates)
-        span.set(
-            rows_in=int(vals.shape[0]),
-            rows_out=int(result.shape[0]),
-            encoded_bytes=0,
-            materialized_bytes=int(vals.nbytes),
+        return _select(
+            column,
+            predicate,
+            lambda part: bounds_mask(part, lo, hi, lo_inclusive, hi_inclusive),
+            candidates,
+            threads,
+            span,
         )
-    return result
 
 
 def mask_select(

@@ -16,8 +16,7 @@ File format (``.col``, version 2)::
     crc32   u32      CRC32 of header (crc field zeroed) + payload
     data    count * itemsize raw bytes, little endian
 
-Version-1 files (no ``crc32`` field) are still read; new files are always
-written as v2 through the atomic-write protocol of
+Files are always written through the atomic-write protocol of
 :mod:`repro.engine.durable` (temp file + fsync + ``os.replace``), so a
 crash mid-write leaves the previous file intact instead of a torn one.
 
@@ -29,7 +28,7 @@ stays the source of truth, the sidecar is the execution format the packed
 select kernels scan.  A ``source_crc`` header field ties a sidecar to the
 exact column payload it was encoded from, so a stale sidecar (column
 rewritten, sidecar not yet) is detected and ignored rather than served.
-:func:`load_array` reads all three generations; a corrupt sidecar is
+:func:`load_array` reads both generations; a corrupt sidecar is
 quarantined (renamed ``*.quarantined``) and re-encoded from the plain
 column, mirroring the imprint quarantine path.
 
@@ -57,10 +56,8 @@ from .compression import CompressedBlock, CompressionError
 from .table import Table
 
 _MAGIC = b"RCOL"
-_VERSION_V1 = 1
 _VERSION = 2
 _VERSION_V3 = 3
-_HEADER_V1 = struct.Struct("<4sHHQ")
 _HEADER = struct.Struct("<4sHHQI")
 #: v3: magic, version, type, count, n_segments, segment_rows,
 #: source_crc (crc32 of the plain column payload), file crc32 (last).
@@ -106,20 +103,14 @@ def dump_array(array: NDArray[Any], path: PathLike) -> int:
     return durable.atomic_write_bytes(path, header + payload, label="col")
 
 
-def _parse_header(raw: bytes, path: Path) -> Tuple[int, "np.dtype[Any]", int, Optional[int], int]:
-    """(version, dtype, count, crc-or-None, payload offset) of a .col blob."""
+def _parse_header(raw: bytes, path: Path) -> Tuple[int, "np.dtype[Any]", int, int, int]:
+    """(version, dtype, count, crc, payload offset) of a .col blob."""
     if len(raw) < _PREFIX.size:
         raise StorageError(f"{path}: truncated header")
     magic, version = _PREFIX.unpack(raw[: _PREFIX.size])
     if magic != _MAGIC:
         raise StorageError(f"{path}: bad magic {magic!r}")
-    if version == _VERSION_V1:
-        header = _HEADER_V1
-        if len(raw) < header.size:
-            raise StorageError(f"{path}: truncated header")
-        _magic, _version, type_code, count = header.unpack(raw[: header.size])
-        crc = None
-    elif version == _VERSION:
+    if version == _VERSION:
         header = _HEADER
         if len(raw) < header.size:
             raise StorageError(f"{path}: truncated header")
@@ -141,7 +132,7 @@ def _parse_header(raw: bytes, path: Path) -> Tuple[int, "np.dtype[Any]", int, Op
 def read_column_header(path: PathLike) -> Dict[str, object]:
     """Header fields of a ``.col`` file without loading the payload.
 
-    Returns ``{"version", "type", "count", "checksummed"}``; raises
+    Returns ``{"version", "type", "count"}``; raises
     :class:`StorageError` on anything that is not a column file.
     """
     path = Path(path)
@@ -150,20 +141,15 @@ def read_column_header(path: PathLike) -> Dict[str, object]:
             raw = fh.read(max(_HEADER.size, _HEADER_V3.size))
     except FileNotFoundError:
         raise StorageError(f"column file not found: {path}") from None
-    version, dtype, count, crc, _offset = _parse_header(raw, path)
+    version, dtype, count, _crc, _offset = _parse_header(raw, path)
     type_name = {v: k for k, v in TYPE_MAP.items()}[dtype]
-    return {
-        "version": version,
-        "type": type_name,
-        "count": count,
-        "checksummed": crc is not None,
-    }
+    return {"version": version, "type": type_name, "count": count}
 
 
 def load_array(path: PathLike) -> NDArray[Any]:
     """Read a ``.col`` file back into a numpy array.
 
-    Verifies the embedded CRC32 for v2 files; a mismatch raises
+    Verifies the embedded CRC32; a mismatch raises
     :class:`StorageError` and counts a ``durability.checksum_failures``.
     """
     path = Path(path)
@@ -182,20 +168,11 @@ def load_array(path: PathLike) -> NDArray[Any]:
             f"{path}: expected {count * dtype.itemsize} payload bytes, "
             f"got {len(payload)}"
         )
-    if crc is None and len(raw) - offset != count * dtype.itemsize:
-        # v1 has no checksum, so require an exact payload length: a v2
-        # file whose version field was corrupted down to 1 would
-        # otherwise parse with the payload shifted by the crc width.
-        raise StorageError(
-            f"{path}: v1 file has {len(raw) - offset} payload bytes, "
-            f"expected exactly {count * dtype.itemsize}"
-        )
-    if crc is not None:
-        # crc32 is the last header field; zero it out for verification.
-        base = raw[: offset - 4] + b"\x00\x00\x00\x00"
-        if durable.checksum(base + payload) != crc:
-            durable.record_checksum_failure(path)
-            raise StorageError(f"{path}: checksum mismatch")
+    # crc32 is the last header field; zero it out for verification.
+    base = raw[: offset - 4] + b"\x00\x00\x00\x00"
+    if durable.checksum(base + payload) != crc:
+        durable.record_checksum_failure(path)
+        raise StorageError(f"{path}: checksum mismatch")
     arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
     return arr
 

@@ -20,7 +20,7 @@ runs, so tracebacks still print) and, on the main thread, arms a
 ``SIGTERM`` handler that dumps and then re-raises the default action —
 the process still dies, it just leaves a black box behind.  Dumps are
 written with the durable atomic-write protocol to ``REPRO_FLIGHT_DIR``
-(default: the current directory) as ``flight-<pid>-<ts>.json``.
+(default: the system temp directory) as ``flight-<pid>-<ts>.json``.
 
 The steady-state cost is one deque append per ``note()``; nothing is
 serialised until the process is already dying.
@@ -32,6 +32,7 @@ import json
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 import traceback
@@ -60,9 +61,10 @@ ExceptHook = Callable[
 
 
 def flight_directory() -> Path:
-    """Where dumps go: ``REPRO_FLIGHT_DIR`` or the working directory."""
+    """Where dumps go: ``REPRO_FLIGHT_DIR`` or the system temp directory
+    (never the working directory, which may be a source checkout)."""
     raw = os.environ.get(FLIGHT_DIR_ENV, "").strip()
-    return Path(raw) if raw else Path(".")
+    return Path(raw) if raw else Path(tempfile.gettempdir())
 
 
 class FlightRecorder:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.engine.column import Column
-from repro.engine.compressed import CompressedColumn, ScanStats
+from repro.engine.compressed import CompressedColumn
+from repro.engine.scan import ScanStats
 from repro.engine.select import range_select, theta_select
 from repro.engine.table import Table
 from repro.obs.resources import ResourceTracker
@@ -184,14 +185,19 @@ class TestSelectDispatch:
         expected = candidates[(subset >= 41_000) & (subset <= 43_000)]
         np.testing.assert_array_equal(got, expected)
 
-    def test_non_numeric_bound_bypasses_packed(self, column):
-        # Exotic constants (anything the zone-map algebra cannot compare)
-        # must keep the select on the plain numpy scan.
-        from repro.engine.select import _packed_for
+    def test_non_numeric_bound_bypasses_packed(self, column, values):
+        # Exotic constants (anything the zone-map algebra cannot compare;
+        # here a 0-d array) must keep the select on the plain numpy scan.
+        def encoded_bytes(lo):
+            with ResourceTracker() as tracker:
+                got = range_select(column, lo, 43_000)
+            np.testing.assert_array_equal(
+                got, np.flatnonzero((values >= 41_000) & (values <= 43_000))
+            )
+            return tracker.usage.encoded_bytes
 
-        assert _packed_for(column, None, 41_000, 43_000) is not None
-        assert _packed_for(column, None, "41000", None) is None
-        assert _packed_for(column, None, None, None) is not None
+        assert encoded_bytes(41_000) > 0
+        assert encoded_bytes(np.array(41_000)) == 0
 
     def test_packed_attribution_counts_encoded_bytes(self, column, values):
         tracker = ResourceTracker()

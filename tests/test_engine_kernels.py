@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.compressed import CompressedColumn
 from repro.engine.compression import SCHEMES, encode, for_encode
 from repro.engine.kernels import (
     ZONE_FULL,
     ZONE_PROBE,
     ZONE_SKIP,
-    block_zone_verdict,
     materialize_bytes,
     range_mask,
     scan_bytes,
@@ -25,6 +25,7 @@ from repro.engine.kernels import (
     theta_mask,
     zone_verdict,
 )
+from repro.engine.scan import ScanStats
 
 SCHEME_NAMES = sorted(SCHEMES)
 THETA_OPS = ["==", "!=", "<", "<=", ">", ">="]
@@ -65,16 +66,23 @@ class TestZoneVerdict:
     def test_nan_zone_probes(self):
         assert zone_verdict(float("nan"), float("nan"), 0, 1) == ZONE_PROBE
 
+    # A block's header reaches the zone algebra through the segment
+    # scanner; these two pin what a column makes of a degenerate header.
+
     def test_empty_block_skips(self):
         block = encode("plain", np.empty(0, dtype=np.int64))
-        assert block_zone_verdict(block, 0, 1) == ZONE_SKIP
+        stats = ScanStats()
+        CompressedColumn("v", "<i8", 8, 0, (block,)).range_select(0, 1, stats=stats)
+        assert (stats.segments_skipped, stats.segments_probed) == (1, 0)
 
     def test_zoneless_block_probes(self):
         block = encode("plain", np.array([5], dtype=np.int64))
         stripped = type(block)(
             block.scheme, block.dtype, block.count, block.payload
         )
-        assert block_zone_verdict(stripped, 0, 1) == ZONE_PROBE
+        stats = ScanStats()
+        CompressedColumn("v", "<i8", 8, 1, (stripped,)).range_select(0, 1, stats=stats)
+        assert (stats.segments_skipped, stats.segments_probed) == (0, 1)
 
 
 class TestRangeMaskParity:

@@ -1,5 +1,7 @@
 """Unit tests for repro.engine.storage and repro.engine.catalog."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ class TestArrayDump:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(StorageError, match="payload"):
+            load_array(path)
+
+    def test_version_1_header_is_unsupported(self, tmp_path):
+        # The CRC-less v1 layout (magic, version, type, count, payload)
+        # is not read: every readable file carries a checksum.
+        path = tmp_path / "v1.col"
+        payload = np.arange(10, dtype="<i8").tobytes()
+        path.write_bytes(struct.pack("<4sHHQ", b"RCOL", 1, 0, 10) + payload)
+        with pytest.raises(StorageError, match="unsupported version 1"):
             load_array(path)
 
     def test_truncated_header(self, tmp_path):

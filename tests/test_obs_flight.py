@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -120,7 +121,7 @@ class TestDump:
         monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path / "dumps"))
         assert flight_directory() == tmp_path / "dumps"
         monkeypatch.delenv(FLIGHT_DIR_ENV)
-        assert flight_directory() == type(tmp_path)(".")
+        assert flight_directory() == type(tmp_path)(tempfile.gettempdir())
 
 
 class TestHooks:

@@ -10,7 +10,7 @@ import pytest
 
 from repro import Box, PointCloudDB
 from repro.core.imprints import ImprintsManager
-from repro.core.imprints import segments as segments_mod
+from repro.engine import scan as scan_mod
 from repro.engine import parallel
 from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry
@@ -32,15 +32,22 @@ def probe_hook():
     installed = []
 
     def install(hook):
-        segments_mod.probe_hook = hook
+        scan_mod.probe_hook = hook
         installed.append(hook)
 
     yield install
-    segments_mod.probe_hook = None
+    scan_mod.probe_hook = None
 
 
-def make_db(context, n=20_000, segment_rows=2048, seed=7):
-    """A db with many small imprint segments (forces visible progress)."""
+#: The two segmented access paths the scanner drives: imprint vectors
+#: (the default filter) and packed blocks (``use_imprints=False`` on a
+#: compressed table).  Both must cancel and report progress alike.
+ACCESS_PATHS = pytest.mark.parametrize("packed", [False, True], ids=["imprint", "packed"])
+
+
+def make_db(context, n=20_000, segment_rows=2048, seed=7, packed=False):
+    """A db with many small segments (forces visible progress); with
+    ``packed`` the columns also carry compressed mirrors of that grain."""
     db = PointCloudDB(obs=context, threads=1)
     db.manager = ImprintsManager(threads=1, segment_rows=segment_rows)
     db.create_pointcloud("pts")
@@ -53,6 +60,8 @@ def make_db(context, n=20_000, segment_rows=2048, seed=7):
             "z": rng.uniform(0, 10, n),
         },
     )
+    if packed:
+        db.compress("pts", segment_rows=segment_rows)
     return db
 
 
@@ -226,13 +235,18 @@ class TestQueryIntegration:
         ]
         assert records[0]["query_id"] == session.last_query_id
 
-    def test_timeout_cancels_a_real_scan(self, probe_hook):
+    @ACCESS_PATHS
+    def test_timeout_cancels_a_real_scan(self, probe_hook, packed):
         context = ObsContext.fresh(enabled=False)
-        db = make_db(context)
+        db = make_db(context, packed=packed)
         probe_hook(lambda seg: time.sleep(0.02))
         with pytest.raises(QueryCancelled) as err:
             db.spatial_select(
-                "pts", Box(25, 25, 75, 75), timeout_s=0.01, threads=1
+                "pts",
+                Box(25, 25, 75, 75),
+                use_imprints=not packed,
+                timeout_s=0.01,
+                threads=1,
             )
         (record,) = context.queries.recent()
         assert record["status"] == "cancelled"
@@ -257,14 +271,17 @@ class TestQueryIntegration:
 
 
 class TestProgress:
-    def test_progress_is_monotonic_during_a_scan(self, probe_hook):
+    @ACCESS_PATHS
+    def test_progress_is_monotonic_during_a_scan(self, probe_hook, packed):
         """Each probe ticks the record forward; skips are credited up
         front — so progress observed from the hook never decreases."""
         context = ObsContext.fresh(enabled=False)
-        db = make_db(context)
+        db = make_db(context, packed=packed)
         observed = []
         probe_hook(lambda seg: observed.append(current_query().progress))
-        db.spatial_select("pts", Box(25, 25, 75, 75), threads=1)
+        db.spatial_select(
+            "pts", Box(25, 25, 75, 75), use_imprints=not packed, threads=1
+        )
         assert len(observed) > 2
         assert observed == sorted(observed)
         assert observed[-1] > observed[0]

@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import PointCloudDB
 from repro.core.imprints import ImprintsManager
-from repro.core.imprints import segments as segments_mod
+from repro.engine import scan as scan_mod
 from repro.obs.context import ObsContext
 from repro.serve import wire
 from repro.serve.http import QueryDaemon
@@ -227,14 +227,14 @@ class TestStatusMapping:
         and query.cancelled increments exactly once."""
         server, context = daemon
         before = context.registry.counter("query.cancelled").value
-        segments_mod.probe_hook = lambda _seg: time.sleep(0.02)
+        scan_mod.probe_hook = lambda _seg: time.sleep(0.02)
         try:
             status, _, body = post(
                 server.url + "/v1/query",
                 {"table": "pts", "bbox": BBOX, "timeout_s": 0.01},
             )
         finally:
-            segments_mod.probe_hook = None
+            scan_mod.probe_hook = None
         assert status == 408
         payload = json.loads(body)
         assert payload["error"] == "cancelled"

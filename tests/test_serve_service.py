@@ -223,7 +223,7 @@ class TestDeadlines:
         """Satellite: a timed-out request raises QueryCancelled carrying
         query_id/elapsed_s, the registry retires the record as
         ``cancelled``, and ``query.cancelled`` increments exactly once."""
-        from repro.core.imprints import segments as segments_mod
+        from repro.engine import scan as scan_mod
 
         db, _ = cloud
         service = service_for(context, db)
@@ -234,7 +234,7 @@ class TestDeadlines:
 
             time.sleep(0.02)
 
-        segments_mod.probe_hook = slow_probe
+        scan_mod.probe_hook = slow_probe
         try:
             with pytest.raises(QueryCancelled) as info:
                 service.handle(
@@ -242,7 +242,7 @@ class TestDeadlines:
                     {"table": "pts", "bbox": BBOX, "timeout_s": 0.01},
                 )
         finally:
-            segments_mod.probe_hook = None
+            scan_mod.probe_hook = None
         exc = info.value
         assert exc.query_id
         assert exc.elapsed_s >= 0.01

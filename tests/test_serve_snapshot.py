@@ -175,7 +175,7 @@ class TestServiceIsolation:
         """The satellite's core claim: a publish landing *while the scan
         is running* (stalled on a segment probe, strictly after the pin)
         leaves the in-flight reader's results untouched."""
-        from repro.core.imprints import segments as segments_mod
+        from repro.engine import scan as scan_mod
 
         service = self._service(context)
         results, errors = [], []
@@ -203,7 +203,7 @@ class TestServiceIsolation:
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        segments_mod.probe_hook = probe
+        scan_mod.probe_hook = probe
         try:
             thread = threading.Thread(target=query, daemon=True)
             thread.start()
@@ -212,7 +212,7 @@ class TestServiceIsolation:
             release.set()
             thread.join(timeout=10)
         finally:
-            segments_mod.probe_hook = None
+            scan_mod.probe_hook = None
         assert not errors, errors
         payload = results[0]
         assert payload["meta"]["generation"] == 1
