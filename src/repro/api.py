@@ -184,6 +184,9 @@ class PointCloudDB:
                         "n_filter_candidates": result.stats.n_filter_candidates,
                         "n_segments_skipped": result.stats.n_segments_skipped,
                         "n_segments_probed": result.stats.n_segments_probed,
+                        "imprint_columns": list(result.stats.imprint_columns),
+                        "n_probes_dense": result.stats.n_probes_dense,
+                        "n_probes_gather": result.stats.n_probes_gather,
                     },
                     resources=usage.to_dict(),
                     encoded_bytes=usage.encoded_bytes,

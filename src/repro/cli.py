@@ -226,7 +226,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"filter: {stats.n_filter_candidates} candidates "
         f"({sel_text} of {stats.n_rows} rows); "
         f"segments: {stats.n_segments_skipped} zone-map skips, "
-        f"{stats.n_segments_probed} probed; "
+        f"{stats.n_segments_probed} probed "
+        f"({stats.n_probes_dense} dense, {stats.n_probes_gather} gather; "
+        f"imprints: {'+'.join(stats.imprint_columns) or '-'}); "
         f"refine: {stats.refine_stats.boundary_cells} boundary cells; "
         f"threads: {stats.n_threads}"
     )

@@ -21,7 +21,7 @@ covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -103,42 +103,37 @@ def compress(vectors: NDArray[Any], max_counter: int = MAX_COUNTER) -> Cacheline
     run_lengths = np.diff(np.append(run_starts, n))
     run_vectors = vectors[run_starts]
 
-    counters: List[int] = []
-    repeats: List[bool] = []
-    stored: List[Any] = []
-    pending_singles: List[Any] = []  # consecutive runs of length 1 coalesce
+    # Every run becomes a sequence of *items*, one stored vector each:
+    # as many full ``max_counter`` pieces as fit, then the remainder.  An
+    # item of one line is a single; anything longer is a repeat entry.
+    n_full = run_lengths // max_counter
+    remainder = run_lengths % max_counter
+    per_run = n_full + (remainder > 0)
+    n_items = int(per_run.sum())
+    item = np.arange(n_items)
+    run_of = np.repeat(np.arange(run_starts.shape[0]), per_run)
+    first_item = np.cumsum(per_run) - per_run
+    position = item - first_item[run_of]
+    lines = np.where(position < n_full[run_of], max_counter, remainder[run_of])
+    single = lines == 1
 
-    def flush_singles() -> None:
-        while pending_singles:
-            chunk = pending_singles[: max_counter]
-            del pending_singles[: len(chunk)]
-            counters.append(len(chunk))
-            repeats.append(False)
-            stored.extend(chunk)
-
-    for vec, length in zip(run_vectors, run_lengths):
-        if length == 1:
-            pending_singles.append(vec)
-            continue
-        flush_singles()
-        remaining = int(length)
-        while remaining > 0:
-            take = min(remaining, max_counter)
-            if take == 1:
-                # A leftover single line after counter-capped splits.
-                pending_singles.append(vec)
-                remaining -= 1
-                continue
-            counters.append(take)
-            repeats.append(True)
-            stored.append(vec)
-            remaining -= take
-    flush_singles()
+    # Consecutive singles coalesce into non-repeat entries of at most
+    # ``max_counter`` vectors: a single opens an entry at the start of
+    # its streak and every ``max_counter`` items after.
+    streak_start = single.copy()
+    streak_start[1:] &= ~single[:-1]
+    in_streak = item - np.maximum.accumulate(np.where(streak_start, item, 0))
+    opens = ~single | (in_streak % max_counter == 0)
+    entry_starts = np.flatnonzero(opens)
+    repeats = ~single[entry_starts]
+    counters = np.where(
+        repeats, lines[entry_starts], np.diff(np.append(entry_starts, n_items))
+    )
 
     return CachelineDict(
-        counters=np.asarray(counters, dtype=np.int64),
-        repeats=np.asarray(repeats, dtype=bool),
-        vectors=np.asarray(stored, dtype=np.uint64),
+        counters=counters.astype(np.int64, copy=False),
+        repeats=repeats,
+        vectors=run_vectors[run_of],
         n_lines=n,
     )
 

@@ -14,23 +14,36 @@ the new (plus at most one trailing partial) segment is built, instead of
 the old full O(n) rebuild.  ``builds`` still counts column-level build
 events; ``segment_builds`` counts the per-segment work those events
 actually did, which is what the append-cost benches watch.
+
+The spatial filter's ranges on X, Y (and Z) go through
+:meth:`ImprintsManager.select_conjunction`: one fused scan that ANDs the
+imprints of every axis it may use.  It **maintains but never creates**
+the secondary indexes — only the columns the caller names are built on
+first use — so a cold first query still pays for exactly one build.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ...engine.kernels import RangePredicate
+from ...engine.scan import ScanStats
 from ...engine.table import Table
 from ...obs.metrics import get_registry
 from ...obs.timing import now
 from ...obs.trace import maybe_span
 from . import index as index_mod
-from .segments import DEFAULT_SEGMENT_ROWS, SegmentedImprints
+from .segments import (
+    DEFAULT_SEGMENT_ROWS,
+    RangeTerm,
+    SegmentedImprints,
+    select_conjunction,
+)
 
 
 class ImprintsManager:
@@ -66,9 +79,10 @@ class ImprintsManager:
         self.segment_builds = 0  # per-segment builds those events performed
         #: Paths of imprint files quarantined during :meth:`load`.
         self.quarantined: List[str] = []
-        #: Seconds the most recent :meth:`ensure` spent building (0.0
-        #: when the index was already current) — queries fold this into
-        #: ``QueryStats.imprint_build_seconds``.
+        #: Seconds the most recent :meth:`ensure` on *any* thread spent
+        #: building (0.0 when the index was already current).  A
+        #: diagnostic only: queries bill themselves from what their own
+        #: ``_ensure`` call returns.
         self.last_build_seconds = 0.0
 
     def _key(self, table: Table, column_name: str) -> Tuple[str, str]:
@@ -88,12 +102,31 @@ class ImprintsManager:
         still fan out across the worker pool (those workers never take
         this lock).
         """
+        imp, _ = self._ensure(table, column_name, threads)
+        assert imp is not None
+        return imp
+
+    def _ensure(
+        self,
+        table: Table,
+        column_name: str,
+        threads: Optional[int],
+        create: bool = True,
+    ) -> Tuple[Optional[SegmentedImprints], float]:
+        """:meth:`ensure`, plus the seconds *this call* spent building.
+
+        With ``create=False`` an index the manager holds is still brought
+        up to date (incremental, O(appended)), but a missing one stays
+        missing: ``(None, 0.0)``.
+        """
         threads = threads if threads is not None else self.threads
         key = self._key(table, column_name)
         with self._lock:
             imp = self._imprints.get(key)
-            self.last_build_seconds = 0.0
+            built_seconds = 0.0
             if imp is None:
+                if not create:
+                    return None, 0.0
                 with maybe_span(
                     "imprints.build", table=table.name, column=column_name
                 ) as span:
@@ -104,12 +137,10 @@ class ImprintsManager:
                         threads=threads,
                         **self._build_kwargs,
                     )
-                    self.last_build_seconds = now() - t0
+                    built_seconds = now() - t0
                     span.set(segments_built=imp.n_segments)
                 self._imprints[key] = imp
-                self.builds += 1
-                self.segment_builds += imp.n_segments
-                self._record_build(imp.n_segments)
+                self._record_build(imp.n_segments, built_seconds)
             elif imp.stale:
                 # Incremental: only new (and one trailing partial) segments
                 # are indexed — appends no longer pay O(n).
@@ -118,20 +149,20 @@ class ImprintsManager:
                 ) as span:
                     t0 = now()
                     built = imp.extend(threads=threads)
-                    self.last_build_seconds = now() - t0
+                    built_seconds = now() - t0
                     span.set(segments_built=built)
-                self.segment_builds += built
-                self.builds += 1
-                self._record_build(built)
-            return imp
+                self._record_build(built, built_seconds)
+            self.last_build_seconds = built_seconds
+            return imp, built_seconds
 
-    def _record_build(self, segments_built: int) -> None:
+    def _record_build(self, segments_built: int, seconds: float) -> None:
+        """One column-level build event (caller holds the lock)."""
+        self.builds += 1
+        self.segment_builds += segments_built
         registry = get_registry()
         registry.counter("imprints.builds").inc()
         registry.counter("imprints.segment_builds").inc(segments_built)
-        registry.histogram("imprints.build_seconds").observe(
-            self.last_build_seconds
-        )
+        registry.histogram("imprints.build_seconds").observe(seconds)
 
     def invalidate(self, table: Table, column_name: Optional[str] = None) -> None:
         """Drop imprints for one column or a whole table."""
@@ -162,11 +193,11 @@ class ImprintsManager:
         build cost this call are added there.
         """
         threads = threads if threads is not None else self.threads
-        builds_before = self.segment_builds
-        imp = self.ensure(table, column_name, threads=threads)
-        if stats is not None and self.segment_builds != builds_before:
+        imp, built_seconds = self._ensure(table, column_name, threads)
+        assert imp is not None
+        if stats is not None and built_seconds:
             try:
-                stats.imprint_build_seconds += self.last_build_seconds
+                stats.imprint_build_seconds += built_seconds
             except AttributeError:
                 pass  # duck-typed stats without the build field
         with maybe_span(
@@ -176,6 +207,61 @@ class ImprintsManager:
                 lo, hi, lo_inclusive, hi_inclusive, threads=threads, stats=stats
             )
             span.set(rows_out=int(oids.shape[0]))
+        return oids
+
+    def select_conjunction(
+        self,
+        table: Table,
+        ranges: Sequence[Tuple[str, Any, Any]],
+        create: Collection[str] = (),
+        threads: Optional[int] = None,
+        stats: Optional[Any] = None,
+    ) -> NDArray[np.int64]:
+        """Exact oids of the rows inside every closed ``(column, lo, hi)``.
+
+        One fused segment scan (:func:`~.segments.select_conjunction`)
+        over the grid of the first range's imprint.  That column and the
+        ones named in ``create`` get their imprint built on first use,
+        exactly as :meth:`range_select` does.  Any other column
+        contributes its imprint only if the manager already holds one
+        (brought up to date, never created: a cold query builds one
+        index, not one per axis) and only if it sits on the same segment
+        grid; otherwise its values are simply compared.
+
+        ``stats`` is a :class:`~repro.core.query.QueryStats`: it receives
+        the build seconds this call spent, each segment counted once, the
+        columns whose imprints took part and the dense/gather split of
+        the probes.
+        """
+        threads = threads if threads is not None else self.threads
+        terms: List[RangeTerm] = []
+        grid: Optional[SegmentedImprints] = None
+        for name, lo, hi in ranges:
+            imp, built_seconds = self._ensure(
+                table, name, threads, create=grid is None or name in create
+            )
+            if stats is not None:
+                stats.imprint_build_seconds += built_seconds
+            if grid is None:
+                grid = imp
+            elif imp is not None and not grid.same_grid(imp):
+                imp = None
+            terms.append(RangeTerm(table.column(name), imp, RangePredicate(lo, hi)))
+        if grid is None:
+            raise ValueError("select_conjunction needs at least one range")
+        scan = ScanStats()
+        indexed = tuple(t.column.name for t in terms if t.index is not None)
+        with maybe_span(
+            "imprints.probe", table=table.name, column=",".join(indexed)
+        ) as span:
+            oids = select_conjunction(grid, terms, threads=threads, scan=scan)
+            span.set(rows_out=int(oids.shape[0]))
+        if stats is not None:
+            stats.n_segments_probed += scan.segments_probed
+            stats.n_segments_skipped += scan.segments_skipped + scan.segments_full
+            stats.imprint_columns = indexed
+            stats.n_probes_dense += scan.dense_probes
+            stats.n_probes_gather += scan.gather_probes
         return oids
 
     @property

@@ -3,7 +3,10 @@
 This is the paper's query model (Section 3.3) end to end:
 
 1. **Filter** — the query geometry's envelope gives one range per axis;
-   the column imprints on X and Y return candidate rows ("the majority of
+   the column imprints on X and Y (and Z for a 3-D query) are probed
+   *together*: one segment scan skips a segment when either axis's zone
+   map is disjoint and, on the rest, ANDs the axes' per-cacheline
+   imprint matches before any coordinate is read ("the majority of
    points that do not satisfy the spatial predicate ... are identified and
    disregarded using a fast approximation").
 2. **Refine** — the surviving candidates go through the regular grid +
@@ -18,12 +21,12 @@ the ablation benches (pure scan, no grid, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..engine.parallel import resolve_threads
-from ..engine.select import intersect_candidates, mask_select, range_select
+from ..engine.select import mask_select, range_select
 from ..engine.table import Table
 from ..gis.envelope import Box
 from ..gis.predicates import geometry_envelope, points_satisfy
@@ -59,11 +62,22 @@ class QueryStats:
     used_imprints: bool = True
     #: Worker count the query ran with (1 = the serial path).
     n_threads: int = 1
-    #: Imprint segments the zone maps answered outright (disjoint range or
-    #: whole-segment accept) — no imprint probe, no data access.
+    #: Imprint segments the zone maps answered outright (disjoint on some
+    #: axis, or covered on all) — no imprint probe, no data access.  Each
+    #: segment counts once per query, however many axes were consulted.
     n_segments_skipped: int = 0
     #: Imprint segments that paid a probe + exact candidate verification.
     n_segments_probed: int = 0
+    #: Columns whose imprint vectors the filter ANDed.  An axis missing
+    #: here had no usable index (never built, or on another segment grid)
+    #: and was compared value by value instead.
+    imprint_columns: Tuple[str, ...] = ()
+    #: Probed segments that compared whole column slices / gathered only
+    #: the cache lines the vectors left alive (see
+    #: :data:`repro.core.imprints.segments.DENSE_LINE_SHARE`); segments
+    #: the vectors emptied read nothing and count as neither.
+    n_probes_dense: int = 0
+    n_probes_gather: int = 0
     refine_stats: RefineStats = field(default_factory=RefineStats)
     #: What the query *consumed* (CPU seconds incl. morsel workers, peak
     #: allocations, rows/bytes touched) — see :mod:`repro.obs.resources`.
@@ -149,44 +163,51 @@ class SpatialSelect:
         use_imprints: bool,
         threads: Optional[int] = None,
         stats: Optional[QueryStats] = None,
+        z_slab: Optional[Tuple[str, float, float]] = None,
     ) -> np.ndarray:
-        """Candidate rows whose (x, y) lies in the query envelope.
+        """Candidate rows whose (x, y) lies in the query envelope (and
+        whose ``z_slab`` column lies in its range, when given).
 
-        MonetDB-style cascade: the first select probes the column imprint,
-        the second consumes the survivor candidate list and scans only
-        those rows.  The imprint goes to the axis where the query covers
-        the smaller fraction of the column's domain (most selective probe
-        first).
+        With imprints this is the paper's two-axis filter as one fused
+        segment scan (:meth:`ImprintsManager.select_conjunction`): zone
+        maps of every axis settle what they can, the per-cacheline
+        imprint matches of the axes are ANDed, and only then are values
+        compared — no per-axis candidate list is ever materialised.  The
+        axis where the query covers the smaller fraction of the domain
+        goes first: its imprint (and the z column's) is built on first
+        use; the other axis's is used when the manager already holds it
+        but never created here, so a cold query builds one index.
+
+        Without imprints the ranges run as a plain ``range_select``
+        cascade, most selective axis first, each select scanning only the
+        survivors of the one before.
         """
-        x_col = self.table.column(self.x_column)
-        y_col = self.table.column(self.y_column)
-        x_lo, x_hi = x_col.minmax()
-        y_lo, y_hi = y_col.minmax()
+        x_lo, x_hi = self.table.column(self.x_column).minmax()
+        y_lo, y_hi = self.table.column(self.y_column).minmax()
         x_fraction = (env.xmax - env.xmin) / max(float(x_hi) - float(x_lo), 1e-300)
         y_fraction = (env.ymax - env.ymin) / max(float(y_hi) - float(y_lo), 1e-300)
-        if x_fraction <= y_fraction:
-            first_name, first_lo, first_hi = self.x_column, env.xmin, env.xmax
-            second_col, second_lo, second_hi = y_col, env.ymin, env.ymax
-        else:
-            first_name, first_lo, first_hi = self.y_column, env.ymin, env.ymax
-            second_col, second_lo, second_hi = x_col, env.xmin, env.xmax
-
+        ranges = [
+            (self.x_column, env.xmin, env.xmax),
+            (self.y_column, env.ymin, env.ymax),
+        ]
+        if y_fraction < x_fraction:
+            ranges.reverse()
+        if z_slab is not None:
+            ranges.append(z_slab)
         if use_imprints:
-            first = self.manager.range_select(
+            return self.manager.select_conjunction(
                 self.table,
-                first_name,
-                first_lo,
-                first_hi,
+                ranges,
+                create=[z_slab[0]] if z_slab is not None else (),
                 threads=threads,
                 stats=stats,
             )
-        else:
-            first = range_select(
-                self.table.column(first_name), first_lo, first_hi, threads=threads
+        candidates = None
+        for name, lo, hi in ranges:
+            candidates = range_select(
+                self.table.column(name), lo, hi, candidates=candidates, threads=threads
             )
-        return range_select(
-            second_col, second_lo, second_hi, candidates=first, threads=threads
-        )
+        return candidates
 
     def query(
         self,
@@ -210,8 +231,9 @@ class SpatialSelect:
         ``z_range=(zmin, zmax)`` (with ``z_column``, default ``"z"``)
         turns the selection into the 3-D box/prism query the paper's
         conclusions motivate ("enable 3D operations and analyses"): the
-        elevation slab is filtered through the z column's imprint and
-        intersected with the 2-D candidates before refinement.
+        elevation slab joins the x and y ranges as a third term of the
+        same fused filter scan, with the z column's imprint built on
+        first use.
 
         ``threads`` overrides the select's default worker count for this
         query only; whatever the value, the oid array is identical to the
@@ -321,36 +343,22 @@ class SpatialSelect:
             if predicate == "dwithin":
                 env = env.expand(distance)
 
+            z_slab = None
+            if z_range is not None:
+                zmin, zmax = z_range
+                z_slab = (z_column if z_column is not None else "z", zmin, zmax)
             with maybe_span("query.filter") as filter_span:
                 candidates = self._filter(
-                    env, use_imprints, threads=threads, stats=stats
+                    env, use_imprints, threads=threads, stats=stats, z_slab=z_slab
                 )
-                if z_range is not None:
-                    zmin, zmax = z_range
-                    column_name = z_column if z_column is not None else "z"
-                    if use_imprints:
-                        z_cands = self.manager.range_select(
-                            self.table,
-                            column_name,
-                            zmin,
-                            zmax,
-                            threads=threads,
-                            stats=stats,
-                        )
-                        candidates = intersect_candidates(candidates, z_cands)
-                    else:
-                        candidates = range_select(
-                            self.table.column(column_name),
-                            zmin,
-                            zmax,
-                            candidates=candidates,
-                            threads=threads,
-                        )
                 filter_span.set(
                     rows_in=stats.n_rows,
                     rows_out=int(candidates.shape[0]),
                     segments_skipped=stats.n_segments_skipped,
                     segments_probed=stats.n_segments_probed,
+                    imprint_columns=",".join(stats.imprint_columns),
+                    probes_dense=stats.n_probes_dense,
+                    probes_gather=stats.n_probes_gather,
                 )
             t1 = now()
 

@@ -26,7 +26,7 @@ so ``EXPLAIN ANALYZE`` can show encoded versus materialized bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,7 +35,7 @@ from ..obs import queries as _queries
 from . import kernels
 from .compression import CompressedBlock, CompressionError, decode, encode_adaptive
 from .kernels import RangePredicate
-from .scan import ScanStats, scan_segments
+from .scan import Conjunct, ScanStats, scan_segments
 
 #: Rows per compressed segment; matches the segmented imprints so one
 #: zone-map verdict lines up with one imprint segment.
@@ -163,23 +163,21 @@ class CompressedColumn:
         packed kernel on the PROBE segments — decoding nothing that does
         not survive."""
 
-        def probe(i: int) -> Tuple[NDArray[np.int64], int, int]:
+        def probe(
+            i: int, own: Sequence[int]
+        ) -> Tuple[NDArray[np.int64], List[Tuple[int, int]]]:
             block = self.blocks[i]
             mask, packed = kernels.predicate_mask(block, predicate)
             oids = (np.flatnonzero(mask) + self._starts[i]).astype(np.int64, copy=False)
             nbytes = kernels.scan_bytes(block, packed)
-            return (oids, nbytes, 0) if packed else (oids, 0, nbytes)
+            return oids, [(nbytes, 0) if packed else (0, nbytes)]
 
+        zones = [
+            (start, start + block.count, block.zmin, block.zmax)
+            for start, block in zip(self._starts, self.blocks)
+        ]
         return scan_segments(
-            self.name,
-            [
-                (start, start + block.count, block.zmin, block.zmax)
-                for start, block in zip(self._starts, self.blocks)
-            ],
-            predicate,
-            probe,
-            threads=threads,
-            stats=stats,
+            [Conjunct(self.name, zones, predicate)], probe, threads=threads, stats=stats
         )
 
     def range_select(

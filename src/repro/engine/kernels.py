@@ -148,9 +148,11 @@ def bounds_mask(
     of ``values`` — the plain compare every packed kernel must match
     (and runs itself on small domains: dictionary entries, run values,
     decoded rows)."""
-    mask = np.ones(values.shape, dtype=bool)
-    if lo is not None:
-        mask &= values >= lo if lo_inclusive else values > lo
+    if lo is None and hi is None:
+        return np.ones(values.shape, dtype=bool)
+    if lo is None:
+        return values <= hi if hi_inclusive else values < hi
+    mask: NDArray[np.bool_] = values >= lo if lo_inclusive else values > lo
     if hi is not None:
         mask &= values <= hi if hi_inclusive else values < hi
     return mask

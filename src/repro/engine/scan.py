@@ -9,6 +9,13 @@ segmented access path — imprint vectors in
 per-segment ``(start, stop, zmin, zmax)`` and a *prober* for one
 segment; the loop around them is written here, once.
 
+A scan is a **conjunction** of range predicates over one segment grid
+(the spatial filter's ``x``, ``y`` and optional ``z`` ranges; a single
+predicate is the one-term case).  A segment is skipped when *any* term's
+zone map is disjoint, accepted when *all* cover it, and probed
+otherwise — :func:`conjunction_verdict`, the only place that rule is
+written.
+
 This module is the only code that registers segment progress with the
 live query, checks its deadline before each probe, fans probes out over
 :func:`repro.engine.parallel.run_tasks`, credits the
@@ -21,7 +28,7 @@ that completed, so a cancelled scan is billed for exactly the work it did.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,9 +43,29 @@ from .parallel import run_tasks
 #: ``(zmin, zmax)`` zone map (``None`` when the segment carries none).
 Segment = Tuple[int, int, Any, Any]
 
-#: A prober evaluates the predicate on segment ``i`` and returns
-#: ``(sorted global oids, encoded bytes read, materialized bytes read)``.
-Prober = Callable[[int], Tuple[NDArray[np.int64], int, int]]
+
+class Conjunct(NamedTuple):
+    """One range predicate of a conjunctive scan.
+
+    Every conjunct of a scan lists the same ``[start, stop)`` rows per
+    segment; a column that has no zone maps on that grid passes ``None``
+    zones and is probed wherever the other terms do not settle the
+    segment.  ``column`` names the term in the heat map.
+    """
+
+    column: str
+    segments: Sequence[Segment]
+    predicate: RangePredicate
+
+
+#: ``probe(i, own)`` evaluates the whole conjunction on segment ``i``.
+#: ``own[c]`` is conjunct ``c``'s zone verdict there: FULL (every row
+#: satisfies it, nothing to read) or PROBE — a SKIP never reaches a
+#: prober.  Returns the sorted global oids and, per conjunct, the
+#: ``(encoded, materialized)`` bytes it read.
+Prober = Callable[
+    [int, Sequence[int]], Tuple[NDArray[np.int64], Sequence[Tuple[int, int]]]
+]
 
 #: Test-injection point: called with the segment index just before each
 #: probe, on every prober.  The live-introspection tests install a
@@ -57,11 +84,29 @@ class ScanStats:
     segments_probed: int = 0
     #: Probed segments evaluated on the packed representation.
     packed_probes: int = 0
+    #: Imprint probes that compared whole column slices / gathered only
+    #: the cache lines the vectors left alive (a probe the vectors
+    #: emptied reads nothing and counts as neither).
+    dense_probes: int = 0
+    gather_probes: int = 0
     #: Encoded payload bytes the probes scanned.
     encoded_bytes: int = 0
     #: Bytes of plain (decoded) arrays the probes read.
     materialized_bytes: int = 0
     rows_out: int = 0
+
+
+def _verdict(segment: Segment, predicate: RangePredicate) -> int:
+    start, stop, zmin, zmax = segment
+    if stop <= start:
+        return ZONE_SKIP
+    if zmin is None or zmax is None:
+        return ZONE_PROBE
+    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
+    verdict = zone_verdict(zmin, zmax, lo, hi, lo_inclusive, hi_inclusive)
+    if negate and verdict != ZONE_PROBE:
+        return ZONE_FULL if verdict == ZONE_SKIP else ZONE_SKIP
+    return verdict
 
 
 def zone_verdicts(
@@ -75,41 +120,57 @@ def zone_verdicts(
     every-row-matches becomes no-row-matches and vice versa, PROBE stays
     PROBE.
     """
-    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
-    verdicts: List[int] = []
-    for start, stop, zmin, zmax in segments:
-        if stop <= start:
-            verdict = ZONE_SKIP
-        elif zmin is None or zmax is None:
-            verdict = ZONE_PROBE
-        else:
-            verdict = zone_verdict(zmin, zmax, lo, hi, lo_inclusive, hi_inclusive)
-            if negate and verdict != ZONE_PROBE:
-                verdict = ZONE_FULL if verdict == ZONE_SKIP else ZONE_SKIP
-        verdicts.append(verdict)
-    return verdicts
+    return [_verdict(segment, predicate) for segment in segments]
+
+
+def conjunction_verdict(own: Sequence[int]) -> int:
+    """One segment's verdict from its conjuncts' own: any SKIP settles it
+    (no row can satisfy every term), all FULL accepts it, anything else —
+    a straddling or a missing zone map — must be probed."""
+    if ZONE_SKIP in own:
+        return ZONE_SKIP
+    if all(verdict == ZONE_FULL for verdict in own):
+        return ZONE_FULL
+    return ZONE_PROBE
+
+
+def _own_verdicts(conjuncts: Sequence[Conjunct]) -> List[List[int]]:
+    """Per segment, each conjunct's own verdict, cut short at the first
+    SKIP: on clustered rows the first term settles most segments and the
+    others' zone maps are never read."""
+    n = len(conjuncts[0].segments)
+    if any(len(c.segments) != n for c in conjuncts):
+        raise ValueError("conjuncts of one scan must share a segment grid")
+    own: List[List[int]] = []
+    for i in range(n):
+        row: List[int] = []
+        for conjunct in conjuncts:
+            row.append(_verdict(conjunct.segments[i], conjunct.predicate))
+            if row[-1] == ZONE_SKIP:
+                break
+        own.append(row)
+    return own
 
 
 def scan_segments(
-    column: str,
-    segments: Sequence[Segment],
-    predicate: RangePredicate,
+    conjuncts: Sequence[Conjunct],
     probe: Prober,
     threads: Optional[int] = None,
     stats: Optional[ScanStats] = None,
 ) -> NDArray[np.int64]:
-    """Sorted global oids of the rows of ``segments`` matching ``predicate``.
+    """Sorted global oids of the rows matching every conjunct.
 
-    Zone maps first: disjoint segments are skipped and fully covered ones
-    accepted wholesale, both without touching data.  Only the straddling
-    segments pay ``probe``, fanned out over ``threads`` workers; results
-    concatenate in segment order, so the answer is identical for every
-    thread count.  ``column`` names the scan in the heat map; ``stats``
-    receives the verdict counts up front and the probe volumes as they
-    complete.
+    Zone maps first: segments a term rules out are skipped and segments
+    every term covers are accepted wholesale, both without touching
+    data.  Only the remaining segments pay ``probe``, fanned out over
+    ``threads`` workers; results concatenate in segment order, so the
+    answer is identical for every thread count.  ``stats`` receives the
+    verdict counts up front and the probe volumes as they complete.
     """
     stats = stats if stats is not None else ScanStats()
-    verdicts = zone_verdicts(segments, predicate)
+    segments = conjuncts[0].segments
+    own = _own_verdicts(conjuncts)
+    verdicts = [conjunction_verdict(row) for row in own]
     probes = [i for i, v in enumerate(verdicts) if v == ZONE_PROBE]
     n_full = verdicts.count(ZONE_FULL)
     stats.segments_probed += len(probes)
@@ -126,14 +187,14 @@ def scan_segments(
     tracker = resources.current()
     heat = _heat.maybe_heat()
     hook = probe_hook
-    done: Dict[int, Tuple[NDArray[np.int64], int, int]] = {}
+    done: Dict[int, Tuple[NDArray[np.int64], Sequence[Tuple[int, int]]]] = {}
 
     def probe_one(i: int) -> None:
         if active is not None:
             active.check_deadline()
         if hook is not None:
             hook(i)
-        done[i] = probe(i)
+        done[i] = probe(i, own[i])
         if active is not None:
             active.add_segments(done=1)
 
@@ -143,10 +204,12 @@ def scan_segments(
         # Bill what was read, whether or not the scan ran to the end:
         # zone-map skips and wholesale accepts cost zero data access (the
         # paper's point), a probe that never ran likewise.
-        heat_probed = [(i, done[i][1], done[i][2]) for i in sorted(done)]
-        encoded = sum(p[1] for p in heat_probed)
-        materialized = sum(p[2] for p in heat_probed)
-        stats.packed_probes += sum(1 for p in heat_probed if p[1])
+        order = sorted(done)
+        encoded = sum(read[0] for i in order for read in done[i][1])
+        materialized = sum(read[1] for i in order for read in done[i][1])
+        stats.packed_probes += sum(
+            1 for i in order if any(read[0] for read in done[i][1])
+        )
         stats.encoded_bytes += encoded
         stats.materialized_bytes += materialized
         if tracker is not None and done:
@@ -154,13 +217,16 @@ def scan_segments(
             tracker.add_touched(rows=rows, nbytes=encoded + materialized)
             tracker.add_scan_bytes(encoded=encoded, materialized=materialized)
         if heat is not None:
-            # One batched update per scan, never per segment.
-            heat.record_scan(
-                column,
-                probed=heat_probed,
-                skipped=[i for i, v in enumerate(verdicts) if v == ZONE_SKIP],
-                full=[i for i, v in enumerate(verdicts) if v == ZONE_FULL],
-            )
+            # One batched update per column per scan, never per segment.
+            skipped = [i for i, v in enumerate(verdicts) if v == ZONE_SKIP]
+            full = [i for i, v in enumerate(verdicts) if v == ZONE_FULL]
+            for c, conjunct in enumerate(conjuncts):
+                heat.record_scan(
+                    conjunct.column,
+                    probed=[(i, *done[i][1][c]) for i in order],
+                    skipped=skipped,
+                    full=full,
+                )
 
     pieces: List[NDArray[np.int64]] = []
     for i, verdict in enumerate(verdicts):

@@ -105,7 +105,11 @@ class TestLoadQuerySql:
             ]
         )
         assert code == 0
-        assert "points in" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "points in" in out
+        # The footer says how the probed segments were compared and whose
+        # imprint vectors took part.
+        assert " dense, " in out and " gather; imprints: " in out
 
     def test_query_bad_wkt(self, db_dir, capsys):
         assert main(["query", str(db_dir), "--wkt", "NONSENSE (1 2)"]) == 1

@@ -2,14 +2,16 @@
 
 The scanner is driven here with a fake prober over hand-made zone maps,
 so every verdict, tick, credit and heat record can be pinned without an
-index or an encoding underneath; the last class runs the two real
-probers (imprint vectors, packed blocks) through a cancelled scan.
+index or an encoding underneath; the last class runs the real probers
+(imprint vectors, packed blocks, two imprints fused) through a cancelled
+scan.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.imprints import SegmentedImprints
+from repro.core.imprints.segments import RangeTerm, select_conjunction
 from repro.engine import scan as scan_mod
 from repro.engine.column import Column
 from repro.engine.compressed import CompressedColumn
@@ -20,7 +22,13 @@ from repro.engine.kernels import (
     RangePredicate,
     bounds_mask,
 )
-from repro.engine.scan import ScanStats, scan_segments, zone_verdicts
+from repro.engine.scan import (
+    Conjunct,
+    ScanStats,
+    conjunction_verdict,
+    scan_segments,
+    zone_verdicts,
+)
 from repro.obs.heat import disable_heat, enable_heat
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.queries import QueryCancelled, QueryRegistry
@@ -44,7 +52,8 @@ def fake_prober(predicate, calls=None):
     even segments and 5 materialized bytes per row on odd ones."""
     lo, hi, lo_inc, hi_inc, negate = predicate
 
-    def probe(i):
+    def probe(i, own):
+        assert list(own) == [ZONE_PROBE]  # only straddling segments get here
         if calls is not None:
             calls.append(i)
         start, stop = SEGMENTS[i][:2]
@@ -53,9 +62,15 @@ def fake_prober(predicate, calls=None):
             mask = ~mask
         oids = np.flatnonzero(mask).astype(np.int64) + start
         rows = stop - start
-        return (oids, 3 * rows, 0) if i % 2 == 0 else (oids, 0, 5 * rows)
+        return oids, [(3 * rows, 0) if i % 2 == 0 else (0, 5 * rows)]
 
     return probe
+
+
+def scan_one(predicate, probe=None, **kwargs):
+    """The one-term scan of ``VALUES`` every test of the loop runs."""
+    probe = probe if probe is not None else fake_prober(predicate)
+    return scan_segments([Conjunct("v", SEGMENTS, predicate)], probe, **kwargs)
 
 
 @pytest.fixture
@@ -99,6 +114,59 @@ class TestZoneVerdicts:
         assert zone_verdicts(seg, RangePredicate(None, 9, hi_inclusive=False)) == [ZONE_PROBE]
 
 
+class TestConjunction:
+    """Several range predicates over one grid: the rule is written once."""
+
+    def test_any_skip_skips_all_full_accepts_the_rest_probes(self):
+        assert conjunction_verdict([ZONE_FULL, ZONE_PROBE, ZONE_SKIP]) == ZONE_SKIP
+        assert conjunction_verdict([ZONE_SKIP]) == ZONE_SKIP
+        assert conjunction_verdict([ZONE_FULL, ZONE_FULL, ZONE_FULL]) == ZONE_FULL
+        assert conjunction_verdict([ZONE_FULL, ZONE_PROBE]) == ZONE_PROBE
+        # A term without zone maps is PROBE everywhere: it can neither
+        # skip a segment nor let the others accept it.
+        (no_zone,) = zone_verdicts([(0, 8, None, None)], RangePredicate(0, 1))
+        assert conjunction_verdict([ZONE_FULL, no_zone]) == ZONE_PROBE
+
+    def test_scan_of_two_terms(self, heat):
+        """``v`` in [5, 29] and ``w`` = 2 * ``v`` in [30, 200]: the prober
+        sees only the undecided segments, with each term's own verdict."""
+        bounds = [(0, 10), (10, 20), (20, 30), (30, 40)]
+        v = Conjunct("v", [(a, b, a, b - 1) for a, b in bounds], RangePredicate(5, 29))
+        w = Conjunct(
+            "w", [(a, b, 2 * a, 2 * b - 2) for a, b in bounds], RangePredicate(30, 200)
+        )
+        seen = {}
+
+        def probe(i, own):
+            seen[i] = list(own)
+            start, stop = bounds[i]
+            rows = np.arange(start, stop)
+            keep = (rows >= 5) & (rows <= 29) & (2 * rows >= 30) & (2 * rows <= 200)
+            return rows[keep].astype(np.int64), [(0, 7), (11, 0)]
+
+        stats = ScanStats()
+        with ResourceTracker() as tracker:
+            got = scan_segments([v, w], probe, stats=stats)
+        # Segment 0: w is disjoint; 1: w straddles; 2: both cover; 3: v disjoint.
+        assert seen == {1: [ZONE_FULL, ZONE_PROBE]}
+        np.testing.assert_array_equal(got, np.arange(15, 30))
+        assert (stats.segments_skipped, stats.segments_full, stats.segments_probed) == (2, 1, 1)
+        assert (stats.encoded_bytes, stats.materialized_bytes) == (11, 7)
+        assert tracker.usage.bytes_touched == 18
+        # One heat update per term, each with its own bytes.
+        assert heat.registry.counter("heat.updates").value == 2
+        rows = {(r["column"], r["segment"]): r for r in heat.snapshot(top=50)["segments"]}
+        assert round(rows["v", 1]["materialized_bytes"]) == 7
+        assert round(rows["w", 1]["encoded_bytes"]) == 11
+        assert round(rows["v", 0]["skips"]) == round(rows["w", 3]["skips"]) == 1
+
+    def test_terms_must_share_the_grid(self):
+        a = Conjunct("a", [(0, 10, 0, 9)], RangePredicate(0, 5))
+        b = Conjunct("b", [(0, 5, 0, 4), (5, 10, 5, 9)], RangePredicate(0, 5))
+        with pytest.raises(ValueError):
+            scan_segments([a, b], fake_prober(RangePredicate(0, 5)))
+
+
 class TestScanSegments:
     @pytest.mark.parametrize(
         "predicate",
@@ -118,25 +186,21 @@ class TestScanSegments:
             mask &= (VALUES >= lo) if lo_inc else (VALUES > lo)
         if hi is not None:
             mask &= (VALUES <= hi) if hi_inc else (VALUES < hi)
-        got = scan_segments(
-            "v", SEGMENTS, predicate, fake_prober(predicate), threads=threads
-        )
+        got = scan_one(predicate, threads=threads)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.flatnonzero(~mask if negate else mask))
 
     def test_only_probe_segments_reach_the_prober(self):
         calls = []
         predicate = RangePredicate(5, 19)
-        scan_segments("v", SEGMENTS, predicate, fake_prober(predicate, calls))
+        scan_one(predicate, fake_prober(predicate, calls))
         assert calls == [0, 3, 4]
 
     def test_stats_and_tracker_count_probed_segments_only(self):
         predicate = RangePredicate(5, 19)
         stats = ScanStats()
         with ResourceTracker() as tracker:
-            out = scan_segments(
-                "v", SEGMENTS, predicate, fake_prober(predicate), stats=stats
-            )
+            out = scan_one(predicate, stats=stats)
         assert (stats.segments_skipped, stats.segments_full, stats.segments_probed) == (2, 1, 3)
         assert stats.packed_probes == 2  # segments 0 and 4 billed encoded bytes
         assert (stats.encoded_bytes, stats.materialized_bytes) == (60, 50)
@@ -147,7 +211,7 @@ class TestScanSegments:
 
     def test_one_heat_record_per_scan(self, heat):
         predicate = RangePredicate(5, 19)
-        scan_segments("v", SEGMENTS, predicate, fake_prober(predicate), threads=4)
+        scan_one(predicate, threads=4)
         assert heat.registry.counter("heat.updates").value == 1
         rows = {row["segment"]: row for row in heat.snapshot(top=50)["segments"]}
         # Heat decays by the second; round the EWMA back to event counts.
@@ -168,7 +232,7 @@ class TestScanSegments:
         seen = []
         with QueryRegistry().track("test") as query:
             probe_hook(lambda i: seen.append((i, query.to_dict()["segments_done"])))
-            scan_segments("v", SEGMENTS, predicate, fake_prober(predicate), threads=1)
+            scan_one(predicate, threads=1)
             record = query.to_dict()
         # Skips and the wholesale accept are done up front (3 of 6).
         assert seen == [(0, 3), (3, 4), (4, 5)]
@@ -177,21 +241,32 @@ class TestScanSegments:
 
 class TestCancelledScanIsBilled:
     """A scan cancelled after k probes is charged for k segments — the
-    same on the imprint and the packed prober."""
+    same on the imprint, the packed and the fused two-column prober."""
 
     N, SEGMENT = 4096, 256
 
-    def _select(self, packed):
+    def _select(self, prober):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 100, self.N)  # every zone straddles [40, 60]
-        if packed:
-            column = CompressedColumn.from_values("v", values, self.SEGMENT)
-            return column.range_select
-        return SegmentedImprints(Column("v", "float64", data=values), self.SEGMENT).query
+        if prober == "packed":
+            return CompressedColumn.from_values("v", values, self.SEGMENT).range_select
+        index = SegmentedImprints(Column("v", "float64", data=values), self.SEGMENT)
+        if prober == "imprint":
+            return index.query
+        other = Column("w", "float64", data=values[::-1].copy())
+        other_index = SegmentedImprints(other, self.SEGMENT)
+        return lambda lo, hi, threads: select_conjunction(
+            index,
+            [
+                RangeTerm(index.column, index, RangePredicate(lo, hi)),
+                RangeTerm(other, other_index, RangePredicate(lo, hi)),
+            ],
+            threads=threads,
+        )
 
-    @pytest.mark.parametrize("packed", [False, True], ids=["imprint", "packed"])
-    def test_k_probes_k_segments(self, probe_hook, heat, packed):
-        select = self._select(packed)
+    @pytest.mark.parametrize("prober", ["imprint", "packed", "fused"])
+    def test_k_probes_k_segments(self, probe_hook, heat, prober):
+        select = self._select(prober)
         with ResourceTracker() as whole:
             select(40, 60, threads=1)
         per_segment = whole.usage.bytes_touched // (self.N // self.SEGMENT)
@@ -206,5 +281,9 @@ class TestCancelledScanIsBilled:
             select(40, 60, threads=1)
         assert tracker.usage.rows_touched == k * self.SEGMENT
         assert tracker.usage.bytes_touched == k * per_segment
-        probed = [r for r in heat.snapshot(top=50)["segments"] if round(r["probes"]) == 2]
+        probed = [
+            r
+            for r in heat.snapshot(top=50)["segments"]
+            if r["column"] == "v" and round(r["probes"]) == 2
+        ]
         assert sorted(r["segment"] for r in probed) == list(range(k))

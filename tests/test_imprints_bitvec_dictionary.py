@@ -162,6 +162,65 @@ def test_dictionary_round_trip(vec_ids, max_counter):
         assert cd.counters.min() >= 1
 
 
+def compress_by_loop(vectors, max_counter):
+    """The per-run loop ``compress`` replaced, kept as its reference:
+    ``(counters, repeats, stored vectors)`` as Python lists."""
+    counters, repeats, stored, pending = [], [], [], []
+
+    def flush_singles():
+        while pending:
+            chunk = pending[:max_counter]
+            del pending[: len(chunk)]
+            counters.append(len(chunk))
+            repeats.append(False)
+            stored.extend(chunk)
+
+    runs = []  # [vector, length]
+    for vec in vectors:
+        if runs and runs[-1][0] == vec:
+            runs[-1][1] += 1
+        else:
+            runs.append([vec, 1])
+    for vec, length in runs:
+        if length == 1:
+            pending.append(vec)
+            continue
+        flush_singles()
+        while length > 0:
+            take = min(length, max_counter)
+            if take == 1:  # the line left over after counter-capped splits
+                pending.append(vec)
+            else:
+                counters.append(take)
+                repeats.append(True)
+                stored.append(vec)
+            length -= take
+    flush_singles()
+    return counters, repeats, stored
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # Few distinct ids make long runs; small caps force splits and
+    # leftover singles that must join the singles around them.
+    vec_ids=st.lists(st.integers(0, 2), min_size=0, max_size=120),
+    max_counter=st.sampled_from([1, 2, 3, 4, 7, 1 << 24]),
+)
+def test_compress_equals_the_loop_it_replaced(vec_ids, max_counter):
+    """Same entries and the same stored vectors, dtype for dtype — the
+    persisted ``.imprint`` bytes must not move."""
+    cd = compress(np.array(vec_ids, dtype=np.uint64), max_counter=max_counter)
+    counters, repeats, stored = compress_by_loop(vec_ids, max_counter)
+    assert (cd.counters.dtype, cd.repeats.dtype, cd.vectors.dtype) == (
+        np.int64,
+        np.bool_,
+        np.uint64,
+    )
+    assert cd.counters.tolist() == counters
+    assert cd.repeats.tolist() == repeats
+    assert cd.vectors.tolist() == stored
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(st.integers(-1000, 1000), min_size=1, max_size=300),

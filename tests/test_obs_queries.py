@@ -39,15 +39,17 @@ def probe_hook():
     scan_mod.probe_hook = None
 
 
-#: The two segmented access paths the scanner drives: imprint vectors
-#: (the default filter) and packed blocks (``use_imprints=False`` on a
-#: compressed table).  Both must cancel and report progress alike.
-ACCESS_PATHS = pytest.mark.parametrize("packed", [False, True], ids=["imprint", "packed"])
+#: The segmented access paths the scanner drives: one axis's imprint
+#: vectors (what a cold default filter has), packed blocks
+#: (``use_imprints=False`` on a compressed table) and the imprints of both
+#: axes fused.  All must cancel and report progress alike.
+ACCESS_PATHS = pytest.mark.parametrize("path", ["imprint", "packed", "fused"])
 
 
-def make_db(context, n=20_000, segment_rows=2048, seed=7, packed=False):
-    """A db with many small segments (forces visible progress); with
-    ``packed`` the columns also carry compressed mirrors of that grain."""
+def make_db(context, n=20_000, segment_rows=2048, seed=7, path="imprint"):
+    """A db with many small segments (forces visible progress); for
+    ``packed`` the columns also carry compressed mirrors of that grain,
+    for ``fused`` the x and y imprints are already built."""
     db = PointCloudDB(obs=context, threads=1)
     db.manager = ImprintsManager(threads=1, segment_rows=segment_rows)
     db.create_pointcloud("pts")
@@ -60,8 +62,11 @@ def make_db(context, n=20_000, segment_rows=2048, seed=7, packed=False):
             "z": rng.uniform(0, 10, n),
         },
     )
-    if packed:
+    if path == "packed":
         db.compress("pts", segment_rows=segment_rows)
+    if path == "fused":
+        for column in "xy":
+            db.manager.ensure(db.table("pts"), column)
     return db
 
 
@@ -236,15 +241,15 @@ class TestQueryIntegration:
         assert records[0]["query_id"] == session.last_query_id
 
     @ACCESS_PATHS
-    def test_timeout_cancels_a_real_scan(self, probe_hook, packed):
+    def test_timeout_cancels_a_real_scan(self, probe_hook, path):
         context = ObsContext.fresh(enabled=False)
-        db = make_db(context, packed=packed)
+        db = make_db(context, path=path)
         probe_hook(lambda seg: time.sleep(0.02))
         with pytest.raises(QueryCancelled) as err:
             db.spatial_select(
                 "pts",
                 Box(25, 25, 75, 75),
-                use_imprints=not packed,
+                use_imprints=path != "packed",
                 timeout_s=0.01,
                 threads=1,
             )
@@ -272,15 +277,15 @@ class TestQueryIntegration:
 
 class TestProgress:
     @ACCESS_PATHS
-    def test_progress_is_monotonic_during_a_scan(self, probe_hook, packed):
+    def test_progress_is_monotonic_during_a_scan(self, probe_hook, path):
         """Each probe ticks the record forward; skips are credited up
         front — so progress observed from the hook never decreases."""
         context = ObsContext.fresh(enabled=False)
-        db = make_db(context, packed=packed)
+        db = make_db(context, path=path)
         observed = []
         probe_hook(lambda seg: observed.append(current_query().progress))
         db.spatial_select(
-            "pts", Box(25, 25, 75, 75), use_imprints=not packed, threads=1
+            "pts", Box(25, 25, 75, 75), use_imprints=path != "packed", threads=1
         )
         assert len(observed) > 2
         assert observed == sorted(observed)

@@ -173,7 +173,9 @@ class TestPointCloudDBIntegration:
         assert record["bbox"] == [10.0, 10.0, 60.0, 60.0]
         assert record["rows"] == len(result)
         assert record["resources"]["cpu_seconds"] >= 0.0
-        assert {"filter_seconds", "n_segments_probed"} <= set(record["stats"])
+        assert {"filter_seconds", "n_segments_probed", "imprint_columns"} <= set(
+            record["stats"]
+        )
         assert any(s["name"].startswith("query.") for s in record["spans"])
 
     def test_records_carry_query_identity_and_scan_bytes(self, db):

@@ -114,7 +114,9 @@ class TestParallelEqualsSerial:
         result = select.query(Box(40, 0, 42, 100))
         stats = result.stats
         assert stats.n_segments_probed + stats.n_segments_skipped > 0
-        # The full-extent query is answered by zone maps alone.
+        # The full-extent query is answered by zone maps alone, once both
+        # axes have them (a query builds only its more selective axis).
+        select.manager.ensure(table, "y")
         full = select.query(Box(-10, -10, 110, 110))
         assert full.stats.n_segments_probed == 0
         assert full.stats.n_segments_skipped > 0

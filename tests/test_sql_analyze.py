@@ -65,6 +65,11 @@ class TestSelect:
         assert "segments_skipped=" in spatial_line
         assert "segments_probed=" in spatial_line
         assert "rows_out=" in spatial_line
+        # An axis that had no imprint and was compared instead is a
+        # visible row: the filter names the columns whose vectors it used.
+        filter_line = next(l for l in lines if "query.filter" in l)
+        for attribute in ("imprint_columns=", "probes_dense=", "probes_gather="):
+            assert attribute in filter_line
         scan_line = next(l for l in lines if l.strip().startswith("scan"))
         assert f"rows_in={N_POINTS}" in scan_line
         assert text.splitlines()[-1].startswith("rows returned:")
