@@ -3,7 +3,8 @@
 The engine provides an equi hash join (the workhorse for thematic joins in
 Scenario 2) and a band join used by distance predicates.  Joins return a
 pair of aligned oid arrays ``(left_oids, right_oids)``, matching MonetDB's
-join-index style output, so results compose with :func:`repro.engine.project`.
+join-index style output, so results compose with :meth:`Table.fetch` and
+the SQL executor's index-backed frames.
 """
 
 from __future__ import annotations

@@ -10,9 +10,16 @@ interpreter:
   :class:`repro.core.query.SpatialSelect` — i.e. through the column
   imprints filter and grid refinement.  Everything else evaluates as
   vectorised numpy expressions.
-* **Joins** — inner/cross joins materialise the smaller relations and
-  probe the point table per outer row, which is exactly how the Scenario-2
-  queries ("LIDAR points near a fast transit road") want to run: one
+* **Late materialisation** — filters and joins produce row ids, not
+  values: a :class:`_Frame` holds one row-index array per binding,
+  gathers a column the first time an expression names it and memoises
+  it, and derived frames (residual filter, join output, group order)
+  compose index arrays.  Aggregates run on
+  :mod:`repro.engine.aggregate`'s group-by kernels.
+* **Joins** — two relations joined on column equality hash-join;
+  otherwise the smaller relations iterate as outer loops and probe the
+  point table per outer row, which is exactly how the Scenario-2 queries
+  ("LIDAR points near a fast transit road") want to run: one
   imprints-backed spatial probe per zone.
 """
 
@@ -20,12 +27,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.imprints import ImprintsManager
 from ..core.query import SpatialSelect
+from ..engine.aggregate import group_reduce, grouping
+from ..engine.column import Column
+from ..engine.join import hash_join
 from ..engine.select import range_select as engine_range_select
 from ..engine.table import Table
 from ..gis.geometry import Geometry
@@ -278,13 +288,7 @@ class Session:
         return result
 
     def _run_profiled(self, select: ast.Select):
-        refs: List[ast.TableRef] = list(select.tables)
-        conjuncts: List[ast.Node] = []
-        for table_ref, condition in select.joins:
-            refs.append(table_ref)
-            conjuncts.extend(_conjuncts_of(condition))
-        conjuncts.extend(_conjuncts_of(select.where))
-
+        refs, conjuncts = _tables_and_conjuncts(select)
         bindings = []
         seen = set()
         for ref in refs:
@@ -311,12 +315,7 @@ class Session:
         residual vectorised filters.
         """
         select = parse(sql)
-        refs: List[ast.TableRef] = list(select.tables)
-        conjuncts: List[ast.Node] = []
-        for table_ref, condition in select.joins:
-            refs.append(table_ref)
-            conjuncts.extend(_conjuncts_of(condition))
-        conjuncts.extend(_conjuncts_of(select.where))
+        refs, conjuncts = _tables_and_conjuncts(select)
         bindings = [(ref.binding, self.relation(ref.name)) for ref in refs]
         return _explain_plan(select, bindings, conjuncts)
 
@@ -352,41 +351,78 @@ class Session:
         return tree + ("\n" if tree else "") + footer
 
 
-
 # -- the evaluation frame -----------------------------------------------------------
 
 
+#: One binding of a frame: the relation's columns and the rows taken
+#: from them (``None`` = every row, in order).
+_Source = Tuple[Mapping[str, np.ndarray], Optional[np.ndarray]]
+
+
 class _Frame:
-    """Aligned columns addressable as ``binding.column`` or bare name."""
+    """Late-materialised rows, addressable as ``binding.column`` or bare name.
 
-    def __init__(self, columns: Dict[str, np.ndarray], n_rows: int) -> None:
-        self.columns = columns
+    Each binding keeps its relation's column mapping plus one ``int64``
+    row-index array; a column is gathered the first time an expression
+    names it and memoised.  ``outer`` is the ``(frame, row)`` of an
+    enclosing nested-loop iteration, whose columns read as scalars.
+    """
+
+    def __init__(
+        self,
+        sources: Dict[str, _Source],
+        n_rows: int,
+        outer: Optional[Tuple["_Frame", int]] = None,
+    ) -> None:
+        self.sources = sources
         self.n_rows = n_rows
-        # Bare-name resolution: unique suffixes only.
-        suffix_count: Dict[str, int] = {}
-        for key in columns:
-            bare = key.split(".", 1)[1] if "." in key else key
-            suffix_count[bare] = suffix_count.get(bare, 0) + 1
-        self._bare = {
-            key.split(".", 1)[1] if "." in key else key: key
-            for key in columns
-            if suffix_count[key.split(".", 1)[1] if "." in key else key] == 1
-        }
-        self._ambiguous = {k for k, v in suffix_count.items() if v > 1}
+        self.outer = outer
+        self._values: Dict[Tuple[str, str], np.ndarray] = {}
+        #: Rows of the frame this one was taken from, whose gathered
+        #: columns are re-used instead of going back to the relation.
+        self._parent: Optional[Tuple["_Frame", np.ndarray]] = None
+        #: Columns gathered from the relations, shared with derived frames.
+        self.gathered: List[str] = []
 
-    def lookup(self, ref: ast.ColumnRef) -> np.ndarray:
-        if ref.table is not None:
-            key = f"{ref.table}.{ref.name}"
-            if key in self.columns:
-                return self.columns[key]
-            raise SqlExecutionError(f"unknown column {key!r}")
-        if ref.name in self.columns:
-            return self.columns[ref.name]
-        if ref.name in self._ambiguous:
+    def take(self, rows: np.ndarray) -> "_Frame":
+        """The frame of these row positions: index arrays compose."""
+        sources: Dict[str, _Source] = {
+            binding: (columns, rows if idx is None else idx[rows])
+            for binding, (columns, idx) in self.sources.items()
+        }
+        taken = _Frame(sources, int(rows.shape[0]), self.outer)
+        taken._parent = (self, rows)
+        taken.gathered = self.gathered
+        return taken
+
+    def lookup(self, ref: ast.ColumnRef) -> Any:
+        owners = [
+            binding
+            for binding, (columns, _idx) in self.sources.items()
+            if ref.table in (None, binding) and ref.name in columns
+        ]
+        if len(owners) > 1:
             raise SqlExecutionError(f"ambiguous column {ref.name!r}")
-        if ref.name in self._bare:
-            return self.columns[self._bare[ref.name]]
-        raise SqlExecutionError(f"unknown column {ref.name!r}")
+        if not owners:
+            if self.outer is None:
+                raise SqlExecutionError(f"unknown column {ref.qualified!r}")
+            frame, row = self.outer
+            return frame.lookup(ref)[row]
+        return self.column(owners[0], ref.name)
+
+    def column(self, binding: str, name: str) -> np.ndarray:
+        """``binding.name`` at this frame's rows, gathered once."""
+        key = (binding, name)
+        if key not in self._values:
+            if self._parent is not None and key in self._parent[0]._values:
+                self._values[key] = self._parent[0]._values[key][self._parent[1]]
+            else:
+                label = name if len(self.sources) == 1 else f"{binding}.{name}"
+                self.gathered.append(label)
+                columns, idx = self.sources[binding]
+                arr = columns[name]
+                self._values[key] = arr if idx is None else arr[idx]
+        return self._values[key]
 
 
 def _evaluate(node: ast.Node, frame: _Frame):
@@ -396,14 +432,11 @@ def _evaluate(node: ast.Node, frame: _Frame):
     if isinstance(node, ast.ColumnRef):
         return frame.lookup(node)
     if isinstance(node, ast.UnaryOp):
-        value = _evaluate(node.operand, frame)
-        if node.op == "-":
-            return -value if not isinstance(value, np.ndarray) else -value
-        if node.op == "not":
-            return ~_as_bool(value) if isinstance(value, np.ndarray) else not value
-        raise SqlExecutionError(f"unknown unary op {node.op!r}")
+        return _apply_unaryop(node.op, _evaluate(node.operand, frame))
     if isinstance(node, ast.BinOp):
-        return _eval_binop(node, frame)
+        return _apply_binop(
+            node.op, _evaluate(node.left, frame), _evaluate(node.right, frame)
+        )
     if isinstance(node, ast.Between):
         value = _evaluate(node.expr, frame)
         low = _evaluate(node.low, frame)
@@ -432,10 +465,15 @@ def _evaluate(node: ast.Node, frame: _Frame):
     raise SqlExecutionError(f"cannot evaluate {type(node).__name__}")
 
 
-def _eval_binop(node: ast.BinOp, frame: _Frame):
-    op = node.op
-    left = _evaluate(node.left, frame)
-    right = _evaluate(node.right, frame)
+def _apply_unaryop(op: str, value: Any):
+    if op == "-":
+        return -value
+    if op == "not":
+        return ~_as_bool(value) if isinstance(value, np.ndarray) else not value
+    raise SqlExecutionError(f"unknown unary op {op!r}")
+
+
+def _apply_binop(op: str, left: Any, right: Any):
     if op == "and":
         return _as_bool(left) & _as_bool(right)
     if op == "or":
@@ -471,6 +509,14 @@ def _as_bool(value):
     return bool(value)
 
 
+def _conjunct_mask(conjuncts: List[ast.Node], frame: _Frame) -> np.ndarray:
+    """Which of the frame's rows satisfy every conjunct."""
+    mask = np.ones(frame.n_rows, dtype=bool)
+    for conjunct in conjuncts:
+        mask &= _as_bool(_evaluate(conjunct, frame))
+    return mask
+
+
 # -- spatial push-down ----------------------------------------------------------------
 
 
@@ -483,6 +529,18 @@ def _conjuncts_of(node: Optional[ast.Node]) -> List[ast.Node]:
     if isinstance(node, ast.BinOp) and node.op == "and":
         return _conjuncts_of(node.left) + _conjuncts_of(node.right)
     return [node]
+
+
+def _tables_and_conjuncts(
+    select: ast.Select,
+) -> Tuple[List[ast.TableRef], List[ast.Node]]:
+    """FROM and JOIN tables, and the ON and WHERE conditions as conjuncts."""
+    refs = list(select.tables)
+    conjuncts: List[ast.Node] = []
+    for table_ref, condition in select.joins:
+        refs.append(table_ref)
+        conjuncts.extend(_conjuncts_of(condition))
+    return refs, conjuncts + _conjuncts_of(select.where)
 
 
 def _refs_binding(node: ast.Node, binding: str, bare_ok: set) -> bool:
@@ -577,15 +635,12 @@ def _match_range(
             return None
         if node.table not in (None, binding):
             return None
-        if node.name not in relation.columns:
+        # Both access paths live on the table's (always numeric) columns.
+        if node.name not in relation.columns or node.name not in relation.table:
             return None
-        # Imprints only make sense on numeric columns.
-        if relation.columns[node.name].dtype == object:
-            return None
-        if relation.manager is None and (
-            relation.table is None
-            or node.name not in relation.table
-            or relation.table.column(node.name).packed is None
+        if (
+            relation.manager is None
+            and relation.table.column(node.name).packed is None
         ):
             return None
         return node.name
@@ -652,13 +707,13 @@ def _filter_relation(
     binding: str,
     relation: Relation,
     conjuncts: List[ast.Node],
-    outer: Dict[str, object],
+    outer: Optional[Tuple[_Frame, int]] = None,
 ) -> np.ndarray:
     """Row indices of ``relation`` satisfying the conjuncts.
 
     Spatial conjuncts route through the imprints pipeline; the rest
-    evaluate vectorised over the surviving candidates.  ``outer`` supplies
-    scalar bindings from enclosing join loops.
+    evaluate vectorised over the surviving candidates.  ``outer`` is the
+    enclosing join loop's current row, read as scalars.
     """
     with maybe_span(
         "scan", table=relation.name, binding=binding, rows_in=relation.n_rows
@@ -672,9 +727,9 @@ def _filter_relation_inner(
     binding: str,
     relation: Relation,
     conjuncts: List[ast.Node],
-    outer: Dict[str, object],
+    outer: Optional[Tuple[_Frame, int]],
 ) -> np.ndarray:
-    scalar_frame = _Frame(dict(outer), n_rows=0)
+    scalar_frame = _Frame({}, 0, outer)
     candidates: Optional[np.ndarray] = None
     residual: List[ast.Node] = []
 
@@ -755,28 +810,22 @@ def _filter_relation_inner(
             del residual[position]
             break
 
-    if candidates is None:
-        candidates = np.arange(relation.n_rows, dtype=np.int64)
-    if not residual or candidates.shape[0] == 0:
+    if candidates is None and not residual:
+        return np.arange(relation.n_rows, dtype=np.int64)
+    if candidates is not None and (not residual or candidates.shape[0] == 0):
         return candidates
 
     with maybe_span("filter.residual", conjuncts=len(residual)) as residual_span:
-        columns = {}
-        for key, value in outer.items():
-            columns[key] = value
-        for name, arr in relation.columns.items():
-            columns[f"{binding}.{name}"] = arr[candidates]
-            columns.setdefault(name, arr[candidates])
-        frame = _Frame(columns, n_rows=candidates.shape[0])
-        mask = np.ones(candidates.shape[0], dtype=bool)
-        for conjunct in residual:
-            value = _evaluate(conjunct, frame)
-            if not isinstance(value, np.ndarray):
-                value = np.full(candidates.shape[0], bool(value))
-            mask &= value.astype(bool)
-        result = candidates[mask]
+        # Only the columns the conjuncts name are read, at the candidates
+        # (the whole column, ungathered, when no index narrowed them).
+        rows_in = relation.n_rows if candidates is None else candidates.shape[0]
+        frame = _Frame({binding: (relation.columns, candidates)}, rows_in, outer)
+        mask = _conjunct_mask(residual, frame)
+        result = np.flatnonzero(mask) if candidates is None else candidates[mask]
         residual_span.set(
-            rows_in=int(candidates.shape[0]), rows_out=int(result.shape[0])
+            rows_in=int(rows_in),
+            rows_out=int(result.shape[0]),
+            columns=",".join(frame.gathered),
         )
     return result
 
@@ -834,8 +883,6 @@ def _hash_equi_join(
     bindings_bare: Dict[str, set],
 ) -> _Frame:
     """Two-relation equality join via the engine's hash join."""
-    from ..engine.join import hash_join
-
     (binding_a, rel_a), (binding_b, rel_b) = bindings
     col_a, col_b = key_cols
 
@@ -849,44 +896,27 @@ def _hash_equi_join(
         own_a = [c for c in remaining if _applicable(c, {binding_a}, bindings_bare)]
         own_b = [c for c in remaining if _applicable(c, {binding_b}, bindings_bare)]
         residual = [c for c in remaining if c not in own_a and c not in own_b]
-        idx_a = _filter_relation(binding_a, rel_a, own_a, outer={})
-        idx_b = _filter_relation(binding_b, rel_b, own_b, outer={})
-
-        from ..engine.column import Column
-
+        idx_a = _filter_relation(binding_a, rel_a, own_a)
+        idx_b = _filter_relation(binding_b, rel_b, own_b)
         left = Column.from_array("l", np.asarray(rel_a.columns[col_a]))
         right = Column.from_array("r", np.asarray(rel_b.columns[col_b]))
         pairs_a, pairs_b = hash_join(
             left, right, left_candidates=idx_a, right_candidates=idx_b
         )
-        join_span.set(rows_out=int(pairs_a.shape[0]))
-
-        columns: Dict[str, np.ndarray] = {}
-        for name, arr in rel_a.columns.items():
-            columns[f"{binding_a}.{name}"] = arr[pairs_a]
-        for name, arr in rel_b.columns.items():
-            columns[f"{binding_b}.{name}"] = arr[pairs_b]
-        frame = _Frame(columns, n_rows=pairs_a.shape[0])
-        if not residual:
-            return frame
-        mask = np.ones(frame.n_rows, dtype=bool)
-        for conjunct in residual:
-            value = _evaluate(conjunct, frame)
-            if not isinstance(value, np.ndarray):
-                value = np.full(frame.n_rows, bool(value))
-            mask &= value.astype(bool)
-        out = _Frame(
-            {name: arr[mask] for name, arr in columns.items()},
-            n_rows=int(mask.sum()),
+        frame = _Frame(
+            {binding_a: (rel_a.columns, pairs_a), binding_b: (rel_b.columns, pairs_b)},
+            int(pairs_a.shape[0]),
         )
-        join_span.set(rows_out=out.n_rows)
-    return out
+        if residual:
+            frame = frame.take(np.flatnonzero(_conjunct_mask(residual, frame)))
+        join_span.set(rows_out=frame.n_rows)
+    return frame
 
 
 def _join(
     bindings: List[Tuple[str, Relation]], conjuncts: List[ast.Node]
 ) -> _Frame:
-    """Materialise the (filtered) join of the registered relations.
+    """The (filtered) join of the registered relations, as row ids.
 
     Two relations joined on plain column equality use the engine's hash
     join; otherwise the largest relation becomes the inner probe (it is
@@ -911,11 +941,8 @@ def _join(
 
     if len(bindings) == 1:
         binding, relation = bindings[0]
-        idx = _filter_relation(binding, relation, conjuncts, outer={})
-        columns: Dict[str, np.ndarray] = {}
-        for name, arr in relation.columns.items():
-            columns[f"{binding}.{name}"] = arr[idx]
-        return _Frame(columns, n_rows=idx.shape[0])
+        idx = _filter_relation(binding, relation, conjuncts)
+        return _Frame({binding: (relation.columns, idx)}, int(idx.shape[0]))
 
     # Multi-way: probe = largest relation; outers = the rest, in order.
     probe_pos = max(range(len(bindings)), key=lambda i: bindings[i][1].n_rows)
@@ -929,7 +956,7 @@ def _join(
     ) as join_span:
         # Per-outer single-table filters run once, before the loops.
         remaining = list(conjuncts)
-        outer_rows: List[Tuple[str, Relation, np.ndarray]] = []
+        filtered: Dict[str, _Source] = {}
         for binding, relation in outers:
             own = [
                 c
@@ -937,52 +964,36 @@ def _join(
                 if _applicable(c, {binding}, bindings_bare)
             ]
             remaining = [c for c in remaining if c not in own]
-            idx = _filter_relation(binding, relation, own, outer={})
-            outer_rows.append((binding, relation, idx))
+            filtered[binding] = (relation.columns, _filter_relation(binding, relation, own))
 
-        out_columns: Dict[str, List] = {}
-        for binding, relation, _idx in outer_rows:
-            for name in relation.columns:
-                out_columns[f"{binding}.{name}"] = []
-        for name in probe_relation.columns:
-            out_columns[f"{probe_binding}.{name}"] = []
-        total = 0
-
-        def recurse(level: int, outer_env: Dict[str, object]) -> None:
-            nonlocal total
-            if level == len(outer_rows):
-                idx = _filter_relation(
-                    probe_binding, probe_relation, remaining, outer=outer_env
-                )
-                k = idx.shape[0]
-                if k == 0:
-                    return
-                for name, arr in probe_relation.columns.items():
-                    out_columns[f"{probe_binding}.{name}"].append(arr[idx])
-                for key, value in outer_env.items():
-                    if key in out_columns:
-                        filler = np.empty(k, dtype=object)
-                        filler[:] = [value] * k
-                        out_columns[key].append(filler)
-                total += k
-                return
-            binding, relation, idx = outer_rows[level]
-            for row in idx:
-                env = dict(outer_env)
-                for name, arr in relation.columns.items():
-                    env[f"{binding}.{name}"] = arr[row]
-                recurse(level + 1, env)
-
-        recurse(0, {})
-
-        final: Dict[str, np.ndarray] = {}
-        for key, parts in out_columns.items():
-            if parts:
-                final[key] = np.concatenate(parts)
-            else:
-                final[key] = np.empty(0, dtype=object)
-        join_span.set(rows_out=total)
-    return _Frame(final, n_rows=total)
+        # The loops' iterations, first outer slowest: one frame whose rows
+        # are the combinations of the outers' surviving rows.
+        combos = np.indices([idx.shape[0] for _, idx in filtered.values()])
+        combos = combos.reshape(len(outers), -1)
+        outer = _Frame(
+            {
+                binding: (columns, idx[positions])
+                for (binding, (columns, idx)), positions in zip(filtered.items(), combos)
+            },
+            int(combos.shape[1]),
+        )
+        probes = [
+            _filter_relation(probe_binding, probe_relation, remaining, (outer, row))
+            for row in range(outer.n_rows)
+        ]
+        # Each iteration's outer row repeats once per probe hit.
+        hits = np.repeat(np.arange(outer.n_rows), [idx.shape[0] for idx in probes])
+        joined: Dict[str, _Source] = {
+            binding: (columns, idx[hits])
+            for binding, (columns, idx) in outer.sources.items()
+        }
+        joined[probe_binding] = (
+            probe_relation.columns,
+            np.concatenate(probes + [np.empty(0, dtype=np.int64)]),
+        )
+        frame = _Frame(joined, int(hits.shape[0]))
+        join_span.set(rows_out=frame.n_rows)
+    return frame
 
 
 # -- projection and aggregation ------------------------------------------------------------
@@ -1013,11 +1024,18 @@ def _project(select: ast.Select, frame: _Frame) -> Result:
     if aggregate_query:
         with maybe_span("aggregate", rows_in=frame.n_rows) as span:
             result = _aggregate(select, frame)
-            span.set(rows_out=len(result.rows), groups=len(select.group_by))
+            span.set(
+                rows_out=len(result.rows),
+                groups=len(select.group_by),
+                columns=",".join(frame.gathered),
+            )
     else:
         with maybe_span("project", rows_in=frame.n_rows) as span:
+            if select.limit is not None and not (select.order_by or select.distinct):
+                # Nothing reorders or drops rows: cut before gathering.
+                frame = frame.take(np.arange(min(select.limit, frame.n_rows)))
             result = _plain_project(select, frame)
-            span.set(rows_out=len(result.rows))
+            span.set(rows_out=len(result.rows), columns=",".join(frame.gathered))
 
     if select.distinct:
         seen = set()
@@ -1034,20 +1052,12 @@ def _project(select: ast.Select, frame: _Frame) -> Result:
         result = Result(columns=result.columns, rows=deduped)
 
     if select.order_by:
-        order_frame = _Frame(
-            {
-                name: _column_as_array([row[i] for row in result.rows])
-                for i, name in enumerate(result.columns)
-            },
-            n_rows=len(result.rows),
-        )
-        keys = []
-        for order_item in reversed(select.order_by):
+        indices: Sequence[int] = range(len(result.rows))
+        for order_item in reversed(select.order_by):  # stable sorts, minor key first
             values = _evaluate_ordering(order_item.expr, result, frame)
-            keys.append((values, order_item.descending))
-        indices = list(range(len(result.rows)))
-        for values, descending in keys:
-            indices.sort(key=lambda i: values[i], reverse=descending)
+            indices = sorted(
+                indices, key=values.__getitem__, reverse=order_item.descending
+            )
         result = Result(
             columns=result.columns, rows=[result.rows[i] for i in indices]
         )
@@ -1076,13 +1086,8 @@ def _evaluate_ordering(expr: ast.Node, result: Result, frame: _Frame) -> list:
     # Evaluate against the output columns; for plain projections (result
     # rows align 1:1 with input rows) fall back to the input frame so
     # ORDER BY may use columns that were not selected.
-    out_frame = _Frame(
-        {
-            name: _column_as_array(result.column(name))
-            for name in result.columns
-        },
-        n_rows=len(result.rows),
-    )
+    outputs = {name: _column_as_array(result.column(name)) for name in result.columns}
+    out_frame = _Frame({"": (outputs, None)}, len(result.rows))
     try:
         value = _evaluate(expr, out_frame)
     except SqlExecutionError:
@@ -1096,24 +1101,31 @@ def _evaluate_ordering(expr: ast.Node, result: Result, frame: _Frame) -> list:
 
 def _plain_project(select: ast.Select, frame: _Frame) -> Result:
     columns: List[str] = []
-    arrays: List[np.ndarray] = []
+    values: List[Any] = []
     for position, item in enumerate(select.items):
         if isinstance(item.expr, ast.Star):
-            for key in frame.columns:
-                columns.append(key)
-                arrays.append(frame.columns[key])
+            for binding, (relation_columns, _idx) in frame.sources.items():
+                for name in relation_columns:
+                    columns.append(f"{binding}.{name}")
+                    values.append(frame.column(binding, name))
             continue
-        value = _evaluate(item.expr, frame)
-        if not isinstance(value, np.ndarray):
-            filler = np.empty(frame.n_rows, dtype=object)
-            filler[:] = [value] * frame.n_rows
-            value = filler
         columns.append(_item_name(item, position))
-        arrays.append(value)
-    rows = [
-        tuple(_to_python(arr[i]) for arr in arrays) for i in range(frame.n_rows)
-    ]
-    return Result(columns=columns, rows=rows)
+        values.append(_evaluate(item.expr, frame))
+    return Result(columns=columns, rows=_rows(values, frame.n_rows))
+
+
+def _rows(values: List[Any], n_rows: int) -> List[tuple]:
+    """Result rows from one array (or constant) per output column, built
+    column-wise: ``tolist`` converts a numeric column in one call."""
+    cells: List[list] = []
+    for value in values:
+        if not isinstance(value, np.ndarray):
+            cells.append([_to_python(value)] * n_rows)
+        elif value.dtype == object:
+            cells.append([_to_python(cell) for cell in value])
+        else:
+            cells.append(value.tolist())
+    return list(zip(*cells))
 
 
 def _to_python(value):
@@ -1269,90 +1281,83 @@ def _explain_plan(
 
 
 def _aggregate(select: ast.Select, frame: _Frame) -> Result:
-    group_exprs = list(select.group_by)
-    if group_exprs:
-        key_values = []
-        for expr in group_exprs:
+    """One row per group, groups in ascending key order.
+
+    The groups are numbered with one sort of the key columns; every
+    aggregate then reduces its argument, gathered in group order, on
+    the engine's group-by kernels.
+    """
+    if select.group_by:
+        keys = []
+        for expr in select.group_by:
             value = _evaluate(expr, frame)
             if not isinstance(value, np.ndarray):
                 raise SqlExecutionError("GROUP BY expression must reference columns")
-            key_values.append(value)
-        groups: Dict[tuple, List[int]] = {}
-        for i in range(frame.n_rows):
-            key = tuple(v[i] for v in key_values)
-            groups.setdefault(key, []).append(i)
-        ordered = sorted(groups.items(), key=lambda kv: kv[0])
-    else:
-        ordered = [((), list(range(frame.n_rows)))]
+            if value.dtype == object:  # rank strings so they sort like numbers
+                value = np.unique(value, return_inverse=True)[1]
+            keys.append(value)
+        order, starts, sizes = grouping(keys)
+        rows, firsts = frame.take(order), order[starts]
+    else:  # one group, which may be empty
+        rows, starts = frame, np.zeros(1, dtype=np.int64)
+        sizes, firsts = np.array([frame.n_rows]), starts[: frame.n_rows]
+    groups = _Groups(rows, frame.take(firsts), starts, sizes)
 
+    values = [_eval_aggregate_expr(item.expr, groups) for item in select.items]
+    n_groups = int(groups.starts.shape[0])
+    if select.having is not None:
+        keep = np.ones(n_groups, dtype=bool)
+        keep &= _as_bool(_eval_aggregate_expr(select.having, groups))
+        values = [v[keep] if isinstance(v, np.ndarray) else v for v in values]
+        n_groups = int(keep.sum())
     columns = [
         _item_name(item, position) for position, item in enumerate(select.items)
     ]
-    rows: List[tuple] = []
-    for key, indices in ordered:
-        sub = _Frame(
-            {
-                name: arr[np.asarray(indices, dtype=np.int64)]
-                for name, arr in frame.columns.items()
-            },
-            n_rows=len(indices),
-        )
-        if select.having is not None:
-            keep = _eval_aggregate_expr(select.having, sub)
-            if not bool(keep):
-                continue
-        row = []
-        for item in select.items:
-            row.append(_to_python(_eval_aggregate_expr(item.expr, sub)))
-        rows.append(tuple(row))
-    return Result(columns=columns, rows=rows)
+    return Result(columns=columns, rows=_rows(values, n_groups))
 
 
-def _eval_aggregate_expr(node: ast.Node, frame: _Frame):
-    """Evaluate a select expression in aggregate context: aggregate calls
-    collapse to scalars, everything else must be group-constant."""
+@dataclass
+class _Groups:
+    """An aggregation's input: ``rows`` in group order (group ``g`` is rows
+    ``starts[g] : starts[g] + sizes[g]``) and each group's first row."""
+
+    rows: _Frame
+    firsts: _Frame
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def _eval_aggregate_expr(node: ast.Node, groups: _Groups):
+    """Evaluate a select expression in aggregate context, to one value
+    per group (an array) or a constant: aggregate calls reduce each
+    group, everything else must be group-constant.  None is the NULL of
+    an aggregate over no rows, and propagates through operators."""
     if isinstance(node, ast.FuncCall) and node.name in AGGREGATES:
-        return _apply_aggregate(node, frame)
+        return _apply_aggregate(node, groups)
     if isinstance(node, ast.BinOp):
-        left = _eval_aggregate_expr(node.left, frame)
-        right = _eval_aggregate_expr(node.right, frame)
-        return _eval_binop(ast.BinOp(node.op, ast.Literal(left), ast.Literal(right)), frame)
-    if isinstance(node, ast.UnaryOp):
-        inner = _eval_aggregate_expr(node.operand, frame)
-        return -inner if node.op == "-" else (not inner)
-    value = _evaluate(node, frame)
-    if isinstance(value, np.ndarray):
-        if value.shape[0] == 0:
+        left = _eval_aggregate_expr(node.left, groups)
+        right = _eval_aggregate_expr(node.right, groups)
+        if left is None or right is None:
             return None
-        first = value[0]
-        return first
+        return _apply_binop(node.op, left, right)
+    if isinstance(node, ast.UnaryOp):
+        inner = _eval_aggregate_expr(node.operand, groups)
+        return None if inner is None else _apply_unaryop(node.op, inner)
+    value = _evaluate(node, groups.firsts)
+    if isinstance(value, np.ndarray) and value.shape[0] < groups.starts.shape[0]:
+        return None  # the one empty group of a plain aggregate
     return value
 
 
-def _apply_aggregate(node: ast.FuncCall, frame: _Frame):
-    name = node.name
-    if name == "count":
-        if len(node.args) == 1 and isinstance(node.args[0], ast.Star):
-            return frame.n_rows
-        if len(node.args) != 1:
-            raise SqlExecutionError("count() takes one argument")
-        value = _evaluate(node.args[0], frame)
-        if isinstance(value, np.ndarray):
-            return int(value.shape[0])
-        return frame.n_rows
+def _apply_aggregate(node: ast.FuncCall, groups: _Groups):
     if len(node.args) != 1:
-        raise SqlExecutionError(f"{name}() takes one argument")
-    value = _evaluate(node.args[0], frame)
-    if not isinstance(value, np.ndarray):
-        value = np.full(frame.n_rows, value, dtype=np.float64)
-    if value.shape[0] == 0:
-        return None
-    if name == "sum":
-        return value.sum()
-    if name == "avg":
-        return float(np.mean(value.astype(np.float64)))
-    if name == "min":
-        return value.min()
-    if name == "max":
-        return value.max()
-    raise SqlExecutionError(f"unknown aggregate {name!r}")
+        raise SqlExecutionError(f"{node.name}() takes one argument")
+    value: Any = None
+    if not (node.name == "count" and isinstance(node.args[0], ast.Star)):
+        value = _evaluate(node.args[0], groups.rows)
+    if node.name != "count":
+        if groups.rows.n_rows == 0:  # no groups, or a plain aggregate's empty one
+            return None
+        if not isinstance(value, np.ndarray):
+            value = np.full(groups.rows.n_rows, value, dtype=np.float64)
+    return group_reduce(node.name, value, groups.starts, groups.sizes)

@@ -139,6 +139,50 @@ class TestJoin:
         assert tracer.enabled == before
 
 
+class TestMaterialisedColumns:
+    """The operator rows say which columns they gathered."""
+
+    @staticmethod
+    def _line(text, operator):
+        return next(
+            l for l in text.splitlines() if l.strip().split()[0] == operator
+        )
+
+    def test_aggregate_names_its_argument_only(self, session):
+        text = session.explain_analyze(
+            "SELECT count(*), avg(z) FROM points WHERE z BETWEEN 5 AND 10"
+        )
+        line = self._line(text, "aggregate")
+        assert line.endswith("columns=z"), text
+        for attribute in ("rows_in=", "rows_out=1", "groups=0"):
+            assert attribute in line
+
+    def test_count_star_gathers_nothing(self, session):
+        line = self._line(session.explain_analyze(SPATIAL_SQL), "aggregate")
+        assert line.endswith("columns="), line
+
+    def test_residual_and_project_name_theirs(self, session):
+        text = session.explain_analyze(
+            "SELECT x, y FROM points WHERE classification = 1 AND z > 5 LIMIT 3"
+        )
+        residual = self._line(text, "filter.residual")
+        assert residual.endswith("columns=z"), text  # classification = 1 is pushed
+        assert "rows_in=" in residual and "rows_out=" in residual
+        project = self._line(text, "project")
+        assert project.endswith("columns=x,y"), text
+        assert "rows_out=3" in project
+
+    def test_join_columns_are_qualified(self, session):
+        text = session.explain_analyze(
+            "SELECT z.label, max(p.z) FROM zones z, points p "
+            "WHERE st_contains(st_geomfromtext(z.wkt), st_point(p.x, p.y)) "
+            "GROUP BY z.label"
+        )
+        line = self._line(text, "aggregate")
+        assert line.endswith("columns=z.label,p.z"), text
+        assert "groups=1" in line
+
+
 class TestProfilePreserved:
     def test_last_profile_keys_unchanged(self, session):
         session.execute("SELECT count(*) FROM points WHERE z > 5")
