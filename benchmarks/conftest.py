@@ -1,4 +1,4 @@
-"""Shared fixtures for the experiment benchmarks (E1-E6).
+"""Shared fixtures for the experiment benchmarks (E1-E10).
 
 One synthetic AHN2-like region is generated per session and reused by
 every experiment: an in-memory column batch, a tiled LAS directory for

@@ -1,7 +1,6 @@
 """Benchmark harness: timers, report tables, and the standard workloads."""
 
 from .harness import Report, best_of, format_table, human_seconds, speedup, timer
-from .parallel_scaling import machine_info, sweep, write_report
 from .workloads import (
     QuerySpec,
     circle_polygon,
@@ -18,10 +17,7 @@ __all__ = [
     "format_table",
     "human_seconds",
     "irregular_polygon",
-    "machine_info",
     "selectivity_sweep",
-    "sweep",
-    "write_report",
     "speedup",
     "standard_queries",
     "timer",

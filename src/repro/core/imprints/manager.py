@@ -79,11 +79,6 @@ class ImprintsManager:
         self.segment_builds = 0  # per-segment builds those events performed
         #: Paths of imprint files quarantined during :meth:`load`.
         self.quarantined: List[str] = []
-        #: Seconds the most recent :meth:`ensure` on *any* thread spent
-        #: building (0.0 when the index was already current).  A
-        #: diagnostic only: queries bill themselves from what their own
-        #: ``_ensure`` call returns.
-        self.last_build_seconds = 0.0
 
     def _key(self, table: Table, column_name: str) -> Tuple[str, str]:
         return (table.name, column_name)
@@ -152,7 +147,6 @@ class ImprintsManager:
                     built_seconds = now() - t0
                     span.set(segments_built=built)
                 self._record_build(built, built_seconds)
-            self.last_build_seconds = built_seconds
             return imp, built_seconds
 
     def _record_build(self, segments_built: int, seconds: float) -> None:

@@ -215,17 +215,3 @@ def mask_select(
     """
     return _as_candidates(np.asarray(mask, dtype=bool), candidates)
 
-
-def intersect_candidates(a: NDArray[Any], b: NDArray[Any]) -> NDArray[Any]:
-    """Intersection of two sorted candidate lists (both remain sorted)."""
-    return np.intersect1d(a, b, assume_unique=True)
-
-
-def union_candidates(a: NDArray[Any], b: NDArray[Any]) -> NDArray[Any]:
-    """Union of two sorted candidate lists."""
-    return np.union1d(a, b)
-
-
-def difference_candidates(a: NDArray[Any], b: NDArray[Any]) -> NDArray[Any]:
-    """Candidates in ``a`` but not in ``b`` (both sorted unique)."""
-    return np.setdiff1d(a, b, assume_unique=True)

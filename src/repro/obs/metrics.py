@@ -6,8 +6,8 @@ query latency percentiles, points loaded — in the style of the storage
 instrumentation in the LiDAR/point-cloud evaluation literature.  Every
 metric is thread-safe (one small lock per instrument) so morsel workers
 can record without contending on a global lock, and the whole registry
-snapshots to one JSON-friendly dict that the bench harness embeds next
-to its timings in ``BENCH_*.json``.
+snapshots to one JSON-friendly dict (``repro-gis trace --metrics``
+prints it; ``/metrics`` serves the same series as OpenMetrics).
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<what>``
 (``query.filter_seconds``, ``imprints.segments_probed``,

@@ -16,8 +16,8 @@ back to JSON.
 
 Clients negotiate via ``Accept: application/x-repro-columnar`` (or
 ``"format": "columnar"`` in the request body); :func:`decode_columns`
-is the reference client-side decoder, used by the load generator in
-``repro.bench.serve_load``.
+is the reference client-side decoder, used by the ``http_viewport``
+workload of ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations

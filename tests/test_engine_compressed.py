@@ -9,11 +9,14 @@ scan stats prove it skipped what the zone maps let it skip.
 import numpy as np
 import pytest
 
+from repro.core.sfc import morton_encode, quantize
+from repro.datasets.lidar import generate_points, make_scene
 from repro.engine.column import Column
 from repro.engine.compressed import CompressedColumn
 from repro.engine.scan import ScanStats
 from repro.engine.select import range_select, theta_select
 from repro.engine.table import Table
+from repro.gis.envelope import Box
 from repro.obs.resources import ResourceTracker
 
 THETA_OPS = ["==", "!=", "<", "<=", ">", ">="]
@@ -33,6 +36,23 @@ def values():
 @pytest.fixture(scope="module")
 def packed(values):
     return CompressedColumn.from_values("v", values, segment_rows=8192)
+
+
+@pytest.fixture(scope="module")
+def las_morton():
+    """x, y, z as LAS centimetre integers, rows along the Z-order curve
+    of (x, y): the coordinate layout the paper's loader keeps."""
+    extent = Box(85_000, 445_000, 87_000, 447_000)
+    cloud = generate_points(make_scene(extent, seed=7), 30_000, seed=7)
+    codes = morton_encode(
+        quantize(cloud["x"], extent.xmin, extent.xmax),
+        quantize(cloud["y"], extent.ymin, extent.ymax),
+    )
+    order = np.argsort(codes, kind="stable")
+    return {
+        name: np.round((cloud[name][order] - origin) / 0.01).astype(np.int64)
+        for name, origin in (("x", extent.xmin), ("y", extent.ymin), ("z", 0.0))
+    }
 
 
 def plain_range(values, lo, hi, lo_inc=True, hi_inc=True):
@@ -57,8 +77,11 @@ class TestCompressedColumn:
         oids = np.array([0, 8191, 8192, 50_000, values.shape[0] - 1])
         np.testing.assert_array_equal(packed.take(oids), values[oids])
 
-    def test_compresses(self, packed):
+    def test_compresses(self, packed, las_morton):
         assert packed.nbytes < packed.plain_nbytes / 2
+        for name, column in las_morton.items():
+            coords = CompressedColumn.from_values(name, column, segment_rows=4096)
+            assert coords.nbytes <= coords.plain_nbytes / 2, name
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_range_select_parity(self, packed, values, threads):

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from repro.engine.column import Column
 from repro.engine.select import (
-    difference_candidates,
-    intersect_candidates,
     mask_select,
     range_select,
     theta_select,
-    union_candidates,
 )
 
 
@@ -75,13 +72,6 @@ class TestMaskAndSetOps:
         np.testing.assert_array_equal(
             mask_select(np.array([False, True]), cands), [4]
         )
-
-    def test_intersect_union_difference(self):
-        a = np.array([1, 3, 5], dtype=np.int64)
-        b = np.array([3, 4, 5], dtype=np.int64)
-        np.testing.assert_array_equal(intersect_candidates(a, b), [3, 5])
-        np.testing.assert_array_equal(union_candidates(a, b), [1, 3, 4, 5])
-        np.testing.assert_array_equal(difference_candidates(a, b), [1])
 
 
 @settings(max_examples=60, deadline=None)
