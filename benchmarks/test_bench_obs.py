@@ -1,8 +1,8 @@
 """Observability overhead — tracing must be free when it is off.
 
-The span sites sit on the hottest paths in the engine (per-phase in the
-two-step query, per-morsel in the pool), so the disabled cost has to be
-one attribute check.  The smoke test counts the span sites an E4-style
+The span sites sit on the hottest paths in the engine (per phase of the
+two-step query and per operator), so the disabled cost has to be one
+attribute check.  The smoke test counts the span sites an E4-style
 query actually crosses (by running it once with tracing on), measures
 the per-site disabled cost directly, and asserts the product stays
 under 2% of the query's wall-clock time.
@@ -16,6 +16,8 @@ CPU fraction it can ever consume — gated under 3%.
 
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -43,9 +45,9 @@ def _noop_span_seconds(iterations: int = 20_000) -> float:
     return (time.perf_counter() - t0) / iterations
 
 
-def _query(flat_db, spec, threads=None):
+def _query(flat_db, spec):
     return flat_db.spatial_select(
-        "ahn2", spec.geometry, spec.predicate, spec.distance, threads=threads
+        "ahn2", spec.geometry, spec.predicate, spec.distance
     )
 
 
@@ -56,9 +58,7 @@ def test_disabled_tracing_overhead(flat_db, extent):
         s for s in standard_queries(extent, seed=3) if s.name == "rect_large"
     )
     try:
-        # Span sites this query crosses, counted from a traced run.  The
-        # count overestimates the disabled cost: per-morsel spans only
-        # exist while recording (run_tasks skips them entirely when off).
+        # Span sites this query crosses, counted from a traced run.
         with tracer.capture() as spans:
             _query(flat_db, spec)
         n_spans = len(spans)
@@ -130,14 +130,20 @@ def test_always_on_profiler_overhead(cloud):
         f"per sweep), budget is {PROFILER_BUDGET * 100:.0f}%"
     )
     # The sweeps saw the workload, not just the budget: packed-scan
-    # frames dominate what was captured.
+    # frames dominate the self time captured.  Self time is credited to
+    # each stack's innermost frame outside numpy, so time spent in a
+    # numpy wrapper the kernels call counts for the kernel that called it.
     profile = profiler.profile()
     assert profile.aggregate.samples > 0
+    numpy_modules = {p.stem for p in Path(np.__file__).parent.rglob("*.py")}
+    self_time = Counter()
+    for stack, count in profile.aggregate.counts.items():
+        own = [f for f in stack if f.split(".", 1)[0] not in numpy_modules]
+        if own:
+            self_time[own[-1]] += count
     scan_layers = ("kernels.", "compressed.", "compression.")
-    assert any(
-        frame.startswith(scan_layers)
-        for frame, _ in profile.hot_frames(top=5)
-    )
+    top = self_time.most_common(5)
+    assert any(frame.startswith(scan_layers) for frame, _ in top), top
 
 
 def test_enabled_tracing_records_query_tree(flat_db, extent):

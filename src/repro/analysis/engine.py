@@ -72,7 +72,6 @@ class Config:
             "repro/obs/trace.py",
             "repro/obs/context.py",
             "repro/obs/queries.py",
-            "repro/engine/parallel.py",
             "repro/core/imprints/manager.py",
         }
     )
@@ -82,7 +81,6 @@ class Config:
             "repro/core/query.py",
             "repro/core/imprints/manager.py",
             "repro/engine/select.py",
-            "repro/engine/parallel.py",
             "repro/engine/aggregate.py",
             "repro/engine/join.py",
             "repro/engine/compression.py",
@@ -138,19 +136,17 @@ class Config:
             "repro/obs/trace.py",
             "repro/obs/context.py",
             "repro/obs/queries.py",
-            "repro/engine/parallel.py",
             "repro/core/imprints/manager.py",
         }
         | set(_SERVE_MODULES)
     )
     #: R10: modules where a raw ``threading.Thread`` spawn must copy
-    #: contextvars or go through ``parallel.run_tasks``.
+    #: contextvars.
     thread_modules: FrozenSet[str] = frozenset(
         {
             "repro/core/query.py",
             "repro/core/imprints/manager.py",
             "repro/engine/select.py",
-            "repro/engine/parallel.py",
             "repro/engine/aggregate.py",
             "repro/engine/join.py",
             "repro/engine/compression.py",
@@ -161,7 +157,7 @@ class Config:
         }
         | set(_SERVE_MODULES)
     )
-    #: R11: modules whose segment/morsel scan loops must reach a
+    #: R11: modules whose segment scan loops must reach a
     #: cooperative deadline check (the hot-path set plus the imprint
     #: segment store, which is where the scan loops actually live).
     cancellation_modules: Optional[FrozenSet[str]] = None

@@ -16,11 +16,7 @@ segment iteration).  Such a loop must reach a deadline check:
 
 * a ``check_deadline(...)`` call in the loop body, or
 * a call to a same-module function that transitively reaches one (the
-  module call graph is closed over ``check_deadline``/``run_tasks``),
-  or
-* a ``run_tasks`` fan-out in the enclosing function — the parallel
-  driver checks the deadline per task, so the loop is covered by
-  construction.
+  module call graph is closed over ``check_deadline``).
 
 ``__init__``/``__post_init__``/``__new__`` bodies are exempt: builders
 run before a query exists, so there is no deadline to check.
@@ -42,17 +38,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 _Loop = Union[ast.For, ast.AsyncFor, ast.While]
 
-#: Calls that *are* a deadline check (or delegate per-task checking).
-_CHECK_NAMES = frozenset({"check_deadline", "run_tasks"})
+#: Calls that *are* a deadline check.
+_CHECK_NAMES = frozenset({"check_deadline"})
 
 #: Loop-body callee names (last dotted component only, so a receiver
 #: called ``probes`` or a ``str.encode()`` never match) that mark the
-#: loop as scan work over segments/morsels rather than cheap assembly.
+#: loop as scan work over segments rather than cheap assembly.
 #: Zone-map verdict loops are deliberately absent: they are per-segment
 #: header checks, not data access, and always feed a probe stage that
 #: is itself covered.
 _SCAN_CALL_RE = re.compile(
-    r"(probe|decode_|encode_|candidat|morsel|range_mask|match_vectors"
+    r"(probe|decode_|encode_|candidat|range_mask|match_vectors"
     r"|build_segment|^take$|^unpack_)",
 )
 
@@ -111,8 +107,8 @@ class CancellationCoverageRule(Rule):
     id = "cancellation-coverage"
     code = "R11"
     doc = (
-        "segment/morsel scan loops in hot-path modules must reach a "
-        "deadline check (check_deadline or run_tasks)"
+        "segment scan loops in hot-path modules must reach a "
+        "deadline check (check_deadline)"
     )
 
     def check_module(
@@ -124,13 +120,6 @@ class CancellationCoverageRule(Rule):
         for _class_name, func in walk_functions(module.tree):
             if func.name in _EXEMPT_FUNCTIONS:
                 continue
-            func_callees = {
-                key
-                for call in _local_calls(func)
-                if (key := _callee_key(call)) is not None
-            }
-            if "run_tasks" in func_callees:
-                continue  # fanned out: per-task checks cover the loop
             yield from self._check_loops(module, func, reaches_check)
 
     def _check_loops(
@@ -159,8 +148,7 @@ class CancellationCoverageRule(Rule):
                 node.col_offset,
                 f"scan loop calls {scan_call}() but no deadline check is "
                 "reachable from its body: a fired timeout is never "
-                "noticed — call _queries.check_deadline() in the loop "
-                "(or fan out via parallel.run_tasks)",
+                "noticed — call _queries.check_deadline() in the loop",
             )
 
     @staticmethod

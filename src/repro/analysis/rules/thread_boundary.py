@@ -1,9 +1,8 @@
 """R10 ``thread-boundary``: hot-path threads must carry their context.
 
-PR 7 made deadlines and trace ids ambient: they live in contextvars
-that :func:`repro.engine.parallel.run_tasks` copies into every worker,
-which is the *only* reason ``check_deadline()`` fires inside a fanned-
-out segment probe and spans nest under the right query.  A raw
+Deadlines and trace ids are ambient: they live in contextvars,
+which is the only reason ``check_deadline()`` fires inside a segment
+probe and spans nest under the right query.  A raw
 ``threading.Thread(target=...)`` starts with an **empty** context — the
 deadline silently never fires, the spans orphan, and the query-registry
 accounting loses the work.  None of that shows up in tests that do not
@@ -11,10 +10,9 @@ race a timeout.
 
 So in the configured modules a ``threading.Thread`` construction is
 flagged unless the surrounding function visibly carries the context
-across the boundary: a ``contextvars.copy_context()`` call (the thread
-target running under ``ctx.run`` is the sanctioned manual form, and
-what ``run_tasks`` itself does) or a ``run_tasks`` call in the same
-scope.  Nested function bodies are separate scopes — a ``Thread`` in a
+across the boundary: a ``contextvars.copy_context()`` call in the same
+scope (the thread target running under ``ctx.run`` is the sanctioned
+form).  Nested function bodies are separate scopes — a ``Thread`` in a
 closure does not inherit its parent's exemption.
 """
 
@@ -61,7 +59,7 @@ class ThreadBoundaryRule(Rule):
     code = "R10"
     doc = (
         "raw threading.Thread in hot-path/serve modules without "
-        "copy_context() or parallel.run_tasks"
+        "copy_context()"
     )
 
     def check_module(
@@ -80,7 +78,7 @@ class ThreadBoundaryRule(Rule):
                     spawns.append(node)
                 elif name is not None:
                     last = name.rsplit(".", 1)[-1]
-                    if last in ("copy_context", "run_tasks"):
+                    if last == "copy_context":
                         carries_context = True
             if carries_context:
                 continue
@@ -91,6 +89,6 @@ class ThreadBoundaryRule(Rule):
                     spawn.col_offset,
                     "raw threading.Thread starts with an empty contextvars "
                     "context: the ambient deadline/trace state does not "
-                    "propagate — route the work through parallel.run_tasks "
-                    "or run the target under contextvars.copy_context()",
+                    "propagate — run the target under "
+                    "contextvars.copy_context()",
                 )

@@ -63,9 +63,8 @@ class PointCloudDB:
     directory:
         Optional persistence root (forwarded to the engine catalog).
     threads:
-        Default worker count for imprint builds and query execution
-        (``None`` = all cores, ``1`` = serial).  Every query may override
-        it with ``threads=``; results are identical either way.
+        Ignored; execution is serial; removed when ``benchmarks/e2e/``
+        stops passing it.
     tracing:
         ``True`` enables this database's span tracer (``False`` disables
         it); ``None`` leaves it as-is (the ``REPRO_TRACE`` env var
@@ -99,8 +98,7 @@ class PointCloudDB:
         obs: Optional[ObsContext] = None,
     ) -> None:
         self.db = Database(directory=directory)
-        self.threads = threads
-        self.manager = ImprintsManager(threads=threads)
+        self.manager = ImprintsManager()
         self._selects: Dict[str, SpatialSelect] = {}
         self._vector_relations: Dict[str, Dict] = {}
         self.obs = obs if obs is not None else default_context()
@@ -124,9 +122,7 @@ class PointCloudDB:
     def create_pointcloud(self, name: str = "points") -> Table:
         """Create a 26-column flat point-cloud table."""
         table = create_flat_table(self.db, name)
-        self._selects[name] = SpatialSelect(
-            table, manager=self.manager, threads=self.threads
-        )
+        self._selects[name] = SpatialSelect(table, manager=self.manager)
         return table
 
     def load_las(
@@ -158,7 +154,6 @@ class PointCloudDB:
         """Two-step (imprints filter + grid refine) spatial selection.
 
         Accepts the :meth:`SpatialSelect.query` keywords, including
-        ``threads=`` to override the database default for one query and
         ``timeout_s=`` for a cooperative deadline.
         """
         select = self.select_for(name)
@@ -208,9 +203,7 @@ class PointCloudDB:
         try:
             return self._selects[name]
         except KeyError:
-            select = SpatialSelect(
-                self.db.table(name), manager=self.manager, threads=self.threads
-            )
+            select = SpatialSelect(self.db.table(name), manager=self.manager)
             self._selects[name] = select
             return select
 
@@ -387,9 +380,11 @@ class PointCloudDB:
 
         ``obs`` scopes the loaded database's observability; the query
         service passes its own context so every loaded snapshot
-        generation reports into one registry.
+        generation reports into one registry.  ``threads`` is ignored;
+        execution is serial; removed when ``benchmarks/e2e/`` stops
+        passing it.
         """
-        instance = cls(directory=directory, threads=threads, obs=obs)
+        instance = cls(directory=directory, obs=obs)
         instance.db = Database.load(directory)
         tables = {name: instance.db.table(name) for name in instance.db.table_names}
         instance.manager.load(tables, Path(directory) / "_imprints")
@@ -426,7 +421,6 @@ class PointCloudDB:
     def recover(
         cls,
         directory: PathLike,
-        threads: Optional[int] = None,
         obs: Optional[ObsContext] = None,
     ) -> "PointCloudDB":
         """Tolerant load + rewrite of everything that needed repair.
@@ -435,7 +429,7 @@ class PointCloudDB:
         (:meth:`Database.recover`); corrupt imprint files are quarantined
         by the imprint loader and rebuilt lazily on first use.
         """
-        instance = cls(directory=directory, threads=threads, obs=obs)
+        instance = cls(directory=directory, obs=obs)
         instance.db = Database.recover(directory)
         tables = {name: instance.db.table(name) for name in instance.db.table_names}
         instance.manager.load(tables, Path(directory) / "_imprints")

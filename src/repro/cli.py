@@ -189,10 +189,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_db(db_dir: str, threads: Optional[int] = None):
+def _open_db(db_dir: str):
     from .api import PointCloudDB
 
-    return PointCloudDB.load(db_dir, threads=threads)
+    return PointCloudDB.load(db_dir)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -200,7 +200,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     from .obs.queries import QueryCancelled
 
-    db = _open_db(args.db, threads=args.threads)
+    db = _open_db(args.db)
     geometry = loads(args.wkt)
     start = time.perf_counter()
     try:
@@ -229,8 +229,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"{stats.n_segments_probed} probed "
         f"({stats.n_probes_dense} dense, {stats.n_probes_gather} gather; "
         f"imprints: {'+'.join(stats.imprint_columns) or '-'}); "
-        f"refine: {stats.refine_stats.boundary_cells} boundary cells; "
-        f"threads: {stats.n_threads}"
+        f"refine: {stats.refine_stats.boundary_cells} boundary cells"
     )
     if args.show:
         table = db.table(args.table)
@@ -247,7 +246,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_sql(args: argparse.Namespace) -> int:
     from .obs.queries import QueryCancelled
 
-    db = _open_db(args.db, threads=args.threads)
+    db = _open_db(args.db)
     if args.explain:
         print(db.explain(args.query))
         return 0
@@ -282,7 +281,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     tracer = get_tracer()
     tracer.enable()
-    db = _open_db(args.db, threads=args.threads)
+    db = _open_db(args.db)
     if args.sql:
         result = db.sql(args.sql)
         print(f"query returned {len(result.rows)} rows", file=sys.stderr)
@@ -319,7 +318,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("profile: need --sql or --wkt", file=sys.stderr)
         return 1
 
-    db = _open_db(args.db, threads=args.threads)
+    db = _open_db(args.db)
     geometry = None
     if args.wkt:
         from .gis.wkt import loads
@@ -547,7 +546,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
 
     health = None
     if args.db:
-        db = _open_db(args.db, threads=args.threads)
+        db = _open_db(args.db)
 
         def health():
             return {
@@ -627,9 +626,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             halflife_s=args.heat_halflife,
             flush_interval_s=args.heat_flush,
         )
-    snapshots = SnapshotManager(
-        directory=args.db, threads=args.threads, obs=obs
-    )
+    snapshots = SnapshotManager(directory=args.db, obs=obs)
     # Fail fast: a missing or unusable store should kill the start, not
     # the first request.
     snapshot = snapshots.open()
@@ -862,12 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="cooperative deadline in seconds (cancel when exceeded)",
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: all cores; 1 = serial)",
-    )
     p.set_defaults(fn=_cmd_query)
 
     p = sub.add_parser("sql", help="run SQL on a saved database")
@@ -888,12 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="cooperative deadline in seconds (cancel when exceeded)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: all cores; 1 = serial)",
     )
     p.set_defaults(fn=_cmd_sql)
 
@@ -926,12 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         action="store_true",
         help="also print the metrics registry snapshot to stderr",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: all cores; 1 = serial)",
     )
     p.set_defaults(fn=_cmd_trace)
 
@@ -975,12 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         metavar="N",
         help="hot frames printed to stderr (default 10)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: all cores; 1 = serial)",
     )
     p.set_defaults(fn=_cmd_profile)
 
@@ -1060,12 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="serve for S seconds then exit (default: until interrupted)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for the loaded database",
     )
     p.set_defaults(fn=_cmd_serve_metrics)
 
@@ -1166,12 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="serve for S seconds then drain and exit (default: until "
         "SIGTERM/interrupt)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for query execution",
     )
     p.add_argument(
         "--no-profile",

@@ -5,7 +5,7 @@ Public surface:
 * :class:`ColumnImprints` — index one column as a single unit; ``query(lo,
   hi)`` returns the exact candidate-verified oid list.
 * :class:`SegmentedImprints` — the segmented successor: per-segment zone
-  maps + imprint vectors, incremental appends, morsel-parallel probes.
+  maps + imprint vectors, incremental appends, per-segment probes.
 * :class:`ImprintsManager` — lazy creation on first range query,
   incremental extension on append, the lifecycle MonetDB implements.
 * :func:`build_bins` / :class:`BinScheme` — the global 64-bin histogram.

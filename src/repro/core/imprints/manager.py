@@ -7,11 +7,10 @@ effect; later queries reuse it; appends to the column mark it stale and the
 next query brings it up to date.  Queries through the manager are therefore
 always exact, whatever the column's mutation history.
 
-Since the morsel-parallel rework the managed index is a
-:class:`~.segments.SegmentedImprints`: the initial build fans out across
-the worker pool, and an append extends the index **incrementally** — only
-the new (plus at most one trailing partial) segment is built, instead of
-the old full O(n) rebuild.  ``builds`` still counts column-level build
+The managed index is a :class:`~.segments.SegmentedImprints`: the
+initial build runs segment by segment, and an append extends the index
+**incrementally** — only the new (plus at most one trailing partial)
+segment is built, instead of the old full O(n) rebuild.  ``builds`` still counts column-level build
 events; ``segment_builds`` counts the per-segment work those events
 actually did, which is what the append-cost benches watch.
 
@@ -52,8 +51,8 @@ class ImprintsManager:
     Parameters
     ----------
     threads:
-        Default worker count for index builds and probes (``None`` =
-        engine default, ``1`` = serial).  Individual calls may override.
+        Ignored; execution is serial; removed when ``benchmarks/e2e/``
+        stops passing it.
     segment_rows:
         Segment granularity of new indexes.
     build_kwargs:
@@ -67,7 +66,6 @@ class ImprintsManager:
         segment_rows: int = DEFAULT_SEGMENT_ROWS,
         **build_kwargs: Any,
     ) -> None:
-        self.threads = threads
         self.segment_rows = segment_rows
         self._build_kwargs = build_kwargs
         # Guards the imprint dict and build bookkeeping: two threads
@@ -87,17 +85,13 @@ class ImprintsManager:
         """The current imprint for a column, or None if never built."""
         return self._imprints.get(self._key(table, column_name))
 
-    def ensure(
-        self, table: Table, column_name: str, threads: Optional[int] = None
-    ) -> SegmentedImprints:
+    def ensure(self, table: Table, column_name: str) -> SegmentedImprints:
         """Return a fresh imprint, building or extending as needed.
 
         Serialised under the manager lock so concurrent first queries on
-        a cold column build its index exactly once; the build itself may
-        still fan out across the worker pool (those workers never take
-        this lock).
+        a cold column build its index exactly once.
         """
-        imp, _ = self._ensure(table, column_name, threads)
+        imp, _ = self._ensure(table, column_name)
         assert imp is not None
         return imp
 
@@ -105,7 +99,6 @@ class ImprintsManager:
         self,
         table: Table,
         column_name: str,
-        threads: Optional[int],
         create: bool = True,
     ) -> Tuple[Optional[SegmentedImprints], float]:
         """:meth:`ensure`, plus the seconds *this call* spent building.
@@ -114,7 +107,6 @@ class ImprintsManager:
         up to date (incremental, O(appended)), but a missing one stays
         missing: ``(None, 0.0)``.
         """
-        threads = threads if threads is not None else self.threads
         key = self._key(table, column_name)
         with self._lock:
             imp = self._imprints.get(key)
@@ -129,7 +121,6 @@ class ImprintsManager:
                     imp = SegmentedImprints(
                         table.column(column_name),
                         segment_rows=self.segment_rows,
-                        threads=threads,
                         **self._build_kwargs,
                     )
                     built_seconds = now() - t0
@@ -143,7 +134,7 @@ class ImprintsManager:
                     "imprints.extend", table=table.name, column=column_name
                 ) as span:
                     t0 = now()
-                    built = imp.extend(threads=threads)
+                    built = imp.extend()
                     built_seconds = now() - t0
                     span.set(segments_built=built)
                 self._record_build(built, built_seconds)
@@ -184,10 +175,11 @@ class ImprintsManager:
         ``n_segments_probed`` counters) receives the zone-map accounting
         of the probe; when it also exposes ``imprint_build_seconds``
         (e.g. :class:`~repro.core.query.QueryStats`), the seconds a lazy
-        build cost this call are added there.
+        build cost this call are added there.  ``threads`` is ignored;
+        execution is serial; removed when ``benchmarks/e2e/`` stops
+        passing it.
         """
-        threads = threads if threads is not None else self.threads
-        imp, built_seconds = self._ensure(table, column_name, threads)
+        imp, built_seconds = self._ensure(table, column_name)
         assert imp is not None
         if stats is not None and built_seconds:
             try:
@@ -197,9 +189,7 @@ class ImprintsManager:
         with maybe_span(
             "imprints.probe", table=table.name, column=column_name
         ) as span:
-            oids = imp.query(
-                lo, hi, lo_inclusive, hi_inclusive, threads=threads, stats=stats
-            )
+            oids = imp.query(lo, hi, lo_inclusive, hi_inclusive, stats=stats)
             span.set(rows_out=int(oids.shape[0]))
         return oids
 
@@ -208,7 +198,6 @@ class ImprintsManager:
         table: Table,
         ranges: Sequence[Tuple[str, Any, Any]],
         create: Collection[str] = (),
-        threads: Optional[int] = None,
         stats: Optional[Any] = None,
     ) -> NDArray[np.int64]:
         """Exact oids of the rows inside every closed ``(column, lo, hi)``.
@@ -227,12 +216,11 @@ class ImprintsManager:
         columns whose imprints took part and the dense/gather split of
         the probes.
         """
-        threads = threads if threads is not None else self.threads
         terms: List[RangeTerm] = []
         grid: Optional[SegmentedImprints] = None
         for name, lo, hi in ranges:
             imp, built_seconds = self._ensure(
-                table, name, threads, create=grid is None or name in create
+                table, name, create=grid is None or name in create
             )
             if stats is not None:
                 stats.imprint_build_seconds += built_seconds
@@ -248,7 +236,7 @@ class ImprintsManager:
         with maybe_span(
             "imprints.probe", table=table.name, column=",".join(indexed)
         ) as span:
-            oids = select_conjunction(grid, terms, threads=threads, scan=scan)
+            oids = select_conjunction(grid, terms, scan=scan)
             span.set(rows_out=int(oids.shape[0]))
         if stats is not None:
             stats.n_segments_probed += scan.segments_probed

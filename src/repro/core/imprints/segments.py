@@ -12,13 +12,13 @@ column into fixed-size, cacheline-aligned **segments** and gives each one
 
 Segments are the unit of everything the engine wants to scale:
 
-* **build** — segments are independent, so the first range query fans the
-  imprint construction out across the worker pool;
+* **build** — segments are independent, so the first range query builds
+  them one at a time, each from its own slice;
 * **append** — new rows only ever create (or complete) trailing segments;
   the existing ones are immutable, so ``extend`` is O(appended), not O(n);
-* **probe** — each segment's probe + exact verification is a morsel that a
-  worker can run in isolation, and per-segment results concatenate in
-  segment order into the usual sorted candidate list.
+* **probe** — each segment's probe + exact verification runs in
+  isolation, and per-segment results concatenate in segment order into
+  the usual sorted candidate list.
 
 Indexes over different columns of one table that cut its rows into the
 same segments and cache lines can be probed **together**:
@@ -43,7 +43,6 @@ from ...engine.kernels import (
     RangePredicate,
     bounds_mask,
 )
-from ...engine.parallel import run_tasks
 from ...engine.scan import (
     Conjunct,
     ScanStats,
@@ -118,9 +117,9 @@ def build_segment(
 ) -> SegmentImprint:
     """Build one segment's imprint from the column slice ``[start, stop)``.
 
-    Pure function of the slice — safe to run on any worker thread.  Each
-    build seeds its own sampling RNG, so parallel and serial builds produce
-    identical indexes.  ``zone`` supplies a precomputed ``(zmin, zmax)``
+    Pure function of the slice: each build seeds its own sampling RNG, so
+    a segment's index does not depend on which segments were built
+    before it.  ``zone`` supplies a precomputed ``(zmin, zmax)``
     when the caller already knows the range — the compressed mirror's FOR
     headers carry it for free, saving the min/max sweep here.
     """
@@ -147,7 +146,7 @@ class SegmentedImprints:
     Drop-in successor to :class:`~.index.ColumnImprints` behind the
     :class:`~.manager.ImprintsManager`: same exact-query contract (sorted
     oids over the indexed prefix), plus segment-granular builds, appends
-    and parallel probes.
+    and probes.
 
     Parameters
     ----------
@@ -156,9 +155,6 @@ class SegmentedImprints:
     segment_rows:
         Segment length in rows; rounded up to a whole number of cache
         lines so segment borders never split an imprint vector.
-    threads:
-        Worker count for the initial build (``None`` = engine default,
-        ``1`` = serial).
     max_bins, cacheline_bytes, sample_size, max_counter:
         Per-segment build parameters, as for :class:`ColumnImprints`.
     """
@@ -167,7 +163,6 @@ class SegmentedImprints:
         self,
         column: Column,
         segment_rows: int = DEFAULT_SEGMENT_ROWS,
-        threads: Optional[int] = None,
         max_bins: int = MAX_BINS,
         cacheline_bytes: int = bitvec.CACHELINE_BYTES,
         sample_size: int = DEFAULT_SAMPLE,
@@ -188,7 +183,7 @@ class SegmentedImprints:
         self.max_counter = max_counter
         self.segments: List[SegmentImprint] = []
         self.n_rows = 0
-        self.extend(threads=threads)
+        self.extend()
 
     # -- construction ----------------------------------------------------------
 
@@ -213,13 +208,13 @@ class SegmentedImprints:
         instance.n_rows = n_rows
         return instance
 
-    def extend(self, threads: Optional[int] = None) -> int:
+    def extend(self) -> int:
         """Index rows appended since the last build; returns segments built.
 
         Existing full segments are immutable and untouched.  A trailing
         *partial* segment is rebuilt (bounded by ``segment_rows``, so still
         O(appended + one segment)); everything beyond it is new.  The
-        per-segment builds fan out over the worker pool.
+        deadline is checked before each segment's build.
         """
         values = np.asarray(self.column.values)
         n = values.shape[0]
@@ -239,20 +234,21 @@ class SegmentedImprints:
             for start in range(rebuild_from, n, self.segment_rows)
         ]
         zones = self._packed_zones()
-        built = run_tasks(
-            lambda span: build_segment(
-                values,
-                span[0],
-                span[1],
-                self.vpc,
-                max_bins=self.max_bins,
-                sample_size=self.sample_size,
-                max_counter=self.max_counter,
-                zone=zones.get(span),
-            ),
-            spans,
-            threads=threads,
-        )
+        built: List[SegmentImprint] = []
+        for span in spans:
+            _queries.check_deadline()
+            built.append(
+                build_segment(
+                    values,
+                    span[0],
+                    span[1],
+                    self.vpc,
+                    max_bins=self.max_bins,
+                    sample_size=self.sample_size,
+                    max_counter=self.max_counter,
+                    zone=zones.get(span),
+                )
+            )
         self.segments.extend(built)
         self.n_rows = n
         return len(spans)
@@ -362,24 +358,22 @@ class SegmentedImprints:
         hi: Optional[Any],
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
-        threads: Optional[int] = None,
         stats: Optional[Any] = None,
     ) -> NDArray[Any]:
         """Exact range select over the indexed prefix, sorted oids.
 
         Zone maps first: disjoint segments are skipped and fully-covered
         segments accepted wholesale, both without touching data.  Only the
-        straddling segments pay an imprint probe + exact verification, and
-        those probes fan out over ``threads`` workers.  ``stats`` (any
-        object with ``n_segments_skipped`` / ``n_segments_probed``
-        counters, e.g. :class:`~..query.QueryStats`) receives the zone-map
-        accounting.
+        straddling segments pay an imprint probe + exact verification.
+        ``stats`` (any object with ``n_segments_skipped`` /
+        ``n_segments_probed`` counters, e.g. :class:`~..query.QueryStats`)
+        receives the zone-map accounting.
         """
         scan = ScanStats()
         term = RangeTerm(
             self.column, self, RangePredicate(lo, hi, lo_inclusive, hi_inclusive)
         )
-        oids = select_conjunction(self, [term], threads=threads, scan=scan)
+        oids = select_conjunction(self, [term], scan=scan)
         if stats is not None:
             stats.n_segments_probed += scan.segments_probed
             stats.n_segments_skipped += scan.segments_skipped + scan.segments_full
@@ -454,7 +448,6 @@ _NO_OIDS: NDArray[np.int64] = np.empty(0, dtype=np.int64)
 def select_conjunction(
     grid: SegmentedImprints,
     terms: Sequence[RangeTerm],
-    threads: Optional[int] = None,
     scan: Optional[ScanStats] = None,
 ) -> NDArray[np.int64]:
     """Sorted oids of the rows of ``grid``'s snapshot satisfying every term.
@@ -526,7 +519,7 @@ def select_conjunction(
         )
         for term in terms
     ]
-    oids = scan_segments(conjuncts, probe, threads=threads, stats=scan)
+    oids = scan_segments(conjuncts, probe, stats=scan)
     scan.dense_probes += sum(dense_forms)
     scan.gather_probes += len(dense_forms) - sum(dense_forms)
     return oids

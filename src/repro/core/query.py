@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..engine.parallel import resolve_threads
 from ..engine.select import mask_select, range_select
 from ..engine.table import Table
 from ..gis.envelope import Box
@@ -60,8 +59,6 @@ class QueryStats:
     n_filter_candidates: int = 0
     n_results: int = 0
     used_imprints: bool = True
-    #: Worker count the query ran with (1 = the serial path).
-    n_threads: int = 1
     #: Imprint segments the zone maps answered outright (disjoint on some
     #: axis, or covered on all) — no imprint probe, no data access.  Each
     #: segment counts once per query, however many axes were consulted.
@@ -79,8 +76,8 @@ class QueryStats:
     n_probes_dense: int = 0
     n_probes_gather: int = 0
     refine_stats: RefineStats = field(default_factory=RefineStats)
-    #: What the query *consumed* (CPU seconds incl. morsel workers, peak
-    #: allocations, rows/bytes touched) — see :mod:`repro.obs.resources`.
+    #: What the query *consumed* (CPU seconds, peak allocations,
+    #: rows/bytes touched) — see :mod:`repro.obs.resources`.
     resources: ResourceUsage = field(default_factory=ResourceUsage)
     #: Registry identity of this execution (``""`` for the untracked
     #: empty-table fast path) — the id ``/debug/queries``, the slow log
@@ -133,10 +130,6 @@ class SpatialSelect:
         where imprints belong to the column, not to the query.
     target_cells:
         Refinement grid budget.
-    threads:
-        Default worker count for this select's queries (``None`` = engine
-        default, i.e. all cores; ``1`` = the exact serial path).  Each
-        ``query`` call may override it.
     """
 
     def __init__(
@@ -146,14 +139,12 @@ class SpatialSelect:
         y_column: str = "y",
         manager: Optional[ImprintsManager] = None,
         target_cells: int = DEFAULT_TARGET_CELLS,
-        threads: Optional[int] = None,
     ) -> None:
         self.table = table
         self.x_column = x_column
         self.y_column = y_column
         self.manager = manager if manager is not None else ImprintsManager()
         self.target_cells = target_cells
-        self.threads = threads
 
     # -- the two steps ---------------------------------------------------------
 
@@ -161,7 +152,6 @@ class SpatialSelect:
         self,
         env: Box,
         use_imprints: bool,
-        threads: Optional[int] = None,
         stats: Optional[QueryStats] = None,
         z_slab: Optional[Tuple[str, float, float]] = None,
     ) -> np.ndarray:
@@ -199,13 +189,12 @@ class SpatialSelect:
                 self.table,
                 ranges,
                 create=[z_slab[0]] if z_slab is not None else (),
-                threads=threads,
                 stats=stats,
             )
         candidates = None
         for name, lo, hi in ranges:
             candidates = range_select(
-                self.table.column(name), lo, hi, candidates=candidates, threads=threads
+                self.table.column(name), lo, hi, candidates=candidates
             )
         return candidates
 
@@ -235,25 +224,22 @@ class SpatialSelect:
         same fused filter scan, with the z column's imprint built on
         first use.
 
-        ``threads`` overrides the select's default worker count for this
-        query only; whatever the value, the oid array is identical to the
-        serial (``threads=1``) result.
+        ``threads`` is ignored; execution is serial; removed when
+        ``benchmarks/e2e/`` stops passing it.
 
-        ``timeout_s`` arms a cooperative deadline, checked at morsel and
-        segment boundaries: a query that outruns it raises
+        ``timeout_s`` arms a cooperative deadline, checked at segment
+        boundaries: a query that outruns it raises
         :class:`~repro.obs.queries.QueryCancelled` and its registry
         record is marked ``cancelled``.
         """
-        threads = threads if threads is not None else self.threads
         if len(self.table) == 0:
             return QueryResult(
                 oids=np.empty(0, dtype=np.int64),
                 stats=QueryStats(n_rows=0, used_imprints=use_imprints),
             )
         # The tracker accumulates this thread's CPU at exit and receives
-        # worker CPU / scan volumes from run_tasks and the select
-        # operators while open; the histogram is observed after exit,
-        # once the caller-thread delta has landed.
+        # scan volumes from the select operators while open; the
+        # histogram is observed after exit, once the CPU delta has landed.
         tracker = ResourceTracker()
         with get_queries().track(
             "spatial",
@@ -270,7 +256,6 @@ class SpatialSelect:
                     use_grid,
                     z_column,
                     z_range,
-                    threads,
                 )
         result.stats.resources = tracker.usage
         result.stats.query_id = active.query_id
@@ -319,7 +304,6 @@ class SpatialSelect:
         use_grid: bool,
         z_column: Optional[str],
         z_range: Optional[tuple],
-        threads: Optional[int],
     ) -> QueryResult:
         with maybe_span(
             "query.spatial", table=self.table.name, predicate=predicate
@@ -334,7 +318,6 @@ class SpatialSelect:
             stats = QueryStats(
                 n_rows=len(self.table),
                 used_imprints=use_imprints,
-                n_threads=resolve_threads(threads),
             )
             # The filter window opens before envelope derivation so that
             # geometry parsing counts toward the reported wall time.
@@ -349,7 +332,7 @@ class SpatialSelect:
                 z_slab = (z_column if z_column is not None else "z", zmin, zmax)
             with maybe_span("query.filter") as filter_span:
                 candidates = self._filter(
-                    env, use_imprints, threads=threads, stats=stats, z_slab=z_slab
+                    env, use_imprints, stats=stats, z_slab=z_slab
                 )
                 filter_span.set(
                     rows_in=stats.n_rows,
@@ -394,11 +377,10 @@ class SpatialSelect:
                         predicate,
                         distance,
                         target_cells=self.target_cells,
-                        threads=threads,
                     )
                 else:
                     mask, refine_stats = refine_exhaustive(
-                        xs, ys, geometry, predicate, distance, threads=threads
+                        xs, ys, geometry, predicate, distance
                     )
                 refine_span.set(
                     rows_in=int(candidates.shape[0]),

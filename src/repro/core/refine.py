@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine import parallel
 from ..gis import batch
 from ..gis.envelope import Box
 from ..gis.predicates import points_satisfy
@@ -46,35 +45,6 @@ class RefineStats:
         return self.points_tested_exact / self.n_candidates
 
 
-def _parallel_point_tests(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    geom,
-    predicate: str,
-    distance: float,
-    threads: Optional[int],
-) -> np.ndarray:
-    """``points_satisfy`` over morsels of the candidate arrays.
-
-    Disjoint output slices make the parallel result bit-identical to the
-    serial call; small inputs never touch the pool.
-    """
-    n = np.asarray(xs).shape[0]
-    n_threads = parallel.resolve_threads(threads)
-    if n_threads <= 1 or n < 2 * parallel.MIN_PARALLEL_ROWS:
-        return points_satisfy(xs, ys, geom, predicate, distance)
-    mask = np.empty(n, dtype=bool)
-
-    def test(span):
-        start, stop = span
-        mask[start:stop] = points_satisfy(
-            xs[start:stop], ys[start:stop], geom, predicate, distance
-        )
-
-    parallel.run_tasks(test, parallel.morsels(n), threads=n_threads)
-    return mask
-
-
 def refine_exhaustive(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -87,9 +57,11 @@ def refine_exhaustive(
 
     Returns (boolean mask over candidates, stats).  Used as the ablation
     arm of E5 and as the per-cell kernel for boundary cells.
+    ``threads`` is ignored; execution is serial; removed when
+    ``benchmarks/e2e/`` stops passing it.
     """
     with maybe_span("refine.exhaustive") as span:
-        mask = _parallel_point_tests(xs, ys, geom, predicate, distance, threads)
+        mask = points_satisfy(xs, ys, geom, predicate, distance)
         stats = RefineStats(
             n_candidates=int(np.asarray(xs).shape[0]),
             points_tested_exact=int(np.asarray(xs).shape[0]),
@@ -122,10 +94,8 @@ def refine(
     extent:
         Grid extent override; defaults to the candidates' tight envelope.
     threads:
-        Worker count for the boundary-cell exact tests (``None`` = engine
-        default, ``1`` = serial).  Boundary cells are batched into
-        morsel-sized groups of whole cells and fanned out; results are
-        identical to the serial path.
+        Ignored; execution is serial; removed when ``benchmarks/e2e/``
+        stops passing it.
 
     Returns ``(mask, stats)`` where ``mask`` is boolean over the candidate
     arrays — exactly what :func:`refine_exhaustive` returns, just cheaper.
@@ -170,44 +140,12 @@ def refine(
             boundary=stats.boundary_cells,
         )
 
-    # Exact tests for all boundary-cell points.  Whole cells are grouped
-    # into morsel-sized batches and fanned out across the pool; each batch
-    # writes a disjoint set of mask positions, so the outcome matches the
-    # single-call serial evaluation exactly.
+    # Exact tests for all boundary-cell points, in one call.
     if boundary_members:
         with maybe_span("refine.exact") as exact_span:
-            batches = _cell_batches(boundary_members)
-
-            def test_batch(tested: np.ndarray) -> None:
-                mask[tested] = points_satisfy(
-                    xs[tested], ys[tested], geom, predicate, distance
-                )
-
-            parallel.run_tasks(test_batch, batches, threads=threads)
-            exact_span.set(
-                points_tested=stats.points_tested_exact, batches=len(batches)
+            tested = np.concatenate(boundary_members)
+            mask[tested] = points_satisfy(
+                xs[tested], ys[tested], geom, predicate, distance
             )
+            exact_span.set(points_tested=stats.points_tested_exact)
     return mask, stats
-
-
-def _cell_batches(
-    members: list, batch_rows: int = parallel.MORSEL_ROWS // 4
-) -> list:
-    """Group per-cell index arrays into ~equal point-count batches.
-
-    Cells stay whole within a batch (the fan-out unit is a *batch of
-    cells*, never a split cell), so per-batch predicate evaluations see
-    spatially coherent points.
-    """
-    batches = []
-    bucket: list = []
-    bucket_rows = 0
-    for cell in members:
-        bucket.append(cell)
-        bucket_rows += cell.shape[0]
-        if bucket_rows >= batch_rows:
-            batches.append(np.concatenate(bucket))
-            bucket, bucket_rows = [], 0
-    if bucket:
-        batches.append(np.concatenate(bucket))
-    return batches

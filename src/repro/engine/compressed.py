@@ -156,7 +156,6 @@ class CompressedColumn:
     def select(
         self,
         predicate: RangePredicate,
-        threads: Optional[int] = None,
         stats: Optional[ScanStats] = None,
     ) -> NDArray[np.int64]:
         """Row ids matching ``predicate``: zone-map pruning, then the
@@ -177,7 +176,7 @@ class CompressedColumn:
             for start, block in zip(self._starts, self.blocks)
         ]
         return scan_segments(
-            [Conjunct(self.name, zones, predicate)], probe, threads=threads, stats=stats
+            [Conjunct(self.name, zones, predicate)], probe, stats=stats
         )
 
     def range_select(
@@ -186,21 +185,19 @@ class CompressedColumn:
         hi: Optional[Any],
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
-        threads: Optional[int] = None,
         stats: Optional[ScanStats] = None,
     ) -> NDArray[np.int64]:
         """Row ids where ``lo <(=) value <(=) hi``."""
         return self.select(
-            RangePredicate(lo, hi, lo_inclusive, hi_inclusive), threads, stats
+            RangePredicate(lo, hi, lo_inclusive, hi_inclusive), stats
         )
 
     def theta_select(
         self,
         op: str,
         constant: Any,
-        threads: Optional[int] = None,
         stats: Optional[ScanStats] = None,
     ) -> NDArray[np.int64]:
         """Row ids where ``value <op> constant`` for the six comparison
         operators; every operator reduces to a zone-pruned range probe."""
-        return self.select(kernels.theta_range(op, constant), threads, stats)
+        return self.select(kernels.theta_range(op, constant), stats)

@@ -127,7 +127,7 @@ def _unpack_arrays(payload: bytes, n: int) -> Tuple[NDArray[Any], ...]:
 def _as_input(values: NDArray[Any]) -> NDArray[Any]:
     """Normalise encoder input: 1-D and C-contiguous.
 
-    Encoders take views (``values[::2]``, reversed slices, morsel
+    Encoders take views (``values[::2]``, reversed slices, segment
     windows); ``ascontiguousarray`` makes the bit-pattern reinterpret in
     ``delta_zlib`` and the raw ``tobytes`` paths safe for all of them.
     """

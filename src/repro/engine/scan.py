@@ -17,8 +17,7 @@ otherwise — :func:`conjunction_verdict`, the only place that rule is
 written.
 
 This module is the only code that registers segment progress with the
-live query, checks its deadline before each probe, fans probes out over
-:func:`repro.engine.parallel.run_tasks`, credits the
+live query, checks its deadline before each probe, credits the
 :class:`~repro.obs.resources.ResourceTracker`, records segment heat, and
 gathers FULL ranges and probe hits in segment order into one sorted
 ``int64`` oid array.  Accounting happens in a ``finally`` over the probes
@@ -37,7 +36,6 @@ from ..obs import heat as _heat
 from ..obs import queries as _queries
 from ..obs import resources
 from .kernels import ZONE_FULL, ZONE_PROBE, ZONE_SKIP, RangePredicate, zone_verdict
-from .parallel import run_tasks
 
 #: One segment's scan metadata: global ``[start, stop)`` rows and the
 #: ``(zmin, zmax)`` zone map (``None`` when the segment carries none).
@@ -155,17 +153,15 @@ def _own_verdicts(conjuncts: Sequence[Conjunct]) -> List[List[int]]:
 def scan_segments(
     conjuncts: Sequence[Conjunct],
     probe: Prober,
-    threads: Optional[int] = None,
     stats: Optional[ScanStats] = None,
 ) -> NDArray[np.int64]:
     """Sorted global oids of the rows matching every conjunct.
 
     Zone maps first: segments a term rules out are skipped and segments
     every term covers are accepted wholesale, both without touching
-    data.  Only the remaining segments pay ``probe``, fanned out over
-    ``threads`` workers; results concatenate in segment order, so the
-    answer is identical for every thread count.  ``stats`` receives the
-    verdict counts up front and the probe volumes as they complete.
+    data.  Only the remaining segments pay ``probe``, in segment order.
+    ``stats`` receives the verdict counts up front and the probe volumes
+    as they complete.
     """
     stats = stats if stats is not None else ScanStats()
     segments = conjuncts[0].segments
@@ -182,33 +178,28 @@ def scan_segments(
         # skips and wholesale accepts complete instantly, probes tick
         # one by one below.
         active.add_segments(total=len(verdicts), done=len(verdicts) - len(probes))
-    # Captured on the caller's thread: trackers are thread-local, the
-    # probes may run on pool workers.
     tracker = resources.current()
     heat = _heat.maybe_heat()
     hook = probe_hook
     done: Dict[int, Tuple[NDArray[np.int64], Sequence[Tuple[int, int]]]] = {}
 
-    def probe_one(i: int) -> None:
-        if active is not None:
-            active.check_deadline()
-        if hook is not None:
-            hook(i)
-        done[i] = probe(i, own[i])
-        if active is not None:
-            active.add_segments(done=1)
-
     try:
-        run_tasks(probe_one, probes, threads=threads)
+        for i in probes:
+            if active is not None:
+                active.check_deadline()
+            if hook is not None:
+                hook(i)
+            done[i] = probe(i, own[i])
+            if active is not None:
+                active.add_segments(done=1)
     finally:
         # Bill what was read, whether or not the scan ran to the end:
         # zone-map skips and wholesale accepts cost zero data access (the
         # paper's point), a probe that never ran likewise.
-        order = sorted(done)
-        encoded = sum(read[0] for i in order for read in done[i][1])
-        materialized = sum(read[1] for i in order for read in done[i][1])
+        encoded = sum(read[0] for i in done for read in done[i][1])
+        materialized = sum(read[1] for i in done for read in done[i][1])
         stats.packed_probes += sum(
-            1 for i in order if any(read[0] for read in done[i][1])
+            1 for i in done if any(read[0] for read in done[i][1])
         )
         stats.encoded_bytes += encoded
         stats.materialized_bytes += materialized
@@ -223,7 +214,7 @@ def scan_segments(
             for c, conjunct in enumerate(conjuncts):
                 heat.record_scan(
                     conjunct.column,
-                    probed=[(i, *done[i][1][c]) for i in order],
+                    probed=[(i, *done[i][1][c]) for i in done],
                     skipped=skipped,
                     full=full,
                 )

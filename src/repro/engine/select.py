@@ -20,7 +20,7 @@ operator really moved.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,7 +29,6 @@ from ..obs import heat as _heat
 from ..obs import resources
 from ..obs.metrics import get_registry
 from ..obs.trace import maybe_span
-from . import parallel
 from .column import Column
 from .kernels import RangePredicate, bounds_mask, theta_range
 from .scan import ScanStats
@@ -82,37 +81,11 @@ def _numeric_bound(bound: object) -> bool:
     return bound is None or isinstance(bound, (bool, int, float, np.number, np.bool_))
 
 
-def _morsel_mask(
-    vals: NDArray[Any],
-    kernel: Callable[[NDArray[Any]], NDArray[Any]],
-    threads: Optional[int],
-) -> NDArray[Any]:
-    """Evaluate a boolean kernel over ``vals``, morsel-parallel when useful.
-
-    Each morsel writes its disjoint slice of one preallocated mask, so the
-    result is bit-identical to the serial evaluation whatever the worker
-    interleaving.
-    """
-    n = vals.shape[0]
-    n_threads = parallel.resolve_threads(threads)
-    if n_threads <= 1 or n < 2 * parallel.MIN_PARALLEL_ROWS:
-        return kernel(vals)
-    mask = np.empty(n, dtype=bool)
-
-    def scan(span: Tuple[int, int]) -> None:
-        start, stop = span
-        mask[start:stop] = kernel(vals[start:stop])
-
-    parallel.run_tasks(scan, parallel.morsels(n), threads=n_threads)
-    return mask
-
-
 def _select(
     column: Column,
     predicate: RangePredicate,
     kernel: Callable[[NDArray[Any]], NDArray[Any]],
     candidates: Optional[NDArray[Any]],
-    threads: Optional[int],
     span: Any,
 ) -> NDArray[Any]:
     """Run one select: ``predicate`` on the compressed mirror when the
@@ -123,7 +96,7 @@ def _select(
         # The segment scanner has already credited the resource tracker
         # and the heat map; what is left is compression's own view.
         stats = ScanStats()
-        result = packed.select(predicate, threads, stats)
+        result = packed.select(predicate, stats)
         registry = get_registry()
         if stats.packed_probes:
             registry.counter("compression.packed_predicate_hits").inc(stats.packed_probes)
@@ -142,7 +115,7 @@ def _select(
         return result
     vals = column.values if candidates is None else column.take(candidates)
     _account_touched(column, vals)
-    result = _as_candidates(_morsel_mask(vals, kernel, threads), candidates)
+    result = _as_candidates(kernel(vals), candidates)
     span.set(
         rows_in=int(vals.shape[0]),
         rows_out=int(result.shape[0]),
@@ -157,13 +130,11 @@ def theta_select(
     op: str,
     constant: object,
     candidates: Optional[NDArray[Any]] = None,
-    threads: Optional[int] = None,
 ) -> NDArray[Any]:
     """Rows where ``column <op> constant`` holds, as a sorted oid array.
 
     When ``candidates`` is given, only those rows are inspected and the
-    result is a subset of them (preserving order).  ``threads`` fans the
-    comparison out over morsels (``1`` = the exact serial path).
+    result is a subset of them (preserving order).
     """
     try:
         fn = _THETA_OPS[op]
@@ -172,7 +143,7 @@ def theta_select(
     predicate = theta_range(op, constant)
     with maybe_span("select.theta", column=column.name, op=op) as span:
         return _select(
-            column, predicate, lambda part: fn(part, constant), candidates, threads, span
+            column, predicate, lambda part: fn(part, constant), candidates, span
         )
 
 
@@ -189,9 +160,9 @@ def range_select(
 
     Either bound may be ``None`` for a half-open range.  This is the scan
     equivalent of an imprints probe and is used both as the fallback path
-    and as the exactness reference in tests.  ``threads`` splits the scan
-    into morsels across the worker pool (``1`` = the exact serial path);
-    the reassembled result is identical either way.
+    and as the exactness reference in tests.  ``threads`` is ignored;
+    execution is serial; removed when ``benchmarks/e2e/`` stops passing
+    it.
     """
     predicate = RangePredicate(lo, hi, lo_inclusive, hi_inclusive)
     with maybe_span("select.range", column=column.name) as span:
@@ -200,7 +171,6 @@ def range_select(
             predicate,
             lambda part: bounds_mask(part, lo, hi, lo_inclusive, hi_inclusive),
             candidates,
-            threads,
             span,
         )
 

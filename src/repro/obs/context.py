@@ -14,9 +14,8 @@ and resolved through a :mod:`contextvars` variable:
 * ``with context.activate():`` makes it the current context; every
   ``get_tracer()`` / ``get_registry()`` / ``get_queries()`` /
   ``get_flight_recorder()`` and every ``maybe_span`` below that point
-  resolves to it — including inside morsel workers, because
-  :func:`repro.engine.parallel.run_tasks` copies the submitting
-  thread's context into each worker.
+  resolves to it — including inside a thread started under
+  ``contextvars.copy_context().run``, which carries the context over.
 * Code that never activates a context sees :func:`default_context`,
   a lazy singleton wrapping the original module singletons — the
   pre-context API (``get_tracer()`` etc.) behaves exactly as before.
@@ -184,7 +183,6 @@ class ObsContext:
         """Fold one finished query's usage into the context total."""
         with self._lock:
             self.resources.cpu_seconds += usage.cpu_seconds
-            self.resources.worker_cpu_seconds += usage.worker_cpu_seconds
             self.resources.rows_touched += usage.rows_touched
             self.resources.bytes_touched += usage.bytes_touched
             self.resources.encoded_bytes += usage.encoded_bytes

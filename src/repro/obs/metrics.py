@@ -4,7 +4,7 @@ Where :mod:`repro.obs.trace` answers "what did *this* query do",
 metrics answer "what has the process done" — total segments skipped,
 query latency percentiles, points loaded — in the style of the storage
 instrumentation in the LiDAR/point-cloud evaluation literature.  Every
-metric is thread-safe (one small lock per instrument) so morsel workers
+metric is thread-safe (one small lock per instrument) so serve threads
 can record without contending on a global lock, and the whole registry
 snapshots to one JSON-friendly dict (``repro-gis trace --metrics``
 prints it; ``/metrics`` serves the same series as OpenMetrics).

@@ -34,7 +34,6 @@ COUNTERS: FrozenSet[str] = frozenset(
         "load.points",
         "load.tiles_skipped",
         "obs.http_requests",
-        "parallel.tasks",
         "profiler.captures",
         "profiler.samples",
         "profiler.sweeps",

@@ -6,9 +6,8 @@ into two aggregates: a **process-wide** call tree, and a **per-query**
 tree keyed by the owning in-flight query.  Cross-thread attribution is
 the interesting part — contextvars cannot be read from another thread,
 so the :class:`~repro.obs.queries.QueryRegistry` keeps an explicit
-``thread ident -> ActiveQuery`` map (bound by ``track`` for the caller
-thread and by morsel workers for the duration of a drain) that the
-sampler joins against.
+``thread ident -> ActiveQuery`` map (bound by ``track`` for the thread
+running the query) that the sampler joins against.
 
 Two operating modes:
 

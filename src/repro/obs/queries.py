@@ -17,11 +17,11 @@ tick one unit per completed probe — so a long scan shows monotonically
 increasing progress.
 
 Deadlines are cooperative: ``timeout_s=`` turns into a monotonic
-deadline checked at morsel boundaries (:func:`repro.engine.parallel.run_tasks`)
-and segment-probe boundaries.  A missed deadline raises the typed
-:class:`QueryCancelled`, and the registry marks the record
-``cancelled``.  Nested queries (a SQL query driving a spatial subquery)
-inherit the tighter of their own and their parent's deadline.
+deadline checked at segment-probe and segment-build boundaries.  A
+missed deadline raises the typed :class:`QueryCancelled`, and the
+registry marks the record ``cancelled``.  Nested queries (a SQL query
+driving a spatial subquery) inherit the tighter of their own and their
+parent's deadline.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ _ids = itertools.count(1)
 class QueryCancelled(RuntimeError):
     """A query exceeded its cooperative deadline and was cancelled.
 
-    Raised from a deadline check at a morsel or segment boundary; the
+    Raised from a deadline check at a segment boundary; the
     query's registry record is marked ``cancelled``.
     """
 
@@ -74,8 +74,8 @@ class ActiveQuery:
 
     Identity (``query_id``, ``kind``, ``detail``, ``parent_id``,
     ``timeout_s``, ``deadline``) is immutable after construction; the
-    mutable progress fields are guarded by ``_lock`` because morsel
-    workers tick them concurrently.
+    mutable progress fields are guarded by ``_lock`` because the
+    telemetry server reads them while the query thread ticks them.
     """
 
     __slots__ = (
@@ -126,7 +126,7 @@ class ActiveQuery:
         self._trace_id = 0
         self._elapsed: Optional[float] = None
 
-    # -- progress (called from worker threads) -----------------------------
+    # -- progress (called from the query's thread) -------------------------
 
     def set_phase(self, phase: str) -> None:
         with self._lock:
@@ -217,8 +217,8 @@ class ActiveQuery:
         return record
 
 
-#: The query the current execution context is running (propagates to
-#: morsel workers together with the obs context via ``copy_context``).
+#: The query the current execution context is running (propagates to a
+#: thread started with ``copy_context``, together with the obs context).
 _ACTIVE: ContextVar[Optional[ActiveQuery]] = ContextVar(
     "repro_active_query", default=None
 )
@@ -272,8 +272,7 @@ class QueryRegistry:
     # sampling thread needs to know which query each sampled thread is
     # working for.  Query-owning threads therefore also register in a
     # plain ``thread ident -> ActiveQuery`` map: ``track`` binds the
-    # caller's thread, and morsel workers bind themselves for the
-    # duration of a drain (:func:`repro.engine.parallel.run_tasks`).
+    # caller's thread for the duration of the query.
 
     def bind_thread(self, query: ActiveQuery) -> Optional[ActiveQuery]:
         """Attribute the calling thread's profiler samples to ``query``.
@@ -316,8 +315,7 @@ class QueryRegistry:
         """Publish an :class:`ActiveQuery` for the duration of a query.
 
         Sets the active-query context variable (so progress hooks and
-        deadline checks anywhere below — including morsel workers, which
-        inherit a copy of this context — find the record), and retires
+        deadline checks anywhere below find the record), and retires
         it into the recent ring on the way out with status ``finished``,
         ``cancelled`` (:class:`QueryCancelled`) or ``error``.
         """

@@ -7,11 +7,8 @@ and "slow because the query did a lot of work".  A
 :class:`ResourceTracker` wraps one query and accumulates:
 
 * **CPU seconds** — thread CPU time (``time.thread_time``) of the
-  calling thread, plus the CPU burned by morsel workers on the query's
-  behalf.  Worker threads do not share the caller's clock, so
-  :func:`repro.engine.parallel.run_tasks` captures the caller's active
-  tracker (the same hand-over it does for the tracer's parent span) and
-  adds each worker's thread-CPU delta via :meth:`ResourceTracker.add_cpu`.
+  calling thread, which is the thread every scan, build and refine runs
+  on.
 * **Peak allocations** — opt-in via :mod:`tracemalloc`: when tracing is
   active (``tracemalloc.start()`` or ``REPRO_TRACEMALLOC=1``), the
   tracker resets the peak at entry and reports the high-water mark of
@@ -21,8 +18,8 @@ and "slow because the query did a lot of work".  A
   actually read (post-candidate-list, so an imprint-filtered query
   reports the small number the index earned it).
 
-Trackers nest: a SQL query's tracker sees the spatial sub-query's worker
-CPU and touched bytes too, because additions propagate up the stack.
+Trackers nest: a SQL query's tracker sees the spatial sub-query's
+touched bytes too, because additions propagate up the stack.
 The disabled-path cost is one thread-local read per instrumented site.
 """
 
@@ -44,8 +41,7 @@ _FALSY = ("", "0", "false", "no", "off")
 
 
 def thread_cpu() -> float:
-    """CPU seconds consumed by the *current thread* (the clock both the
-    caller's delta and each worker's delta are measured on)."""
+    """CPU seconds consumed by the *current thread*."""
     return time.thread_time()
 
 
@@ -57,10 +53,8 @@ def _env_tracemalloc() -> bool:
 class ResourceUsage:
     """What one query consumed; attached to ``QueryStats.resources``."""
 
-    #: Total CPU seconds: the calling thread's delta plus worker CPU.
+    #: CPU seconds of the calling thread over the query.
     cpu_seconds: float = 0.0
-    #: The portion of :attr:`cpu_seconds` burned by morsel workers.
-    worker_cpu_seconds: float = 0.0
     #: High-water mark of traced allocations (bytes) over the query, or
     #: ``None`` when tracemalloc sampling was off.
     peak_alloc_bytes: Optional[int] = None
@@ -79,7 +73,6 @@ class ResourceUsage:
         """JSON-friendly record (slow log, flight dumps, bench reports)."""
         return {
             "cpu_seconds": self.cpu_seconds,
-            "worker_cpu_seconds": self.worker_cpu_seconds,
             "peak_alloc_bytes": self.peak_alloc_bytes,
             "rows_touched": self.rows_touched,
             "bytes_touched": self.bytes_touched,
@@ -91,9 +84,9 @@ class ResourceUsage:
 class ResourceTracker:
     """Accumulate one query's resource usage, as a context manager.
 
-    The entering thread's CPU delta is measured at exit; cross-thread
-    contributions arrive through :meth:`add_cpu` / :meth:`add_touched`,
-    which are thread-safe and propagate to enclosing trackers so a SQL
+    The entering thread's CPU delta is measured at exit; scan volumes
+    arrive through :meth:`add_touched` / :meth:`add_scan_bytes`, which
+    are thread-safe and propagate to enclosing trackers so a SQL
     statement's tracker includes its spatial sub-queries.
 
     ``trace_malloc=None`` (the default) samples allocations only when
@@ -144,17 +137,7 @@ class ResourceTracker:
         self._entered = False
         return False
 
-    # -- cross-thread contributions --------------------------------------------
-
-    def add_cpu(self, seconds: float) -> None:
-        """Attribute worker-thread CPU to this query (and its parents)."""
-        if seconds <= 0.0:
-            return
-        with self._lock:
-            self.usage.cpu_seconds += seconds
-            self.usage.worker_cpu_seconds += seconds
-        if self._parent is not None:
-            self._parent.add_cpu(seconds)
+    # -- scan contributions -----------------------------------------------------
 
     def add_touched(self, rows: int = 0, nbytes: int = 0) -> None:
         """Attribute rows/bytes a scan operator actually read."""
@@ -189,9 +172,8 @@ def current() -> Optional[ResourceTracker]:
     """The innermost tracker open on this thread, or ``None``.
 
     Instrumented hot paths call this once per operator and skip all
-    attribution when it returns ``None``; schedulers capture it on the
-    caller's thread before fanning work out (worker threads have their
-    own, empty, stacks).
+    attribution when it returns ``None``.  Every thread has its own
+    stack: a thread started inside a query does not see its tracker.
     """
     stack: Optional[list[ResourceTracker]] = getattr(_local, "stack", None)
     return stack[-1] if stack else None

@@ -2,8 +2,8 @@
 
 The paper's whole argument is a *measured* one — imprints-filtered flat
 scans versus file- and block-based stores (§2.1.1, §3.3) — so every
-phase the engine runs (filter, refine, imprint build, morsel, SQL
-operator) can wrap itself in a **span**: a named wall-clock interval
+phase the engine runs (filter, refine, imprint build, SQL operator)
+can wrap itself in a **span**: a named wall-clock interval
 with attributes (rows in/out, segments skipped/probed, thread) and a
 parent link.  Finished spans land in a process-wide ring buffer, from
 which they can be
@@ -20,10 +20,8 @@ enabled, so instrumented hot paths pay one attribute check.  Enable it
 with ``REPRO_TRACE=1`` in the environment, ``get_tracer().enable()``,
 or ``PointCloudDB(tracing=True)``.
 
-Worker threads do not inherit the caller's span stack; cross-thread
-parents are passed explicitly (``tracer.span(name, parent=span)``),
-which is what :func:`repro.engine.parallel.run_tasks` does for its
-per-morsel spans.
+Other threads do not inherit the caller's span stack; a cross-thread
+parent is passed explicitly (``tracer.span(name, parent=span)``).
 """
 
 from __future__ import annotations
@@ -210,7 +208,7 @@ class Tracer:
     ``enabled`` is a plain attribute so hot paths can check it without a
     property call.  Finished spans append to the ring buffer (and to any
     active :meth:`capture` sinks) under one lock; span *creation* is
-    lock-free, so worker threads never serialise on starting spans.
+    lock-free, so concurrent threads never serialise on starting spans.
     """
 
     def __init__(

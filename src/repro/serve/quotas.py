@@ -122,11 +122,7 @@ class QuotaLedger:
     def charge(self, tenant: str, usage: ResourceUsage) -> None:
         """Fold one finished request's usage into the tenant's total."""
         with self._lock:
-            self._cpu[tenant] = (
-                self._cpu.get(tenant, 0.0)
-                + usage.cpu_seconds
-                + usage.worker_cpu_seconds
-            )
+            self._cpu[tenant] = self._cpu.get(tenant, 0.0) + usage.cpu_seconds
             self._rows[tenant] = (
                 self._rows.get(tenant, 0) + usage.rows_touched
             )

@@ -74,7 +74,8 @@ class SnapshotManager:
         On-disk store root; ``None`` for a purely in-memory service
         (tests, benchmarks) seeded via :meth:`publish_db`.
     threads:
-        Worker count forwarded to loads.
+        Ignored; execution is serial; removed when ``benchmarks/e2e/``
+        stops passing it.
     obs:
         The service :class:`ObsContext`; every loaded snapshot shares it
         so queries against any generation land in the same registry and
@@ -91,7 +92,6 @@ class SnapshotManager:
         loader: Optional[Callable[[], PointCloudDB]] = None,
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
-        self.threads = threads
         self.obs = obs
         self._loader = loader
         self._lock = threading.Lock()
@@ -104,9 +104,7 @@ class SnapshotManager:
             return self._loader()
         if self.directory is None:
             raise ValueError("no store directory and no loader configured")
-        return PointCloudDB.load(
-            self.directory, threads=self.threads, obs=self.obs
-        )
+        return PointCloudDB.load(self.directory, obs=self.obs)
 
     def open(self) -> Snapshot:
         """Load the initial snapshot (idempotent)."""

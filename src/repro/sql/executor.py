@@ -184,7 +184,6 @@ class Session:
                     x_column=x_col,
                     y_column=y_col,
                     manager=self.manager,
-                    threads=self.manager.threads,
                 )
         relation = Relation(
             name=table.name,
@@ -232,8 +231,8 @@ class Session:
         ``parse``, ``join_filter`` (scans, index probes, joins),
         ``project`` (projection/aggregation/order/limit) and ``total``.
 
-        ``timeout_s`` arms a cooperative deadline checked at morsel and
-        segment boundaries; exceeding it raises
+        ``timeout_s`` arms a cooperative deadline checked at segment
+        boundaries; exceeding it raises
         :class:`~repro.obs.queries.QueryCancelled` (a spatial sub-query
         inherits the tighter of its own and this deadline).
         """
@@ -340,7 +339,6 @@ class Session:
         if usage is not None:
             footer = (
                 f"cpu: {usage.cpu_seconds * 1e3:.3f} ms"
-                f" (workers {usage.worker_cpu_seconds * 1e3:.3f} ms)"
                 f"; touched: {usage.rows_touched} rows"
                 f" / {usage.bytes_touched} bytes"
             )

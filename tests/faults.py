@@ -227,6 +227,7 @@ def raw_post(
     send_delay_s: float = 0.0,
     read_limit: Optional[int] = None,
     reset: bool = False,
+    recv_buffer: Optional[int] = None,
     timeout_s: float = 10.0,
 ) -> bytes:
     """A raw-socket POST with injectable client misbehaviour.
@@ -234,8 +235,11 @@ def raw_post(
     ``send_chunk``/``send_delay_s`` drip the body out slowly (a slow
     client); ``read_limit`` stops reading the response after N bytes and
     ``reset=True`` then closes with RST via ``SO_LINGER 0`` (a
-    mid-response disconnect).  Returns whatever response bytes were
-    read (possibly empty).
+    mid-response disconnect).  ``recv_buffer`` pins the client's
+    ``SO_RCVBUF`` before connecting, which turns off receive-window
+    autotuning: the server can then push no more than that plus its own
+    send buffer before its write blocks.  Returns whatever response
+    bytes were read (possibly empty).
     """
     import socket
     import struct
@@ -251,8 +255,12 @@ def raw_post(
     head = f"POST {path} HTTP/1.1\r\n" + "".join(
         f"{k}: {v}\r\n" for k, v in request_headers.items()
     ) + "\r\n"
-    sock = socket.create_connection((host, port), timeout=timeout_s)
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
+        if recv_buffer is not None:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_buffer)
+        sock.settimeout(timeout_s)
+        sock.connect((host, port))
         sock.sendall(head.encode("ascii"))
         if send_chunk is None:
             sock.sendall(body)

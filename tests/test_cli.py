@@ -514,8 +514,6 @@ class TestServeCommand:
                         "0",
                         "--for-seconds",
                         "4",
-                        "--threads",
-                        "1",
                     ]
                 )
             )

@@ -22,6 +22,8 @@ from repro.engine import scan as scan_mod
 from repro.engine.kernels import ZONE_PROBE
 from repro.engine.table import Table
 from repro.gis.envelope import Box
+from repro.gis.geometry import LineString, Polygon
+from repro.gis.predicates import points_satisfy
 from repro.obs.heat import disable_heat, enable_heat
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.resources import ResourceTracker
@@ -37,6 +39,11 @@ BOXES = {
     "wide": Box(10, 20, 60, 90),
 }
 Z_RANGE = (8.0, 11.0)
+#: Non-box queries: the fused filter takes their envelope, refine the rest.
+SHAPES = {
+    "polygon": (Polygon([(10, 10), (70, 15), (55, 80), (12, 60)]), "contains", 0.0),
+    "dwithin": (LineString([(0, 50), (50, 55), (100, 40)]), "dwithin", 4.0),
+}
 
 
 def make_data(kind, n, seed=0):
@@ -60,16 +67,20 @@ def make_table(columns):
     return table
 
 
-def brute_force(table, box, z_range):
+def brute_force(table, box, z_range, predicate="contains", distance=0.0):
     x, y, z = (np.asarray(table.column(c).values) for c in "xyz")
-    mask = (x >= box.xmin) & (x <= box.xmax) & (y >= box.ymin) & (y <= box.ymax)
+    if isinstance(box, Box):
+        mask = (x >= box.xmin) & (x <= box.xmax) & (y >= box.ymin) & (y <= box.ymax)
+    else:
+        with np.errstate(invalid="ignore"):  # ±inf coordinates
+            mask = points_satisfy(x, y, box, predicate, distance)
     if z_range is not None:
         mask &= (z >= z_range[0]) & (z <= z_range[1])
     return np.flatnonzero(mask).astype(np.int64)
 
 
 def manager_for(segment_rows=SEGMENT_ROWS):
-    return ImprintsManager(threads=1, segment_rows=segment_rows)
+    return ImprintsManager(segment_rows=segment_rows)
 
 
 class IndexState:
@@ -89,7 +100,7 @@ class IndexState:
             # x and y on different grids: whichever goes first, the other
             # cannot lend its vectors or zone maps.
             self.manager._imprints[("pts", "x")] = SegmentedImprints(
-                table.column("x"), 2 * SEGMENT_ROWS, threads=1
+                table.column("x"), 2 * SEGMENT_ROWS
             )
             self.manager.ensure(table, "y")
 
@@ -117,24 +128,25 @@ class IndexState:
 def test_fused_filter_equals_numpy(state, kind, n_rows, tmp_path):
     table = make_table(make_data(kind, n_rows))
     index_state = IndexState(state, table, tmp_path)
-    select = SpatialSelect(table, manager=index_state.manager, threads=1)
-    for name, box in BOXES.items():
+    select = SpatialSelect(table, manager=index_state.manager)
+    queries = {name: (box, "contains", 0.0) for name, box in BOXES.items()}
+    queries.update(SHAPES)
+    for name, (geometry, predicate, distance) in queries.items():
         for z_range in (None, Z_RANGE):
-            for threads in (1, 4):
-                index_state.before_query()
-                result = select.query(box, z_range=z_range, threads=threads)
-                expected = brute_force(table, box, z_range)
-                assert result.oids.dtype == np.int64
-                np.testing.assert_array_equal(
-                    result.oids, expected, err_msg=f"{name} z={z_range} t={threads}"
-                )
-                stats = result.stats
-                index_state.check_columns(stats, z_range is not None)
-                n_segments = -(-len(table) // index_state.manager.get(
-                    table, stats.imprint_columns[0]
-                ).segment_rows)
-                assert stats.n_segments_skipped + stats.n_segments_probed == n_segments
-                assert stats.n_probes_dense + stats.n_probes_gather <= stats.n_segments_probed
+            index_state.before_query()
+            result = select.query(geometry, predicate, distance, z_range=z_range)
+            expected = brute_force(table, geometry, z_range, predicate, distance)
+            assert result.oids.dtype == np.int64
+            np.testing.assert_array_equal(
+                result.oids, expected, err_msg=f"{name} z={z_range}"
+            )
+            stats = result.stats
+            index_state.check_columns(stats, z_range is not None)
+            n_segments = -(-len(table) // index_state.manager.get(
+                table, stats.imprint_columns[0]
+            ).segment_rows)
+            assert stats.n_segments_skipped + stats.n_segments_probed == n_segments
+            assert stats.n_probes_dense + stats.n_probes_gather <= stats.n_segments_probed
 
 
 class TestIndexLifecycle:
@@ -177,12 +189,12 @@ class TestIndexLifecycle:
     def test_ensure_hands_back_the_seconds_this_call_built(self):
         table = make_table(make_data("random", 3003))
         manager = manager_for()
-        assert manager._ensure(table, "x", 1, create=False) == (None, 0.0)
-        index, seconds = manager._ensure(table, "x", 1)
+        assert manager._ensure(table, "x", create=False) == (None, 0.0)
+        index, seconds = manager._ensure(table, "x")
         assert index is manager.get(table, "x") and seconds > 0.0
-        assert manager._ensure(table, "x", 1) == (index, 0.0)
+        assert manager._ensure(table, "x") == (index, 0.0)
         table.append_columns(make_data("random", 10, seed=1))
-        extended, seconds = manager._ensure(table, "x", 1, create=False)
+        extended, seconds = manager._ensure(table, "x", create=False)
         assert extended is index and seconds > 0.0 and not index.stale
 
 
@@ -199,7 +211,7 @@ class TestDenseGatherCut:
         manager = manager_for(self.LINES * VPC)
         for column in "xy":
             manager.ensure(table, column)
-        return SpatialSelect(table, manager=manager, threads=1)
+        return SpatialSelect(table, manager=manager)
 
     def _query(self, last_value):
         with ResourceTracker() as tracker:
@@ -227,7 +239,7 @@ class TestAccounting:
         manager = manager_for()
         for column in columns:
             manager.ensure(table, column)
-        return table, SpatialSelect(table, manager=manager, threads=1)
+        return table, SpatialSelect(table, manager=manager)
 
     def test_zone_map_answers_read_nothing(self):
         _, select = self._select()
@@ -274,7 +286,7 @@ class TestVerdictConjunction:
         manager = manager_for()
         for column in "xy":
             manager.ensure(table, column)
-        select = SpatialSelect(table, manager=manager, threads=1)
+        select = SpatialSelect(table, manager=manager)
         returned = []
         rule = scan_mod.conjunction_verdict
 

@@ -2,7 +2,7 @@
 (repro.engine.compressed) and its dispatch from the select operators.
 
 Parity is the whole contract: a packed select must return exactly the
-oids the plain scan returns, serial and morsel-parallel alike, while the
+oids the plain scan returns, while the
 scan stats prove it skipped what the zone maps let it skip.
 """
 
@@ -36,6 +36,16 @@ def values():
 @pytest.fixture(scope="module")
 def packed(values):
     return CompressedColumn.from_values("v", values, segment_rows=8192)
+
+
+@pytest.fixture(scope="module")
+def packed_by_split(values):
+    """``values`` packed at 8192-row segments and split four ways finer,
+    so parity is checked across both segment granularities."""
+    return {
+        split: CompressedColumn.from_values("v", values, segment_rows=8192 // split)
+        for split in (1, 4)
+    }
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +93,9 @@ class TestCompressedColumn:
             coords = CompressedColumn.from_values(name, column, segment_rows=4096)
             assert coords.nbytes <= coords.plain_nbytes / 2, name
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_range_select_parity(self, packed, values, threads):
+    @pytest.mark.parametrize("split", [1, 4])
+    def test_range_select_parity(self, packed_by_split, values, split):
+        packed = packed_by_split[split]
         cases = [
             (41_000, 43_000, True, True),
             (0, 200_000, True, True),
@@ -93,14 +104,15 @@ class TestCompressedColumn:
             (119_999, None, False, True),
         ]
         for lo, hi, lo_inc, hi_inc in cases:
-            got = packed.range_select(lo, hi, lo_inc, hi_inc, threads=threads)
+            got = packed.range_select(lo, hi, lo_inc, hi_inc)
             np.testing.assert_array_equal(
                 got, plain_range(values, lo, hi, lo_inc, hi_inc)
             )
 
-    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("split", [1, 4])
     @pytest.mark.parametrize("op", THETA_OPS)
-    def test_theta_select_parity(self, packed, values, op, threads):
+    def test_theta_select_parity(self, packed_by_split, values, op, split):
+        packed = packed_by_split[split]
         fn = {
             "==": np.equal,
             "!=": np.not_equal,
@@ -110,7 +122,7 @@ class TestCompressedColumn:
             ">=": np.greater_equal,
         }[op]
         constant = int(values[12_345])
-        got = packed.theta_select(op, constant, threads=threads)
+        got = packed.theta_select(op, constant)
         np.testing.assert_array_equal(
             got, np.flatnonzero(fn(values, constant)).astype(np.int64)
         )

@@ -178,15 +178,22 @@ class TestScanSegments:
             RangePredicate(None, None),
         ],
     )
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_gathers_the_numpy_answer_in_segment_order(self, predicate, threads):
+    @pytest.mark.parametrize("terms", [1, 4])
+    def test_gathers_the_numpy_answer_in_segment_order(self, predicate, terms):
+        """The answer of ``terms`` identical conjuncts is the answer of one."""
         lo, hi, lo_inc, hi_inc, negate = predicate
         mask = np.ones(VALUES.shape[0], dtype=bool)
         if lo is not None:
             mask &= (VALUES >= lo) if lo_inc else (VALUES > lo)
         if hi is not None:
             mask &= (VALUES <= hi) if hi_inc else (VALUES < hi)
-        got = scan_one(predicate, threads=threads)
+        one_term = fake_prober(predicate)
+
+        def probe(i, own):
+            assert len(own) == terms and len(set(own)) == 1
+            return one_term(i, own[:1])
+
+        got = scan_segments([Conjunct("v", SEGMENTS, predicate)] * terms, probe)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.flatnonzero(~mask if negate else mask))
 
@@ -211,7 +218,7 @@ class TestScanSegments:
 
     def test_one_heat_record_per_scan(self, heat):
         predicate = RangePredicate(5, 19)
-        scan_one(predicate, threads=4)
+        scan_one(predicate)
         assert heat.registry.counter("heat.updates").value == 1
         rows = {row["segment"]: row for row in heat.snapshot(top=50)["segments"]}
         # Heat decays by the second; round the EWMA back to event counts.
@@ -232,7 +239,7 @@ class TestScanSegments:
         seen = []
         with QueryRegistry().track("test") as query:
             probe_hook(lambda i: seen.append((i, query.to_dict()["segments_done"])))
-            scan_one(predicate, threads=1)
+            scan_one(predicate)
             record = query.to_dict()
         # Skips and the wholesale accept are done up front (3 of 6).
         assert seen == [(0, 3), (3, 4), (4, 5)]
@@ -255,20 +262,19 @@ class TestCancelledScanIsBilled:
             return index.query
         other = Column("w", "float64", data=values[::-1].copy())
         other_index = SegmentedImprints(other, self.SEGMENT)
-        return lambda lo, hi, threads: select_conjunction(
+        return lambda lo, hi: select_conjunction(
             index,
             [
                 RangeTerm(index.column, index, RangePredicate(lo, hi)),
                 RangeTerm(other, other_index, RangePredicate(lo, hi)),
             ],
-            threads=threads,
         )
 
     @pytest.mark.parametrize("prober", ["imprint", "packed", "fused"])
     def test_k_probes_k_segments(self, probe_hook, heat, prober):
         select = self._select(prober)
         with ResourceTracker() as whole:
-            select(40, 60, threads=1)
+            select(40, 60)
         per_segment = whole.usage.bytes_touched // (self.N // self.SEGMENT)
         k = 3
 
@@ -278,7 +284,7 @@ class TestCancelledScanIsBilled:
 
         probe_hook(cancel_after_k)
         with ResourceTracker() as tracker, pytest.raises(QueryCancelled):
-            select(40, 60, threads=1)
+            select(40, 60)
         assert tracker.usage.rows_touched == k * self.SEGMENT
         assert tracker.usage.bytes_touched == k * per_segment
         probed = [

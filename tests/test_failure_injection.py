@@ -160,7 +160,7 @@ class TestTruncatedPersistentFiles:
 
             rng = np.random.default_rng(3)
             column = Column.from_array("x", rng.uniform(0, 100, 2048))
-            imprint = SegmentedImprints(column, segment_rows=512, threads=1)
+            imprint = SegmentedImprints(column, segment_rows=512)
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "x.imprint"
                 save_segmented(imprint, "pts", "x", path)

@@ -1,7 +1,7 @@
 """Unit and property tests for the segmented imprints index.
 
 Covers the three claims the segmentation makes: exact queries (identical
-to a scan, parallel or not), zone-map skip semantics, and incremental
+to a scan), zone-map skip semantics, and incremental
 appends (only new segments get built — no more O(n) rebuilds).
 """
 
@@ -43,20 +43,6 @@ class TestBuild:
         assert imp.segments[0].zmin == 0 and imp.segments[0].zmax == 4095
         assert imp.segments[1].zmin == 4096 and imp.segments[1].zmax == 8191
 
-    def test_parallel_build_equals_serial(self):
-        rng = np.random.default_rng(0)
-        vals = rng.normal(size=50_000)
-        serial = SegmentedImprints(
-            make_column(vals), segment_rows=4096, threads=1
-        )
-        fanned = SegmentedImprints(
-            make_column(vals), segment_rows=4096, threads=8
-        )
-        assert serial.n_segments == fanned.n_segments
-        for a, b in zip(serial.segments, fanned.segments):
-            np.testing.assert_array_equal(a.scheme.borders, b.scheme.borders)
-            np.testing.assert_array_equal(a.cdict.vectors, b.cdict.vectors)
-
     def test_stats_aggregate(self):
         imp = SegmentedImprints(make_column(np.arange(10_000)), segment_rows=4096)
         s = imp.stats()
@@ -67,15 +53,21 @@ class TestBuild:
 
 
 class TestQuery:
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_matches_scan_on_shuffled(self, threads):
+    @pytest.mark.parametrize("batches", [1, 2, 8])
+    def test_matches_scan_on_shuffled(self, batches):
+        """Exact whether the column arrived whole or in appended batches."""
         rng = np.random.default_rng(9)
         vals = np.arange(20_000, dtype=np.float64)
         rng.shuffle(vals)
-        col = make_column(vals)
+        first, *rest = np.array_split(vals, batches)
+        col = make_column(first)
         imp = SegmentedImprints(col, segment_rows=2048)
+        for batch in rest:
+            col.append(batch)
+            imp.extend()
+        assert imp.n_rows == vals.shape[0]
         np.testing.assert_array_equal(
-            imp.query(1000, 2000, threads=threads),
+            imp.query(1000, 2000),
             range_select(col, 1000, 2000),
         )
 
@@ -223,15 +215,13 @@ class TestSegmentedPersistence:
     lo=st.floats(-1e9, 1e9),
     span=st.floats(0, 1e9),
     segment_rows=st.sampled_from([8, 64, 1024]),
-    threads=st.sampled_from([1, 4]),
 )
-def test_segmented_query_equals_scan(values, lo, span, segment_rows, threads):
+def test_segmented_query_equals_scan(values, lo, span, segment_rows):
     """THE correctness invariant, segmented edition: segmented imprint
-    select == full-scan select for arbitrary data, segment sizes and
-    thread counts."""
+    select == full-scan select for arbitrary data and segment sizes."""
     col = make_column(values)
     imp = SegmentedImprints(col, segment_rows=segment_rows)
     hi = lo + span
     np.testing.assert_array_equal(
-        imp.query(lo, hi, threads=threads), range_select(col, lo, hi)
+        imp.query(lo, hi), range_select(col, lo, hi)
     )

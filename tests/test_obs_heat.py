@@ -351,7 +351,7 @@ class TestScanIntegration:
 
     def test_spatial_query_records_footprint_and_segments(self):
         heat = enable_heat(registry=MetricsRegistry())
-        db = PointCloudDB(threads=1)
+        db = PointCloudDB()
         db.create_pointcloud("pts")
         rng = np.random.default_rng(9)
         n = 20_000

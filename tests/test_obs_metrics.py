@@ -1,10 +1,10 @@
 """The metrics registry: counters, gauges, histograms, snapshots."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import parallel
 from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
     Counter,
@@ -31,11 +31,8 @@ class TestCounter:
     def test_thread_safe_increments_under_pool(self):
         c = Counter("hits")
         per_task = 200
-        parallel.run_tasks(
-            lambda _i: [c.inc() for _ in range(per_task)],
-            list(range(8)),
-            threads=4,
-        )
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda _i: [c.inc() for _ in range(per_task)], range(8)))
         assert c.value == 8 * per_task
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.engine import parallel
 from repro.engine.compressed import CompressedColumn
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
@@ -22,7 +21,7 @@ from repro.obs.profiler import (
     maybe_profiler,
     reset_profiler,
 )
-from repro.obs.queries import QueryRegistry, get_queries
+from repro.obs.queries import QueryRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -144,21 +143,6 @@ class TestThreadBinding:
                 assert registry.query_for_thread(ident) is inner
             assert registry.query_for_thread(ident) is outer
         assert registry.query_for_thread(ident) is None
-
-    def test_morsel_workers_bind_the_submitting_query(self):
-        # The pool worker cannot be found via contextvars from the
-        # sampler thread — the registry's explicit thread map is how a
-        # worker's samples attribute to the query it serves.
-        registry = get_queries()
-        seen = []
-
-        def task(i):
-            seen.append(registry.query_for_thread(threading.get_ident()))
-            return i
-
-        with registry.track("spatial") as query:
-            parallel.run_tasks(task, list(range(8)), threads=4)
-        assert seen and all(owner is query for owner in seen)
 
 
 class TestSamplingProfiler:

@@ -1,5 +1,6 @@
 """The in-flight query registry: identity, progress, deadlines."""
 
+import contextvars
 import json
 import threading
 import time
@@ -11,7 +12,6 @@ import pytest
 from repro import Box, PointCloudDB
 from repro.core.imprints import ImprintsManager
 from repro.engine import scan as scan_mod
-from repro.engine import parallel
 from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.queries import (
@@ -50,8 +50,8 @@ def make_db(context, n=20_000, segment_rows=2048, seed=7, path="imprint"):
     """A db with many small segments (forces visible progress); for
     ``packed`` the columns also carry compressed mirrors of that grain,
     for ``fused`` the x and y imprints are already built."""
-    db = PointCloudDB(obs=context, threads=1)
-    db.manager = ImprintsManager(threads=1, segment_rows=segment_rows)
+    db = PointCloudDB(obs=context)
+    db.manager = ImprintsManager(segment_rows=segment_rows)
     db.create_pointcloud("pts")
     rng = np.random.default_rng(seed)
     db.load_points(
@@ -183,39 +183,42 @@ class TestTrack:
         assert len(registry.recent()) == 4
 
 
+def in_context_thread(fn):
+    """Run ``fn`` on a new thread under a copy of this thread's
+    contextvars (the form R10 sanctions); re-raise what it raised."""
+    ctx = contextvars.copy_context()
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = ctx.run(fn)
+        except BaseException as exc:  # re-raised on the caller's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("value")
+
+
 class TestWorkerPropagation:
     def test_workers_see_the_deadline(self):
-        """Morsel workers inherit the active query via the context copy,
-        so an expired deadline cancels at the next morsel boundary."""
+        """A thread started under ``copy_context`` inherits the active
+        query, so an expired deadline cancels there too."""
         registry = QueryRegistry()
         with pytest.raises(QueryCancelled):
             with registry.track("spatial", timeout_s=0.001):
                 time.sleep(0.01)
-                parallel.run_tasks(lambda i: i, list(range(8)), threads=4)
+                in_context_thread(check_deadline)
         (record,) = registry.recent()
         assert record["status"] == "cancelled"
 
     def test_workers_see_the_active_query(self):
         registry = QueryRegistry()
-        seen = []
         with registry.track("spatial") as query:
-            parallel.run_tasks(
-                lambda i: seen.append(current_query()), list(range(4)), threads=2
-            )
-        assert all(q is query for q in seen)
-
-    def test_worker_spans_share_the_query_trace(self):
-        """The acceptance trace test: a threads>1 query yields ONE trace —
-        every parallel.task span carries the query span's trace_id."""
-        context = ObsContext.fresh(enabled=True)
-        db = make_db(context)
-        db.spatial_select("pts", Box(25, 25, 75, 75), threads=4)
-        spans = db.trace_spans()
-        roots = [s for s in spans if s.name == "query.spatial"]
-        tasks = [s for s in spans if s.name == "parallel.task"]
-        assert len(roots) == 1
-        assert len(tasks) > 1
-        assert {s.trace_id for s in tasks} == {roots[0].trace_id}
+            assert in_context_thread(current_query) is query
 
 
 class TestQueryIntegration:
@@ -251,7 +254,6 @@ class TestQueryIntegration:
                 Box(25, 25, 75, 75),
                 use_imprints=path != "packed",
                 timeout_s=0.01,
-                threads=1,
             )
         (record,) = context.queries.recent()
         assert record["status"] == "cancelled"
@@ -285,7 +287,7 @@ class TestProgress:
         observed = []
         probe_hook(lambda seg: observed.append(current_query().progress))
         db.spatial_select(
-            "pts", Box(25, 25, 75, 75), use_imprints=path != "packed", threads=1
+            "pts", Box(25, 25, 75, 75), use_imprints=path != "packed"
         )
         assert len(observed) > 2
         assert observed == sorted(observed)
@@ -312,7 +314,7 @@ class TestProgress:
             url = server.url + "/debug/queries"
             worker = threading.Thread(
                 target=lambda: db.spatial_select(
-                    "pts", Box(25, 25, 75, 75), threads=1
+                    "pts", Box(25, 25, 75, 75)
                 )
             )
             worker.start()

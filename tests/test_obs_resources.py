@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import Box, PointCloudDB
-from repro.engine import parallel
 from repro.obs import resources
 from repro.obs.resources import ResourceTracker, ResourceUsage
 
@@ -30,14 +29,6 @@ class TestTracker:
         with ResourceTracker() as tracker:
             sum(i * i for i in range(200_000))
         assert tracker.usage.cpu_seconds > 0.0
-        assert tracker.usage.worker_cpu_seconds == 0.0
-
-    def test_add_cpu_propagates_to_parents(self):
-        with ResourceTracker() as outer:
-            with ResourceTracker() as inner:
-                inner.add_cpu(0.5)
-        assert inner.usage.worker_cpu_seconds == pytest.approx(0.5)
-        assert outer.usage.worker_cpu_seconds == pytest.approx(0.5)
 
     def test_add_touched_propagates_to_parents(self):
         with ResourceTracker() as outer:
@@ -85,33 +76,12 @@ class TestTracker:
         )
         assert usage.to_dict() == {
             "cpu_seconds": 0.5,
-            "worker_cpu_seconds": 0.0,
             "peak_alloc_bytes": None,
             "rows_touched": 3,
             "bytes_touched": 24,
             "encoded_bytes": 0,
             "materialized_bytes": 0,
         }
-
-
-class TestMorselAttribution:
-    def test_pooled_workers_report_cpu_to_caller_tracker(self):
-        def burn(i):
-            return sum(j * j for j in range(50_000))
-
-        with ResourceTracker() as tracker:
-            parallel.run_tasks(burn, list(range(16)), threads=4)
-        assert tracker.usage.worker_cpu_seconds > 0.0
-        assert tracker.usage.cpu_seconds >= tracker.usage.worker_cpu_seconds
-
-    def test_serial_path_attributes_via_caller_only(self):
-        with ResourceTracker() as tracker:
-            parallel.run_tasks(
-                lambda i: sum(j for j in range(50_000)), list(range(8)), threads=1
-            )
-        # The caller's own clock covers serial work; no double counting.
-        assert tracker.usage.worker_cpu_seconds == 0.0
-        assert tracker.usage.cpu_seconds > 0.0
 
 
 class TestQueryIntegration:

@@ -5,7 +5,6 @@ import threading
 
 import pytest
 
-from repro.engine import parallel
 from repro.obs.trace import (
     NOOP_SPAN,
     Tracer,
@@ -107,19 +106,31 @@ class TestNesting:
         assert spans[0].name == "decorated.op"
 
 
+def run_on_threads(tracer, parent, n):
+    """One ``task`` span on each of ``n`` new threads, parented
+    explicitly to ``parent`` (threads do not inherit the span stack)."""
+
+    def task(i):
+        with tracer.span("task", parent=parent) as span:
+            span.set(index=i)
+
+    threads = [threading.Thread(target=task, args=(i,)) for i in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
 class TestThreadSafety:
-    def test_morsel_pool_spans_parent_to_caller(self, tracer):
+    def test_explicit_parent_crosses_threads(self, tracer):
         with tracer.capture() as spans:
-            with tracer.span("driver") as driver:
-                results = parallel.run_tasks(
-                    lambda i: i * i, list(range(16)), threads=4
-                )
-        assert results == [i * i for i in range(16)]
-        tasks = [s for s in spans if s.name == "parallel.task"]
-        assert len(tasks) == 16
-        assert all(s.parent_id == driver.span_id for s in tasks)
-        assert all(s.trace_id == driver.trace_id for s in tasks)
-        assert sorted(s.attributes["index"] for s in tasks) == list(range(16))
+            with tracer.span("caller") as caller:
+                run_on_threads(tracer, caller, 4)
+        tasks = [s for s in spans if s.name == "task"]
+        assert len(tasks) == 4
+        assert all(s.parent_id == caller.span_id for s in tasks)
+        assert all(s.trace_id == caller.trace_id for s in tasks)
+        assert sorted(s.attributes["index"] for s in tasks) == list(range(4))
 
     def test_concurrent_spans_do_not_corrupt_buffer(self, tracer):
         n_threads, per_thread = 4, 50
@@ -250,8 +261,8 @@ class TestExporters:
 
     def test_chrome_metadata_names_process_and_threads(self, tracer):
         with tracer.capture() as spans:
-            with tracer.span("driver"):
-                parallel.run_tasks(lambda i: i, list(range(8)), threads=2)
+            with tracer.span("caller") as caller:
+                run_on_threads(tracer, caller, 2)
         payload = json.loads(to_chrome(spans))
         events = payload["traceEvents"]
         metadata = [e for e in events if e["ph"] == "M"]

@@ -36,8 +36,8 @@ BBOX = [10.0, 10.0, 60.0, 60.0]
 
 
 def make_db(context, n=N_POINTS):
-    db = PointCloudDB(obs=context, threads=1)
-    db.manager = ImprintsManager(threads=1, segment_rows=2048)
+    db = PointCloudDB(obs=context)
+    db.manager = ImprintsManager(segment_rows=2048)
     db.create_pointcloud("pts")
     rng = np.random.default_rng(29)
     db.load_points(
@@ -87,6 +87,16 @@ def daemon():
     server = QueryDaemon(service, port=0).start()
     yield server, context
     server.stop()
+
+
+def tcp_send_buffer_limit():
+    """Most bytes a TCP socket's autotuned send buffer grows to (Linux
+    ``tcp_wmem`` maximum; the kernel default elsewhere)."""
+    try:
+        with open("/proc/sys/net/ipv4/tcp_wmem") as f:
+            return int(f.read().split()[2])
+    except (OSError, IndexError, ValueError):
+        return 4 << 20
 
 
 def small_daemon(context, **config_kwargs):
@@ -374,15 +384,24 @@ class TestClientFaults:
     def test_mid_response_disconnect_counted_daemon_survives(self, daemon):
         server, context = daemon
         before = context.registry.counter("serve.client_disconnects").value
-        # A multi-megabyte response the client walks away from.
-        faults.raw_post(
+        # A response the client walks away from, larger than everything
+        # the kernel can buffer between the two ends: the server's send
+        # buffer is capped by tcp_wmem, the client's receive buffer is
+        # pinned small.  The server is therefore still blocked in its
+        # write when the RST lands, and that write always fails.
+        send_limit = tcp_send_buffer_limit()
+        columns = ", ".join(["x", "y", "z"] * (1 + send_limit // (2 << 20)))
+        head = faults.raw_post(
             server.host,
             server.port,
             "/v1/sql",
-            json.dumps({"sql": "SELECT x, y, z FROM pts"}).encode(),
-            read_limit=100,
+            json.dumps({"sql": f"SELECT {columns} FROM pts"}).encode(),
+            read_limit=512,
             reset=True,
+            recv_buffer=64 << 10,
         )
+        length = int(head.split(b"Content-Length: ", 1)[1].split(b"\r\n", 1)[0])
+        assert length > send_limit + (256 << 10)
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
             counted = (
@@ -443,8 +462,6 @@ class TestProcessLifecycle:
                 str(store),
                 "--port",
                 "0",
-                "--threads",
-                "1",
                 *extra,
             ],
             stdout=subprocess.PIPE,
@@ -510,7 +527,7 @@ class TestProcessLifecycle:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-        report = PointCloudDB.load(store, threads=1).verify()
+        report = PointCloudDB.load(store).verify()
         assert report["ok"] is True
-        recovered = PointCloudDB.recover(store, threads=1)
+        recovered = PointCloudDB.recover(store)
         assert len(recovered.table("pts")) == 20_000

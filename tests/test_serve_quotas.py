@@ -42,10 +42,8 @@ class TestParseQuotaSpec:
             parse_quota_spec("alice=lots")
 
 
-def usage(cpu=0.0, worker=0.0, rows=0):
-    return ResourceUsage(
-        cpu_seconds=cpu, worker_cpu_seconds=worker, rows_touched=rows
-    )
+def usage(cpu=0.0, rows=0):
+    return ResourceUsage(cpu_seconds=cpu, rows_touched=rows)
 
 
 class TestQuotaLedger:
@@ -56,17 +54,11 @@ class TestQuotaLedger:
 
     def test_usage_accumulates(self):
         ledger = QuotaLedger()
-        ledger.charge("t", usage(cpu=0.5, worker=0.25, rows=100))
+        ledger.charge("t", usage(cpu=0.75, rows=100))
         ledger.charge("t", usage(cpu=0.5, rows=50))
         report = ledger.report("t")
         assert report["budget"]["cpu_seconds"]["used"] == pytest.approx(1.25)
         assert report["budget"]["rows_touched"]["used"] == 150
-
-    def test_worker_cpu_counts(self):
-        ledger = QuotaLedger({"t": TenantBudget(cpu_seconds=1.0)})
-        ledger.charge("t", usage(cpu=0.4, worker=0.7))
-        with pytest.raises(QuotaExceeded):
-            ledger.check("t")
 
     def test_rows_axis_enforced(self):
         ledger = QuotaLedger({"t": TenantBudget(rows_touched=100)})

@@ -24,8 +24,8 @@ BBOX = [10.0, 10.0, 60.0, 60.0]
 
 
 def make_db(context, seed=11):
-    db = PointCloudDB(obs=context, threads=1)
-    db.manager = ImprintsManager(threads=1, segment_rows=512)
+    db = PointCloudDB(obs=context)
+    db.manager = ImprintsManager(segment_rows=512)
     db.create_pointcloud("pts")
     rng = np.random.default_rng(seed)
     db.load_points(

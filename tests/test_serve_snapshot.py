@@ -31,10 +31,10 @@ SERVE_POINTS = [
 
 def make_db(context, fill_value, generation, n=2000):
     """An in-memory store whose x column identifies its generation."""
-    db = PointCloudDB(obs=context, threads=1)
+    db = PointCloudDB(obs=context)
     # Small segments => several imprint probes per scan, so the
     # mid-scan stall test has a seam to park on.
-    db.manager = ImprintsManager(threads=1, segment_rows=512)
+    db.manager = ImprintsManager(segment_rows=512)
     db.create_pointcloud("pts")
     rng = np.random.default_rng(generation)
     db.load_points(
@@ -89,7 +89,7 @@ class TestSnapshotManager:
         writer = make_db(context, 1.0, 0)
         writer.db.generation = 0  # save() bumps to 1
         writer.save(tmp_path / "store")
-        manager = SnapshotManager(directory=tmp_path / "store", threads=1)
+        manager = SnapshotManager(directory=tmp_path / "store")
         first = manager.open()
         assert manager.reload_if_changed() is False
         writer.save(tmp_path / "store")  # bumps the on-disk generation
