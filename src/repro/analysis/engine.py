@@ -79,6 +79,7 @@ class Config:
     hotpath_modules: FrozenSet[str] = frozenset(
         {
             "repro/core/query.py",
+            "repro/core/refine.py",
             "repro/core/imprints/manager.py",
             "repro/engine/select.py",
             "repro/engine/aggregate.py",
@@ -87,6 +88,8 @@ class Config:
             "repro/engine/compressed.py",
             "repro/engine/kernels.py",
             "repro/engine/scan.py",
+            "repro/gis/algorithms.py",
+            "repro/gis/batch.py",
             "repro/sql/executor.py",
         }
     )

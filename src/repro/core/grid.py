@@ -3,12 +3,11 @@
 Section 3.3: "MonetDB creates a regular grid over the point geometries
 selected in the filtering step and assigns each geometry to a grid cell."
 The grid is rebuilt per query over the envelope of the filter output, so
-its resolution adapts to the query, not the dataset.
+its resolution adapts to the query, not the dataset.  It maps points to
+flat cell ids and cells to rectangles; refinement looks verdicts up by id.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -80,19 +79,3 @@ class RegularGrid:
         xmin = self.extent.xmin + cx * self._cell_w
         ymin = self.extent.ymin + cy * self._cell_h
         return (xmin, ymin, xmin + self._cell_w, ymin + self._cell_h)
-
-    def group_points(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> Dict[int, np.ndarray]:
-        """Map non-empty cell id -> positions (into xs/ys) of its points."""
-        ids = self.cell_ids(xs, ys)
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        boundaries = np.flatnonzero(
-            np.concatenate([[True], sorted_ids[1:] != sorted_ids[:-1]])
-        )
-        groups: Dict[int, np.ndarray] = {}
-        stops = np.append(boundaries[1:], sorted_ids.shape[0])
-        for start, stop in zip(boundaries, stops):
-            groups[int(sorted_ids[start])] = order[start:stop]
-        return groups

@@ -366,6 +366,7 @@ class SpatialSelect:
 
             if active is not None:
                 active.set_phase("refine")
+                active.check_deadline()
             with maybe_span("query.refine") as refine_span:
                 xs = self.table.column(self.x_column).take(candidates)
                 ys = self.table.column(self.y_column).take(candidates)

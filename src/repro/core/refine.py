@@ -18,6 +18,7 @@ import numpy as np
 from ..gis import batch
 from ..gis.envelope import Box
 from ..gis.predicates import points_satisfy
+from ..obs import queries as _queries
 from ..obs.trace import maybe_span
 from .grid import DEFAULT_TARGET_CELLS, RegularGrid
 
@@ -55,8 +56,7 @@ def refine_exhaustive(
 ) -> tuple:
     """Baseline refinement: test every candidate point (no grid).
 
-    Returns (boolean mask over candidates, stats).  Used as the ablation
-    arm of E5 and as the per-cell kernel for boundary cells.
+    Returns (boolean mask over candidates, stats): the ablation arm of E5.
     ``threads`` is ignored; execution is serial; removed when
     ``benchmarks/e2e/`` stops passing it.
     """
@@ -109,30 +109,34 @@ def refine(
         extent = Box(xs.min(), ys.min(), xs.max(), ys.max())
 
     grid = RegularGrid(extent, target_cells=target_cells)
-    groups = grid.group_points(xs, ys)
-    mask = np.zeros(n, dtype=bool)
-    stats = RefineStats(n_candidates=n, n_cells=len(groups))
+    ids = grid.cell_ids(xs, ys)
+    counts = np.bincount(ids, minlength=grid.n_cells)
+    cells = np.flatnonzero(counts)
 
-    # Classify every non-empty cell in one vectorised pass.
+    # Classify every non-empty cell in one vectorised pass, then give each
+    # point its cell's verdict through a lookup table indexed by cell id.
     with maybe_span("refine.classify") as classify_span:
-        cell_ids = np.fromiter(groups.keys(), dtype=np.int64, count=len(groups))
         relations = batch.classify_boxes(
-            grid.cell_boxes(cell_ids), geom, predicate, distance
+            grid.cell_boxes(cells), geom, predicate, distance
         )
+        lut = np.zeros(grid.n_cells, dtype=np.int8)
+        lut[cells] = relations
+        per_point = lut[ids]
+        mask = per_point == batch.INSIDE
+        tested = np.flatnonzero(per_point == batch.BOUNDARY)
 
-        boundary_members = []
-        for relation, members in zip(relations, groups.values()):
-            if relation == batch.INSIDE:
-                mask[members] = True
-                stats.inside_cells += 1
-                stats.points_accepted_wholesale += members.shape[0]
-            elif relation == batch.OUTSIDE:
-                stats.outside_cells += 1
-                stats.points_rejected_wholesale += members.shape[0]
-            else:
-                boundary_members.append(members)
-                stats.boundary_cells += 1
-                stats.points_tested_exact += members.shape[0]
+        cells_by = np.bincount(relations, minlength=3)
+        points_by = np.bincount(relations, weights=counts[cells], minlength=3)
+        stats = RefineStats(
+            n_candidates=n,
+            n_cells=int(cells.shape[0]),
+            inside_cells=int(cells_by[batch.INSIDE]),
+            outside_cells=int(cells_by[batch.OUTSIDE]),
+            boundary_cells=int(cells_by[batch.BOUNDARY]),
+            points_accepted_wholesale=int(points_by[batch.INSIDE]),
+            points_rejected_wholesale=int(points_by[batch.OUTSIDE]),
+            points_tested_exact=int(points_by[batch.BOUNDARY]),
+        )
         classify_span.set(
             n_cells=stats.n_cells,
             inside=stats.inside_cells,
@@ -141,9 +145,9 @@ def refine(
         )
 
     # Exact tests for all boundary-cell points, in one call.
-    if boundary_members:
+    if tested.shape[0]:
+        _queries.check_deadline()
         with maybe_span("refine.exact") as exact_span:
-            tested = np.concatenate(boundary_members)
             mask[tested] = points_satisfy(
                 xs[tested], ys[tested], geom, predicate, distance
             )

@@ -2,9 +2,9 @@
 
 These are the exact predicates run during the *refinement* step (Section
 3.3): once the imprints filter and the regular grid have narrowed a query
-to boundary-cell points, every surviving point is tested here.  All
-point-set kernels take ``(xs, ys)`` numpy arrays and return boolean or
-float arrays, so refinement of a whole cell is one call.
+to boundary-cell points, every surviving point is tested here, in one
+call over ``(xs, ys)`` numpy arrays.  The point-in-ring test buckets the
+points by y-band, so each point meets only the edges its y can reach.
 """
 
 from __future__ import annotations
@@ -27,34 +27,64 @@ def points_in_ring(xs: np.ndarray, ys: np.ndarray, ring: np.ndarray) -> np.ndarr
     Boundary points count as inside (closed-set semantics, matching the
     OGC ``ST_Contains`` behaviour the demo queries rely on for points on
     region edges).
+
+    A point can be on an edge or cross its +x ray only if its y is in the
+    edge's y-span ± ``_EPS``.  Points are ordered by y-band (a monotone
+    function of y) and each edge runs over the bands its span covers, so
+    the answer is bit-identical to testing every edge.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    inside = np.zeros(xs.shape[0], dtype=bool)
-    on_edge = np.zeros(xs.shape[0], dtype=bool)
+    result = np.zeros(xs.shape[0], dtype=bool)
     x1, y1 = ring[:-1, 0], ring[:-1, 1]
     x2, y2 = ring[1:, 0], ring[1:, 1]
-    for ax, ay, bx, by in zip(x1, y1, x2, y2):
+    lo = np.minimum(y1, y2) - _EPS
+    hi = np.maximum(y1, y2) + _EPS
+    y_lo, y_hi = lo.min(), hi.max()
+    live = np.flatnonzero((y_lo <= ys) & (ys <= y_hi))
+    n_bands = min(4 * lo.shape[0], 1024)
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = n_bands / (y_hi - y_lo)
+    if not 0.0 < scale < np.inf:  # zero or overflowing y-span: one band
+        n_bands, scale, y_lo = 1, 0.0, 0.0  # every finite value -> band 0
+
+    def band(v: np.ndarray) -> np.ndarray:
+        return np.clip((v - y_lo) * scale, 0, n_bands - 1).astype(np.int16)
+
+    bands = band(ys[live])
+    order = live[np.argsort(bands, kind="stable")]  # int16: a radix sort
+    starts = np.zeros(n_bands + 1, dtype=np.intp)
+    np.cumsum(np.bincount(bands, minlength=n_bands), out=starts[1:])
+    px, py = xs[order], ys[order]
+    inside = np.zeros(order.shape[0], dtype=bool)
+    on_edge = np.zeros(order.shape[0], dtype=bool)
+    spans = zip(x1, y1, x2, y2, starts[band(lo)], starts[band(hi) + 1])
+    for ax, ay, bx, by, s, t in spans:
+        if s == t:
+            continue
+        sx, sy = px[s:t], py[s:t]
+        dy = sy - ay
         # Edge-inclusion: collinear and within the segment's bbox.
-        cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
+        cross = (bx - ax) * dy - (by - ay) * (sx - ax)
         collinear = np.abs(cross) <= _EPS * max(
             1.0, abs(bx - ax) + abs(by - ay)
         )
-        within = (
-            (np.minimum(ax, bx) - _EPS <= xs)
-            & (xs <= np.maximum(ax, bx) + _EPS)
-            & (np.minimum(ay, by) - _EPS <= ys)
-            & (ys <= np.maximum(ay, by) + _EPS)
-        )
-        on_edge |= collinear & within
+        if collinear.any():
+            on_edge[s:t] |= collinear & (
+                (np.minimum(ax, bx) - _EPS <= sx)
+                & (sx <= np.maximum(ax, bx) + _EPS)
+                & (np.minimum(ay, by) - _EPS <= sy)
+                & (sy <= np.maximum(ay, by) + _EPS)
+            )
         # Crossing number: does a ray to +x cross this edge?
-        crosses = (ay > ys) != (by > ys)
+        crosses = (ay > sy) != (by > sy)
         if not crosses.any():
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_at = ax + (ys - ay) * (bx - ax) / (by - ay)
-        inside ^= crosses & (xs < x_at)
-    return inside | on_edge
+            x_at = ax + dy * (bx - ax) / (by - ay)
+        inside[s:t] ^= crosses & (sx < x_at)
+    result[order] = inside | on_edge
+    return result
 
 
 def points_in_polygon(
@@ -63,8 +93,6 @@ def points_in_polygon(
     """Inside the shell and outside every hole (holes keep their boundary:
     a point on a hole edge is still on the polygon)."""
     result = points_in_ring(xs, ys, polygon.shell)
-    if not polygon.holes:
-        return result
     for hole in polygon.holes:
         in_hole = points_in_ring(xs, ys, hole)
         on_hole_edge = points_on_ring_boundary(xs, ys, hole)
@@ -82,7 +110,7 @@ def points_on_ring_boundary(
     for i in range(ring.shape[0] - 1):
         ax, ay = ring[i]
         bx, by = ring[i + 1]
-        on_edge |= _points_near_segment(xs, ys, ax, ay, bx, by, _EPS)
+        on_edge |= dist_points_to_segment(xs, ys, ax, ay, bx, by) <= _EPS
     return on_edge
 
 
@@ -96,10 +124,6 @@ def points_in_multipolygon(
 
 
 # -- distances ---------------------------------------------------------------
-
-
-def _points_near_segment(xs, ys, ax, ay, bx, by, tol) -> np.ndarray:
-    return dist_points_to_segment(xs, ys, ax, ay, bx, by) <= tol
 
 
 def dist_points_to_segment(
@@ -121,20 +145,12 @@ def dist_points_to_linestring(
     xs: np.ndarray, ys: np.ndarray, line: LineString
 ) -> np.ndarray:
     """Min distance from each point to any segment of the polyline."""
-    coords = line.coords
-    best = dist_points_to_segment(
-        xs, ys, coords[0, 0], coords[0, 1], coords[1, 0], coords[1, 1]
-    )
-    for i in range(1, coords.shape[0] - 1):
-        d = dist_points_to_segment(
-            xs, ys, coords[i, 0], coords[i, 1], coords[i + 1, 0], coords[i + 1, 1]
-        )
-        np.minimum(best, d, out=best)
-    return best
+    return dist_points_to_ring(xs, ys, line.coords)
 
 
 def dist_points_to_ring(xs: np.ndarray, ys: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Min distance from each point to the ring's edges."""
+    """Min distance from each point to the edges of a ring (or of any
+    vertex path: a polyline's coordinates)."""
     best = None
     for i in range(ring.shape[0] - 1):
         d = dist_points_to_segment(

@@ -88,8 +88,7 @@ def _ring_crosses_boxes(boxes: BoxArrays, ring: np.ndarray) -> np.ndarray:
     xmin, ymin, xmax, ymax = boxes
     crosses = np.zeros(xmin.shape[0], dtype=bool)
     for i in range(ring.shape[0] - 1):
-        remaining = ~crosses
-        if not remaining.any():
+        if crosses.all():
             break
         crosses |= _segment_intersects_boxes(
             xmin, ymin, xmax, ymax, ring[i, 0], ring[i, 1], ring[i + 1, 0], ring[i + 1, 1]
@@ -120,13 +119,10 @@ def classify_boxes_vs_polygon(boxes: BoxArrays, polygon: Polygon) -> np.ndarray:
         return relations
 
     boundary = np.zeros(n, dtype=bool)
+    near = tuple(arr[touching] for arr in boxes)
     for ring in polygon.rings:
-        boundary[touching] |= _ring_crosses_boxes(
-            tuple(arr[touching] for arr in boxes), ring
-        )
-        boundary[touching] |= _vertices_strictly_inside(
-            tuple(arr[touching] for arr in boxes), ring
-        )
+        boundary[touching] |= _ring_crosses_boxes(near, ring)
+        boundary[touching] |= _vertices_strictly_inside(near, ring)
 
     undecided = touching & ~boundary
     if undecided.any():

@@ -55,8 +55,8 @@ _ids = itertools.count(1)
 class QueryCancelled(RuntimeError):
     """A query exceeded its cooperative deadline and was cancelled.
 
-    Raised from a deadline check at a segment boundary; the
-    query's registry record is marked ``cancelled``.
+    Raised from a deadline check at a segment boundary or at the start
+    of refinement; the query's registry record is marked ``cancelled``.
     """
 
     def __init__(self, query_id: str, timeout_s: float, elapsed_s: float):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from repro.core.grid import RegularGrid
 from repro.core.refine import refine, refine_exhaustive
+from repro.gis import batch
 from repro.gis.envelope import Box
 from repro.gis.geometry import LineString, Polygon
 from repro.gis.predicates import points_satisfy
+from tests.ring_reference import points_in_polygon_reference
 
 
 class TestRegularGrid:
@@ -56,18 +58,6 @@ class TestRegularGrid:
         with pytest.raises(ValueError):
             grid.cell_box(grid.n_cells)
 
-    def test_group_points_partition(self):
-        grid = RegularGrid(Box(0, 0, 10, 10), target_cells=16)
-        rng = np.random.default_rng(1)
-        xs = rng.uniform(0, 10, 200)
-        ys = rng.uniform(0, 10, 200)
-        groups = grid.group_points(xs, ys)
-        members = np.sort(np.concatenate(list(groups.values())))
-        np.testing.assert_array_equal(members, np.arange(200))
-        ids = grid.cell_ids(xs, ys)
-        for cid, idx in groups.items():
-            assert (ids[idx] == cid).all()
-
 
 POLY = Polygon([(2, 2), (8, 3), (7, 8), (3, 7)])
 DONUT = Polygon(
@@ -83,15 +73,15 @@ class TestRefine:
 
     def test_matches_exhaustive_polygon(self):
         xs, ys = self._points()
-        got, _ = refine(xs, ys, POLY)
-        want, _ = refine_exhaustive(xs, ys, POLY)
-        np.testing.assert_array_equal(got, want)
+        want = points_in_polygon_reference(xs, ys, POLY)
+        np.testing.assert_array_equal(refine(xs, ys, POLY)[0], want)
+        np.testing.assert_array_equal(refine_exhaustive(xs, ys, POLY)[0], want)
 
     def test_matches_exhaustive_donut(self):
         xs, ys = self._points(seed=2)
-        got, _ = refine(xs, ys, DONUT)
-        want, _ = refine_exhaustive(xs, ys, DONUT)
-        np.testing.assert_array_equal(got, want)
+        want = points_in_polygon_reference(xs, ys, DONUT)
+        np.testing.assert_array_equal(refine(xs, ys, DONUT)[0], want)
+        np.testing.assert_array_equal(refine_exhaustive(xs, ys, DONUT)[0], want)
 
     def test_matches_exhaustive_dwithin(self):
         xs, ys = self._points(seed=3)
@@ -128,6 +118,44 @@ class TestRefine:
             == stats.n_cells
         )
 
+    @pytest.mark.parametrize(
+        "geom, predicate, distance",
+        [
+            (POLY, "contains", 0.0),
+            (DONUT, "contains", 0.0),
+            (LineString([(0, 0), (10, 5), (5, 10)]), "dwithin", 1.5),
+        ],
+        ids=["polygon", "donut", "dwithin"],
+    )
+    def test_stats_match_per_cell_reference(self, geom, predicate, distance):
+        """Every RefineStats count equals what grouping points by their
+        non-empty cell and classifying each cell gives."""
+        xs, ys = self._points(n=4000, seed=11)
+        mask, stats = refine(xs, ys, geom, predicate, distance, target_cells=64)
+        grid = RegularGrid(
+            Box(xs.min(), ys.min(), xs.max(), ys.max()), target_cells=64
+        )
+        cells, inverse, members = np.unique(
+            grid.cell_ids(xs, ys), return_inverse=True, return_counts=True
+        )
+        relations = batch.classify_boxes(
+            grid.cell_boxes(cells), geom, predicate, distance
+        )
+        per_point = relations[inverse]
+        assert stats.n_candidates == xs.shape[0]
+        assert stats.n_cells == cells.shape[0]
+        for relation, n_cells, n_points in (
+            (batch.INSIDE, stats.inside_cells, stats.points_accepted_wholesale),
+            (batch.OUTSIDE, stats.outside_cells, stats.points_rejected_wholesale),
+            (batch.BOUNDARY, stats.boundary_cells, stats.points_tested_exact),
+        ):
+            assert n_cells == np.count_nonzero(relations == relation)
+            assert n_points == members[relations == relation].sum()
+            assert n_points == np.count_nonzero(per_point == relation)
+        assert stats.inside_cells and stats.boundary_cells
+        assert mask[per_point == batch.INSIDE].all()
+        assert not mask[per_point == batch.OUTSIDE].any()
+
     def test_extent_override(self):
         xs, ys = self._points(n=100, seed=7)
         mask, _ = refine(xs, ys, POLY, extent=Box(0, 0, 10, 10))
@@ -157,12 +185,13 @@ def random_polygon(draw):
 )
 def test_refine_equals_exhaustive_for_random_polygons(poly, seed, n, target_cells):
     """Grid refinement must be a pure optimisation: same answer as testing
-    every point, for any polygon shape and any grid resolution."""
+    every point against every edge, for any polygon shape and any grid
+    resolution."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0, 10, n)
     ys = rng.uniform(0, 10, n)
     got, _ = refine(xs, ys, poly, target_cells=target_cells)
-    want = points_satisfy(xs, ys, poly)
+    want = points_in_polygon_reference(xs, ys, poly)
     np.testing.assert_array_equal(got, want)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gis.algorithms import (
+    _EPS,
     dist_points_to_geometry,
     dist_points_to_linestring,
     dist_points_to_polygon,
@@ -17,6 +18,7 @@ from repro.gis.algorithms import (
     segments_intersect,
 )
 from repro.gis.geometry import LineString, MultiLineString, MultiPolygon, Point, Polygon
+from tests.ring_reference import points_in_ring_reference
 
 
 SQUARE = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
@@ -57,6 +59,99 @@ class TestPointsInRing:
         np.testing.assert_array_equal(
             points_in_ring(xs, ys, u_shape.shell), [False, True, True]
         )
+
+    def test_zero_y_span_ring(self):
+        # A flat ring has one band; points on it are on its edges.
+        ring = np.array([(0.0, 5.0), (3.0, 5.0), (7.0, 5.0), (0.0, 5.0)])
+        xs = np.array([1.0, 7.0, 8.0, 1.0, np.nan])
+        ys = np.array([5.0, 5.0, 5.0, 5.5, 5.0])
+        got = points_in_ring(xs, ys, ring)
+        np.testing.assert_array_equal(got, [True, True, False, False, False])
+        np.testing.assert_array_equal(
+            got, points_in_ring_reference(xs, ys, ring)
+        )
+
+
+#: Vertex moves that make degenerate edges: copy the previous vertex's y
+#: (horizontal edge), its x (vertical edge) or both (repeated vertex).
+_TWEAKS = ("keep", "horizontal", "vertical", "repeat")
+
+
+@st.composite
+def star_ring(draw):
+    """A closed star-shaped ring, possibly with horizontal, vertical and
+    zero-length edges, around the origin or at RD magnitude (where
+    ``_EPS`` is below one ulp of the coordinates)."""
+    n = draw(st.integers(3, 16))
+    cx, cy, size = draw(
+        st.sampled_from([(5.0, 5.0, 4.0), (85_000.0, 445_000.0, 300.0)])
+    )
+    radii = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    tweaks = draw(st.lists(st.sampled_from(_TWEAKS), min_size=n, max_size=n))
+    angles = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    xs = cx + size * radii * np.cos(angles)
+    ys = cy + size * radii * np.sin(angles)
+    for i in range(1, n):
+        if tweaks[i] in ("horizontal", "repeat"):
+            ys[i] = ys[i - 1]
+        if tweaks[i] in ("vertical", "repeat"):
+            xs[i] = xs[i - 1]
+    if draw(st.integers(0, 3)) == 0:
+        ys[:] = cy  # zero y-span
+    ring = np.column_stack([xs, ys])
+    return np.vstack([ring, ring[:1]])
+
+
+def _knife_edge_points(ring, rng):
+    """Vertices, edge midpoints, every y where the banded kernel cuts a
+    band or an edge's span starts or stops (and the floats either side),
+    random points around the ring, and non-finite coordinates."""
+    a, b = ring[:-1], ring[1:]
+    lo = np.minimum(a[:, 1], b[:, 1]) - _EPS
+    hi = np.maximum(a[:, 1], b[:, 1]) + _EPS
+    n_bands = min(4 * a.shape[0], 1024)
+    cuts = lo.min() + (hi.max() - lo.min()) * np.arange(n_bands + 1) / n_bands
+    knife = np.concatenate([cuts, lo, hi, ring[:, 1]])
+    knife = np.concatenate(
+        [knife, np.nextafter(knife, -np.inf), np.nextafter(knife, np.inf)]
+    )
+    pad = max(np.ptp(ring), 1.0) * 0.1
+    x_lo, x_hi = ring[:, 0].min() - pad, ring[:, 0].max() + pad
+    y_lo, y_hi = ring[:, 1].min() - pad, ring[:, 1].max() + pad
+    knife_xs = rng.choice(
+        np.concatenate([ring[:, 0], rng.uniform(x_lo, x_hi, 32)]), knife.shape[0]
+    )
+    mid_y = (y_lo + y_hi) / 2
+    xs = np.concatenate(
+        [
+            ring[:, 0],
+            (a[:, 0] + b[:, 0]) / 2,
+            knife_xs,
+            rng.uniform(x_lo, x_hi, 200),
+            [x_lo, x_lo, x_lo, np.nan, np.inf, -np.inf],
+        ]
+    )
+    ys = np.concatenate(
+        [
+            ring[:, 1],
+            (a[:, 1] + b[:, 1]) / 2,
+            knife,
+            rng.uniform(y_lo, y_hi, 200),
+            [np.nan, np.inf, -np.inf, mid_y, mid_y, mid_y],
+        ]
+    )
+    return xs, ys
+
+
+@settings(max_examples=120, deadline=None)
+@given(ring=star_ring(), seed=st.integers(0, 2**32 - 1))
+def test_banded_kernel_equals_per_edge_reference(ring, seed):
+    """Skipping the edges a point's y-band cannot meet changes no bit of
+    the answer, degenerate edges and knife-edge points included."""
+    xs, ys = _knife_edge_points(ring, np.random.default_rng(seed))
+    np.testing.assert_array_equal(
+        points_in_ring(xs, ys, ring), points_in_ring_reference(xs, ys, ring)
+    )
 
 
 class TestPointsInPolygon:

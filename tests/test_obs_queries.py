@@ -12,6 +12,7 @@ import pytest
 from repro import Box, PointCloudDB
 from repro.core.imprints import ImprintsManager
 from repro.engine import scan as scan_mod
+from repro.gis.geometry import Polygon
 from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.queries import (
@@ -259,6 +260,27 @@ class TestQueryIntegration:
         assert record["status"] == "cancelled"
         assert record["query_id"] == err.value.query_id
         assert context.registry.counter("query.cancelled").value == 1
+
+    def test_timeout_after_the_last_probe_cancels_refine(self, probe_hook):
+        """A deadline that fires after the filter's last segment probe is
+        noticed when refinement starts, not after it ran to completion."""
+        context = ObsContext.fresh(enabled=False)
+        db = make_db(context, path="fused")
+        quad = Polygon([(20, 25), (80, 20), (75, 80), (25, 70)])
+        probed = []
+        probe_hook(probed.append)
+        db.spatial_select("pts", quad)
+        last = probed[-1]
+        probe_hook(lambda seg: time.sleep(0.5) if seg == last else None)
+        with pytest.raises(QueryCancelled) as err:
+            db.spatial_select("pts", quad, timeout_s=0.25)
+        (record,) = [
+            r
+            for r in context.queries.recent()
+            if r["query_id"] == err.value.query_id
+        ]
+        assert record["status"] == "cancelled"
+        assert record["phase"] == "refine"
 
     def test_sql_timeout_cancels(self, probe_hook):
         context = ObsContext.fresh(enabled=False)
