@@ -609,15 +609,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     obs = default_context()
     # Serve mode runs the continuous-observability layer by default: the
-    # low-rate sampling profiler (hot stacks for /debug/profile bursts,
-    # slowlog records, flight dumps) and the workload heat map journalled
-    # next to the store for `repro-gis heat` / the sharding planner.
-    profiler = None
-    if not args.no_profile:
-        from .obs.profiler import get_profiler
-
-        profiler = get_profiler(rate_hz=args.profile_rate)
-        profiler.start()
+    # workload heat map journalled next to the store for `repro-gis heat`
+    # / the sharding planner, and the low-rate sampling profiler (below).
     if not args.no_heat:
         from .obs.heat import enable_heat
 
@@ -642,6 +635,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except PortInUseError as exc:
         print(f"error: {exc.strerror}", file=sys.stderr)
         return 1
+    # The sampling profiler (hot stacks for /debug/profile bursts,
+    # slowlog records, flight dumps) starts only once the store is open
+    # and the daemon is up: sampling the open slowed it for nothing.
+    profiler = None
+    if not args.no_profile:
+        from .obs.profiler import get_profiler
+
+        profiler = get_profiler(rate_hz=args.profile_rate)
+        profiler.start()
     # SIGTERM: shed new work (503), drain in-flight queries, then fall
     # through to the flight recorder's hook (installed by main()).
     # signal.signal is main-thread-only; embedded callers (tests drive

@@ -128,8 +128,8 @@ def _parse_seg_header(raw: bytes, path: Path) -> Tuple[int, int, int, int, int, 
 
 def _seg_crc_ok(raw: bytes, offset: int, crc: int) -> bool:
     """Verify a file's CRC (crc32 is the last header field; zero it)."""
-    base = raw[: offset - 4] + b"\x00\x00\x00\x00"
-    return durable.checksum(base + raw[offset:]) == crc
+    body = memoryview(raw)[offset:]
+    return durable.checksum(raw[: offset - 4], b"\x00\x00\x00\x00", body) == crc
 
 
 def save_segmented(
@@ -149,7 +149,6 @@ def save_segmented(
         parts.append(_frame(seg.cdict.counters))
         parts.append(_frame(seg.cdict.repeats))
         parts.append(_frame(seg.cdict.vectors))
-    body = b"".join(parts)
     # CRC over header-with-crc-zeroed + body: a flip anywhere in the
     # file (vpc, segment_rows, ... included) fails verification.
     base = _HEADER_SEG.pack(
@@ -168,9 +167,9 @@ def save_segmented(
         imprint.segment_rows,
         imprint.n_rows,
         len(imprint.segments),
-        durable.checksum(base + body),
+        durable.checksum(base, *parts),
     )
-    return durable.atomic_write_bytes(path, header + body, label="imprint")
+    return durable.atomic_write_bytes(path, header, *parts, label="imprint")
 
 
 def verify_segmented_file(path: PathLike) -> Tuple[str, str]:

@@ -173,6 +173,31 @@ class Column:
         self._packed = None
         return first_oid
 
+    def adopt(self, values: NDArray[Any]) -> int:
+        """Append an array the caller gives up; returns the first oid.
+
+        On an empty column an array it can use as is — same dtype,
+        1-D, contiguous, writeable — becomes the column's buffer with
+        no copy.  This is the storage loader's path: its freshly read
+        arrays are held by nobody else, and copying each into a new
+        buffer would keep two copies of a table alive during an open.
+        Anything else is an ordinary :meth:`append`.  An adopted buffer
+        has no growth slack, so the next append reallocates.
+        """
+        if (
+            self._len
+            or values.ndim != 1
+            or values.dtype != self.dtype
+            or not values.flags.c_contiguous
+            or not values.flags.writeable
+        ):
+            return self.append(values)
+        self._buf = values
+        self._len = values.shape[0]
+        self._minmax_cache = None
+        self._packed = None
+        return 0
+
     def truncate(self, n: int) -> None:
         """Discard every row from oid ``n`` on (crash-recovery rollback).
 

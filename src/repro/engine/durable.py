@@ -51,6 +51,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Type, TypeVar, Union
 
 PathLike = Union[str, Path]
+#: What the write and checksum helpers take: raw bytes or a byte view of
+#: an existing buffer (e.g. a column's array), never copied by them.
+Buffer = Union[bytes, bytearray, memoryview]
 
 # Patch points for the fault-injection harness: tests replace these to
 # tear writes at byte N or fail the rename.  Production code must open
@@ -117,19 +120,23 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: PathLike, data: bytes, label: str = "file") -> int:
-    """Atomically replace ``path`` with ``data``; returns bytes written.
+def atomic_write_bytes(path: PathLike, *parts: Buffer, label: str = "file") -> int:
+    """Atomically replace ``path`` with ``parts`` written back to back;
+    returns bytes written.
 
-    ``label`` names the artifact class in crash points
-    (``durable.<label>.written`` / ``.replaced``) and keeps different
-    write sites distinguishable to the fault harness.
+    The parts are written one after another, never joined, so a caller
+    can hand over a header and a view of a column's own buffer without
+    building one copy of the whole file.  ``label`` names the artifact
+    class in crash points (``durable.<label>.written`` / ``.replaced``)
+    and keeps different write sites distinguishable to the fault harness.
     """
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     crash_point(f"durable.{label}.begin", path=str(path))
     try:
         with _open(tmp, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
             fh.flush()
             os.fsync(fh.fileno())
         crash_point(f"durable.{label}.written", path=str(path))
@@ -144,7 +151,7 @@ def atomic_write_bytes(path: PathLike, data: bytes, label: str = "file") -> int:
         raise
     crash_point(f"durable.{label}.replaced", path=str(path))
     _fsync_directory(path.parent)
-    return len(data)
+    return sum(memoryview(part).nbytes for part in parts)
 
 
 def atomic_write_text(path: PathLike, text: str, label: str = "file") -> int:
@@ -178,9 +185,17 @@ def atomic_append_text(path: PathLike, text: str, label: str = "log") -> int:
 # -- checksums --------------------------------------------------------------
 
 
-def checksum(data: bytes) -> int:
-    """The CRC32 embedded in the v2 column / v3 imprint headers."""
-    return zlib.crc32(data) & 0xFFFFFFFF
+def checksum(*parts: Buffer) -> int:
+    """The CRC32 embedded in the v2 column / v3 imprint headers.
+
+    Covers ``parts`` as if concatenated, with a running CRC instead of
+    the concatenation, so "header with the CRC zeroed + payload" is
+    checksummed in place.
+    """
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return crc & 0xFFFFFFFF
 
 
 def record_checksum_failure(path: PathLike) -> None:

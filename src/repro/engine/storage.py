@@ -19,6 +19,9 @@ File format (``.col``, version 2)::
 Files are always written through the atomic-write protocol of
 :mod:`repro.engine.durable` (temp file + fsync + ``os.replace``), so a
 crash mid-write leaves the previous file intact instead of a torn one.
+Each column's bytes move once: a save writes the header and a view of
+the column's own array, and an open ``readinto``s the payload straight
+into the array the loaded column then keeps, checking the CRC in place.
 
 Version 3 is the *compressed* generation of the format: a segmented
 sequence of :class:`~repro.engine.compression.CompressedBlock` payloads
@@ -40,7 +43,9 @@ mismatches also increment the ``durability.checksum_failures`` counter.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -88,7 +93,7 @@ def dump_array(array: NDArray[Any], path: PathLike) -> int:
     type_name = {v: k for k, v in TYPE_MAP.items()}.get(array.dtype)
     if type_name is None:
         raise StorageError(f"unsupported dtype {array.dtype}")
-    payload = array.astype(array.dtype.newbyteorder("<")).tobytes()
+    payload = _payload_view(array)
     # The CRC covers the header (with the CRC field zeroed) plus the
     # payload, so a bit flip anywhere in the file fails verification —
     # including type/count header bytes a payload-only CRC would miss.
@@ -98,9 +103,16 @@ def dump_array(array: NDArray[Any], path: PathLike) -> int:
         _VERSION,
         _TYPE_CODES[type_name],
         array.shape[0],
-        durable.checksum(base + payload),
+        durable.checksum(base, payload),
     )
-    return durable.atomic_write_bytes(path, header + payload, label="col")
+    return durable.atomic_write_bytes(path, header, payload, label="col")
+
+
+def _payload_view(array: NDArray[Any]) -> memoryview:
+    """The little-endian payload bytes of a contiguous 1-D array, as a
+    byte view of the array itself (a copy only on a big-endian host)."""
+    little = array.astype(array.dtype.newbyteorder("<"), copy=False)
+    return memoryview(little.view(np.uint8))
 
 
 def _parse_header(raw: bytes, path: Path) -> Tuple[int, "np.dtype[Any]", int, int, int]:
@@ -149,32 +161,50 @@ def read_column_header(path: PathLike) -> Dict[str, object]:
 def load_array(path: PathLike) -> NDArray[Any]:
     """Read a ``.col`` file back into a numpy array.
 
-    Verifies the embedded CRC32; a mismatch raises
+    A v2 payload is read straight into the returned array — one
+    ``readinto``, no intermediate ``bytes`` — and its embedded CRC32 is
+    verified in place before the array is returned; a mismatch raises
     :class:`StorageError` and counts a ``durability.checksum_failures``.
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            return _read_column(fh, path)
     except FileNotFoundError:
         raise StorageError(f"column file not found: {path}") from None
-    version, dtype, count, crc, offset = _parse_header(raw, path)
+
+
+def _read_column(fh: io.FileIO, path: Path) -> NDArray[Any]:
+    head = fh.read(max(_HEADER.size, _HEADER_V3.size))
+    version, dtype, count, crc, offset = _parse_header(head, path)
     if version == _VERSION_V3:
         # The compressed generation: decode the segments back to one
         # flat array (checksum verification happens in the parser).
+        raw = head + fh.read()
         return _parse_compressed(raw, path, name=path.stem).decode_all()
-    payload = raw[offset : offset + count * dtype.itemsize]
-    if len(payload) != count * dtype.itemsize:
+    expected = count * dtype.itemsize
+    # Size the payload from the file before allocating: a corrupt count
+    # must fail as a short payload, not as a huge allocation.
+    got = min(os.fstat(fh.fileno()).st_size - offset, expected)
+    if got == expected:
+        arr = np.empty(count, dtype=dtype.newbyteorder("<"))
+        payload = _payload_view(arr)
+        fh.seek(offset)
+        got = 0
+        while got < expected:
+            n = fh.readinto(payload[got:])
+            if not n:
+                break
+            got += n
+    if got != expected:
         raise StorageError(
-            f"{path}: expected {count * dtype.itemsize} payload bytes, "
-            f"got {len(payload)}"
+            f"{path}: expected {expected} payload bytes, got {got}"
         )
     # crc32 is the last header field; zero it out for verification.
-    base = raw[: offset - 4] + b"\x00\x00\x00\x00"
-    if durable.checksum(base + payload) != crc:
+    if durable.checksum(head[: offset - 4], b"\x00\x00\x00\x00", payload) != crc:
         durable.record_checksum_failure(path)
         raise StorageError(f"{path}: checksum mismatch")
-    arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
-    return arr
+    return arr if arr.dtype == dtype else arr.astype(dtype)
 
 
 # -- compressed sidecars (v3) ------------------------------------------------
@@ -201,8 +231,7 @@ def _read_frame_str(raw: bytes, pos: int, path: Path) -> Tuple[str, int]:
 def column_payload_crc(array: NDArray[Any]) -> int:
     """CRC32 of a column's raw little-endian payload bytes — the value
     that links a ``.colz`` sidecar to the exact ``.col`` data it encodes."""
-    array = np.ascontiguousarray(array)
-    return durable.checksum(array.astype(array.dtype.newbyteorder("<")).tobytes())
+    return durable.checksum(_payload_view(np.ascontiguousarray(array)))
 
 
 def sidecar_path(directory: PathLike, column_name: str) -> Path:
@@ -231,7 +260,6 @@ def dump_compressed(packed: CompressedColumn, path: PathLike) -> int:
             body_parts.append(b"\x00")
         body_parts.append(len(block.payload).to_bytes(8, "little"))
         body_parts.append(block.payload)
-    body = b"".join(body_parts)
     base = _HEADER_V3.pack(
         _MAGIC,
         _VERSION_V3,
@@ -250,9 +278,9 @@ def dump_compressed(packed: CompressedColumn, path: PathLike) -> int:
         len(packed.blocks),
         packed.segment_rows,
         packed.source_crc,
-        durable.checksum(base + body),
+        durable.checksum(base, *body_parts),
     )
-    return durable.atomic_write_bytes(path, header + body, label="colz")
+    return durable.atomic_write_bytes(path, header, *body_parts, label="colz")
 
 
 def _parse_compressed(raw: bytes, path: Path, name: str) -> CompressedColumn:
@@ -268,8 +296,8 @@ def _parse_compressed(raw: bytes, path: Path, name: str) -> CompressedColumn:
         raise StorageError(f"{path}: not a v3 compressed file (v{version})")
     if type_code >= len(_TYPE_NAMES):
         raise StorageError(f"{path}: unknown type code {type_code}")
-    base = raw[: _HEADER_V3.size - 4] + b"\x00\x00\x00\x00"
-    if durable.checksum(base + raw[_HEADER_V3.size :]) != crc:
+    body = memoryview(raw)[_HEADER_V3.size :]
+    if durable.checksum(raw[: _HEADER_V3.size - 4], b"\x00\x00\x00\x00", body) != crc:
         durable.record_checksum_failure(path)
         raise StorageError(f"{path}: checksum mismatch")
     pos = _HEADER_V3.size
@@ -473,8 +501,11 @@ def load_table(
         raise StorageError(
             f"{directory}: ragged column files (lengths {sorted(lengths)})"
         )
-    if batch:
-        table.append_columns(batch)
+    # The arrays were just read and nobody else holds them: they become
+    # the columns' buffers instead of being copied into new ones (which
+    # would hold two copies of the table at once).
+    for name, arr in batch.items():
+        table.column(name).adopt(arr)
     if len(table) != meta["rows"]:
         raise StorageError(
             f"{directory}: schema.json says {meta['rows']} rows, "
@@ -532,8 +563,8 @@ def recover_table(directory: PathLike) -> Tuple[Table, List[str]]:
                 f"{arr.shape[0] - target} rows rolled back"
             )
             batch[name] = arr[:target]
-    if batch:
-        table.append_columns(batch)
+    for name, arr in batch.items():
+        table.column(name).adopt(arr)
     for name, _type in table.schema:
         _attach_sidecar(
             table.column(name),

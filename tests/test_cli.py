@@ -548,6 +548,40 @@ class TestServeCommand:
         assert payload["meta"]["n_returned"] == 5
         assert "serving queries on" in printed
 
+    def test_profiler_starts_after_the_store_is_open(self, db_dir, monkeypatch):
+        import threading
+
+        from repro import PointCloudDB
+        from repro.obs.profiler import maybe_profiler, reset_profiler
+
+        real_load = PointCloudDB.load
+        sampling_during_load = []
+
+        def load(*args, **kwargs):
+            profiler = maybe_profiler()
+            sampling_during_load.append(profiler is not None and profiler.running)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(PointCloudDB, "load", staticmethod(load))
+        reset_profiler()
+        codes = []
+        # A worker thread, so serve does not install signal handlers here.
+        thread = threading.Thread(
+            target=lambda: codes.append(
+                main(["serve", str(db_dir), "--port", "0", "--for-seconds", "0"])
+            )
+        )
+        try:
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert codes == [0]
+            assert sampling_during_load == [False]
+            # ...and serving did start it afterwards.
+            assert maybe_profiler() is not None
+        finally:
+            reset_profiler()
+
     def test_port_in_use_is_actionable(self, db_dir, capsys):
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.server import TelemetryServer

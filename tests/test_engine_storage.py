@@ -1,12 +1,18 @@
 """Unit tests for repro.engine.storage and repro.engine.catalog."""
 
+import re
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.catalog import CatalogError, Database
-from repro.engine.column import Column
+from repro.engine.column import TYPE_MAP, Column
+from repro.engine.durable import InjectedCrash
 from repro.engine.storage import (
     StorageError,
     copy_binary,
@@ -18,6 +24,131 @@ from repro.engine.storage import (
     save_table,
 )
 from repro.engine.table import Table
+from tests import faults
+
+
+def _reference_col(arr):
+    """A ``.col`` v2 file built from the layout in storage.py's docstring:
+    magic, version u16, type u16 (TYPE_MAP order), count u64, crc32 u32
+    over the header with the crc zeroed + the little-endian payload."""
+    code = list(TYPE_MAP.values()).index(arr.dtype)
+    payload = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    zeroed = struct.pack("<4sHHQI", b"RCOL", 2, code, arr.shape[0], 0)
+    crc = zlib.crc32(zeroed + payload) & 0xFFFFFFFF
+    return struct.pack("<4sHHQI", b"RCOL", 2, code, arr.shape[0], crc) + payload
+
+
+def _traced_peak(fn):
+    """Peak bytes Python and numpy allocated while ``fn`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFormatUnchanged:
+    """The bytes on disk and the corruption contract of ``.col`` v2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        type_name=st.sampled_from(list(TYPE_MAP)),
+        n=st.sampled_from([0, 1, 7, 4099]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_reference_layout(
+        self, type_name, n, seed, tmp_path_factory
+    ):
+        dtype = TYPE_MAP[type_name]
+        rng = np.random.default_rng(seed)
+        if dtype == np.bool_:
+            arr = rng.integers(0, 2, n).astype(bool)
+        else:
+            # Raw bit patterns: NaNs, infinities and extremes included.
+            arr = np.frombuffer(rng.bytes(n * dtype.itemsize), dtype=dtype)
+        path = tmp_path_factory.mktemp("ref") / "a.col"
+        written = dump_array(arr, path)
+        raw = path.read_bytes()
+        assert raw == _reference_col(arr)
+        assert written == len(raw)
+        back = load_array(path)
+        assert back.dtype == dtype
+        assert back.tobytes() == arr.tobytes()
+
+    def test_flipped_payload_bit_is_a_checksum_mismatch(self, tmp_path):
+        path = tmp_path / "f.col"
+        dump_array(np.arange(1000, dtype=np.float64), path)
+        raw = bytearray(path.read_bytes())
+        raw[20 + 4000] ^= 0x01
+        path.write_bytes(bytes(raw))
+        before = faults.counter_value("durability.checksum_failures")
+        message = f"{path}: checksum mismatch"
+        with pytest.raises(StorageError, match=f"^{re.escape(message)}$"):
+            load_array(path)
+        assert faults.counter_value("durability.checksum_failures") == before + 1
+
+    def test_truncated_payload_names_both_lengths(self, tmp_path):
+        path = tmp_path / "t.col"
+        dump_array(np.arange(1000, dtype=np.float64), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        message = f"{path}: expected 8000 payload bytes, got 7997"
+        with pytest.raises(StorageError, match=f"^{re.escape(message)}$"):
+            load_array(path)
+
+    def test_corrupt_count_fails_as_short_payload(self, tmp_path):
+        # A count far past the file's size must not be allocated first.
+        path = tmp_path / "c.col"
+        dump_array(np.arange(10, dtype=np.int64), path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = struct.pack("<Q", 2**60)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match="payload bytes, got 80$"):
+            load_array(path)
+
+    @pytest.mark.parametrize("at_byte", [20, 20 + 4000])
+    def test_torn_write_leaves_previous_file(self, tmp_path, at_byte):
+        # 20 is the header/payload seam; 20 + 4000 is mid-payload.
+        path = tmp_path / "v.col"
+        dump_array(np.arange(7, dtype=np.int64), path)
+        before = path.read_bytes()
+        with faults.torn_write(at_byte=at_byte):
+            with pytest.raises(InjectedCrash):
+                dump_array(np.arange(1000, dtype=np.float64), path)
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_array(path), np.arange(7))
+        wreckage = list(tmp_path.glob("v.col.tmp.*"))
+        assert wreckage and wreckage[0].stat().st_size == at_byte
+
+
+class TestOneCopy:
+    """Open and save move a column's bytes once: no whole-payload
+    ``bytes``, concatenation or cast copy on either side."""
+
+    N = 1_000_000
+    PAYLOAD = N * 8
+
+    def test_load_table_holds_one_copy(self, tmp_path):
+        table = Table("pts", [("x", "float64")])
+        table.append_columns({"x": np.arange(self.N, dtype=np.float64)})
+        save_table(table, tmp_path / "pts")
+        del table
+        peak = _traced_peak(lambda: load_table(tmp_path / "pts"))
+        assert peak <= 1.1 * self.PAYLOAD, peak / self.PAYLOAD
+
+    def test_dump_array_copies_nothing(self, tmp_path):
+        arr = np.arange(self.N, dtype=np.float64)
+        peak = _traced_peak(lambda: dump_array(arr, tmp_path / "x.col"))
+        assert peak <= 0.1 * self.PAYLOAD, peak / self.PAYLOAD
+
+    def test_loaded_column_appends_after_adopting(self, tmp_path):
+        table = Table("pts", [("x", "float64"), ("cls", "uint8")])
+        table.append_columns({"x": [1.0, 2.0], "cls": [3, 4]})
+        save_table(table, tmp_path / "pts")
+        back = load_table(tmp_path / "pts")
+        back.append_columns({"x": [5.0], "cls": [6]})
+        np.testing.assert_array_equal(back.column("x").values, [1.0, 2.0, 5.0])
+        np.testing.assert_array_equal(back.column("cls").values, [3, 4, 6])
 
 
 class TestArrayDump:
