@@ -68,11 +68,11 @@ class BinScheme:
         else:
             # bin_of is monotone in the value, so every v >= lo lands in a
             # bin >= bin_of(lo); bins below `first` hold only values < lo.
-            first = int(np.searchsorted(self.borders, lo, side="right"))
+            first = int(self.borders.searchsorted(lo, side="right"))
         if hi is None:
             last = self.n_bins - 1
         else:
-            last = int(np.searchsorted(self.borders, hi, side="right"))
+            last = int(self.borders.searchsorted(hi, side="right"))
         last = min(last, self.n_bins - 1)
         if first > last:
             return 0

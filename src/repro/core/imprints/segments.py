@@ -46,9 +46,10 @@ from ...engine.kernels import (
 from ...engine.scan import (
     Conjunct,
     ScanStats,
-    Segment,
+    Zones,
     scan_segments,
     zone_verdicts,
+    zones_of,
 )
 from ...obs import queries as _queries
 from . import bitvec, dictionary
@@ -63,13 +64,16 @@ DEFAULT_SEGMENT_ROWS = 64 * 1024
 
 #: A probed segment whose imprint vectors leave more than this share of
 #: its cache lines alive compares the contiguous column slices instead
-#: of gathering the surviving lines.  Measured on the 10^7-point
-#: shuffled store (``rect_shuffled`` boxes, sum over 60 ops, median of
-#: three passes): cut 0 (always dense) → 1874 ms, 0.05 → 1483,
-#: 0.125 → 1648, 0.25 → 1553, 1 (always gather) → 2699.  Always
-#: gathering doubles the 10^-2 and 10^-1 boxes, never gathering doubles
-#: the 10^-5 and 10^-4 ones; between 0.05 and 0.25 the differences are
-#: inside the ±8 % run-to-run spread.
+#: of gathering the surviving lines.  Measured with the ``take`` gather
+#: on the 10^7-point shuffled store (2-vCPU Xeon, the 120
+#: ``rect_shuffled`` boxes, sum over the ops, median of five passes,
+#: cuts interleaved): cut 0 (always dense) → 5719 ms, 0.05 → 4736,
+#: 0.125 → 4218, 0.25 → 3995, 1/3 → 3917, 1 (always gather) → 4347.
+#: Always gathering costs the 10^-1 boxes 17 % (75 against 64 ms);
+#: never gathering costs the 10^-5 ones 2.4× (39 against 17 ms).  A
+#: three-pass sweep the same hour ranked 0.125 first (3394 against
+#: 3912 / 3822 ms for 0.25 / 1/3): between 1/8 and 1/3 the order flips
+#: with the run-to-run spread, so the cut stays.
 DENSE_LINE_SHARE = 1 / 8
 
 
@@ -181,8 +185,7 @@ class SegmentedImprints:
         self.max_bins = max_bins
         self.sample_size = sample_size
         self.max_counter = max_counter
-        self.segments: List[SegmentImprint] = []
-        self.n_rows = 0
+        self._set_segments([], 0)
         self.extend()
 
     # -- construction ----------------------------------------------------------
@@ -204,9 +207,15 @@ class SegmentedImprints:
         instance.max_bins = MAX_BINS
         instance.sample_size = DEFAULT_SAMPLE
         instance.max_counter = dictionary.MAX_COUNTER
-        instance.segments = segments
-        instance.n_rows = n_rows
+        instance._set_segments(segments, n_rows)
         return instance
+
+    def _set_segments(self, segments: List[SegmentImprint], n_rows: int) -> None:
+        """Install ``segments`` and the scanner's arrays of their rows
+        and zone maps; the only place either changes."""
+        self.segments = segments
+        self.n_rows = n_rows
+        self.zones: Zones = zones_of([(s.start, s.stop, s.zmin, s.zmax) for s in segments])
 
     def extend(self) -> int:
         """Index rows appended since the last build; returns segments built.
@@ -220,15 +229,13 @@ class SegmentedImprints:
         n = values.shape[0]
         if n == self.n_rows:
             return 0
-        if n < self.n_rows:
-            # Columns are append-only; a shrunk column means this index
-            # belongs to different data.  Rebuild from scratch.
-            self.segments = []
-            self.n_rows = 0
-        if self.segments and self.segments[-1].n_rows < self.segment_rows:
-            rebuild_from = self.segments.pop().start
-        else:
-            rebuild_from = self.n_rows
+        # Columns are append-only; a shrunk column means this index
+        # belongs to different data.  Rebuild from scratch.
+        kept = self.segments if n > self.n_rows else []
+        rebuild_from = self.n_rows if kept else 0
+        if kept and kept[-1].n_rows < self.segment_rows:
+            rebuild_from = kept[-1].start
+            kept = kept[:-1]
         spans = [
             (start, min(start + self.segment_rows, n))
             for start in range(rebuild_from, n, self.segment_rows)
@@ -249,8 +256,7 @@ class SegmentedImprints:
                     zone=zones.get(span),
                 )
             )
-        self.segments.extend(built)
-        self.n_rows = n
+        self._set_segments(kept + built, n)
         return len(spans)
 
     def _packed_zones(self) -> Dict[Tuple[int, int], Tuple[Any, Any]]:
@@ -307,18 +313,10 @@ class SegmentedImprints:
 
     # -- query -----------------------------------------------------------------
 
-    def _zones(self) -> List[Segment]:
-        """The scanner's view of the index: rows and zone map per segment.
-
-        NaN zone maps compare false everywhere and land on PROBE, so NaN
-        data costs time, never correctness.
-        """
-        return [(s.start, s.stop, s.zmin, s.zmax) for s in self.segments]
-
-    def _verdicts(self, lo: Optional[Any], hi: Optional[Any]) -> List[int]:
+    def _verdicts(self, lo: Optional[Any], hi: Optional[Any]) -> NDArray[np.int8]:
         """Zone-map verdict per segment for the closed range ``[lo, hi]``,
         by the same algebra :meth:`query` scans with."""
-        return zone_verdicts(self._zones(), RangePredicate(lo, hi))
+        return zone_verdicts(self.zones, RangePredicate(lo, hi))
 
     def _line_mask(
         self, seg: SegmentImprint, lo: Optional[Any], hi: Optional[Any]
@@ -327,16 +325,10 @@ class SegmentedImprints:
         mask = seg.scheme.range_mask(lo, hi)
         if mask == 0:
             return np.zeros(seg.n_lines, dtype=bool)
-        vec_match = bitvec.match_vectors(seg.cdict.vectors, mask)
+        vec_match: NDArray[np.bool_] = bitvec.match_vectors(seg.cdict.vectors, mask)
         if seg.cdict.vectors.shape[0] != seg.n_lines:
-            vec_match = np.repeat(vec_match, seg.coverage)
+            return vec_match.repeat(seg.coverage)
         return vec_match
-
-    def _candidate_lines(
-        self, seg: SegmentImprint, lo: Optional[Any], hi: Optional[Any]
-    ) -> NDArray[Any]:
-        """Local candidate-line indices for one probed segment."""
-        return np.flatnonzero(self._line_mask(seg, lo, hi))
 
     def same_grid(self, other: "SegmentedImprints") -> bool:
         """True when ``other`` cuts the same rows into the same segments
@@ -345,11 +337,8 @@ class SegmentedImprints:
             self.n_rows == other.n_rows
             and self.segment_rows == other.segment_rows
             and self.vpc == other.vpc
-            and len(self.segments) == len(other.segments)
-            and all(
-                a.start == b.start and a.stop == b.stop
-                for a, b in zip(self.segments, other.segments)
-            )
+            and np.array_equal(self.zones.starts, other.zones.starts)
+            and np.array_equal(self.zones.stops, other.zones.stops)
         )
 
     def query(
@@ -384,14 +373,14 @@ class SegmentedImprints:
     def candidate_rows(self, lo: Optional[Any], hi: Optional[Any]) -> NDArray[Any]:
         """Candidate oids (superset of the exact result), sorted."""
         pieces: List[NDArray[Any]] = []
-        for seg, verdict in zip(self.segments, self._verdicts(lo, hi)):
+        verdicts = self._verdicts(lo, hi)
+        for i in np.flatnonzero(verdicts != ZONE_SKIP).tolist():
             _queries.check_deadline()
-            if verdict == ZONE_SKIP:
-                continue
-            if verdict == ZONE_FULL:
+            seg = self.segments[i]
+            if verdicts[i] == ZONE_FULL:
                 pieces.append(np.arange(seg.start, seg.stop, dtype=np.int64))
                 continue
-            lines = self._candidate_lines(seg, lo, hi)
+            lines = np.flatnonzero(self._line_mask(seg, lo, hi))
             if lines.shape[0] == 0:
                 continue
             rows = (
@@ -412,10 +401,9 @@ class SegmentedImprints:
         if total == 0:
             return 0.0
         touched = 0
-        for seg, verdict in zip(self.segments, self._verdicts(lo, hi)):
+        for i in np.flatnonzero(self._verdicts(lo, hi) == ZONE_PROBE).tolist():
             _queries.check_deadline()
-            if verdict == ZONE_PROBE:
-                touched += int(self._candidate_lines(seg, lo, hi).shape[0])
+            touched += int(np.count_nonzero(self._line_mask(self.segments[i], lo, hi)))
         return float(touched / total)
 
     def false_positive_rate(self, lo: Optional[Any], hi: Optional[Any]) -> float:
@@ -466,16 +454,18 @@ def select_conjunction(
         raise ValueError("select_conjunction takes plain ranges, not complements")
     scan = scan if scan is not None else ScanStats()
     segments = grid.segments
+    starts, stops = grid.zones.starts, grid.zones.stops
     vpc = grid.vpc
-    no_zones: List[Segment] = [(s.start, s.stop, None, None) for s in segments]
+    # ``vpc`` is a power of two: a gathered hit's line and in-line
+    # position are a shift and a mask of its flat position.
+    line_shift, in_line = vpc.bit_length() - 1, vpc - 1
     values = [np.asarray(term.column.values) for term in terms]
-    within_line = np.arange(vpc, dtype=np.int64)
     dense_forms: List[bool] = []  # one per probe that read values
 
     def probe(
         i: int, own: Sequence[int]
     ) -> Tuple[NDArray[np.int64], List[Tuple[int, int]]]:
-        start, stop = segments[i].start, segments[i].stop
+        start, stop = int(starts[i]), int(stops[i])
         n_lines = segments[i].n_lines
         # A term whose zone map covers the segment holds on every row.
         live = [c for c, verdict in enumerate(own) if verdict == ZONE_PROBE]
@@ -489,16 +479,16 @@ def select_conjunction(
         # The lines to gather, or None for the dense form.
         picked: Optional[NDArray[np.intp]] = None
         if alive is not None and (stop - start) % vpc == 0:
-            picked = np.flatnonzero(alive)
-            if picked.shape[0] == 0:
+            n_alive = np.count_nonzero(alive)
+            if n_alive == 0:
                 return _NO_OIDS, reads
-            if picked.shape[0] > n_lines * DENSE_LINE_SHARE:
-                picked = None
+            if n_alive <= n_lines * DENSE_LINE_SHARE:
+                picked = alive.nonzero()[0]
         hit: Optional[NDArray[np.bool_]] = None
         for c in live:
             part = values[c][start:stop]
             if picked is not None:
-                part = part.reshape(n_lines, vpc)[picked]
+                part = part.reshape(n_lines, vpc).take(picked, axis=0)
             lo, hi, lo_inclusive, hi_inclusive, _ = terms[c].predicate
             match = bounds_mask(part, lo, hi, lo_inclusive, hi_inclusive)
             hit = match if hit is None else hit & match
@@ -507,14 +497,16 @@ def select_conjunction(
         if picked is None:
             oids = np.flatnonzero(hit) + start
         else:
-            oids = ((picked * vpc + start)[:, None] + within_line)[hit]
+            pos = hit.ravel().nonzero()[0]
+            oids = picked.take(pos >> line_shift) * vpc + ((pos & in_line) + start)
         dense_forms.append(picked is None)
         return oids.astype(np.int64, copy=False), reads
 
+    bare = Zones(starts, stops)
     conjuncts = [
         Conjunct(
             term.column.name,
-            term.index._zones() if term.index is not None else no_zones,
+            term.index.zones if term.index is not None else bare,
             term.predicate,
         )
         for term in terms

@@ -8,7 +8,7 @@ rather than a storage codec:
 
 * every block carries its value range from encode time, so a range
   predicate prunes whole segments through
-  :func:`repro.engine.kernels.zone_verdict` without touching any
+  :func:`repro.engine.scan.zone_verdicts` without touching any
   payload byte;
 * segments that must be probed are evaluated by the packed kernels —
   FOR offsets compared at stored width, dictionary/RLE verdicts
@@ -35,7 +35,7 @@ from ..obs import queries as _queries
 from . import kernels
 from .compression import CompressedBlock, CompressionError, decode, encode_adaptive
 from .kernels import RangePredicate
-from .scan import Conjunct, ScanStats, scan_segments
+from .scan import Conjunct, ScanStats, Zones, scan_segments, zones_of
 
 #: Rows per compressed segment; matches the segmented imprints so one
 #: zone-map verdict lines up with one imprint segment.
@@ -54,7 +54,8 @@ class CompressedColumn:
     #: crc32 of the source column's raw bytes at encode time; the
     #: storage layer uses it to detect stale sidecars.
     source_crc: int = 0
-    _starts: Tuple[int, ...] = field(default=(), repr=False)
+    #: The blocks' rows and zone maps as arrays, built once.
+    zones: Zones = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counted = sum(b.count for b in self.blocks)
@@ -62,13 +63,15 @@ class CompressedColumn:
             raise CompressionError(
                 f"segment counts sum to {counted}, column has {self.n_rows} rows"
             )
-        if not self._starts:
-            starts: List[int] = []
-            pos = 0
-            for block in self.blocks:
-                starts.append(pos)
-                pos += block.count
-            object.__setattr__(self, "_starts", tuple(starts))
+        stops = np.cumsum([b.count for b in self.blocks], dtype=np.int64).tolist()
+        starts = [0] + stops[:-1]
+        zones = zones_of(
+            [
+                (start, stop, block.zmin, block.zmax)
+                for start, stop, block in zip(starts, stops, self.blocks)
+            ]
+        )
+        object.__setattr__(self, "zones", zones)
 
     # -- construction -----------------------------------------------------
 
@@ -108,8 +111,7 @@ class CompressedColumn:
 
     def segment_bounds(self, i: int) -> Tuple[int, int]:
         """Global ``[start, stop)`` row range of segment ``i``."""
-        start = self._starts[i]
-        return start, start + self.blocks[i].count
+        return int(self.zones.starts[i]), int(self.zones.stops[i])
 
     @property
     def nbytes(self) -> int:
@@ -142,7 +144,7 @@ class CompressedColumn:
         oids = np.asarray(oids, dtype=np.int64)
         if oids.shape[0] == 0:
             return np.empty(0, dtype=np.dtype(self.dtype))
-        starts = np.asarray(self._starts, dtype=np.int64)
+        starts = self.zones.starts
         seg_of = np.searchsorted(starts, oids, side="right") - 1
         pieces: List[NDArray[Any]] = []
         for seg in np.unique(seg_of):
@@ -167,16 +169,14 @@ class CompressedColumn:
         ) -> Tuple[NDArray[np.int64], List[Tuple[int, int]]]:
             block = self.blocks[i]
             mask, packed = kernels.predicate_mask(block, predicate)
-            oids = (np.flatnonzero(mask) + self._starts[i]).astype(np.int64, copy=False)
+            oids = (np.flatnonzero(mask) + self.zones.starts[i]).astype(
+                np.int64, copy=False
+            )
             nbytes = kernels.scan_bytes(block, packed)
             return oids, [(nbytes, 0) if packed else (0, nbytes)]
 
-        zones = [
-            (start, start + block.count, block.zmin, block.zmax)
-            for start, block in zip(self._starts, self.blocks)
-        ]
         return scan_segments(
-            [Conjunct(self.name, zones, predicate)], probe, stats=stats
+            [Conjunct(self.name, self.zones, predicate)], probe, stats=stats
         )
 
     def range_select(

@@ -7,9 +7,9 @@ rows that do not survive it.
 
 Three levels of work avoidance, cheapest first:
 
-1. :func:`zone_verdict` — the block's encode-time ``zmin``/``zmax``
-   (free FOR header fields) decide SKIP / FULL / PROBE before any
-   payload byte is read.  :mod:`repro.engine.scan` applies it to every
+1. Zone maps — the block's encode-time ``zmin``/``zmax`` (free FOR
+   header fields) decide SKIP / FULL / PROBE before any payload byte is
+   read.  :func:`repro.engine.scan.zone_verdicts` applies them to every
    segmented access path (packed blocks and imprint segments alike), so
    the zone-map algebra has exactly one implementation.
 2. Packed evaluation — on PROBE, FOR blocks translate the range bounds
@@ -45,7 +45,8 @@ from .compression import (
     rle_parts,
 )
 
-#: Zone-map verdicts, shared with the segmented imprints.
+#: Zone-map verdicts (:mod:`repro.engine.scan`), shared with the
+#: segmented imprints.  Their order matters: SKIP < FULL < PROBE.
 ZONE_SKIP = 0
 ZONE_FULL = 1
 ZONE_PROBE = 2
@@ -87,32 +88,6 @@ def theta_range(op: str, constant: Any) -> RangePredicate:
         return _THETA_RANGES[op](constant)
     except KeyError:
         raise CompressionError(f"unsupported theta operator {op!r}") from None
-
-
-def zone_verdict(
-    zmin: Any,
-    zmax: Any,
-    lo: Optional[Any],
-    hi: Optional[Any],
-    lo_inclusive: bool = True,
-    hi_inclusive: bool = True,
-) -> int:
-    """Classify a value zone ``[zmin, zmax]`` against a range predicate.
-
-    Returns :data:`ZONE_SKIP` (no row can match), :data:`ZONE_FULL`
-    (every row matches), or :data:`ZONE_PROBE` (must look at the rows).
-    NaN bounds in the zone compare false everywhere and land on PROBE,
-    the always-safe verdict.
-    """
-    if lo is not None and (zmax < lo or (not lo_inclusive and zmax <= lo)):
-        return ZONE_SKIP
-    if hi is not None and (zmin > hi or (not hi_inclusive and zmin >= hi)):
-        return ZONE_SKIP
-    lo_full = lo is None or (zmin >= lo if lo_inclusive else zmin > lo)
-    hi_full = hi is None or (zmax <= hi if hi_inclusive else zmax < hi)
-    if lo_full and hi_full:
-        return ZONE_FULL
-    return ZONE_PROBE
 
 
 def _is_float_bound(bound: Optional[Any]) -> bool:
@@ -291,7 +266,6 @@ __all__ = [
     "ZONE_PROBE",
     "RangePredicate",
     "theta_range",
-    "zone_verdict",
     "bounds_mask",
     "range_mask",
     "predicate_mask",

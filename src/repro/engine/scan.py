@@ -6,15 +6,16 @@ must be looked at, and only the straddling segments touch data.  Every
 segmented access path — imprint vectors in
 :mod:`repro.core.imprints.segments`, packed blocks in
 :mod:`repro.engine.compressed` — hands :func:`scan_segments` its
-per-segment ``(start, stop, zmin, zmax)`` and a *prober* for one
-segment; the loop around them is written here, once.
+segment grid and zone maps as arrays (:class:`Zones`) and a *prober*
+for one segment; the loop around them is written here, once.
 
 A scan is a **conjunction** of range predicates over one segment grid
 (the spatial filter's ``x``, ``y`` and optional ``z`` ranges; a single
 predicate is the one-term case).  A segment is skipped when *any* term's
 zone map is disjoint, accepted when *all* cover it, and probed
-otherwise — :func:`conjunction_verdict`, the only place that rule is
-written.
+otherwise — :func:`zone_verdicts` and :func:`conjunction_verdicts`, a
+handful of array comparisons over every segment at once and the only
+place that rule is written.
 
 This module is the only code that registers segment progress with the
 live query, checks its deadline before each probe, credits the
@@ -35,24 +36,58 @@ from numpy.typing import NDArray
 from ..obs import heat as _heat
 from ..obs import queries as _queries
 from ..obs import resources
-from .kernels import ZONE_FULL, ZONE_PROBE, ZONE_SKIP, RangePredicate, zone_verdict
+from .kernels import ZONE_FULL, ZONE_PROBE, ZONE_SKIP, RangePredicate
 
 #: One segment's scan metadata: global ``[start, stop)`` rows and the
 #: ``(zmin, zmax)`` zone map (``None`` when the segment carries none).
 Segment = Tuple[int, int, Any, Any]
 
 
+class Zones(NamedTuple):
+    """A segment grid and its zone maps, one array entry per segment.
+
+    Segment ``i`` holds the global rows ``[starts[i], stops[i])`` and
+    values in ``[zmin[i], zmax[i]]``.  ``zmin``/``zmax`` are ``None``
+    when the grid carries no zone maps at all (every segment PROBEs);
+    ``known``, when given, is ``False`` where one segment lacks its own.
+    Owners build this once per change of their segments, not per query.
+    """
+
+    starts: NDArray[np.int64]
+    stops: NDArray[np.int64]
+    zmin: Optional[NDArray[Any]] = None
+    zmax: Optional[NDArray[Any]] = None
+    known: Optional[NDArray[np.bool_]] = None
+
+
+def zones_of(segments: Sequence[Segment]) -> Zones:
+    """:class:`Zones` from per-segment ``(start, stop, zmin, zmax)``
+    tuples; a ``None`` zone bound marks that segment's zone map missing.
+    The zone arrays take the dtype numpy gives the bounds themselves, so
+    an array comparison promotes exactly as the scalar one would."""
+    n = len(segments)
+    starts = np.fromiter((s[0] for s in segments), dtype=np.int64, count=n)
+    stops = np.fromiter((s[1] for s in segments), dtype=np.int64, count=n)
+    known = [s[2] is not None and s[3] is not None for s in segments]
+    if not any(known):
+        return Zones(starts, stops)
+    fill = segments[known.index(True)]
+    zmin = np.asarray([s[2] if k else fill[2] for s, k in zip(segments, known)])
+    zmax = np.asarray([s[3] if k else fill[3] for s, k in zip(segments, known)])
+    return Zones(starts, stops, zmin, zmax, None if all(known) else np.asarray(known))
+
+
 class Conjunct(NamedTuple):
     """One range predicate of a conjunctive scan.
 
     Every conjunct of a scan lists the same ``[start, stop)`` rows per
-    segment; a column that has no zone maps on that grid passes ``None``
-    zones and is probed wherever the other terms do not settle the
-    segment.  ``column`` names the term in the heat map.
+    segment; a column that has no zone maps on that grid passes
+    ``Zones(starts, stops)`` and is probed wherever the other terms do
+    not settle the segment.  ``column`` names the term in the heat map.
     """
 
     column: str
-    segments: Sequence[Segment]
+    zones: Zones
     predicate: RangePredicate
 
 
@@ -94,60 +129,65 @@ class ScanStats:
     rows_out: int = 0
 
 
-def _verdict(segment: Segment, predicate: RangePredicate) -> int:
-    start, stop, zmin, zmax = segment
-    if stop <= start:
-        return ZONE_SKIP
-    if zmin is None or zmax is None:
-        return ZONE_PROBE
-    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
-    verdict = zone_verdict(zmin, zmax, lo, hi, lo_inclusive, hi_inclusive)
-    if negate and verdict != ZONE_PROBE:
-        return ZONE_FULL if verdict == ZONE_SKIP else ZONE_SKIP
-    return verdict
-
-
-def zone_verdicts(
-    segments: Sequence[Segment], predicate: RangePredicate
-) -> List[int]:
+def zone_verdicts(zones: Zones, predicate: RangePredicate) -> NDArray[np.int8]:
     """SKIP / FULL / PROBE for every segment, without touching data.
 
+    A zone is skipped when it lies wholly outside the range and accepted
+    when it lies wholly inside; SKIP wins when a degenerate zone is both.
     Empty segments SKIP; segments without a zone map PROBE, as do NaN
     zones (they compare false everywhere), so missing metadata costs
     time, never correctness.  ``negate`` complements the verdicts:
     every-row-matches becomes no-row-matches and vice versa, PROBE stays
     PROBE.
     """
-    return [_verdict(segment, predicate) for segment in segments]
+    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
+    starts, stops, zmin, zmax, known = zones
+    verdicts = np.full(starts.shape[0], ZONE_PROBE, dtype=np.int8)
+    if zmin is not None and zmax is not None:
+        skip = np.zeros(starts.shape[0], dtype=bool)
+        full = np.ones(starts.shape[0], dtype=bool)
+        if lo is not None:
+            skip |= zmax < lo if lo_inclusive else zmax <= lo
+            full &= zmin >= lo if lo_inclusive else zmin > lo
+        if hi is not None:
+            skip |= zmin > hi if hi_inclusive else zmin >= hi
+            full &= zmax <= hi if hi_inclusive else zmax < hi
+        full &= ~skip
+        if known is not None:
+            skip &= known
+            full &= known
+        if negate:
+            skip, full = full, skip
+        verdicts[full] = ZONE_FULL
+        verdicts[skip] = ZONE_SKIP
+    verdicts[stops <= starts] = ZONE_SKIP
+    return verdicts
 
 
-def conjunction_verdict(own: Sequence[int]) -> int:
-    """One segment's verdict from its conjuncts' own: any SKIP settles it
-    (no row can satisfy every term), all FULL accepts it, anything else —
-    a straddling or a missing zone map — must be probed."""
-    if ZONE_SKIP in own:
-        return ZONE_SKIP
-    if all(verdict == ZONE_FULL for verdict in own):
-        return ZONE_FULL
-    return ZONE_PROBE
+def zone_verdict(
+    zmin: Any,
+    zmax: Any,
+    lo: Optional[Any],
+    hi: Optional[Any],
+    lo_inclusive: bool = True,
+    hi_inclusive: bool = True,
+) -> int:
+    """One zone ``[zmin, zmax]`` against a range: :func:`zone_verdicts`
+    on a one-segment grid."""
+    zones = zones_of([(0, 1, zmin, zmax)])
+    predicate = RangePredicate(lo, hi, lo_inclusive, hi_inclusive)
+    return int(zone_verdicts(zones, predicate)[0])
 
 
-def _own_verdicts(conjuncts: Sequence[Conjunct]) -> List[List[int]]:
-    """Per segment, each conjunct's own verdict, cut short at the first
-    SKIP: on clustered rows the first term settles most segments and the
-    others' zone maps are never read."""
-    n = len(conjuncts[0].segments)
-    if any(len(c.segments) != n for c in conjuncts):
-        raise ValueError("conjuncts of one scan must share a segment grid")
-    own: List[List[int]] = []
-    for i in range(n):
-        row: List[int] = []
-        for conjunct in conjuncts:
-            row.append(_verdict(conjunct.segments[i], conjunct.predicate))
-            if row[-1] == ZONE_SKIP:
-                break
-        own.append(row)
-    return own
+def conjunction_verdicts(own: NDArray[np.int8]) -> NDArray[np.int8]:
+    """Per segment, the verdict of a conjunction from its terms' own
+    (``own[c, i]``, one row per term): any SKIP settles it (no row can
+    satisfy every term), all FULL accepts it, anything else — a
+    straddling or a missing zone map — must be probed.  With SKIP <
+    FULL < PROBE that is the column minimum where it is SKIP and the
+    column maximum elsewhere."""
+    lowest = own.min(axis=0)
+    return np.where(lowest == ZONE_SKIP, lowest, own.max(axis=0))
 
 
 def scan_segments(
@@ -164,32 +204,35 @@ def scan_segments(
     as they complete.
     """
     stats = stats if stats is not None else ScanStats()
-    segments = conjuncts[0].segments
-    own = _own_verdicts(conjuncts)
-    verdicts = [conjunction_verdict(row) for row in own]
-    probes = [i for i, v in enumerate(verdicts) if v == ZONE_PROBE]
-    n_full = verdicts.count(ZONE_FULL)
-    stats.segments_probed += len(probes)
+    starts, stops = conjuncts[0].zones.starts, conjuncts[0].zones.stops
+    if any(c.zones.starts.shape != starts.shape for c in conjuncts):
+        raise ValueError("conjuncts of one scan must share a segment grid")
+    own = np.stack([zone_verdicts(c.zones, c.predicate) for c in conjuncts])
+    verdicts = conjunction_verdicts(own)
+    probes = np.flatnonzero(verdicts == ZONE_PROBE)
+    n_total, n_probes = int(verdicts.shape[0]), int(probes.shape[0])
+    n_full = int(np.count_nonzero(verdicts == ZONE_FULL))
+    stats.segments_probed += n_probes
     stats.segments_full += n_full
-    stats.segments_skipped += len(verdicts) - len(probes) - n_full
+    stats.segments_skipped += n_total - n_probes - n_full
     active = _queries.current_query()
     if active is not None:
         # Live progress: the denominator is every segment of this scan;
         # skips and wholesale accepts complete instantly, probes tick
         # one by one below.
-        active.add_segments(total=len(verdicts), done=len(verdicts) - len(probes))
+        active.add_segments(total=n_total, done=n_total - n_probes)
     tracker = resources.current()
     heat = _heat.maybe_heat()
     hook = probe_hook
     done: Dict[int, Tuple[NDArray[np.int64], Sequence[Tuple[int, int]]]] = {}
 
     try:
-        for i in probes:
+        for i, own_i in zip(probes.tolist(), own[:, probes].T.tolist()):
             if active is not None:
                 active.check_deadline()
             if hook is not None:
                 hook(i)
-            done[i] = probe(i, own[i])
+            done[i] = probe(i, own_i)
             if active is not None:
                 active.add_segments(done=1)
     finally:
@@ -204,13 +247,14 @@ def scan_segments(
         stats.encoded_bytes += encoded
         stats.materialized_bytes += materialized
         if tracker is not None and done:
-            rows = sum(segments[i][1] - segments[i][0] for i in done)
+            ran = list(done)
+            rows = int((stops[ran] - starts[ran]).sum())
             tracker.add_touched(rows=rows, nbytes=encoded + materialized)
             tracker.add_scan_bytes(encoded=encoded, materialized=materialized)
         if heat is not None:
             # One batched update per column per scan, never per segment.
-            skipped = [i for i, v in enumerate(verdicts) if v == ZONE_SKIP]
-            full = [i for i, v in enumerate(verdicts) if v == ZONE_FULL]
+            skipped = np.flatnonzero(verdicts == ZONE_SKIP).tolist()
+            full = np.flatnonzero(verdicts == ZONE_FULL).tolist()
             for c, conjunct in enumerate(conjuncts):
                 heat.record_scan(
                     conjunct.column,
@@ -220,10 +264,10 @@ def scan_segments(
                 )
 
     pieces: List[NDArray[np.int64]] = []
-    for i, verdict in enumerate(verdicts):
-        if verdict == ZONE_FULL:
-            pieces.append(np.arange(segments[i][0], segments[i][1], dtype=np.int64))
-        elif verdict == ZONE_PROBE and done[i][0].shape[0]:
+    for i in np.flatnonzero(verdicts != ZONE_SKIP).tolist():
+        if i not in done:
+            pieces.append(np.arange(starts[i], stops[i], dtype=np.int64))
+        elif done[i][0].shape[0]:
             pieces.append(done[i][0])
     if not pieces:
         return np.empty(0, dtype=np.int64)

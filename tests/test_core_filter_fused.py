@@ -14,12 +14,18 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.imprints import ImprintsManager, SegmentedImprints
-from repro.core.imprints.segments import DENSE_LINE_SHARE
+from repro.core.imprints.bitvec import values_per_cacheline
+from repro.core.imprints.segments import DENSE_LINE_SHARE, RangeTerm, select_conjunction
 from repro.core.query import QueryStats, SpatialSelect
 from repro.engine import scan as scan_mod
-from repro.engine.kernels import ZONE_PROBE
+from repro.engine.column import TYPE_MAP, Column
+from repro.engine.compressed import CompressedColumn
+from repro.engine.kernels import ZONE_PROBE, ZONE_SKIP, RangePredicate
+from repro.engine.scan import ScanStats
 from repro.engine.table import Table
 from repro.gis.envelope import Box
 from repro.gis.geometry import LineString, Polygon
@@ -233,6 +239,95 @@ class TestDenseGatherCut:
         assert self._query(8) == ((1, 0), self.LINES * VPC * 8)
 
 
+def _column_values(rng, dtype, n, layout, specials):
+    """``n`` values of ``dtype`` in one of three row orders: ``sorted``
+    (neighbouring lines share imprint vectors, so the cacheline
+    dictionary stores repeats), ``runs`` of repeated values, or
+    ``shuffled`` (every line its own vector)."""
+    if dtype.kind == "f":
+        values = rng.normal(0.0, 100.0, n).astype(dtype)
+        if specials:
+            where = rng.choice(n, size=max(n // 10, 1))
+            values[where] = rng.choice([np.nan, np.inf, -np.inf], where.shape[0])
+    else:
+        info = np.iinfo(dtype)
+        lo, hi = (info.min, info.max) if rng.random() < 0.3 else (0, min(40, info.max))
+        values = rng.integers(lo, hi, n, dtype=dtype, endpoint=True)
+    if layout == "sorted":
+        values = np.sort(values)
+    elif layout == "runs":
+        values = np.repeat(values, rng.integers(1, 30, n))[:n]
+    return values
+
+
+@st.composite
+def conjunctions(draw):
+    """A conjunction of 1-3 range terms over columns of one numeric dtype,
+    on a grid whose row count may be off the segment and the line grid."""
+    dtype = TYPE_MAP[draw(st.sampled_from([t for t in TYPE_MAP if t != "bool"]))]
+    vpc = values_per_cacheline(dtype.itemsize)
+    segment_lines = draw(st.integers(8, 64))
+    n_lines = draw(st.integers(segment_lines, 3 * segment_lines + 5))
+    segment_rows = segment_lines * vpc
+    n_rows = n_lines * vpc - draw(st.sampled_from([0, 0, 1, vpc - 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["sorted", "runs", "shuffled"]))
+    specials = draw(st.booleans())
+    terms = []
+    for k in range(draw(st.integers(1, 3))):
+        values = _column_values(rng, dtype, n_rows, layout, specials)
+        column = Column(f"c{k}", dtype, data=values)
+        indexed = k == 0 or draw(st.booleans())
+        index = SegmentedImprints(column, segment_rows=segment_rows) if indexed else None
+        # Bounds at zone edges, at values, open, or a narrow range
+        # between neighbouring distinct values (few lines alive: gather).
+        edges = [
+            f(values[start : start + segment_rows])
+            for start in range(0, n_rows, segment_rows)
+            for f in (np.min, np.max)
+        ]
+        distinct = np.unique(values)
+        at = draw(st.integers(0, distinct.shape[0] - 1))
+        near = distinct[at : at + draw(st.integers(1, 3))]
+        candidates = [None, near[0], near[-1], *edges, *values[rng.choice(n_rows, 4)]]
+        if draw(st.booleans()):
+            lo, hi = near[0], near[-1]
+        else:
+            lo, hi = (candidates[draw(st.integers(0, len(candidates) - 1))] for _ in "lh")
+        predicate = RangePredicate(lo, hi, draw(st.booleans()), draw(st.booleans()))
+        terms.append(RangeTerm(column, index, predicate))
+    return terms
+
+
+def numpy_answer(terms):
+    mask = np.ones(len(terms[0].column), dtype=bool)
+    for term in terms:
+        values = np.asarray(term.column.values)
+        lo, hi, lo_inclusive, hi_inclusive, _ = term.predicate
+        if lo is not None:
+            mask &= values >= lo if lo_inclusive else values > lo
+        if hi is not None:
+            mask &= values <= hi if hi_inclusive else values < hi
+    return np.flatnonzero(mask)
+
+
+class TestLeanProberAgainstBruteForce:
+    """``select_conjunction``'s gather form (lines picked with ``take``,
+    oids rebuilt from one ``nonzero``) and its dense form against the
+    numpy mask, oid for oid, over every numeric dtype (``vpc`` 8-64)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(conjunctions())
+    def test_oids_equal_numpy(self, terms):
+        scan = ScanStats()
+        with np.errstate(invalid="ignore"):
+            got = select_conjunction(terms[0].index, terms, scan=scan)
+            want = numpy_answer(terms)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert scan.dense_probes + scan.gather_probes <= scan.segments_probed
+
+
 class TestAccounting:
     def _select(self, columns="xyz"):
         table = make_table(make_data("sorted", 3003))
@@ -279,26 +374,35 @@ class TestAccounting:
 
 class TestVerdictConjunction:
     def test_the_filter_goes_through_scan_py(self, monkeypatch):
-        """The filter's skip/probe counts are exactly what the one
-        conjunction rule in ``engine/scan.py`` returned, segment by
-        segment."""
+        """The filter's and the packed scan's skip/probe counts are exactly
+        what the one conjunction rule in ``engine/scan.py`` returned: one
+        array call per scan, one verdict per segment."""
         table = make_table(make_data("sorted", 3003))
         manager = manager_for()
         for column in "xy":
             manager.ensure(table, column)
         select = SpatialSelect(table, manager=manager)
         returned = []
-        rule = scan_mod.conjunction_verdict
+        rule = scan_mod.conjunction_verdicts
 
         def recording(own):
-            returned.append(rule(own))
-            return returned[-1]
+            returned.append(rule(own).tolist())
+            return np.asarray(returned[-1], dtype=np.int8)
 
-        monkeypatch.setattr(scan_mod, "conjunction_verdict", recording)
+        monkeypatch.setattr(scan_mod, "conjunction_verdicts", recording)
         stats = select.query(Box(10, 20, 60, 90)).stats
-        assert len(returned) == 12  # once per segment
-        assert stats.n_segments_probed == returned.count(ZONE_PROBE) > 0
-        assert stats.n_segments_skipped == 12 - returned.count(ZONE_PROBE) > 0
+        assert len(returned) == 1  # once per scan
+        (verdicts,) = returned
+        assert len(verdicts) == 12  # one per segment
+        assert stats.n_segments_probed == verdicts.count(ZONE_PROBE) > 0
+        assert stats.n_segments_skipped == 12 - verdicts.count(ZONE_PROBE) > 0
+
+        packed = CompressedColumn.from_values("x", table.column("x").values, SEGMENT_ROWS)
+        scan = ScanStats()
+        packed.range_select(10, 60, stats=scan)
+        assert len(returned) == 2
+        assert scan.segments_probed == returned[1].count(ZONE_PROBE) > 0
+        assert scan.segments_skipped == returned[1].count(ZONE_SKIP) > 0
 
 
 class _Stats:

@@ -23,9 +23,8 @@ from repro.engine.kernels import (
     scan_bytes,
     take,
     theta_mask,
-    zone_verdict,
 )
-from repro.engine.scan import ScanStats
+from repro.engine.scan import ScanStats, zone_verdict
 
 SCHEME_NAMES = sorted(SCHEMES)
 THETA_OPS = ["==", "!=", "<", "<=", ">", ">="]

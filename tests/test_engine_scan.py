@@ -9,6 +9,8 @@ scan.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.imprints import SegmentedImprints
 from repro.core.imprints.segments import RangeTerm, select_conjunction
@@ -25,9 +27,11 @@ from repro.engine.kernels import (
 from repro.engine.scan import (
     Conjunct,
     ScanStats,
-    conjunction_verdict,
+    conjunction_verdicts,
     scan_segments,
+    zone_verdict,
     zone_verdicts,
+    zones_of,
 )
 from repro.obs.heat import disable_heat, enable_heat
 from repro.obs.metrics import MetricsRegistry
@@ -44,6 +48,7 @@ SEGMENTS = [
     (30, 40, float("nan"), float("nan")),
     (40, 50, 40, 49),
 ]
+ZONES = zones_of(SEGMENTS)
 VALUES = np.arange(50)
 
 
@@ -70,7 +75,7 @@ def fake_prober(predicate, calls=None):
 def scan_one(predicate, probe=None, **kwargs):
     """The one-term scan of ``VALUES`` every test of the loop runs."""
     probe = probe if probe is not None else fake_prober(predicate)
-    return scan_segments([Conjunct("v", SEGMENTS, predicate)], probe, **kwargs)
+    return scan_segments([Conjunct("v", ZONES, predicate)], probe, **kwargs)
 
 
 @pytest.fixture
@@ -88,7 +93,7 @@ def heat():
 
 class TestZoneVerdicts:
     def test_skip_full_probe(self):
-        assert zone_verdicts(SEGMENTS, RangePredicate(5, 19)) == [
+        assert zone_verdicts(ZONES, RangePredicate(5, 19)).tolist() == [
             ZONE_PROBE,
             ZONE_FULL,
             ZONE_SKIP,
@@ -98,7 +103,7 @@ class TestZoneVerdicts:
         ]
 
     def test_negate_complements_all_but_probe_and_empty(self):
-        assert zone_verdicts(SEGMENTS, RangePredicate(5, 19, negate=True)) == [
+        assert zone_verdicts(ZONES, RangePredicate(5, 19, negate=True)).tolist() == [
             ZONE_PROBE,
             ZONE_SKIP,
             ZONE_SKIP,  # an empty segment matches nothing either way
@@ -108,32 +113,137 @@ class TestZoneVerdicts:
         ]
 
     def test_exclusive_bounds_reach_the_zone_algebra(self):
-        seg = [(0, 10, 0, 9)]
-        assert zone_verdicts(seg, RangePredicate(9, None)) == [ZONE_PROBE]
-        assert zone_verdicts(seg, RangePredicate(9, None, lo_inclusive=False)) == [ZONE_SKIP]
-        assert zone_verdicts(seg, RangePredicate(None, 9, hi_inclusive=False)) == [ZONE_PROBE]
+        seg = zones_of([(0, 10, 0, 9)])
+        assert zone_verdicts(seg, RangePredicate(9, None)).tolist() == [ZONE_PROBE]
+        assert zone_verdicts(seg, RangePredicate(9, None, lo_inclusive=False)).tolist() == [
+            ZONE_SKIP
+        ]
+        assert zone_verdicts(seg, RangePredicate(None, 9, hi_inclusive=False)).tolist() == [
+            ZONE_PROBE
+        ]
+
+
+def scalar_rule(start, stop, zmin, zmax, predicate):
+    """One segment's verdict as the scanner decided it segment by
+    segment, with numpy scalar zones: the reference for the array rule."""
+    if stop <= start:
+        return ZONE_SKIP
+    if zmin is None or zmax is None:
+        return ZONE_PROBE
+    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
+    if lo is not None and (zmax < lo or (not lo_inclusive and zmax <= lo)):
+        verdict = ZONE_SKIP
+    elif hi is not None and (zmin > hi or (not hi_inclusive and zmin >= hi)):
+        verdict = ZONE_SKIP
+    else:
+        lo_full = lo is None or (zmin >= lo if lo_inclusive else zmin > lo)
+        hi_full = hi is None or (zmax <= hi if hi_inclusive else zmax < hi)
+        verdict = ZONE_FULL if lo_full and hi_full else ZONE_PROBE
+    if negate and verdict != ZONE_PROBE:
+        return ZONE_FULL if verdict == ZONE_SKIP else ZONE_SKIP
+    return verdict
+
+
+def _zone_values(dtype):
+    """Values of ``dtype`` weighted to the edges where promotion bites:
+    past 2^53 for int64, above 2^63 for uint64, ±inf and NaN for floats."""
+    if dtype.kind == "f":
+        return st.floats(width=8 * dtype.itemsize)
+    info = np.iinfo(dtype)
+    edges = [info.min, info.max, 0, 1, 2**53, 2**53 + 1, 2**63, 2**63 + 1, -(2**53) - 1]
+    return st.one_of(
+        st.integers(int(info.min), int(info.max)),
+        st.sampled_from([e for e in edges if info.min <= e <= info.max]),
+    )
+
+
+@st.composite
+def zone_cases(draw):
+    dtype = np.dtype(draw(st.sampled_from(["int8", "uint8", "int64", "uint64", "float32", "float64"])))
+    values = _zone_values(dtype)
+    segments, pos = [], 0
+    for _ in range(draw(st.integers(1, 10))):
+        size = draw(st.sampled_from([0, 1, 7]))
+        if draw(st.integers(0, 5)) == 0:
+            zmin = zmax = None
+        else:  # either order: a degenerate header has zmin > zmax
+            zmin, zmax = dtype.type(draw(values)), dtype.type(draw(values))
+        segments.append((pos, pos + size, zmin, zmax))
+        pos += size
+    edges = [z for segment in segments for z in segment[2:] if z is not None]
+    bound = st.one_of(
+        st.none(),
+        values,  # a Python scalar
+        values.map(dtype.type),
+        st.floats(),  # float bounds on integer zones
+        st.integers(-(2**70), 2**70),  # outside every dtype's range
+        *([st.sampled_from(edges), st.sampled_from(edges).map(lambda z: z.item())] if edges else []),
+    )
+    predicate = RangePredicate(
+        draw(bound), draw(bound), draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    )
+    return segments, predicate
+
+
+class TestArrayRuleIsScalarRule:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(zone_cases())
+    def test_element_by_element(self, case):
+        segments, predicate = case
+        got = zone_verdicts(zones_of(segments), predicate).tolist()
+        assert got == [scalar_rule(*segment, predicate) for segment in segments]
+        lo, hi, lo_inclusive, hi_inclusive, negate = predicate
+        for (start, stop, zmin, zmax), verdict in zip(segments, got):
+            if stop > start and zmin is not None and not negate:
+                assert zone_verdict(zmin, zmax, lo, hi, lo_inclusive, hi_inclusive) == verdict
+
+    def test_edges_of_wide_integers(self):
+        """The cases the property test is weighted towards, pinned."""
+        big = np.int64(2**53 + 1)  # rounds to 2^53 as a float64
+        assert zone_verdict(big, big, float(2**53), None, lo_inclusive=False) == ZONE_SKIP
+        top = np.uint64(2**63 + 1)
+        assert zone_verdict(top, top, -1, 2**63) == ZONE_SKIP
+        assert zone_verdict(top, top, -1, 2**64) == ZONE_FULL
+        assert zone_verdict(np.int8(5), np.int8(9), -1000, 1000) == ZONE_FULL
 
 
 class TestConjunction:
     """Several range predicates over one grid: the rule is written once."""
 
     def test_any_skip_skips_all_full_accepts_the_rest_probes(self):
-        assert conjunction_verdict([ZONE_FULL, ZONE_PROBE, ZONE_SKIP]) == ZONE_SKIP
-        assert conjunction_verdict([ZONE_SKIP]) == ZONE_SKIP
-        assert conjunction_verdict([ZONE_FULL, ZONE_FULL, ZONE_FULL]) == ZONE_FULL
-        assert conjunction_verdict([ZONE_FULL, ZONE_PROBE]) == ZONE_PROBE
+        # One column per segment, one row per term.
+        own = np.array(
+            [
+                [ZONE_FULL, ZONE_SKIP, ZONE_FULL, ZONE_FULL, ZONE_PROBE],
+                [ZONE_PROBE, ZONE_SKIP, ZONE_FULL, ZONE_PROBE, ZONE_PROBE],
+                [ZONE_SKIP, ZONE_SKIP, ZONE_FULL, ZONE_FULL, ZONE_PROBE],
+            ],
+            dtype=np.int8,
+        )
+        assert conjunction_verdicts(own).tolist() == [
+            ZONE_SKIP,
+            ZONE_SKIP,
+            ZONE_FULL,
+            ZONE_PROBE,
+            ZONE_PROBE,
+        ]
         # A term without zone maps is PROBE everywhere: it can neither
         # skip a segment nor let the others accept it.
-        (no_zone,) = zone_verdicts([(0, 8, None, None)], RangePredicate(0, 1))
-        assert conjunction_verdict([ZONE_FULL, no_zone]) == ZONE_PROBE
+        no_zone = zone_verdicts(zones_of([(0, 8, None, None)]), RangePredicate(0, 1))
+        full = np.array([ZONE_FULL], dtype=np.int8)
+        assert conjunction_verdicts(np.stack([full, no_zone])).tolist() == [ZONE_PROBE]
 
     def test_scan_of_two_terms(self, heat):
         """``v`` in [5, 29] and ``w`` = 2 * ``v`` in [30, 200]: the prober
         sees only the undecided segments, with each term's own verdict."""
         bounds = [(0, 10), (10, 20), (20, 30), (30, 40)]
-        v = Conjunct("v", [(a, b, a, b - 1) for a, b in bounds], RangePredicate(5, 29))
+        v = Conjunct(
+            "v", zones_of([(a, b, a, b - 1) for a, b in bounds]), RangePredicate(5, 29)
+        )
         w = Conjunct(
-            "w", [(a, b, 2 * a, 2 * b - 2) for a, b in bounds], RangePredicate(30, 200)
+            "w",
+            zones_of([(a, b, 2 * a, 2 * b - 2) for a, b in bounds]),
+            RangePredicate(30, 200),
         )
         seen = {}
 
@@ -161,8 +271,8 @@ class TestConjunction:
         assert round(rows["v", 0]["skips"]) == round(rows["w", 3]["skips"]) == 1
 
     def test_terms_must_share_the_grid(self):
-        a = Conjunct("a", [(0, 10, 0, 9)], RangePredicate(0, 5))
-        b = Conjunct("b", [(0, 5, 0, 4), (5, 10, 5, 9)], RangePredicate(0, 5))
+        a = Conjunct("a", zones_of([(0, 10, 0, 9)]), RangePredicate(0, 5))
+        b = Conjunct("b", zones_of([(0, 5, 0, 4), (5, 10, 5, 9)]), RangePredicate(0, 5))
         with pytest.raises(ValueError):
             scan_segments([a, b], fake_prober(RangePredicate(0, 5)))
 
@@ -193,7 +303,7 @@ class TestScanSegments:
             assert len(own) == terms and len(set(own)) == 1
             return one_term(i, own[:1])
 
-        got = scan_segments([Conjunct("v", SEGMENTS, predicate)] * terms, probe)
+        got = scan_segments([Conjunct("v", ZONES, predicate)] * terms, probe)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.flatnonzero(~mask if negate else mask))
 

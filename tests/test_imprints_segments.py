@@ -15,6 +15,7 @@ from repro.core.imprints.persist import save_segmented, load_segmented
 from repro.engine.column import Column
 from repro.engine.select import range_select
 from repro.engine.table import Table
+from repro.obs import queries
 
 
 def make_column(values, dtype=np.float64):
@@ -171,6 +172,57 @@ class TestIncrementalAppend:
         col = make_column(np.arange(1000))
         imp = SegmentedImprints(col)
         assert imp.extend() == 0
+
+
+class TestZonesNeverStale:
+    """``extend()`` rebuilds a partial trailing segment in place: same
+    segment count, new ``zmax``.  The scanner's zone arrays must follow,
+    or rows appended above the old maximum are skipped."""
+
+    OLD, NEW, SEGMENT = 1000, 20, 256  # 4 segments before and after
+
+    def _grow(self, column):
+        column.append(np.arange(5000, 5000 + self.NEW, dtype=np.float64))
+        return np.arange(self.OLD, self.OLD + self.NEW)
+
+    def test_imprint_finds_rows_appended_to_the_partial_segment(self):
+        column = make_column(np.arange(self.OLD))
+        imp = SegmentedImprints(column, segment_rows=self.SEGMENT)
+        assert imp.query(5000, 6000).shape[0] == 0  # zone arrays built
+        want = self._grow(column)
+        assert imp.extend() == 1
+        assert imp.n_segments == 4
+        np.testing.assert_array_equal(imp.query(5000, 6000), want)
+        np.testing.assert_array_equal(imp.zones.stops, [256, 512, 768, 1020])
+
+    def test_packed_column_finds_rows_appended_to_the_partial_segment(self):
+        column = make_column(np.arange(self.OLD))
+        column.pack(segment_rows=self.SEGMENT)
+        imp = SegmentedImprints(column, segment_rows=self.SEGMENT)  # zones from the blocks
+        assert range_select(column, 5000, 6000).shape[0] == 0  # packed scan
+        want = self._grow(column)
+        column.pack(segment_rows=self.SEGMENT)
+        assert len(column.packed.blocks) == 4
+        np.testing.assert_array_equal(range_select(column, 5000, 6000), want)
+        imp.extend()
+        np.testing.assert_array_equal(imp.query(5000, 6000), want)
+
+    def test_a_cancelled_extend_leaves_the_index_as_it_was(self, monkeypatch):
+        column = make_column(np.arange(self.OLD))
+        imp = SegmentedImprints(column, segment_rows=self.SEGMENT)
+        want = self._grow(column)
+
+        def cancelled():
+            raise RuntimeError("deadline")
+
+        monkeypatch.setattr(queries, "check_deadline", cancelled)
+        with pytest.raises(RuntimeError):
+            imp.extend()
+        assert (imp.n_rows, imp.n_segments, int(imp.zones.stops[-1])) == (1000, 4, 1000)
+        monkeypatch.undo()
+        imp.extend()
+        np.testing.assert_array_equal(imp.query(5000, 6000), want)
+        np.testing.assert_array_equal(imp.query(0, 6000), np.arange(self.OLD + self.NEW))
 
 
 class TestSegmentedPersistence:
