@@ -178,11 +178,13 @@ class Column:
 
         On an empty column an array it can use as is — same dtype,
         1-D, contiguous, writeable — becomes the column's buffer with
-        no copy.  This is the storage loader's path: its freshly read
-        arrays are held by nobody else, and copying each into a new
-        buffer would keep two copies of a table alive during an open.
-        Anything else is an ordinary :meth:`append`.  An adopted buffer
-        has no growth slack, so the next append reallocates.
+        no copy.  This is the storage loader's path: its arrays are
+        copy-on-write maps of the ``.col`` payloads, held by nobody
+        else, so the column's buffer is the file's pages and only the
+        pages a query reads become resident.  Anything else is an
+        ordinary :meth:`append`.  An adopted buffer has no growth
+        slack, so the next append reallocates; an append after a
+        :meth:`truncate` writes into private pages, never the file.
         """
         if (
             self._len

@@ -14,7 +14,7 @@ same protocol:
 
 A reader therefore sees either the complete old file or the complete new
 file, never a torn hybrid; payload CRC32 checksums (embedded in the
-``.col`` v2 and ``.imprint`` v3 headers) catch the remaining failure
+``.col`` v4 and ``.imprint`` v3 headers) catch the remaining failure
 modes — media corruption and torn writes on filesystems without atomic
 rename.
 
@@ -186,7 +186,7 @@ def atomic_append_text(path: PathLike, text: str, label: str = "log") -> int:
 
 
 def checksum(*parts: Buffer) -> int:
-    """The CRC32 embedded in the v2 column / v3 imprint headers.
+    """The CRC32 embedded in the v4 column / v3 imprint headers.
 
     Covers ``parts`` as if concatenated, with a running CRC instead of
     the concatenation, so "header with the CRC zeroed + payload" is

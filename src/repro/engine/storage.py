@@ -7,21 +7,34 @@ format — a tiny self-describing header followed by raw little-endian array
 bytes — plus table-level save/load as one file per column, which is exactly
 MonetDB's BAT-file layout.
 
-File format (``.col``, version 2)::
+File format (``.col``, version 4)::
 
     magic   4 bytes  b"RCOL"
-    version u16      format version (2)
+    version u16      format version (4)
     type    u16      index into the type table (column.TYPE_MAP order)
     count   u64      number of values
-    crc32   u32      CRC32 of header (crc field zeroed) + payload
+    crc32   u32      CRC32 of the 64-byte header (crc field zeroed,
+                     padding as written) + payload
+    pad     44 bytes zeros, so the payload starts at byte 64
     data    count * itemsize raw bytes, little endian
 
 Files are always written through the atomic-write protocol of
 :mod:`repro.engine.durable` (temp file + fsync + ``os.replace``), so a
 crash mid-write leaves the previous file intact instead of a torn one.
-Each column's bytes move once: a save writes the header and a view of
-the column's own array, and an open ``readinto``s the payload straight
-into the array the loaded column then keeps, checking the CRC in place.
+A save writes the header and a view of the column's own array.  An open
+streams the file through one small buffer to check the CRC, then maps
+the payload copy-on-write (``np.memmap`` mode ``"c"``): the loaded
+column's buffer *is* the file's pages, and only the pages a query
+touches become resident.  The 64-byte header keeps the mapped payload
+aligned for every dtype (a ``float64`` payload at byte 20 would not be,
+and unaligned ``take`` is an order of magnitude slower).  Mapping is
+safe because store files are only ever replaced, never rewritten in
+place: a mapping keeps its inode's bytes even when a later save
+replaces the file it came from.  Each mapping holds one file
+descriptor until its column is freed.  Appending to a mapped column
+reallocates it; writes into it land in private pages, never the file.
+Version 2 (the same fields with the payload at byte 20) and the
+CRC-less version 1 are rejected as unsupported.
 
 Version 3 is the *compressed* generation of the format: a segmented
 sequence of :class:`~repro.engine.compression.CompressedBlock` payloads
@@ -48,6 +61,7 @@ import json
 import os
 import struct
 import warnings
+import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -61,9 +75,14 @@ from .compression import CompressedBlock, CompressionError
 from .table import Table
 
 _MAGIC = b"RCOL"
-_VERSION = 2
+_VERSION = 4
 _VERSION_V3 = 3
 _HEADER = struct.Struct("<4sHHQI")
+#: Where a plain ``.col`` payload starts: the header fields, then zeros.
+_PAYLOAD_OFFSET = 64
+_PAD = bytes(_PAYLOAD_OFFSET - _HEADER.size)
+#: Chunk the open-time CRC streams the file through.
+_CRC_CHUNK = 1 << 20
 #: v3: magic, version, type, count, n_segments, segment_rows,
 #: source_crc (crc32 of the plain column payload), file crc32 (last).
 _HEADER_V3 = struct.Struct("<4sHHQIIII")
@@ -94,18 +113,19 @@ def dump_array(array: NDArray[Any], path: PathLike) -> int:
     if type_name is None:
         raise StorageError(f"unsupported dtype {array.dtype}")
     payload = _payload_view(array)
-    # The CRC covers the header (with the CRC field zeroed) plus the
-    # payload, so a bit flip anywhere in the file fails verification —
-    # including type/count header bytes a payload-only CRC would miss.
+    # The CRC covers the header (with the CRC field zeroed, padding
+    # included) plus the payload, so a bit flip anywhere in the file
+    # fails verification — including type/count header bytes a
+    # payload-only CRC would miss.
     base = _HEADER.pack(_MAGIC, _VERSION, _TYPE_CODES[type_name], array.shape[0], 0)
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
         _TYPE_CODES[type_name],
         array.shape[0],
-        durable.checksum(base, payload),
+        durable.checksum(base, _PAD, payload),
     )
-    return durable.atomic_write_bytes(path, header, payload, label="col")
+    return durable.atomic_write_bytes(path, header, _PAD, payload, label="col")
 
 
 def _payload_view(array: NDArray[Any]) -> memoryview:
@@ -123,10 +143,10 @@ def _parse_header(raw: bytes, path: Path) -> Tuple[int, "np.dtype[Any]", int, in
     if magic != _MAGIC:
         raise StorageError(f"{path}: bad magic {magic!r}")
     if version == _VERSION:
-        header = _HEADER
-        if len(raw) < header.size:
+        if len(raw) < _PAYLOAD_OFFSET:
             raise StorageError(f"{path}: truncated header")
-        _magic, _version, type_code, count, crc = header.unpack(raw[: header.size])
+        _magic, _version, type_code, count, crc = _HEADER.unpack(raw[: _HEADER.size])
+        offset = _PAYLOAD_OFFSET
     elif version == _VERSION_V3:
         header = _HEADER_V3
         if len(raw) < header.size:
@@ -134,11 +154,12 @@ def _parse_header(raw: bytes, path: Path) -> Tuple[int, "np.dtype[Any]", int, in
         (_magic, _version, type_code, count, _n_seg, _seg_rows, _src_crc, crc) = (
             header.unpack(raw[: header.size])
         )
+        offset = header.size
     else:
         raise StorageError(f"{path}: unsupported version {version}")
     if type_code >= len(_TYPE_NAMES):
         raise StorageError(f"{path}: unknown type code {type_code}")
-    return version, TYPE_MAP[_TYPE_NAMES[type_code]], count, crc, header.size
+    return version, TYPE_MAP[_TYPE_NAMES[type_code]], count, crc, offset
 
 
 def read_column_header(path: PathLike) -> Dict[str, object]:
@@ -150,7 +171,7 @@ def read_column_header(path: PathLike) -> Dict[str, object]:
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            raw = fh.read(max(_HEADER.size, _HEADER_V3.size))
+            raw = fh.read(_PAYLOAD_OFFSET)
     except FileNotFoundError:
         raise StorageError(f"column file not found: {path}") from None
     version, dtype, count, _crc, _offset = _parse_header(raw, path)
@@ -161,10 +182,12 @@ def read_column_header(path: PathLike) -> Dict[str, object]:
 def load_array(path: PathLike) -> NDArray[Any]:
     """Read a ``.col`` file back into a numpy array.
 
-    A v2 payload is read straight into the returned array — one
-    ``readinto``, no intermediate ``bytes`` — and its embedded CRC32 is
-    verified in place before the array is returned; a mismatch raises
-    :class:`StorageError` and counts a ``durability.checksum_failures``.
+    The whole file's embedded CRC32 is verified first, streamed through
+    one small buffer; a mismatch raises :class:`StorageError` and counts
+    a ``durability.checksum_failures``.  Only then is a plain payload
+    mapped copy-on-write and returned as an ``ndarray`` over the map:
+    no page is read into the process until it is used, and writes into
+    the array never reach the file.
     """
     path = Path(path)
     try:
@@ -175,7 +198,7 @@ def load_array(path: PathLike) -> NDArray[Any]:
 
 
 def _read_column(fh: io.FileIO, path: Path) -> NDArray[Any]:
-    head = fh.read(max(_HEADER.size, _HEADER_V3.size))
+    head = fh.read(_PAYLOAD_OFFSET)
     version, dtype, count, crc, offset = _parse_header(head, path)
     if version == _VERSION_V3:
         # The compressed generation: decode the segments back to one
@@ -183,28 +206,40 @@ def _read_column(fh: io.FileIO, path: Path) -> NDArray[Any]:
         raw = head + fh.read()
         return _parse_compressed(raw, path, name=path.stem).decode_all()
     expected = count * dtype.itemsize
-    # Size the payload from the file before allocating: a corrupt count
-    # must fail as a short payload, not as a huge allocation.
+    # Size the payload from the file before reading it: a corrupt count
+    # must fail as a short payload, not as a huge read or map.
     got = min(os.fstat(fh.fileno()).st_size - offset, expected)
-    if got == expected:
-        arr = np.empty(count, dtype=dtype.newbyteorder("<"))
-        payload = _payload_view(arr)
-        fh.seek(offset)
-        got = 0
-        while got < expected:
-            n = fh.readinto(payload[got:])
-            if not n:
-                break
-            got += n
     if got != expected:
         raise StorageError(
             f"{path}: expected {expected} payload bytes, got {got}"
         )
-    # crc32 is the last header field; zero it out for verification.
-    if durable.checksum(head[: offset - 4], b"\x00\x00\x00\x00", payload) != crc:
+    # crc32 follows the other header fields; zero it out for
+    # verification.  The padding is checksummed as read, not assumed.
+    zeroed = (head[: _HEADER.size - 4], b"\x00" * 4, head[_HEADER.size :])
+    if _stream_crc(fh, expected, *zeroed) != crc:
         durable.record_checksum_failure(path)
         raise StorageError(f"{path}: checksum mismatch")
-    return arr if arr.dtype == dtype else arr.astype(dtype)
+    if count == 0:
+        return np.empty(0, dtype=dtype)  # a zero-length map is an error
+    mapped = np.memmap(
+        fh, dtype=dtype.newbyteorder("<"), mode="c", offset=offset, shape=(count,)
+    ).view(np.ndarray)
+    return mapped if mapped.dtype == dtype else mapped.astype(dtype)
+
+
+def _stream_crc(fh: io.FileIO, nbytes: int, *head: bytes) -> int:
+    """CRC32 of ``head`` followed by the next ``nbytes`` of ``fh``, read
+    through one reusable buffer so checking a file keeps none of it."""
+    crc = durable.checksum(*head)
+    chunk = bytearray(min(_CRC_CHUNK, nbytes))
+    view = memoryview(chunk)
+    while nbytes:
+        n = fh.readinto(view[: min(len(chunk), nbytes)])
+        if not n:
+            break
+        crc = zlib.crc32(view[:n], crc)
+        nbytes -= n
+    return crc & 0xFFFFFFFF
 
 
 # -- compressed sidecars (v3) ------------------------------------------------
@@ -374,7 +409,9 @@ def _attach_sidecar(
     just-loaded source column (same contract as the imprint quarantine
     path: the plain data always wins, the derived artifact is rebuilt).
     A stale sidecar — row count or ``source_crc`` not matching the plain
-    payload — is simply ignored; the next save rewrites it.
+    payload — is simply ignored; the next save rewrites it.  The
+    ``source_crc`` check reads the whole plain payload, so it faults a
+    packed column's mapped pages in; only packed columns pay for it.
     """
     if not path.exists():
         return

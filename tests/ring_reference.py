@@ -26,8 +26,11 @@ def points_in_ring_reference(
     x1, y1 = ring[:-1, 0], ring[:-1, 1]
     x2, y2 = ring[1:, 0], ring[1:, 1]
     for ax, ay, bx, by in zip(x1, y1, x2, y2):
-        # Edge-inclusion: collinear and within the segment's bbox.
-        cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
+        # Edge-inclusion: collinear and within the segment's bbox.  An
+        # infinite coordinate times a zero edge extent is NaN: not
+        # collinear, which is the answer wanted.
+        with np.errstate(invalid="ignore"):
+            cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
         collinear = np.abs(cross) <= _EPS * max(
             1.0, abs(bx - ax) + abs(by - ay)
         )

@@ -1,7 +1,11 @@
 """Unit tests for repro.engine.storage and repro.engine.catalog."""
 
+import gc
+import hashlib
+import mmap
 import re
 import struct
+import sys
 import tracemalloc
 import zlib
 
@@ -22,20 +26,24 @@ from repro.engine.storage import (
     load_table,
     save_column,
     save_table,
+    verify_table,
 )
 from repro.engine.table import Table
 from tests import faults
 
 
 def _reference_col(arr):
-    """A ``.col`` v2 file built from the layout in storage.py's docstring:
+    """A ``.col`` v4 file built from the layout in storage.py's docstring:
     magic, version u16, type u16 (TYPE_MAP order), count u64, crc32 u32
-    over the header with the crc zeroed + the little-endian payload."""
+    over the 64-byte header with the crc zeroed + the little-endian
+    payload, 44 zero bytes of padding, the payload at byte 64."""
     code = list(TYPE_MAP.values()).index(arr.dtype)
     payload = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-    zeroed = struct.pack("<4sHHQI", b"RCOL", 2, code, arr.shape[0], 0)
-    crc = zlib.crc32(zeroed + payload) & 0xFFFFFFFF
-    return struct.pack("<4sHHQI", b"RCOL", 2, code, arr.shape[0], crc) + payload
+    pad = bytes(44)
+    zeroed = struct.pack("<4sHHQI", b"RCOL", 4, code, arr.shape[0], 0)
+    crc = zlib.crc32(zeroed + pad + payload) & 0xFFFFFFFF
+    header = struct.pack("<4sHHQI", b"RCOL", 4, code, arr.shape[0], crc)
+    return header + pad + payload
 
 
 def _traced_peak(fn):
@@ -49,7 +57,7 @@ def _traced_peak(fn):
 
 
 class TestFormatUnchanged:
-    """The bytes on disk and the corruption contract of ``.col`` v2."""
+    """The bytes on disk and the corruption contract of ``.col`` v4."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -80,7 +88,7 @@ class TestFormatUnchanged:
         path = tmp_path / "f.col"
         dump_array(np.arange(1000, dtype=np.float64), path)
         raw = bytearray(path.read_bytes())
-        raw[20 + 4000] ^= 0x01
+        raw[64 + 4000] ^= 0x01
         path.write_bytes(bytes(raw))
         before = faults.counter_value("durability.checksum_failures")
         message = f"{path}: checksum mismatch"
@@ -106,9 +114,11 @@ class TestFormatUnchanged:
         with pytest.raises(StorageError, match="payload bytes, got 80$"):
             load_array(path)
 
-    @pytest.mark.parametrize("at_byte", [20, 20 + 4000])
+    @pytest.mark.parametrize(
+        "at_byte", [64, 64 + 4000], ids=["seam", "mid_payload"]
+    )
     def test_torn_write_leaves_previous_file(self, tmp_path, at_byte):
-        # 20 is the header/payload seam; 20 + 4000 is mid-payload.
+        # 64 is the header/payload seam; 64 + 4000 is mid-payload.
         path = tmp_path / "v.col"
         dump_array(np.arange(7, dtype=np.int64), path)
         before = path.read_bytes()
@@ -149,6 +159,147 @@ class TestOneCopy:
         back.append_columns({"x": [5.0], "cls": [6]})
         np.testing.assert_array_equal(back.column("x").values, [1.0, 2.0, 5.0])
         np.testing.assert_array_equal(back.column("cls").values, [3, 4, 6])
+
+
+def _vm_rss():
+    """This process's resident set size in bytes (Linux only)."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line")
+
+
+def _mapping_of(array):
+    """The ``mmap`` an array's buffer lives in, or ``None``."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base if isinstance(base, mmap.mmap) else None
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestMappedColumns:
+    """An open maps each plain payload copy-on-write after streaming its
+    CRC: columns are the file's pages, and the file never changes under
+    them."""
+
+    def test_loaded_column_is_an_aligned_file_mapping(self, tmp_path):
+        table = Table("pts", [("x", "float64"), ("c", "uint8")])
+        table.append_columns({"x": np.arange(5000.0), "c": np.arange(5000) % 7})
+        save_table(table, tmp_path / "pts")
+        values = load_table(tmp_path / "pts").column("x").values
+        assert _mapping_of(values) is not None
+        assert values.flags.aligned
+        assert values.ctypes.data % 64 == 0
+        np.testing.assert_array_equal(values, np.arange(5000.0))
+        if sys.platform.startswith("linux"):
+            col = str(tmp_path / "pts" / "x.col")
+            with open("/proc/self/maps") as fh:
+                spans = [line.split() for line in fh]
+            assert any(
+                int(span[0].split("-")[0], 16)
+                <= values.ctypes.data
+                < int(span[0].split("-")[1], 16)
+                and span[-1] == col
+                for span in spans
+            )
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/status"
+    )
+    def test_open_faults_in_only_what_is_read(self, tmp_path):
+        n = 3_300_000  # four float64 columns: 105.6 MB of payload
+        names = ["x", "y", "z", "t"]
+        table = Table("pts", [(name, "float64") for name in names])
+        values = np.arange(n, dtype=np.float64)
+        table.append_columns({name: values for name in names})
+        save_table(table, tmp_path / "pts")
+        del table, values
+        gc.collect()
+        payload = 4 * n * 8
+        before = _vm_rss()
+        loaded = load_table(tmp_path / "pts")
+        opened = _vm_rss()
+        assert opened - before < 0.1 * payload, (opened - before) / payload
+        assert loaded.column("y").values.sum() == n * (n - 1) / 2
+        one_column = _vm_rss() - opened
+        assert 0.8 * n * 8 <= one_column <= 1.3 * n * 8, one_column / (n * 8)
+
+    def test_truncate_then_append_leaves_the_file_alone(self, tmp_path):
+        table = Table("pts", [("x", "float64")])
+        table.append_columns({"x": np.arange(1000.0)})
+        save_table(table, tmp_path / "pts")
+        col = tmp_path / "pts" / "x.col"
+        digest = _sha256(col)
+        loaded = load_table(tmp_path / "pts")
+        loaded.truncate(990)
+        loaded.append_columns({"x": np.full(10, -1.0)})
+        # The append fit the adopted buffer: it wrote into mapped pages.
+        assert _mapping_of(loaded.column("x").values) is not None
+        np.testing.assert_array_equal(loaded.column("x").values[-10:], -1.0)
+        assert _sha256(col) == digest
+        np.testing.assert_array_equal(load_array(col), np.arange(1000.0))
+
+    def test_save_over_the_loaded_directory_keeps_open_values(self, tmp_path):
+        db = Database(directory=tmp_path / "db")
+        db.create_table("pts", [("x", "float64"), ("k", "int32")])
+        db.table("pts").append_columns(
+            {"x": np.arange(4096.0), "k": np.arange(4096)}
+        )
+        db.save()
+        opened = Database.load(tmp_path / "db")
+        x = opened.table("pts").column("x").values
+        assert _mapping_of(x) is not None
+        # Rewrite every file of the directory the open table maps.
+        other = Database(directory=tmp_path / "db")
+        other.create_table("pts", [("x", "float64"), ("k", "int32")])
+        other.table("pts").append_columns(
+            {"x": -np.arange(4096.0), "k": -np.arange(4096)}
+        )
+        other.save()
+        opened.save()
+        np.testing.assert_array_equal(x, np.arange(4096.0))
+        np.testing.assert_array_equal(
+            opened.table("pts").column("k").values, np.arange(4096)
+        )
+        back = Database.load(tmp_path / "db").table("pts")
+        np.testing.assert_array_equal(back.column("x").values, np.arange(4096.0))
+
+    def test_flips_in_padding_and_at_the_payload_seam_are_caught(self, tmp_path):
+        table = Table("pts", [("x", "float64")])
+        table.append_columns({"x": np.arange(100.0)})
+        save_table(table, tmp_path / "pts")
+        col = tmp_path / "pts" / "x.col"
+        good = col.read_bytes()
+        message = f"{col}: checksum mismatch"
+        for at in list(range(20, 64)) + [64]:
+            raw = bytearray(good)
+            raw[at] ^= 0x01
+            col.write_bytes(bytes(raw))
+            before = faults.counter_value("durability.checksum_failures")
+            with pytest.raises(StorageError, match=f"^{re.escape(message)}$"):
+                load_array(col)
+            assert faults.counter_value("durability.checksum_failures") == before + 1
+            if at in (20, 63, 64):
+                with pytest.raises(StorageError, match=re.escape(message)):
+                    load_table(tmp_path / "pts")
+                assert verify_table(tmp_path / "pts") == [message]
+
+    def test_version_2_header_is_unsupported(self, tmp_path):
+        # The 20-byte-header layout: its float64 payloads cannot be
+        # mapped aligned, and it is not read.
+        path = tmp_path / "v2.col"
+        payload = np.arange(10, dtype="<f8").tobytes()
+        code = list(TYPE_MAP).index("float64")
+        zeroed = struct.pack("<4sHHQI", b"RCOL", 2, code, 10, 0)
+        crc = zlib.crc32(zeroed + payload) & 0xFFFFFFFF
+        path.write_bytes(struct.pack("<4sHHQI", b"RCOL", 2, code, 10, crc) + payload)
+        with pytest.raises(StorageError, match="unsupported version 2"):
+            load_array(path)
 
 
 class TestArrayDump:

@@ -149,9 +149,11 @@ def test_banded_kernel_equals_per_edge_reference(ring, seed):
     """Skipping the edges a point's y-band cannot meet changes no bit of
     the answer, degenerate edges and knife-edge points included."""
     xs, ys = _knife_edge_points(ring, np.random.default_rng(seed))
-    np.testing.assert_array_equal(
-        points_in_ring(xs, ys, ring), points_in_ring_reference(xs, ys, ring)
-    )
+    # The ±inf points make inf * 0 in the kernel's cross product; the
+    # NaN it yields is the right verdict, so the warning is noise here.
+    with np.errstate(invalid="ignore"):
+        banded = points_in_ring(xs, ys, ring)
+    np.testing.assert_array_equal(banded, points_in_ring_reference(xs, ys, ring))
 
 
 class TestPointsInPolygon:

@@ -16,6 +16,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ from repro.serve.quotas import TenantBudget
 from repro.serve.service import QueryService, ServiceConfig
 from repro.serve.snapshot import SnapshotManager
 from tests import faults
+
+#: The checkout these tests belong to: the daemon subprocess must serve
+#: this tree's code, wherever it is checked out.
+ROOT = Path(__file__).resolve().parents[1]
 
 N_POINTS = 60_000
 BBOX = [10.0, 10.0, 60.0, 60.0]
@@ -469,10 +474,10 @@ class TestProcessLifecycle:
             text=True,
             env={
                 **os.environ,
-                "PYTHONPATH": "src",
+                "PYTHONPATH": str(ROOT / "src"),
                 "REPRO_FLIGHT_DIR": str(tmp_path / "flight"),
             },
-            cwd="/root/repo",
+            cwd=ROOT,
         )
         banner = proc.stdout.readline()
         assert "serving queries on" in banner, (banner, proc.stderr.read())
