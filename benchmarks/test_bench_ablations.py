@@ -15,7 +15,7 @@ import pytest
 
 from repro.bench.harness import Report, best_of
 from repro.blockstore.store import BlockStore
-from repro.core.imprints import ColumnImprints
+from repro.core.imprints import SegmentedImprints
 from repro.engine.column import Column
 from repro.gis.envelope import Box
 
@@ -39,7 +39,9 @@ class TestAblationReport:
             hi = float(np.quantile(cloud["x"], 0.55))
             overheads = {}
             for cacheline in (64, 128, 256, 512, 1024):
-                imp = ColumnImprints(col, cacheline_bytes=cacheline)
+                imp = SegmentedImprints(
+                    col, segment_rows=len(col), cacheline_bytes=cacheline
+                )
                 t = best_of(lambda: imp.query(lo, hi))
                 overheads[cacheline] = imp.stats().overhead
                 report.add_row(
@@ -70,10 +72,10 @@ class TestAblationReport:
             hi = float(np.quantile(cloud["x"], 0.55))
             scanned = {}
             for bins in (4, 8, 16, 32, 64):
-                imp = ColumnImprints(col, max_bins=bins)
+                imp = SegmentedImprints(col, segment_rows=len(col), max_bins=bins)
                 scanned[bins] = imp.scanned_fraction(lo, hi)
                 report.add_row(
-                    imp.scheme.n_bins,
+                    imp.stats().n_bins,
                     f"{imp.stats().overhead * 100:.2f}",
                     f"{scanned[bins] * 100:.2f}",
                     f"{imp.false_positive_rate(lo, hi) * 100:.2f}",

@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench.harness import Report
 from repro.blockstore.store import BlockStore
-from repro.core.imprints import ColumnImprints
+from repro.core.imprints import SegmentedImprints
 from repro.engine.column import Column
 from repro.engine.compression import best_scheme
 from repro.las.laz import write_laz
@@ -27,7 +27,7 @@ from repro.las.writer import write_las
 class TestImprintOverheadBench:
     def test_imprint_build(self, benchmark, cloud):
         col = Column.from_array("x", cloud["x"])
-        benchmark(lambda: ColumnImprints(col))
+        benchmark(lambda: SegmentedImprints(col, segment_rows=len(col)))
 
 
 class TestStorageReport:
@@ -60,7 +60,7 @@ class TestStorageReport:
             overheads = {}
             for name in ("x", "y", "z", "gps_time"):
                 col = Column.from_array(name, cloud[name])
-                imp = ColumnImprints(col)
+                imp = SegmentedImprints(col, segment_rows=len(col))
                 overheads[name] = imp.stats().overhead
             for name, overhead in overheads.items():
                 report.add_row(

@@ -33,7 +33,7 @@ Subpackages
 """
 
 from .api import PointCloudDB
-from .core.imprints import ColumnImprints, ImprintsManager
+from .core.imprints import ImprintsManager, SegmentedImprints
 from .core.query import QueryResult, SpatialSelect
 from .engine.catalog import Database
 from .engine.table import Table
@@ -53,7 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Box",
-    "ColumnImprints",
     "Database",
     "ImprintsManager",
     "LineString",
@@ -64,6 +63,7 @@ __all__ = [
     "PointCloudDB",
     "Polygon",
     "QueryResult",
+    "SegmentedImprints",
     "Session",
     "SpatialSelect",
     "Table",

@@ -10,19 +10,19 @@
 """
 
 from .grid import RegularGrid
-from .imprints import ColumnImprints, ImprintsManager
+from .imprints import ImprintsManager, SegmentedImprints
 from .query import QueryResult, QueryStats, SpatialSelect
 from .rasterize import ElevationGrid, chm, dsm, dtm, hillshade, rasterize
 from .refine import RefineStats, refine, refine_exhaustive
 
 __all__ = [
-    "ColumnImprints",
     "ElevationGrid",
     "ImprintsManager",
     "QueryResult",
     "QueryStats",
     "RefineStats",
     "RegularGrid",
+    "SegmentedImprints",
     "SpatialSelect",
     "chm",
     "dsm",

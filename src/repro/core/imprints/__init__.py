@@ -2,10 +2,10 @@
 
 Public surface:
 
-* :class:`ColumnImprints` — index one column as a single unit; ``query(lo,
-  hi)`` returns the exact candidate-verified oid list.
-* :class:`SegmentedImprints` — the segmented successor: per-segment zone
-  maps + imprint vectors, incremental appends, per-segment probes.
+* :class:`SegmentedImprints` — index one column: per-segment zone maps +
+  imprint vectors, incremental appends, per-segment probes; ``query(lo,
+  hi)`` returns the exact candidate-verified oid list.  One segment over
+  the whole column is the paper's single-unit imprint.
 * :class:`ImprintsManager` — lazy creation on first range query,
   incremental extension on append, the lifecycle MonetDB implements.
 * :func:`build_bins` / :class:`BinScheme` — the global 64-bin histogram.
@@ -15,14 +15,12 @@ Public surface:
 from .bitvec import CACHELINE_BYTES, values_per_cacheline
 from .dictionary import MAX_COUNTER, CachelineDict, compress, decompress
 from .histogram import DEFAULT_SAMPLE, MAX_BINS, BinScheme, build_bins
-from .index import ColumnImprints, ImprintStats
 from .manager import ImprintsManager
-from .segments import DEFAULT_SEGMENT_ROWS, SegmentedImprints
+from .segments import DEFAULT_SEGMENT_ROWS, ImprintStats, SegmentedImprints
 
 __all__ = [
     "CACHELINE_BYTES",
     "CachelineDict",
-    "ColumnImprints",
     "DEFAULT_SAMPLE",
     "DEFAULT_SEGMENT_ROWS",
     "SegmentedImprints",

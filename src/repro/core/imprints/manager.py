@@ -36,9 +36,9 @@ from ...engine.table import Table
 from ...obs.metrics import get_registry
 from ...obs.timing import now
 from ...obs.trace import maybe_span
-from . import index as index_mod
 from .segments import (
     DEFAULT_SEGMENT_ROWS,
+    ImprintStats,
     RangeTerm,
     SegmentedImprints,
     select_conjunction,
@@ -251,7 +251,7 @@ class ImprintsManager:
         """Total bytes across all live imprints."""
         return sum(imp.nbytes for imp in self._imprints.values())
 
-    def stats(self) -> Dict[Tuple[str, str], index_mod.ImprintStats]:
+    def stats(self) -> Dict[Tuple[str, str], ImprintStats]:
         """Per-(table, column) imprint statistics."""
         return {key: imp.stats() for key, imp in self._imprints.items()}
 

@@ -1,24 +1,26 @@
 """Segmented column imprints: zone maps + per-segment imprint vectors.
 
-The flat :class:`~.index.ColumnImprints` indexes a column as one unit, so
-every append forces an O(n) rebuild and every probe walks the whole
-vector sequence single-threaded.  :class:`SegmentedImprints` cuts the
-column into fixed-size, cacheline-aligned **segments** and gives each one
+:class:`SegmentedImprints` cuts a column into fixed-size,
+cacheline-aligned **segments** and gives each one
 
 * a ``(min, max)`` **zone map** — queries skip a segment (or accept it
   wholesale) without touching its imprint or its data, and
 * its own bin scheme + imprint vectors + cacheline dictionary, built from
   that segment's values only.
 
-Segments are the unit of everything the engine wants to scale:
+Segments are the unit of build, append and probe:
 
 * **build** — segments are independent, so the first range query builds
   them one at a time, each from its own slice;
 * **append** — new rows only ever create (or complete) trailing segments;
   the existing ones are immutable, so ``extend`` is O(appended), not O(n);
-* **probe** — each segment's probe + exact verification runs in
-  isolation, and per-segment results concatenate in segment order into
-  the usual sorted candidate list.
+* **probe** — the zone maps settle most segments, and only the
+  straddling ones pay an imprint probe + exact verification; per-segment
+  results concatenate in segment order into the usual sorted candidate
+  list.
+
+One segment spanning the whole column (``segment_rows=len(column)``) is
+the paper's single-unit imprint, the index the E-series benches report.
 
 Indexes over different columns of one table that cut its rows into the
 same segments and cache lines can be probed **together**:
@@ -54,7 +56,6 @@ from ...engine.scan import (
 from ...obs import queries as _queries
 from . import bitvec, dictionary
 from .histogram import DEFAULT_SAMPLE, MAX_BINS, BinScheme, build_bins
-from .index import ImprintStats
 
 #: Default segment length in rows.  A multiple of 64 so it is aligned to
 #: whole cache lines for every supported dtype (vpc is a power of two
@@ -77,14 +78,41 @@ DEFAULT_SEGMENT_ROWS = 64 * 1024
 DENSE_LINE_SHARE = 1 / 8
 
 
+@dataclass(frozen=True)
+class ImprintStats:
+    """Size and shape diagnostics for one imprint (E2/E4 benches)."""
+
+    n_rows: int
+    n_lines: int
+    n_bins: int
+    n_entries: int
+    n_vectors: int
+    index_bytes: int
+    column_bytes: int
+
+    @property
+    def overhead(self) -> float:
+        """Index bytes as a fraction of the indexed column bytes — the
+        quantity the paper reports as "5-12% storage overhead"."""
+        return (
+            self.index_bytes / self.column_bytes if self.column_bytes else 0.0
+        )
+
+    @property
+    def dict_compression(self) -> float:
+        """Uncompressed per-line vectors bytes / stored dictionary bytes."""
+        raw = 8 * self.n_lines
+        dict_bytes = 4 * self.n_entries + 8 * self.n_vectors
+        return raw / dict_bytes if dict_bytes else float("inf")
+
+
 @dataclass
 class SegmentImprint:
     """One immutable segment of a segmented imprints index.
 
     ``start``/``stop`` are row positions in the column; ``zmin``/``zmax``
-    the segment's value range (the zone map); the rest is exactly the
-    per-column state of :class:`~.index.ColumnImprints`, scoped to the
-    segment's rows.
+    the segment's value range (the zone map); the rest is the segment's
+    bin scheme, cacheline dictionary and per-vector line coverage.
     """
 
     start: int
@@ -147,10 +175,9 @@ def build_segment(
 class SegmentedImprints:
     """A segmented imprints index over a snapshot of one column.
 
-    Drop-in successor to :class:`~.index.ColumnImprints` behind the
-    :class:`~.manager.ImprintsManager`: same exact-query contract (sorted
-    oids over the indexed prefix), plus segment-granular builds, appends
-    and probes.
+    The index behind the :class:`~.manager.ImprintsManager`: exact
+    queries (sorted oids over the indexed prefix) with segment-granular
+    builds, appends and probes.
 
     Parameters
     ----------
@@ -159,8 +186,15 @@ class SegmentedImprints:
     segment_rows:
         Segment length in rows; rounded up to a whole number of cache
         lines so segment borders never split an imprint vector.
-    max_bins, cacheline_bytes, sample_size, max_counter:
-        Per-segment build parameters, as for :class:`ColumnImprints`.
+    max_bins:
+        Per-segment bin budget, at most 64.
+    cacheline_bytes:
+        Modelled cache line size; with the column's itemsize this sets the
+        vector granularity (8 doubles per 64-byte line by default).
+    sample_size:
+        Sample each segment's bins are derived from.
+    max_counter:
+        Dictionary counter cap (24-bit in MonetDB).
     """
 
     def __init__(

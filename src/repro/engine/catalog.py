@@ -202,25 +202,16 @@ class Database:
                 if entry.is_dir() and (entry / "schema.json").exists()
             )
         for name in sorted(names):
-            entry = root / name
-            sidecar_issues: List[str] = []
             try:
-                db.register(
-                    storage.load_table(entry, sidecar_issues=sidecar_issues)
-                )
-                # Quarantined sidecars are repaired in memory (re-encoded
-                # from the plain column), so they are notes, not failures.
-                db.health[name] = {"ok": True, "issues": sidecar_issues}
-                continue
+                table, issues = storage.recover_table(root / name)
             except storage.StorageError as exc:
-                first_error = str(exc)
-            try:
-                table, issues = storage.recover_table(entry)
-            except storage.StorageError:
-                db.health[name] = {"ok": False, "issues": [first_error]}
+                db.health[name] = {"ok": False, "issues": [str(exc)]}
                 continue
             db.register(table)
-            db.health[name] = {"ok": True, "issues": issues or [first_error]}
+            # Rolled-back tails are listed as issues; quarantined sidecars
+            # are repaired in memory (re-encoded from the plain column), so
+            # they are notes, not failures.
+            db.health[name] = {"ok": True, "issues": issues}
         return db
 
     def verify(self, directory: Optional[PathLike] = None) -> Dict[str, Any]:

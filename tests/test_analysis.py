@@ -1303,12 +1303,17 @@ class TestCli:
 
 
 class TestSelfCheck:
-    def test_src_tree_clean_with_committed_baseline(self):
-        """`repro-gis check` runs clean on src/ with the committed
-        baseline — the invariant the CI `check` job enforces."""
+    @pytest.fixture(scope="class")
+    def report(self):
+        """One whole-tree check of src/ against the committed baseline,
+        shared by the tests that read it."""
         repo_root = SRC_ROOT.parent.parent
         baseline = Baseline.load(repo_root / "repro-check.baseline.json")
-        report = run_check(SRC_ROOT, baseline=baseline)
+        return run_check(SRC_ROOT, baseline=baseline)
+
+    def test_src_tree_clean_with_committed_baseline(self, report):
+        """`repro-gis check` runs clean on src/ with the committed
+        baseline — the invariant the CI `check` job enforces."""
         assert report.findings == [], [f.to_dict() for f in report.findings]
         assert report.ok
 
@@ -1321,10 +1326,7 @@ class TestSelfCheck:
         for entry in doc["findings"]:
             assert entry["justification"].strip(), entry
 
-    def test_no_stale_baseline_entries(self):
-        repo_root = SRC_ROOT.parent.parent
-        baseline = Baseline.load(repo_root / "repro-check.baseline.json")
-        report = run_check(SRC_ROOT, baseline=baseline)
+    def test_no_stale_baseline_entries(self, report):
         assert report.unused_baseline == [], [
             e.to_dict() for e in report.unused_baseline
         ]
