@@ -91,6 +91,9 @@ class Config:
             "repro/gis/algorithms.py",
             "repro/gis/batch.py",
             "repro/sql/executor.py",
+            "repro/sql/plan.py",
+            "repro/sql/project.py",
+            "repro/sql/run.py",
         }
     )
     #: R5/R6: obs modules themselves are exempt (they *are* the helpers).
@@ -157,6 +160,9 @@ class Config:
             "repro/engine/kernels.py",
             "repro/engine/scan.py",
             "repro/sql/executor.py",
+            "repro/sql/plan.py",
+            "repro/sql/project.py",
+            "repro/sql/run.py",
         }
         | set(_SERVE_MODULES)
     )

@@ -1,11 +1,13 @@
 """Tests for Session.explain (the demo's query-plan view, Section 4.2)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.engine.table import Table
-from repro.gis.geometry import Polygon
-from repro.sql.executor import Session
+from repro.gis.geometry import LineString, Polygon
+from repro.sql.executor import Session, SqlExecutionError
 
 
 @pytest.fixture()
@@ -13,7 +15,13 @@ def session():
     rng = np.random.default_rng(0)
     t = Table(
         "pts",
-        [("x", "float64"), ("y", "float64"), ("z", "float64"), ("c", "uint8")],
+        [
+            ("x", "float64"),
+            ("y", "float64"),
+            ("z", "float64"),
+            ("c", "uint8"),
+            ("intensity", "uint16"),
+        ],
     )
     t.append_columns(
         {
@@ -21,13 +29,18 @@ def session():
             "y": rng.uniform(0, 100, 500),
             "z": rng.uniform(0, 10, 500),
             "c": rng.integers(0, 5, 500).astype(np.uint8),
+            "intensity": rng.integers(0, 1000, 500).astype(np.uint16),
         }
     )
+    packed = Table("packed", [("v", "int64")])
+    packed.append_columns({"v": rng.integers(0, 1000, 500)})
+    packed.compress(segment_rows=128)
     zones = Table("zones", [("zone_id", "int64"), ("code", "int64")])
     zones.append_columns({"zone_id": [1, 2], "code": [10, 20]})
     session = Session()
     session.register_table(t)
     session.register_table(zones, point_columns=None)
+    session.register_table(packed, point_columns=None)
     session.register_columns(
         "geo_zones",
         {
@@ -35,6 +48,15 @@ def session():
             "geom": [Polygon([(0, 0), (50, 0), (50, 50), (0, 50)])],
         },
     )
+    session.register_columns(
+        "roads",
+        {
+            "class": np.array([1, 2]),
+            "geom": [LineString([(0, 0), (100, 100)]), LineString([(0, 100), (100, 0)])],
+        },
+    )
+    session.register_columns("names", {"label": ["a", "b", "c"]})
+    session.register_columns("codes", {"label": ["b", "c"], "code": np.array([1, 2])})
     return session
 
 
@@ -109,6 +131,96 @@ class TestExplain:
         )
         # No imprint was built: explain is planning only.
         assert session.manager.builds == 0
+
+    def test_object_keys_explain_the_nested_loop_they_run(self, session):
+        sql = "SELECT count(*) FROM names n, codes k WHERE n.label = k.label"
+        plan = session.explain(sql)
+        assert plan.startswith("nested-loop join"), plan
+        assert "residual scan filter: (n.label = k.label)" in plan
+        assert session.execute(sql).scalar() == 2
+
+    def test_explain_sees_appends(self, session):
+        table = session.relation("pts").table
+        table.append_columns(
+            {name: np.zeros(5, dtype=dtype) for name, dtype in table.schema}
+        )
+        plan = session.explain("SELECT count(*) FROM pts")
+        assert "access pts as pts (505 rows)" in plan
+        assert session.execute("SELECT count(*) FROM pts").scalar() == 505
+
+    def test_explain_rejects_what_execute_rejects(self, session):
+        sql = "SELECT count(*) FROM pts, pts"
+        for run in (session.explain, session.execute):
+            with pytest.raises(SqlExecutionError, match="duplicate table binding 'pts'"):
+                run(sql)
+
+
+#: Every statement this file explains, plus one per Scenario-2 template
+#: shape of the SQL benchmark (viewport average, z slab, intensity
+#: histogram, roads ``dwithin`` join) and a packed-segment range.
+PLANNED = [
+    "SELECT count(*) FROM pts WHERE "
+    "ST_Contains(ST_MakeEnvelope(0, 0, 10, 10), ST_Point(x, y))",
+    "SELECT count(*) FROM pts WHERE z BETWEEN 1 AND 3",
+    "SELECT count(*) FROM pts WHERE z > 1 AND c = 2",
+    "SELECT count(*) FROM pts WHERE z > 1 AND "
+    "ST_Contains(ST_MakeEnvelope(0, 0, 10, 10), ST_Point(x, y))",
+    "SELECT count(*) FROM pts p, zones u WHERE p.c = u.code",
+    "SELECT count(*) FROM pts p, geo_zones g WHERE "
+    "ST_Contains(g.geom, ST_Point(p.x, p.y))",
+    "SELECT c, count(*) FROM pts GROUP BY c HAVING count(*) > 1 "
+    "ORDER BY c DESC LIMIT 3",
+    "SELECT avg(z) FROM pts",
+    "SELECT DISTINCT c FROM pts",
+    "SELECT count(*) FROM names n, codes k WHERE n.label = k.label",
+    "SELECT avg(z) FROM pts WHERE "
+    "ST_Contains(ST_MakeEnvelope(20, 20, 60, 60), ST_Point(x, y))",
+    "SELECT count(*), avg(z) FROM pts WHERE z BETWEEN 7.0 AND 7.5",
+    "SELECT c, count(*), avg(intensity) FROM pts WHERE intensity > 500 GROUP BY c",
+    "SELECT max(l.z) FROM pts l, roads r WHERE r.class = 1 "
+    "AND ST_DWithin(r.geom, ST_Point(l.x, l.y), 30)",
+    "SELECT count(*) FROM packed WHERE v BETWEEN 10 AND 20",
+]
+
+
+def _explained(plan):
+    """Join strategy and filter steps as EXPLAIN names them."""
+    join = {"hash": "join.hash", "nested-loop": "join.nested_loop"}
+    steps = set()
+    for line in plan.splitlines():
+        line = line.strip()
+        spatial = re.match(r"spatial filter \[(\w+)\]", line)
+        ranged = re.match(r"range filter via (imprint|packed segments) on '(\w+)'", line)
+        if spatial:
+            steps.add(("filter.spatial", spatial.group(1)))
+        elif ranged:
+            steps.add(("filter.range", ranged.group(2), ranged.group(1).split()[0]))
+        elif line.startswith("residual scan filter"):
+            steps.add(("filter.residual",))
+    return join.get(plan.split()[0]), steps
+
+
+def _analyzed(text):
+    """Join strategy and filter steps as the spans of a run record them."""
+    join, steps = None, set()
+    for line in text.splitlines():
+        name = line.split()[0]
+        if name.startswith("join."):
+            join = name
+        elif name == "filter.spatial":
+            steps.add((name, re.search(r"predicate=(\w+)", line).group(1)))
+        elif name == "filter.range":
+            access = "packed" if "access=packed" in line else "imprint"
+            steps.add((name, re.search(r"column=(\w+)", line).group(1), access))
+        elif name == "filter.residual":
+            steps.add((name,))
+    return join, steps
+
+
+@pytest.mark.parametrize("sql", PLANNED)
+def test_explain_names_what_analyze_runs(session, sql):
+    plan = session.explain(sql)
+    assert _explained(plan) == _analyzed(session.explain_analyze(sql)), plan
 
 
 class TestProfile:
