@@ -91,6 +91,7 @@ class Config:
             "repro/gis/algorithms.py",
             "repro/gis/batch.py",
             "repro/sql/executor.py",
+            "repro/sql/expr.py",
             "repro/sql/plan.py",
             "repro/sql/project.py",
             "repro/sql/run.py",
@@ -130,9 +131,13 @@ class Config:
     serve_modules: FrozenSet[str] = frozenset(_SERVE_MODULES)
     status_module: str = "repro/serve/http.py"
     #: R8: exception classes defined elsewhere that the serve layer must
-    #: still map (``relpath::ClassName``) — the cancellation path.
+    #: still map (``relpath::ClassName``): the cancellation path (408) and
+    #: the SQL function errors a client statement raises (400).
     extra_status_exceptions: FrozenSet[str] = frozenset(
-        {"repro/obs/queries.py::QueryCancelled"}
+        {
+            "repro/obs/queries.py::QueryCancelled",
+            "repro/sql/errors.py::SqlFunctionError",
+        }
     )
     #: R9: modules scanned for blocking calls under a held lock (the
     #: R3 set plus the service layer's lock-owning modules).
@@ -160,6 +165,7 @@ class Config:
             "repro/engine/kernels.py",
             "repro/engine/scan.py",
             "repro/sql/executor.py",
+            "repro/sql/expr.py",
             "repro/sql/plan.py",
             "repro/sql/project.py",
             "repro/sql/run.py",

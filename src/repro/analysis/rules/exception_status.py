@@ -22,8 +22,9 @@ counts — ``service.py`` catching ``wire.WireFormatError`` and
 re-raising ``BadRequest`` is a mapping, just a transitive one — but the
 broad ``Exception``/``BaseException`` fallbacks never do, because
 falling through to them is exactly the bug.  The engine cancellation
-path rides along via ``extra_status_exceptions``
-(``repro/obs/queries.py::QueryCancelled`` by default): those classes
+path and the SQL function errors ride along via
+``extra_status_exceptions`` (``repro/obs/queries.py::QueryCancelled``
+and ``repro/sql/errors.py::SqlFunctionError`` by default): those classes
 must be caught in the serve layer whether or not serve raises them.
 """
 
@@ -188,7 +189,7 @@ class ExceptionStatusRule(Rule):
                 module,
                 node.lineno,
                 node.col_offset,
-                f"{name!r} (the engine cancellation signal) has no "
-                f"explicit status mapping in {status_module}: a fired "
-                "deadline would surface as a 500 instead of 408",
+                f"{name!r} reaches the serve layer from {module.relpath} "
+                f"but has no explicit status mapping in {status_module}: "
+                "clients get the generic 500 fallback",
             )

@@ -28,6 +28,7 @@ import numpy as np
 from ..engine.select import mask_select, range_select
 from ..engine.table import Table
 from ..gis.envelope import Box
+from ..gis.geometry import is_rectangle
 from ..gis.predicates import geometry_envelope, points_satisfy
 from ..obs import heat as _heat
 from ..obs.metrics import get_registry
@@ -38,6 +39,21 @@ from ..obs.trace import maybe_span
 from .grid import DEFAULT_TARGET_CELLS
 from .imprints.manager import ImprintsManager
 from .refine import RefineStats, refine, refine_exhaustive
+
+
+def filter_is_exact(geometry, predicate: str) -> bool:
+    """Is the envelope filter already the answer, so refinement is skipped?
+
+    It is when a point-containment predicate (``contains``,
+    ``intersects``, ``within``) meets a rectangle (:func:`is_rectangle`):
+    the filter returns exactly the rows in the closed envelope, and
+    refinement would accept every one of them (ray-cast interior, edges
+    within eps).  ``dwithin`` always refines.  :class:`SpatialSelect`
+    and SQL EXPLAIN both ask this one rule.
+    """
+    return predicate in ("contains", "intersects", "within") and is_rectangle(
+        geometry
+    )
 
 
 @dataclass
@@ -352,13 +368,7 @@ class SpatialSelect:
             )
             stats.n_filter_candidates = int(candidates.shape[0])
 
-            # A box query with a containment predicate *is* its own envelope
-            # test: the filter step is already exact, skip refinement.
-            if isinstance(geometry, Box) and predicate in (
-                "contains",
-                "intersects",
-                "within",
-            ):
+            if filter_is_exact(geometry, predicate):
                 stats.n_results = int(candidates.shape[0])
                 query_span.set(rows_out=stats.n_results)
                 self._record_metrics(stats)

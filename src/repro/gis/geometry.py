@@ -13,6 +13,7 @@ can stay vectorised.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -201,6 +202,27 @@ class Polygon(Geometry):
     def from_box(cls, box: Box) -> "Polygon":
         """The rectangle polygon of an envelope."""
         return cls(list(box.corners) + [box.corners[0]])
+
+
+def is_rectangle(geometry) -> bool:
+    """Is ``geometry`` exactly its closed envelope?
+
+    True for a :class:`Box`, and for a hole-free polygon whose closed ring
+    has 5 vertices and 4 edges of non-zero length that alternate
+    horizontal and vertical: ``Polygon.from_box``, and a rectangle's WKT
+    from any start vertex in either orientation.  A slanted or repeated
+    edge, a hole or a non-finite vertex makes it False.
+    """
+    if isinstance(geometry, Box):
+        return True
+    if not isinstance(geometry, Polygon) or geometry.holes or len(geometry.shell) != 5:
+        return False
+    ring = geometry.shell.tolist()  # plain floats: 5 vertices beat numpy calls
+    if not all(math.isfinite(v) for vertex in ring for v in vertex):
+        return False
+    # Each edge's axis: 1 horizontal, 2 vertical, 3 slanted, 0 zero-length.
+    axes = [(bx != ax) + 2 * (by != ay) for (ax, ay), (bx, by) in zip(ring, ring[1:])]
+    return axes in ([1, 2, 1, 2], [2, 1, 2, 1])
 
 
 class MultiPolygon(Geometry):

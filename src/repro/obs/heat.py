@@ -272,6 +272,8 @@ class HeatMap:
         del self._extents[coldest[0]]
 
     def _cells(self, bbox: Bounds, domain: Bounds) -> List[Tuple[int, int]]:
+        if not all(map(math.isfinite, bbox)):
+            return []  # a NaN envelope (a broken geometry) selects nothing
         xmin, ymin, xmax, ymax = domain
         width = xmax - xmin
         height = ymax - ymin

@@ -49,7 +49,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from ..engine.catalog import CatalogError
 from ..engine.table import SchemaError
 from ..obs.queries import QueryCancelled
-from ..sql.executor import SqlExecutionError
+from ..sql.errors import SqlExecutionError, SqlFunctionError
 from ..sql.lexer import SqlSyntaxError
 from ..obs.server import HealthCallback, TelemetryHandler, TelemetryServer
 from .admission import AdmissionRejected
@@ -135,7 +135,9 @@ class ServeHandler(TelemetryHandler):
             return 200, response
         except BadRequest as exc:
             return 400, {"error": "bad_request", "message": str(exc)}
-        except (SqlSyntaxError, SqlExecutionError) as exc:
+        # SqlFunctionError is a SqlExecutionError, named so that R8
+        # (exception-status) sees the mapping.
+        except (SqlSyntaxError, SqlExecutionError, SqlFunctionError) as exc:
             return 400, {"error": "sql_error", "message": str(exc)}
         except _BodyTooLarge as exc:
             return 413, {"error": "body_too_large", "message": str(exc)}

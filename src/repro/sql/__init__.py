@@ -18,8 +18,8 @@ the column imprints + grid refinement pipeline (Section 3.3); everything
 else evaluates as vectorised numpy expressions.
 """
 
-from .executor import Relation, Result, Session, SqlExecutionError
-from .functions import SqlFunctionError
+from .errors import SqlExecutionError, SqlFunctionError
+from .executor import Relation, Result, Session
 from .lexer import SqlSyntaxError
 from .parser import parse
 

@@ -138,6 +138,15 @@ def walk(node: Node):
             yield from walk(option)
 
 
+def walk_select(select: Select):
+    """Every AST node of a statement's expressions (pre-order)."""
+    exprs = [item.expr for item in select.items] + [on for _, on in select.joins]
+    exprs += [e for e in (select.where, select.having) if e is not None]
+    exprs += list(select.group_by) + [item.expr for item in select.order_by]
+    for expr in exprs:
+        yield from walk(expr)
+
+
 def column_refs(node: Node) -> List[ColumnRef]:
     """All column references below a node."""
     return [n for n in walk(node) if isinstance(n, ColumnRef)]

@@ -23,8 +23,9 @@ from ..obs.resources import ResourceTracker, ResourceUsage
 from ..obs.timing import now
 from ..obs.trace import format_tree, maybe_span
 from . import ast
+from .errors import SqlExecutionError
 from .parser import parse
-from .plan import Relation, SqlExecutionError, plan_select, render_plan
+from .plan import Relation, plan_select, render_plan
 from .project import Result, project
 from .run import run
 

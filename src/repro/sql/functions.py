@@ -15,11 +15,9 @@ from typing import Callable, Dict
 import numpy as np
 
 from ..gis import predicates, wkt
-from ..gis.geometry import Point
-
-
-class SqlFunctionError(ValueError):
-    """Raised on unknown functions or bad argument types/counts."""
+from ..gis.envelope import Box
+from ..gis.geometry import GeometryError, Point, Polygon
+from .errors import SqlFunctionError
 
 
 def _is_array(value) -> bool:
@@ -73,16 +71,16 @@ def st_point(x, y):
 
 
 def st_makeenvelope(xmin, ymin, xmax, ymax):
-    from ..gis.envelope import Box
-    from ..gis.geometry import Polygon
+    def one(a, b, c, d):
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        if not (a <= c and b <= d):
+            raise SqlFunctionError(
+                f"ST_MakeEnvelope({a!r}, {b!r}, {c!r}, {d!r}) needs "
+                "xmin <= xmax and ymin <= ymax"
+            )
+        return Polygon.from_box(Box(a, b, c, d))
 
-    return _elementwise(
-        lambda a, b, c, d: Polygon.from_box(Box(float(a), float(b), float(c), float(d))),
-        xmin,
-        ymin,
-        xmax,
-        ymax,
-    )
+    return _elementwise(one, xmin, ymin, xmax, ymax)
 
 
 # -- accessors / measures -----------------------------------------------------------
@@ -196,10 +194,19 @@ SCALAR_FUNCTIONS: Dict[str, Callable] = {
 AGGREGATES = {"count", "sum", "avg", "min", "max"}
 
 
-def call(name: str, args) -> object:
-    """Invoke a scalar function by (lower-case) name."""
+def function(name: str) -> Callable:
+    """The scalar function of this (lower-case) name."""
     try:
-        fn = SCALAR_FUNCTIONS[name]
+        return SCALAR_FUNCTIONS[name]
     except KeyError:
         raise SqlFunctionError(f"unknown function {name!r}") from None
-    return fn(*args)
+
+
+def call(name: str, args) -> object:
+    """Invoke a scalar function by (lower-case) name."""
+    fn = function(name)
+    try:
+        return fn(*args)
+    except (GeometryError, wkt.WKTError) as exc:
+        # A malformed WKT or coordinate is the statement's fault.
+        raise SqlFunctionError(f"{name}(): {exc}") from exc

@@ -8,8 +8,9 @@ and gives every ON/WHERE conjunct to exactly one place:
 * a relation's **spatial push-down** — ``ST_Contains(<geometry>,
   ST_Point(t.x, t.y))`` (or ``ST_DWithin(..., d)`` / ``ST_Intersects``)
   against a registered point table runs through
-  :class:`repro.core.query.SpatialSelect`, i.e. the imprints filter and
-  grid refinement;
+  :class:`repro.core.query.SpatialSelect`: the imprints filter, then grid
+  refinement unless :func:`~repro.core.query.filter_is_exact`.  A
+  geometry that names no column is evaluated once, here;
 * its one **pushed range** when it has no spatial conjunct — served by
   the column's imprint (built lazily, MonetDB's trigger) or its packed
   segments;
@@ -17,10 +18,9 @@ and gives every ON/WHERE conjunct to exactly one place:
 * the **join residual** of a hash join, evaluated on the joined pairs.
 
 Two relations joined on equality of non-object columns hash-join;
-otherwise the largest relation is the inner probe (the point table in
-every demo query) and the others iterate as outer loops, which is how
-the Scenario-2 queries ("LIDAR points near a fast transit road") want to
-run: one imprints-backed spatial probe per zone.
+otherwise the largest relation (the point table) is the inner probe and
+the others iterate as outer loops: one imprints-backed spatial probe per
+Scenario-2 zone ("LIDAR points near a fast transit road").
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.imprints import ImprintsManager
-from ..core.query import SpatialSelect
+from ..core.query import SpatialSelect, filter_is_exact
 from ..engine.table import Table
+from ..gis.geometry import Geometry
 from . import ast
-from .functions import AGGREGATES
-
-
-class SqlExecutionError(ValueError):
-    """Raised on semantic errors: unknown tables/columns, bad aggregates."""
+from .errors import SqlExecutionError
+from .expr import Frame, evaluate, geometry_of
+from .functions import AGGREGATES, function
 
 
 @dataclass
@@ -87,12 +86,14 @@ class Relation:
 
 @dataclass
 class SpatialFilter:
-    """A conjunct the relation's spatial pipeline answers."""
+    """A conjunct the relation's spatial pipeline answers.  ``value`` is
+    the geometry when it names no column, evaluated once at plan time."""
 
     expr: str
     geometry: ast.Node
     predicate: str
     distance: Optional[ast.Node]
+    value: Optional[Geometry] = None
 
 
 @dataclass
@@ -148,6 +149,9 @@ def plan_select(select: ast.Select, relation_of: Callable[[str], Relation]) -> P
         relation = relation_of(ref.name)
         relation.refresh()
         bindings.append((ref.binding, relation))
+    for node in ast.walk_select(select):
+        if isinstance(node, ast.FuncCall) and node.name not in AGGREGATES:
+            function(node.name)  # an unknown name raises here, not mid-run
     aggregate = bool(select.group_by) or any(
         _has_aggregate(item.expr) for item in select.items
     )
@@ -296,7 +300,10 @@ def _match_spatial(
             if name == "st_contains" and i == 0:
                 # ST_Contains(point, G): only true for point == G -> skip.
                 return None
-            return SpatialFilter(describe(conjunct), other, predicate, distance)
+            spatial = SpatialFilter(describe(conjunct), other, predicate, distance)
+            if not ast.column_refs(other):
+                spatial.value = geometry_of(evaluate(other, Frame({}, 0)))
+            return spatial
     return None
 
 
@@ -451,11 +458,13 @@ def render_plan(plan: Plan) -> str:
 def _access_lines(access: Access) -> List[str]:
     relation = access.relation
     lines = [f"access {relation.name} as {access.binding} ({relation.n_rows} rows)"]
-    lines.extend(
-        f"  spatial filter [{spatial.predicate}] via imprints + grid "
-        f"refinement: {spatial.expr}"
-        for spatial in access.spatial
-    )
+    for spatial in access.spatial:
+        value = spatial.value
+        exact = value is not None and filter_is_exact(value, spatial.predicate)
+        via = "on its box (exact, no refinement)" if exact else "+ grid refinement"
+        lines.append(
+            f"  spatial filter [{spatial.predicate}] via imprints {via}: {spatial.expr}"
+        )
     pushed = access.range
     if pushed is not None:
         via = "packed segments" if pushed.packed else "imprint"

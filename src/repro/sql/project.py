@@ -14,9 +14,10 @@ import numpy as np
 from ..engine.aggregate import group_reduce, grouping
 from ..obs.trace import maybe_span
 from . import ast
+from .errors import SqlExecutionError
+from .expr import Frame, apply_binop, apply_unaryop, as_bool, evaluate
 from .functions import AGGREGATES
-from .plan import Plan, SqlExecutionError
-from .run import Frame, apply_binop, apply_unaryop, as_bool, evaluate
+from .plan import Plan
 
 
 @dataclass

@@ -104,6 +104,12 @@ class TestRecording:
         assert len(extents) == 1
         assert extents[0]["cell"] == [0, 0]
 
+    def test_non_finite_bbox_touches_no_cell(self):
+        heat = make_heat(grid=4)
+        nan = float("nan")
+        heat.record_footprint("pts", bbox=(nan, 0, nan, 10), domain=DOMAIN, nbytes=100)
+        assert heat.snapshot()["extents"] == []
+
     def test_domain_is_fixed_by_the_first_footprint(self):
         heat = make_heat(grid=4)
         heat.record_footprint(

@@ -213,6 +213,23 @@ class TestStatusMapping:
         assert status == 400
         assert json.loads(body)["error"] == "sql_error"
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT count(*) FROM pts WHERE "
+            "ST_Contains(ST_MakeEnvelope(10, 10, 0, 0), ST_Point(x, y))",
+            "SELECT nosuchfn(x) FROM pts",
+            "SELECT count(*) FROM pts WHERE "
+            "ST_Contains(ST_GeomFromText('POLYGON((0 0, 1 1))'), ST_Point(x, y))",
+        ],
+        ids=["degenerate_envelope", "unknown_function", "malformed_wkt"],
+    )
+    def test_client_sql_errors_400(self, daemon, sql):
+        server, _ = daemon
+        status, _, body = post(server.url + "/v1/sql", {"sql": sql})
+        assert status == 400
+        assert json.loads(body)["error"] == "sql_error"
+
     def test_quota_exhausted_403_with_report(self, daemon):
         server, _ = daemon
         status, _, body = post(

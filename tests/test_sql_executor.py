@@ -1,5 +1,7 @@
 """Integration tests for the SQL executor, incl. the imprints push-down."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,32 @@ class TestBasicSelect:
     def test_unknown_column(self, session):
         with pytest.raises(SqlExecutionError):
             session.execute("SELECT bogus FROM pts")
+
+
+#: Statements a client gets wrong: each must be a typed SQL error from
+#: both ``execute`` and ``explain`` (the daemon answers 400, not 500).
+CLIENT_ERRORS = {
+    "degenerate_envelope": (
+        "SELECT count(*) FROM pts WHERE "
+        "ST_Contains(ST_MakeEnvelope(10, 10, 0, 0), ST_Point(x, y))",
+        "ST_MakeEnvelope",
+    ),
+    "unknown_function": ("SELECT nosuchfn(x) FROM pts", "unknown function 'nosuchfn'"),
+    "malformed_wkt": (
+        "SELECT count(*) FROM pts WHERE "
+        "ST_Contains(ST_GeomFromText('POLYGON((0 0, 1 1))'), ST_Point(x, y))",
+        "st_geomfromtext",
+    ),
+}
+
+
+class TestClientErrors:
+    @pytest.mark.parametrize("case", sorted(CLIENT_ERRORS))
+    def test_typed_from_execute_and_explain(self, session, case):
+        sql, message = CLIENT_ERRORS[case]
+        for run in (session.execute, session.explain):
+            with pytest.raises(SqlExecutionError, match=re.escape(message)):
+                run(sql)
 
 
 class TestAggregates:
