@@ -52,13 +52,3 @@ def walk_functions(
                 stack.append((class_name, child))
             else:
                 stack.append((class_name, child))
-
-
-def is_self_attribute(node: ast.AST, attr: Optional[str] = None) -> bool:
-    """True for ``self.<attr>`` (any attribute when ``attr`` is None)."""
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and (attr is None or node.attr == attr)
-    )

@@ -173,16 +173,6 @@ class CFG:
         statements), or ``None`` for unreachable/unbuilt code."""
         return self._by_stmt.get(id(stmt))
 
-    def exit_nodes(self) -> List[Node]:
-        return [self.exit, self.raise_exit]
-
-    def predecessors(self) -> Dict[int, List[int]]:
-        preds: Dict[int, List[int]] = {n.index: [] for n in self.nodes}
-        for src, pairs in self._succ.items():
-            for dst, _label in pairs:
-                preds[dst].append(src)
-        return preds
-
     def reach(
         self,
         start: Node,
@@ -266,20 +256,6 @@ class CFG:
             used.add(edge)
             path.append(nxt)
             iters.append(iter(self._succ[nxt]))
-
-    def to_dot(self) -> str:  # pragma: no cover - debugging aid
-        """Graphviz rendering, for eyeballing golden graphs."""
-        lines = [f'digraph "{self.name}" {{']
-        for node in self.nodes:
-            lines.append(
-                f'  n{node.index} [label="{node.index}: {node.label} '
-                f'(line {node.line})"];'
-            )
-        for src, pairs in self._succ.items():
-            for dst, label in pairs:
-                lines.append(f'  n{src} -> n{dst} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def stmt_can_raise(stmt: ast.stmt) -> bool:

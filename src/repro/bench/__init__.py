@@ -1,11 +1,10 @@
 """Benchmark harness: timers, report tables, and the standard workloads."""
 
-from .harness import Report, best_of, format_table, human_seconds, speedup, timer
+from .harness import Report, best_of, format_table, human_seconds, timer
 from .workloads import (
     QuerySpec,
     circle_polygon,
     irregular_polygon,
-    selectivity_sweep,
     standard_queries,
 )
 
@@ -17,8 +16,6 @@ __all__ = [
     "format_table",
     "human_seconds",
     "irregular_polygon",
-    "selectivity_sweep",
-    "speedup",
     "standard_queries",
     "timer",
 ]

@@ -23,10 +23,6 @@ class Timing:
 
     seconds: float
 
-    @property
-    def millis(self) -> float:
-        return self.seconds * 1e3
-
 
 @contextmanager
 def timer() -> Iterator[Timing]:
@@ -117,18 +113,11 @@ class Report:
         return text
 
 
-def speedup(baseline_seconds: float, other_seconds: float) -> float:
-    """How many times faster than the baseline (inf-safe)."""
-    if other_seconds <= 0:
-        return float("inf")
-    return baseline_seconds / other_seconds
-
-
 def human_seconds(seconds: float) -> str:
     """Render projected durations ('18.3 hours', '6.2 days').
 
-    Non-finite inputs — e.g. ``LoadStats.projected_seconds`` when the
-    measured run took 0 seconds — render as "n/a" instead of "inf".
+    Non-finite inputs — e.g. a projection from a run measured at 0
+    seconds — render as "n/a" instead of "inf".
     """
     if seconds != seconds or seconds in (float("inf"), float("-inf")):
         return "n/a"

@@ -96,21 +96,3 @@ def standard_queries(extent: Box, seed: int = 0) -> List[QuerySpec]:
         ),
         QuerySpec("corridor_wide", diag, predicate="dwithin", distance=0.03 * w),
     ]
-
-
-def selectivity_sweep(
-    extent: Box, fractions=(0.00001, 0.0001, 0.001, 0.01, 0.1, 0.5)
-) -> List[QuerySpec]:
-    """Box queries of increasing area fraction (the E3/E4 selectivity axis)."""
-    cx, cy = extent.center
-    specs = []
-    for fraction in fractions:
-        half_w = extent.width * (fraction**0.5) / 2
-        half_h = extent.height * (fraction**0.5) / 2
-        specs.append(
-            QuerySpec(
-                name=f"sel_{fraction:g}",
-                geometry=Box(cx - half_w, cy - half_h, cx + half_w, cy + half_h),
-            )
-        )
-    return specs

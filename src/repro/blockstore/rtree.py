@@ -106,15 +106,3 @@ class RTree:
                 stack.extend(node.children)
         hits.sort()
         return hits
-
-    def n_nodes(self) -> int:
-        """Total nodes incl. leaf entries (index size diagnostics)."""
-        if self.root is None:
-            return 0
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children)
-        return count

@@ -42,15 +42,6 @@ class BlockLoadStats:
     compress_seconds: float = 0.0
     index_seconds: float = 0.0
 
-    @property
-    def points_per_second(self) -> float:
-        return self.n_points / self.seconds if self.seconds else 0.0
-
-    def projected_seconds(self, n_points: int) -> float:
-        if self.points_per_second == 0:
-            return float("inf")
-        return n_points / self.points_per_second
-
 
 @dataclass
 class BlockQueryStats:

@@ -59,18 +59,6 @@ class RegularGrid:
         np.clip(cy, 0, self.ny - 1, out=cy)
         return cy * self.nx + cx
 
-    def cell_box(self, cell_id: int) -> Box:
-        """The rectangle of one cell."""
-        cy, cx = divmod(int(cell_id), self.nx)
-        if not (0 <= cx < self.nx and 0 <= cy < self.ny):
-            raise ValueError(f"cell id {cell_id} out of range")
-        return Box(
-            self.extent.xmin + cx * self._cell_w,
-            self.extent.ymin + cy * self._cell_h,
-            self.extent.xmin + (cx + 1) * self._cell_w,
-            self.extent.ymin + (cy + 1) * self._cell_h,
-        )
-
     def cell_boxes(self, cell_ids: np.ndarray):
         """Rectangles of many cells as (xmin, ymin, xmax, ymax) arrays —
         the input shape of the batched classifier."""

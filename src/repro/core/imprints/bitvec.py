@@ -58,15 +58,3 @@ def build_vectors(
 def match_vectors(vectors: NDArray[Any], mask: int) -> NDArray[Any]:
     """Boolean array: which imprint vectors intersect the query bin mask."""
     return (vectors & np.uint64(mask)) != 0
-
-
-def popcount(vectors: NDArray[Any]) -> NDArray[Any]:
-    """Bits set per vector (imprint density diagnostics, E4 bench)."""
-    v = vectors.astype(np.uint64).copy()
-    counts = np.zeros(v.shape[0], dtype=np.int64)
-    for _ in range(64):
-        counts += (v & np.uint64(1)).astype(np.int64)
-        v >>= np.uint64(1)
-        if not v.any():
-            break
-    return counts

@@ -143,9 +143,3 @@ def decompress(cdict: CachelineDict) -> NDArray[Any]:
     if cdict.n_lines == 0:
         return np.empty(0, dtype=np.uint64)
     return np.repeat(cdict.vectors, cdict.coverage())
-
-
-def compression_ratio(cdict: CachelineDict) -> float:
-    """Uncompressed vector bytes / dictionary bytes (higher is better)."""
-    raw = 8 * cdict.n_lines
-    return float(raw / cdict.nbytes) if cdict.nbytes else float("inf")

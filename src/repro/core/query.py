@@ -29,7 +29,7 @@ from ..engine.select import mask_select, range_select
 from ..engine.table import Table
 from ..gis.envelope import Box
 from ..gis.geometry import is_rectangle
-from ..gis.predicates import geometry_envelope, points_satisfy
+from ..gis.predicates import geometry_envelope, points_in_geometry, points_satisfy
 from ..obs import heat as _heat
 from ..obs.metrics import get_registry
 from ..obs.queries import current_query, get_queries
@@ -54,6 +54,16 @@ def filter_is_exact(geometry, predicate: str) -> bool:
     return predicate in ("contains", "intersects", "within") and is_rectangle(
         geometry
     )
+
+
+
+def _filter_envelope(geometry, predicate: str, distance: float) -> Box:
+    """The closed box every path cuts at before the exact test: the
+    geometry's envelope, grown by ``distance`` for ``dwithin``."""
+    env = geometry_envelope(geometry)
+    if predicate == "dwithin":
+        env = env.expand(distance)
+    return env
 
 
 @dataclass
@@ -296,9 +306,7 @@ class SpatialSelect:
         heat = _heat.maybe_heat()
         if heat is None:
             return
-        env = geometry_envelope(geometry)
-        if predicate == "dwithin":
-            env = env.expand(distance)
+        env = _filter_envelope(geometry, predicate, distance)
         x_lo, x_hi = self.table.column(self.x_column).minmax()
         y_lo, y_hi = self.table.column(self.y_column).minmax()
         nbytes = int(usage.encoded_bytes + usage.materialized_bytes)
@@ -338,9 +346,7 @@ class SpatialSelect:
             # The filter window opens before envelope derivation so that
             # geometry parsing counts toward the reported wall time.
             t0 = now()
-            env = geometry_envelope(geometry)
-            if predicate == "dwithin":
-                env = env.expand(distance)
+            env = _filter_envelope(geometry, predicate, distance)
 
             z_slab = None
             if z_range is not None:
@@ -424,8 +430,16 @@ class SpatialSelect:
     def query_scan(
         self, geometry, predicate: str = "contains", distance: float = 0.0
     ) -> np.ndarray:
-        """Brute-force evaluation over every row (correctness oracle)."""
+        """Brute-force evaluation over every row (correctness oracle).
+
+        Like every filtered path it first cuts at the closed envelope
+        (grown by ``distance`` for ``dwithin``), so a point one ulp
+        outside a rectangle is out even where an ulp is below the exact
+        test's edge tolerance, and a NaN envelope selects nothing."""
         xs = np.asarray(self.table.column(self.x_column).values)
         ys = np.asarray(self.table.column(self.y_column).values)
-        mask = points_satisfy(xs, ys, geometry, predicate, distance)
+        env = _filter_envelope(geometry, predicate, distance)
+        mask = points_in_geometry(xs, ys, env) & points_satisfy(
+            xs, ys, geometry, predicate, distance
+        )
         return np.flatnonzero(mask).astype(np.int64)

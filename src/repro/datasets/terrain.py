@@ -66,10 +66,6 @@ class Terrain:
         """Water mask at world coordinates."""
         return self.height_at(xs, ys) <= self.sea_level
 
-    @property
-    def water_fraction(self) -> float:
-        return float((self.heights <= self.sea_level).mean())
-
 
 def _diamond_square(order: int, roughness: float, rng: np.random.Generator) -> np.ndarray:
     """Classic diamond-square fractal on a (2^order + 1) grid in [0, 1]-ish."""

@@ -1,4 +1,4 @@
-"""Aggregation operators: scalar aggregates and grouped aggregates.
+"""Aggregation operators: grouped (and single-group) aggregates.
 
 Scenario 2 of the demo runs queries like "compute the average elevation of
 the LIDAR points near a fast transit road"; these operators are the engine
@@ -14,46 +14,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
-
-from .column import Column
-
-
-def _materialise(column: Column, candidates: Optional[NDArray[Any]]) -> NDArray[Any]:
-    return column.values if candidates is None else column.take(candidates)
-
-
-def count(column: Column, candidates: Optional[NDArray[Any]] = None) -> int:
-    """Number of qualifying rows."""
-    return len(column) if candidates is None else int(len(candidates))
-
-
-def sum_(column: Column, candidates: Optional[NDArray[Any]] = None) -> Any:
-    """Sum over qualifying rows (0 on empty input, SQL-style for SUM of none
-    is NULL; the engine returns 0 and the SQL layer maps empty to None)."""
-    return _materialise(column, candidates).sum()
-
-
-def avg(column: Column, candidates: Optional[NDArray[Any]] = None) -> float:
-    """Arithmetic mean over qualifying rows; NaN on empty input."""
-    vals = _materialise(column, candidates)
-    if vals.shape[0] == 0:
-        return float("nan")
-    return float(vals.mean())
-
-
-def min_(column: Column, candidates: Optional[NDArray[Any]] = None) -> Any:
-    vals = _materialise(column, candidates)
-    if vals.shape[0] == 0:
-        raise ValueError("min of empty input")
-    return vals.min()
-
-
-def max_(column: Column, candidates: Optional[NDArray[Any]] = None) -> Any:
-    vals = _materialise(column, candidates)
-    if vals.shape[0] == 0:
-        raise ValueError("max of empty input")
-    return vals.max()
-
 
 _UFUNCS: Dict[str, np.ufunc] = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
@@ -102,36 +62,3 @@ def group_reduce(
     if starts.shape[0] == 1:
         return np.asarray(_UFUNCS[func].reduce(values, keepdims=True))
     return np.asarray(_UFUNCS[func].reduceat(values, starts))
-
-
-def group_aggregate(
-    group_values: NDArray[Any],
-    agg_values: Optional[NDArray[Any]],
-    func: str,
-) -> Dict[str, NDArray[Any]]:
-    """Grouped aggregate: one output row per distinct group value.
-
-    Parameters
-    ----------
-    group_values:
-        Grouping key per qualifying row.
-    agg_values:
-        Values to aggregate (ignored for ``count``).
-    func:
-        One of ``count``, ``sum``, ``avg``, ``min``, ``max``.
-
-    Returns a dict with ``groups`` (distinct keys, sorted) and ``values``
-    (the aggregate per group, aligned with ``groups``).
-    """
-    group_values = np.asarray(group_values)
-    if group_values.shape[0] == 0:
-        return {
-            "groups": group_values[:0],
-            "values": np.empty(0, dtype=np.float64),
-        }
-    order, starts, sizes = grouping([group_values])
-    ordered = None if agg_values is None else np.asarray(agg_values)[order]
-    return {
-        "groups": group_values[order[starts]],
-        "values": group_reduce(func, ordered, starts, sizes),
-    }

@@ -100,11 +100,6 @@ class Database:
     def table_names(self) -> List[str]:
         return sorted(self._tables.keys())
 
-    @property
-    def nbytes(self) -> int:
-        """Total live bytes across all tables."""
-        return sum(t.nbytes for t in self._tables.values())
-
     # -- persistence ----------------------------------------------------------
 
     def save(self, directory: Optional[PathLike] = None) -> int:

@@ -276,7 +276,3 @@ class Column:
                 f"{self.name!r} has {self._len}"
             )
         self._packed = packed
-
-    def drop_packed(self) -> None:
-        """Discard the compressed mirror (fall back to plain scans)."""
-        self._packed = None

@@ -1,10 +1,10 @@
 """Join operators over columns and candidate lists.
 
-The engine provides an equi hash join (the workhorse for thematic joins in
-Scenario 2) and a band join used by distance predicates.  Joins return a
-pair of aligned oid arrays ``(left_oids, right_oids)``, matching MonetDB's
-join-index style output, so results compose with :meth:`Table.fetch` and
-the SQL executor's index-backed frames.
+The engine provides an equi hash join, the workhorse for thematic joins in
+Scenario 2.  It returns a pair of aligned oid arrays ``(left_oids,
+right_oids)``, matching MonetDB's join-index style output, so results
+compose with :meth:`Table.fetch` and the SQL executor's index-backed
+frames.
 """
 
 from __future__ import annotations
@@ -78,54 +78,3 @@ def hash_join(
     if swapped:
         return probe_out, build_out
     return build_out, probe_out
-
-
-def band_join(
-    left: Column,
-    right: Column,
-    radius: float,
-    left_candidates: Optional[NDArray[Any]] = None,
-    right_candidates: Optional[NDArray[Any]] = None,
-) -> Tuple[NDArray[Any], NDArray[Any]]:
-    """Pairs with ``|left - right| <= radius`` (1-D band join).
-
-    Used as the per-axis prefilter of distance joins: a 2-D ``ST_DWithin``
-    join runs a band join on x, then exact-checks the survivors.
-    """
-    if radius < 0:
-        raise ValueError("band join radius must be non-negative")
-    lvals = left.values if left_candidates is None else left.take(left_candidates)
-    rvals = (
-        right.values if right_candidates is None else right.take(right_candidates)
-    )
-    loids = (
-        np.arange(len(left), dtype=np.int64)
-        if left_candidates is None
-        else np.asarray(left_candidates, dtype=np.int64)
-    )
-    roids = (
-        np.arange(len(right), dtype=np.int64)
-        if right_candidates is None
-        else np.asarray(right_candidates, dtype=np.int64)
-    )
-    if lvals.shape[0] == 0 or rvals.shape[0] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-
-    order = np.argsort(rvals, kind="stable")
-    sorted_vals = rvals[order]
-    sorted_oids = roids[order]
-    starts = np.searchsorted(sorted_vals, lvals - radius, side="left")
-    ends = np.searchsorted(sorted_vals, lvals + radius, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    left_out = np.repeat(loids, counts)
-    offsets = np.repeat(starts, counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    right_out = sorted_oids[offsets + within]
-    return left_out, right_out

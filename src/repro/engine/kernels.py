@@ -209,13 +209,6 @@ def predicate_mask(
     return (~mask if negate else mask), packed
 
 
-def theta_mask(
-    block: CompressedBlock, op: str, constant: Any
-) -> Tuple[NDArray[np.bool_], bool]:
-    """Selection mask of ``value <op> constant`` over one block."""
-    return predicate_mask(block, theta_range(op, constant))
-
-
 def take(block: CompressedBlock, idx: NDArray[Any]) -> NDArray[Any]:
     """Materialize only the rows at ``idx`` (block-local positions).
 
@@ -254,12 +247,6 @@ def scan_bytes(block: CompressedBlock, packed: bool) -> int:
     return block.nbytes if packed else block.plain_nbytes
 
 
-def materialize_bytes(idx_count: int, dtype: str) -> int:
-    """Bytes a late-materialization gather of ``idx_count`` survivors
-    produces."""
-    return idx_count * np.dtype(dtype).itemsize
-
-
 __all__ = [
     "ZONE_SKIP",
     "ZONE_FULL",
@@ -269,8 +256,6 @@ __all__ = [
     "bounds_mask",
     "range_mask",
     "predicate_mask",
-    "theta_mask",
     "take",
     "scan_bytes",
-    "materialize_bytes",
 ]

@@ -164,21 +164,6 @@ def zone_verdicts(zones: Zones, predicate: RangePredicate) -> NDArray[np.int8]:
     return verdicts
 
 
-def zone_verdict(
-    zmin: Any,
-    zmax: Any,
-    lo: Optional[Any],
-    hi: Optional[Any],
-    lo_inclusive: bool = True,
-    hi_inclusive: bool = True,
-) -> int:
-    """One zone ``[zmin, zmax]`` against a range: :func:`zone_verdicts`
-    on a one-segment grid."""
-    zones = zones_of([(0, 1, zmin, zmax)])
-    predicate = RangePredicate(lo, hi, lo_inclusive, hi_inclusive)
-    return int(zone_verdicts(zones, predicate)[0])
-
-
 def conjunction_verdicts(own: NDArray[np.int8]) -> NDArray[np.int8]:
     """Per segment, the verdict of a conjunction from its terms' own
     (``own[c, i]``, one row per term): any SKIP settles it (no row can

@@ -401,7 +401,7 @@ def _attach_sidecar(
     column: Column,
     values: NDArray[Any],
     path: Path,
-    issues: Optional[List[str]],
+    issues: List[str],
 ) -> None:
     """Adopt a column's ``.colz`` sidecar if it is present and fresh.
 
@@ -423,8 +423,7 @@ def _attach_sidecar(
         warnings.warn(
             f"{message} (moved to {where.name})", RuntimeWarning, stacklevel=4
         )
-        if issues is not None:
-            issues.append(message)
+        issues.append(message)
         column.pack()
         return
     if packed.n_rows != values.shape[0] or (
@@ -440,11 +439,6 @@ def _attach_sidecar(
 def save_column(column: Column, path: PathLike) -> int:
     """Persist a column; returns bytes written."""
     return dump_array(np.asarray(column.values), path)
-
-
-def load_column(name: str, path: PathLike) -> Column:
-    """Load a column persisted with :func:`save_column`."""
-    return Column.from_array(name, load_array(path))
 
 
 def table_dir_layout(table: Table) -> Dict[str, str]:
@@ -504,58 +498,6 @@ def save_table(
         directory / "schema.json", json.dumps(meta, indent=2), label="schema"
     )
     return total
-
-
-def load_table(
-    directory: PathLike, sidecar_issues: Optional[List[str]] = None
-) -> Table:
-    """Load a table persisted with :func:`save_table` (strict).
-
-    Any missing/corrupt column or row-count mismatch raises
-    :class:`StorageError`; :func:`recover_table` is the tolerant variant
-    used by crash recovery.  Compressed ``.colz`` sidecars are attached
-    as execution mirrors when fresh; a *corrupt* sidecar never fails the
-    load — it is quarantined, noted in ``sidecar_issues`` (when given),
-    and re-encoded from the plain column.
-    """
-    directory = Path(directory)
-    meta_path = directory / "schema.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except FileNotFoundError:
-        raise StorageError(f"no table at {directory}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StorageError(f"{meta_path}: corrupt table metadata ({exc})") from None
-    table = Table(meta["name"], [tuple(pair) for pair in meta["schema"]])
-    batch: Dict[str, NDArray[Any]] = {}
-    for name, _type in table.schema:
-        batch[name] = load_array(directory / f"{name}.col")
-    lengths = {arr.shape[0] for arr in batch.values()}
-    if len(lengths) > 1:
-        # A crash mid-save leaves some columns one batch ahead; that is
-        # a storage-level inconsistency (recover_table rolls it back),
-        # not a schema error.
-        raise StorageError(
-            f"{directory}: ragged column files (lengths {sorted(lengths)})"
-        )
-    # The arrays were just read and nobody else holds them: they become
-    # the columns' buffers instead of being copied into new ones (which
-    # would hold two copies of the table at once).
-    for name, arr in batch.items():
-        table.column(name).adopt(arr)
-    if len(table) != meta["rows"]:
-        raise StorageError(
-            f"{directory}: schema.json says {meta['rows']} rows, "
-            f"column files hold {len(table)}"
-        )
-    for name, _type in table.schema:
-        _attach_sidecar(
-            table.column(name),
-            batch[name],
-            sidecar_path(directory, name),
-            sidecar_issues,
-        )
-    return table
 
 
 def recover_table(directory: PathLike) -> Tuple[Table, List[str]]:

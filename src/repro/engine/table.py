@@ -9,7 +9,7 @@ column-batch form; the latter is the fast path used by the binary loader.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -102,21 +102,6 @@ class Table:
         for name, arr in arrays.items():
             self._columns[name].append(arr)
         return first_oid
-
-    def append_rows(self, rows: Iterable[Sequence[object]]) -> int:
-        """Append row tuples (column order follows the schema)."""
-        rows = list(rows)
-        if not rows:
-            return len(self)
-        names = self.column_names
-        width = len(names)
-        for row in rows:
-            if len(row) != width:
-                raise SchemaError(
-                    f"row width {len(row)} does not match schema width {width}"
-                )
-        columns = list(zip(*rows))
-        return self.append_columns(dict(zip(names, columns)))
 
     def truncate(self, n: int) -> None:
         """Roll the table back to its first ``n`` rows.

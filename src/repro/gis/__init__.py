@@ -6,7 +6,7 @@ grid-cell classifier in :mod:`repro.gis.predicates`, and WKT I/O in
 :mod:`repro.gis.wkt`.
 """
 
-from .envelope import Box, box_from_points
+from .envelope import Box
 from .geometry import (
     Geometry,
     GeometryError,
@@ -41,7 +41,6 @@ __all__ = [
     "Point",
     "Polygon",
     "WKTError",
-    "box_from_points",
     "classify_box",
     "contains",
     "dumps",

@@ -8,7 +8,7 @@ predicate first short-circuits on envelope relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,6 @@ class Box:
             or other.ymax < self.ymin
         )
 
-    def intersection(self, other: "Box") -> "Box":
-        """The overlapping box; raises ValueError when disjoint."""
-        if not self.intersects(other):
-            raise ValueError("boxes do not intersect")
-        return Box(
-            max(self.xmin, other.xmin),
-            max(self.ymin, other.ymin),
-            min(self.xmax, other.xmax),
-            min(self.ymax, other.ymax),
-        )
-
     def union(self, other: "Box") -> "Box":
         return Box(
             min(self.xmin, other.xmin),
@@ -111,18 +100,3 @@ class Box:
         dx = max(self.xmin - x, 0.0, x - self.xmax)
         dy = max(self.ymin - y, 0.0, y - self.ymax)
         return (dx * dx + dy * dy) ** 0.5
-
-    def max_distance_to_point(self, x: float, y: float) -> float:
-        """Euclidean distance to the farthest box corner."""
-        dx = max(abs(x - self.xmin), abs(x - self.xmax))
-        dy = max(abs(y - self.ymin), abs(y - self.ymax))
-        return (dx * dx + dy * dy) ** 0.5
-
-
-def box_from_points(xs: Iterable[float], ys: Iterable[float]) -> Box:
-    """Tight envelope of a point set; raises on empty input."""
-    xs = list(xs)
-    ys = list(ys)
-    if not xs or not ys:
-        raise ValueError("cannot build an envelope of no points")
-    return Box(min(xs), min(ys), max(xs), max(ys))

@@ -16,7 +16,7 @@ from .binloader import (
 )
 from .header import HEADER_SIZE, LasFormatError, LasHeader
 from .laz import read_laz, write_laz
-from .reader import iter_points, read_header, read_las
+from .reader import read_header, read_las
 from .spec import ASPRS_CLASSES, FLAT_COLUMN_NAMES, FLAT_SCHEMA, POINT_FORMATS
 from .writer import write_las
 
@@ -30,7 +30,6 @@ __all__ = [
     "LoadStats",
     "POINT_FORMATS",
     "create_flat_table",
-    "iter_points",
     "load_arrays",
     "load_file",
     "load_files",

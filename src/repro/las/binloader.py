@@ -17,7 +17,7 @@ in less than one day" claim.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
 
@@ -55,15 +55,6 @@ class LoadStats:
     def points_per_second(self) -> float:
         return self.n_points / self.seconds if self.seconds else 0.0
 
-    def projected_seconds(self, n_points: int) -> float:
-        """Linear extrapolation to a bigger cloud (e.g. AHN2's 640e9).
-
-        Returns ``inf`` when nothing was measured — report renderers
-        print that as "n/a" (see ``repro.bench.harness.human_seconds``).
-        """
-        if self.points_per_second == 0:
-            return float("inf")
-        return n_points / self.points_per_second
 
 
 def create_flat_table(db: Database, name: str = "points") -> Table:
@@ -253,42 +244,6 @@ def load_files(
     if checkpoint is not None and since_checkpoint:
         run_checkpoint()
     return total
-
-
-def load_file_chunked(
-    table: Table,
-    path: PathLike,
-    chunk_size: int = 262_144,
-) -> LoadStats:
-    """Load one LAS tile in bounded-memory chunks.
-
-    The paper's tiles are heading towards "billion points per file"
-    (Section 1); this path streams a file through
-    :func:`repro.las.reader.iter_points` so peak memory is one chunk, not
-    one file.  Only uncompressed .las input (the LAZ container decodes
-    per-field, not per-chunk).
-    """
-    stats = LoadStats(n_files=1)
-    with maybe_span("load.file_chunked", path=str(path)) as span:
-        t0 = time.perf_counter()
-        path = Path(path)
-        if path.suffix.lower() == ".laz":
-            raise LasFormatError(
-                "chunked loading needs an uncompressed .las file"
-            )
-        from .reader import iter_points
-
-        for _header, columns in iter_points(path, chunk_size=chunk_size):
-            n = np.asarray(columns["x"]).shape[0]
-            with maybe_span("load.append") as append_span:
-                table.append_columns(flat_batch(columns, n))
-                append_span.set(rows=n)
-            stats.n_points += n
-        stats.seconds = time.perf_counter() - t0
-        stats.append_seconds = stats.seconds
-        span.set(rows=stats.n_points)
-    _record_load(stats)
-    return stats
 
 
 def load_arrays(table: Table, columns: Dict[str, np.ndarray]) -> LoadStats:

@@ -128,45 +128,3 @@ def read_intervals(
         for channel in ("red", "green", "blue"):
             columns[channel] = records[channel].copy()
     return header, columns
-
-
-def iter_points(
-    path: PathLike, chunk_size: int = 65536
-):
-    """Stream a LAS file in chunks of flat columns (bounded memory).
-
-    Yields ``(header, columns)`` per chunk — the shape the binary loader
-    and the file-based baseline both consume for out-of-core files.
-    """
-    path = Path(path)
-    header = read_header(path)
-    dtype = POINT_FORMATS[header.point_format]
-    sx, sy, sz = header.scale
-    ox, oy, oz = header.offset
-    remaining = header.n_points
-    with open(path, "rb") as fh:
-        fh.seek(header.offset_to_point_data)
-        while remaining > 0:
-            take = min(chunk_size, remaining)
-            raw = fh.read(take * dtype.itemsize)
-            if len(raw) != take * dtype.itemsize:
-                raise LasFormatError(f"{path}: truncated point data")
-            records = np.frombuffer(raw, dtype=dtype)
-            columns: Dict[str, np.ndarray] = {
-                "x": records["X"].astype(np.float64) * sx + ox,
-                "y": records["Y"].astype(np.float64) * sy + oy,
-                "z": records["Z"].astype(np.float64) * sz + oz,
-                "intensity": records["intensity"].copy(),
-                "scan_angle": records["scan_angle_rank"].astype(np.int16),
-                "user_data": records["user_data"].copy(),
-                "point_source_id": records["point_source_id"].copy(),
-            }
-            columns.update(unpack_flags(records["flags"]))
-            columns.update(unpack_classification(records["classification"]))
-            if "gps_time" in dtype.names:
-                columns["gps_time"] = records["gps_time"].copy()
-            if "red" in dtype.names:
-                for channel in ("red", "green", "blue"):
-                    columns[channel] = records[channel].copy()
-            yield header, columns
-            remaining -= take

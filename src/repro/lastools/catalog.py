@@ -134,10 +134,3 @@ class FileCatalog:
     @property
     def n_files(self) -> int:
         return len(self._tile_paths())
-
-    def total_points(self) -> int:
-        """Total points across the catalog (metadata mode is free; header
-        mode pays one header read per file)."""
-        if self.mode == "metadata" and self._metadata is not None:
-            return int(sum(int(v[4]) for v in self._metadata.values()))
-        return int(sum(read_header(p).n_points for p in self._tile_paths()))

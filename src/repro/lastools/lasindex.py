@@ -46,14 +46,6 @@ class QuadLeaf:
     box: Box
     intervals: List[Tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.intervals)
-
-    @property
-    def n_points(self) -> int:
-        return sum(stop - start for start, stop in self.intervals)
-
 
 class LasIndex:
     """A quadtree of point-index intervals over one file's points.
@@ -138,20 +130,7 @@ class LasIndex:
                 merged.append([start, stop])
         return [(a, b) for a, b in merged]
 
-    def candidate_indices(self, query: Box) -> np.ndarray:
-        """Candidate point indices (superset of exact hits), sorted."""
-        intervals = self.candidate_intervals(query)
-        if not intervals:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(
-            [np.arange(start, stop, dtype=np.int64) for start, stop in intervals]
-        )
-
-    # -- stats / persistence -----------------------------------------------------
-
-    @property
-    def total_intervals(self) -> int:
-        return sum(leaf.n_intervals for leaf in self.leaves)
+    # -- persistence -------------------------------------------------------------
 
     def save(self, path: PathLike) -> None:
         """Persist as a ``.lax`` JSON sidecar."""

@@ -54,7 +54,6 @@ from .trace import (
     maybe_span,
     to_chrome,
     to_json,
-    traced,
 )
 
 __all__ = [
@@ -99,5 +98,4 @@ __all__ = [
     "render_openmetrics",
     "to_chrome",
     "to_json",
-    "traced",
 ]

@@ -145,10 +145,6 @@ class Histogram:
     def count(self) -> int:
         return self._count
 
-    @property
-    def sum(self) -> float:
-        return self._sum
-
     def percentile(self, q: float) -> float:
         """Upper bucket edge covering the ``q`` quantile (0..1); the
         observed maximum for ranks landing in the overflow bucket.

@@ -157,18 +157,6 @@ class ActiveQuery:
     # -- views -------------------------------------------------------------
 
     @property
-    def phase(self) -> str:
-        return self._phase
-
-    @property
-    def status(self) -> str:
-        return self._status
-
-    @property
-    def trace_id(self) -> int:
-        return self._trace_id
-
-    @property
     def progress(self) -> float:
         """Completed fraction in ``[0, 1]``; 0.0 before any scan starts."""
         with self._lock:
@@ -177,12 +165,6 @@ class ActiveQuery:
         if total <= 0:
             return 0.0
         return min(1.0, done / total)
-
-    def elapsed_s(self) -> float:
-        with self._lock:
-            if self._elapsed is not None:
-                return self._elapsed
-        return now() - self.started
 
     def to_dict(self) -> Dict[str, Any]:
         with self._lock:
@@ -294,10 +276,6 @@ class QueryRegistry:
                 self._threads.pop(ident, None)
             else:
                 self._threads[ident] = previous
-
-    def query_for_thread(self, ident: int) -> Optional[ActiveQuery]:
-        with self._lock:
-            return self._threads.get(ident)
 
     def thread_map(self) -> Dict[int, ActiveQuery]:
         """Copy of the thread-attribution map, for the sampler's sweep."""

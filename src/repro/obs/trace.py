@@ -33,11 +33,8 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from functools import wraps
 from types import TracebackType
 from typing import (
-    Any,
-    Callable,
     Deque,
     Dict,
     Iterable,
@@ -45,9 +42,7 @@ from typing import (
     List,
     Optional,
     Type,
-    TypeVar,
     Union,
-    cast,
 )
 
 from ._context_state import CURRENT as _CONTEXT
@@ -349,36 +344,6 @@ def maybe_span(
     if tracer.enabled:
         return Span(tracer, name, parent=parent, attributes=attributes)
     return NOOP_SPAN
-
-
-F = TypeVar("F", bound=Callable[..., Any])
-
-
-def traced(
-    name: Optional[str] = None, **attributes: object
-) -> Callable[[F], F]:
-    """Decorator form: wrap every call of ``fn`` in a span.
-
-    ::
-
-        @traced("load.tile", stage="read")
-        def read_point_file(path): ...
-    """
-
-    def decorate(fn: F) -> F:
-        label = name if name is not None else fn.__qualname__
-
-        @wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            tracer = get_tracer()
-            if not tracer.enabled:
-                return fn(*args, **kwargs)
-            with tracer.span(label, **attributes):
-                return fn(*args, **kwargs)
-
-        return cast(F, wrapper)
-
-    return decorate
 
 
 # -- exporters -----------------------------------------------------------------

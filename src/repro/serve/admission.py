@@ -113,11 +113,6 @@ class AdmissionController:
         with self._cond:
             return self._queued
 
-    @property
-    def draining(self) -> bool:
-        with self._cond:
-            return self._draining
-
     def snapshot(self) -> dict:
         with self._cond:
             return {

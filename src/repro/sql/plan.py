@@ -423,6 +423,7 @@ def render_plan(plan: Plan) -> str:
         lines = [f"hash join on {describe(plan.key[0])}"]
         for access in plan.accesses:
             lines.extend("  " + line for line in _access_lines(access))
+        lines.extend(f"  join residual: {describe(c)}" for c in plan.residual)
     else:
         *outers, probe = plan.accesses
         lines = ["nested-loop join"]

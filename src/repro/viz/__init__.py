@@ -1,6 +1,6 @@
 """Visualisation substrate: the QGIS stand-in.
 
-Layered world-coordinate rendering to PPM/PGM images —
+Layered world-coordinate rendering to PPM images —
 :class:`~repro.viz.raster.Canvas` primitives,
 :class:`~repro.viz.layers.LayeredMap` composition, and the two
 figure-level renderers of :mod:`repro.viz.render`.

@@ -3,7 +3,7 @@
 The demo visualises every query result "in real time using QGIS".  In this
 reproduction the visualisation substrate is a small renderer that draws
 point/line/polygon layers onto an RGB canvas and writes portable pixmaps
-(PPM/PGM — stdlib-only formats any image viewer opens).
+(PPM — a stdlib-only format any image viewer opens).
 """
 
 from __future__ import annotations
@@ -150,15 +150,6 @@ class Canvas:
     def to_ascii(self, columns: int = 80) -> str:
         """ASCII-art view of the canvas (see :func:`ascii_render`)."""
         return ascii_render(self.pixels, columns=columns)
-
-    def write_pgm(self, path: PathLike) -> Path:
-        """Write a grayscale PGM (P5) using luminance; atomic like
-        :meth:`write_ppm`."""
-        path = Path(path)
-        gray = _luminance(self.pixels).astype(np.uint8)
-        header = f"P5\n{self.width} {self.height}\n255\n".encode()
-        atomic_write_bytes(path, header + gray.tobytes(), label="pgm")
-        return path
 
 
 #: Luminance ramp used by :meth:`Canvas.to_ascii` (dark -> bright).

@@ -48,15 +48,10 @@ class TestRegularGrid:
 
     def test_cell_box_round_trip(self):
         grid = RegularGrid(Box(0, 0, 10, 10), target_cells=25)
-        for cid in range(grid.n_cells):
-            box = grid.cell_box(cid)
-            cx, cy = box.center
-            assert grid.cell_ids(np.array([cx]), np.array([cy]))[0] == cid
-
-    def test_cell_box_out_of_range(self):
-        grid = RegularGrid(Box(0, 0, 1, 1), target_cells=4)
-        with pytest.raises(ValueError):
-            grid.cell_box(grid.n_cells)
+        cids = np.arange(grid.n_cells)
+        xmin, ymin, xmax, ymax = grid.cell_boxes(cids)
+        centers = grid.cell_ids((xmin + xmax) / 2, (ymin + ymax) / 2)
+        np.testing.assert_array_equal(centers, cids)
 
 
 POLY = Polygon([(2, 2), (8, 3), (7, 8), (3, 7)])

@@ -45,7 +45,11 @@ class TestTerrain:
 
     def test_water_fraction_near_quantile(self):
         t = generate_terrain(EXTENT, order=7, sea_level_quantile=0.2, seed=2)
-        assert 0.1 < t.water_fraction < 0.35
+        xs, ys = np.meshgrid(
+            np.linspace(EXTENT.xmin, EXTENT.xmax, 129),
+            np.linspace(EXTENT.ymin, EXTENT.ymax, 129),
+        )
+        assert 0.1 < t.is_water(xs.ravel(), ys.ravel()).mean() < 0.35
 
     def test_height_at_matches_grid_nodes(self):
         t = generate_terrain(EXTENT, order=4, seed=3)

@@ -169,7 +169,7 @@ class TestColumnMirror:
         assert col.packed is None
         packed = col.pack(segment_rows=8192)
         assert col.packed is packed
-        col.drop_packed()
+        col.adopt_packed(None)
         assert col.packed is None
 
     def test_append_invalidates(self, values):
@@ -200,14 +200,14 @@ class TestSelectDispatch:
 
     def test_range_parity_with_plain(self, column, values):
         packed_result = range_select(column, 41_000, 43_000)
-        column.drop_packed()
+        column.adopt_packed(None)
         plain_result = range_select(column, 41_000, 43_000)
         np.testing.assert_array_equal(packed_result, plain_result)
 
     @pytest.mark.parametrize("op", THETA_OPS)
     def test_theta_parity_with_plain(self, column, values, op):
         packed_result = theta_select(column, op, 42_000)
-        column.drop_packed()
+        column.adopt_packed(None)
         plain_result = theta_select(column, op, 42_000)
         np.testing.assert_array_equal(packed_result, plain_result)
 
@@ -241,7 +241,7 @@ class TestSelectDispatch:
         packed_bytes = tracker.usage.bytes_touched
         assert 0 < packed_bytes < values.nbytes / 2
 
-        column.drop_packed()
+        column.adopt_packed(None)
         tracker2 = ResourceTracker()
         with tracker2:
             range_select(column, 41_000, 43_000)

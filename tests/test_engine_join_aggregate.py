@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.aggregate import avg, count, group_aggregate, max_, min_, sum_
+from repro.engine.aggregate import group_reduce, grouping
 from repro.engine.column import Column
-from repro.engine.join import band_join, hash_join
+from repro.engine.join import hash_join
 
 
 class TestHashJoin:
@@ -62,102 +62,46 @@ class TestHashJoin:
         assert got == expected
 
 
-class TestBandJoin:
-    def test_radius_zero_is_equi(self):
-        left = Column("l", "float64", data=[1.0, 2.0])
-        right = Column("r", "float64", data=[2.0, 3.0])
-        lo, ro = band_join(left, right, 0.0)
-        assert sorted(zip(lo.tolist(), ro.tolist())) == [(1, 0)]
-
-    def test_band(self):
-        left = Column("l", "float64", data=[0.0])
-        right = Column("r", "float64", data=[-1.5, -0.5, 0.5, 1.5])
-        lo, ro = band_join(left, right, 1.0)
-        assert sorted(ro.tolist()) == [1, 2]
-
-    def test_negative_radius_raises(self):
-        left = Column("l", "float64", data=[0.0])
-        with pytest.raises(ValueError):
-            band_join(left, left, -1.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        lvals=st.lists(st.integers(-20, 20), min_size=0, max_size=30),
-        rvals=st.lists(st.integers(-20, 20), min_size=0, max_size=30),
-        radius=st.integers(0, 5),
-    )
-    def test_matches_nested_loop_reference(self, lvals, rvals, radius):
-        left = Column("l", "int64", data=np.array(lvals, dtype=np.int64))
-        right = Column("r", "int64", data=np.array(rvals, dtype=np.int64))
-        lo, ro = band_join(left, right, float(radius))
-        got = sorted(zip(lo.tolist(), ro.tolist()))
-        expected = sorted(
-            (i, j)
-            for i, lv in enumerate(lvals)
-            for j, rv in enumerate(rvals)
-            if abs(lv - rv) <= radius
-        )
-        assert got == expected
-
-
-class TestScalarAggregates:
-    def test_count_sum_avg(self):
-        col = Column("v", "float64", data=[1.0, 2.0, 3.0, 4.0])
-        assert count(col) == 4
-        assert sum_(col) == 10.0
-        assert avg(col) == 2.5
-
-    def test_with_candidates(self):
-        col = Column("v", "float64", data=[1.0, 2.0, 3.0, 4.0])
-        cands = np.array([1, 3], dtype=np.int64)
-        assert count(col, cands) == 2
-        assert sum_(col, cands) == 6.0
-        assert min_(col, cands) == 2.0
-        assert max_(col, cands) == 4.0
-
-    def test_avg_empty_is_nan(self):
-        col = Column("v", "float64", data=[1.0])
-        assert np.isnan(avg(col, np.empty(0, dtype=np.int64)))
-
-    def test_minmax_empty_raise(self):
-        col = Column("v", "float64", data=[1.0])
-        with pytest.raises(ValueError):
-            min_(col, np.empty(0, dtype=np.int64))
-        with pytest.raises(ValueError):
-            max_(col, np.empty(0, dtype=np.int64))
-
-
 class TestGroupAggregate:
+    """``grouping`` numbers the groups with one sort, ``group_reduce``
+    reduces each (the SQL GROUP BY kernels)."""
+
     def test_grouped_count(self):
-        out = group_aggregate(np.array([2, 1, 2, 2]), None, "count")
-        np.testing.assert_array_equal(out["groups"], [1, 2])
-        np.testing.assert_array_equal(out["values"], [1, 3])
+        keys = np.array([2, 1, 2, 2])
+        order, starts, sizes = grouping([keys])
+        np.testing.assert_array_equal(keys[order[starts]], [1, 2])
+        np.testing.assert_array_equal(group_reduce("count", None, starts, sizes), [1, 3])
 
     def test_grouped_avg(self):
-        groups = np.array([1, 1, 2])
+        keys = np.array([1, 1, 2])
         vals = np.array([1.0, 3.0, 10.0])
-        out = group_aggregate(groups, vals, "avg")
-        np.testing.assert_array_equal(out["groups"], [1, 2])
-        np.testing.assert_allclose(out["values"], [2.0, 10.0])
+        order, starts, sizes = grouping([keys])
+        np.testing.assert_array_equal(keys[order[starts]], [1, 2])
+        np.testing.assert_allclose(
+            group_reduce("avg", vals[order], starts, sizes), [2.0, 10.0]
+        )
 
     def test_grouped_min_max_sum(self):
-        groups = np.array([0, 1, 0, 1])
+        keys = np.array([0, 1, 0, 1])
         vals = np.array([5, 2, 3, 8])
-        assert group_aggregate(groups, vals, "min")["values"].tolist() == [3, 2]
-        assert group_aggregate(groups, vals, "max")["values"].tolist() == [5, 8]
-        assert group_aggregate(groups, vals, "sum")["values"].tolist() == [8, 10]
+        order, starts, sizes = grouping([keys])
+        ordered = vals[order]
+        assert group_reduce("min", ordered, starts, sizes).tolist() == [3, 2]
+        assert group_reduce("max", ordered, starts, sizes).tolist() == [5, 8]
+        assert group_reduce("sum", ordered, starts, sizes).tolist() == [8, 10]
 
     def test_empty_input(self):
-        out = group_aggregate(np.empty(0, dtype=np.int64), None, "count")
-        assert out["groups"].shape == (0,)
+        _, starts, sizes = grouping([np.empty(0, dtype=np.int64)])
+        assert starts.shape == (0,)
+        assert group_reduce("count", None, starts, sizes).shape == (0,)
 
     def test_unknown_aggregate(self):
         with pytest.raises(ValueError):
-            group_aggregate(np.array([1]), np.array([1.0]), "median")
+            group_reduce("median", np.array([1.0]), np.array([0]), np.array([1]))
 
     def test_missing_values_for_sum(self):
         with pytest.raises(ValueError):
-            group_aggregate(np.array([1]), None, "sum")
+            group_reduce("sum", None, np.array([0]), np.array([1]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -168,11 +112,12 @@ class TestGroupAggregate:
         )
     )
     def test_grouped_sum_matches_dict_reference(self, pairs):
-        groups = np.array([p[0] for p in pairs], dtype=np.int64)
+        keys = np.array([p[0] for p in pairs], dtype=np.int64)
         vals = np.array([p[1] for p in pairs], dtype=np.int64)
-        out = group_aggregate(groups, vals, "sum")
+        order, starts, sizes = grouping([keys])
+        sums = group_reduce("sum", vals[order], starts, sizes)
         expected = {}
         for g, v in pairs:
             expected[g] = expected.get(g, 0) + v
-        got = dict(zip(out["groups"].tolist(), out["values"].tolist()))
+        got = dict(zip(keys[order[starts]].tolist(), sums.tolist()))
         assert got == expected

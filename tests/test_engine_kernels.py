@@ -1,8 +1,8 @@
 """Tests for the packed predicate kernels (repro.engine.kernels).
 
 The contract is bit-identical parity: every ``range_mask`` /
-``theta_mask`` / ``take`` result must equal the numpy evaluation of the
-same predicate over the decoded values, whatever the encoding scheme —
+``predicate_mask`` / ``take`` result must equal the numpy evaluation of
+the same predicate over the decoded values, whatever the encoding scheme —
 that is what lets the select operators swap the packed path in without
 changing any answer.
 """
@@ -18,13 +18,14 @@ from repro.engine.kernels import (
     ZONE_FULL,
     ZONE_PROBE,
     ZONE_SKIP,
-    materialize_bytes,
+    RangePredicate,
+    predicate_mask,
     range_mask,
     scan_bytes,
     take,
-    theta_mask,
+    theta_range,
 )
-from repro.engine.scan import ScanStats, zone_verdict
+from repro.engine.scan import ScanStats, zone_verdicts, zones_of
 
 SCHEME_NAMES = sorted(SCHEMES)
 THETA_OPS = ["==", "!=", "<", "<=", ">", ">="]
@@ -41,29 +42,43 @@ def reference_mask(vals, lo, hi, lo_inc=True, hi_inc=True):
 
 class TestZoneVerdict:
     def test_disjoint_below_skips(self):
-        assert zone_verdict(0, 10, 20, 30) == ZONE_SKIP
+        zone = zones_of([(0, 1, 0, 10)])
+        assert zone_verdicts(zone, RangePredicate(20, 30))[0] == ZONE_SKIP
 
     def test_disjoint_above_skips(self):
-        assert zone_verdict(40, 50, 20, 30) == ZONE_SKIP
+        zone = zones_of([(0, 1, 40, 50)])
+        assert zone_verdicts(zone, RangePredicate(20, 30))[0] == ZONE_SKIP
 
     def test_contained_zone_is_full(self):
-        assert zone_verdict(22, 28, 20, 30) == ZONE_FULL
+        zone = zones_of([(0, 1, 22, 28)])
+        assert zone_verdicts(zone, RangePredicate(20, 30))[0] == ZONE_FULL
 
     def test_overlap_probes(self):
-        assert zone_verdict(15, 25, 20, 30) == ZONE_PROBE
+        zone = zones_of([(0, 1, 15, 25)])
+        assert zone_verdicts(zone, RangePredicate(20, 30))[0] == ZONE_PROBE
 
     def test_exclusive_boundary_skips(self):
         # zone max == lo: inclusive probes, exclusive skips.
-        assert zone_verdict(10, 20, 20, 30) == ZONE_PROBE
-        assert zone_verdict(10, 20, 20, 30, lo_inclusive=False) == ZONE_SKIP
-        assert zone_verdict(30, 40, 20, 30, hi_inclusive=False) == ZONE_SKIP
+        zone = zones_of([(0, 1, 10, 20)])
+        assert zone_verdicts(zone, RangePredicate(20, 30))[0] == ZONE_PROBE
+        assert (
+            zone_verdicts(zone, RangePredicate(20, 30, lo_inclusive=False))[0]
+            == ZONE_SKIP
+        )
+        zone = zones_of([(0, 1, 30, 40)])
+        assert (
+            zone_verdicts(zone, RangePredicate(20, 30, hi_inclusive=False))[0]
+            == ZONE_SKIP
+        )
 
     def test_open_ended_bounds(self):
-        assert zone_verdict(5, 9, None, 10) == ZONE_FULL
-        assert zone_verdict(5, 9, 6, None) == ZONE_PROBE
+        zone = zones_of([(0, 1, 5, 9)])
+        assert zone_verdicts(zone, RangePredicate(None, 10))[0] == ZONE_FULL
+        assert zone_verdicts(zone, RangePredicate(6, None))[0] == ZONE_PROBE
 
     def test_nan_zone_probes(self):
-        assert zone_verdict(float("nan"), float("nan"), 0, 1) == ZONE_PROBE
+        zone = zones_of([(0, 1, float("nan"), float("nan"))])
+        assert zone_verdicts(zone, RangePredicate(0, 1))[0] == ZONE_PROBE
 
     # A block's header reaches the zone algebra through the segment
     # scanner; these two pin what a column makes of a degenerate header.
@@ -148,7 +163,7 @@ class TestThetaMaskParity:
             ">": np.greater,
             ">=": np.greater_equal,
         }[op]
-        mask, _ = theta_mask(block, op, 4)
+        mask, _ = predicate_mask(block, theta_range(op, 4))
         np.testing.assert_array_equal(mask, fn(vals, 4))
 
     def test_unknown_op(self):
@@ -156,7 +171,7 @@ class TestThetaMaskParity:
 
         block = encode("plain", np.array([1], dtype=np.int64))
         with pytest.raises(CompressionError):
-            theta_mask(block, "<>", 1)
+            predicate_mask(block, theta_range("<>", 1))
 
 
 class TestTake:
@@ -180,10 +195,6 @@ class TestByteAccounting:
         assert scan_bytes(block, packed=True) == block.nbytes
         assert scan_bytes(block, packed=False) == block.plain_nbytes
         assert block.nbytes < block.plain_nbytes / 2
-
-    def test_materialize_bytes(self):
-        assert materialize_bytes(100, "int64") == 800
-        assert materialize_bytes(0, "float32") == 0
 
 
 @settings(max_examples=40, deadline=None)

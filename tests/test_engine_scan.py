@@ -29,7 +29,6 @@ from repro.engine.scan import (
     ScanStats,
     conjunction_verdicts,
     scan_segments,
-    zone_verdict,
     zone_verdicts,
     zones_of,
 )
@@ -192,19 +191,20 @@ class TestArrayRuleIsScalarRule:
         segments, predicate = case
         got = zone_verdicts(zones_of(segments), predicate).tolist()
         assert got == [scalar_rule(*segment, predicate) for segment in segments]
-        lo, hi, lo_inclusive, hi_inclusive, negate = predicate
-        for (start, stop, zmin, zmax), verdict in zip(segments, got):
-            if stop > start and zmin is not None and not negate:
-                assert zone_verdict(zmin, zmax, lo, hi, lo_inclusive, hi_inclusive) == verdict
 
     def test_edges_of_wide_integers(self):
         """The cases the property test is weighted towards, pinned."""
         big = np.int64(2**53 + 1)  # rounds to 2^53 as a float64
-        assert zone_verdict(big, big, float(2**53), None, lo_inclusive=False) == ZONE_SKIP
+        zone = zones_of([(0, 1, big, big)])
+        predicate = RangePredicate(float(2**53), None, lo_inclusive=False)
+        assert zone_verdicts(zone, predicate)[0] == ZONE_SKIP
         top = np.uint64(2**63 + 1)
-        assert zone_verdict(top, top, -1, 2**63) == ZONE_SKIP
-        assert zone_verdict(top, top, -1, 2**64) == ZONE_FULL
-        assert zone_verdict(np.int8(5), np.int8(9), -1000, 1000) == ZONE_FULL
+        zone = zones_of([(0, 1, top, top)])
+        assert zone_verdicts(zone, RangePredicate(-1, 2**63))[0] == ZONE_SKIP
+        zone = zones_of([(0, 1, top, top)])
+        assert zone_verdicts(zone, RangePredicate(-1, 2**64))[0] == ZONE_FULL
+        zone = zones_of([(0, 1, np.int8(5), np.int8(9))])
+        assert zone_verdicts(zone, RangePredicate(-1000, 1000))[0] == ZONE_FULL
 
 
 class TestConjunction:

@@ -15,16 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.catalog import CatalogError, Database
-from repro.engine.column import TYPE_MAP, Column
+from repro.engine.column import TYPE_MAP
 from repro.engine.durable import InjectedCrash
 from repro.engine.storage import (
     StorageError,
     copy_binary,
     dump_array,
     load_array,
-    load_column,
-    load_table,
-    save_column,
+    recover_table,
     save_table,
     verify_table,
 )
@@ -143,7 +141,7 @@ class TestOneCopy:
         table.append_columns({"x": np.arange(self.N, dtype=np.float64)})
         save_table(table, tmp_path / "pts")
         del table
-        peak = _traced_peak(lambda: load_table(tmp_path / "pts"))
+        peak = _traced_peak(lambda: recover_table(tmp_path / "pts"))
         assert peak <= 1.1 * self.PAYLOAD, peak / self.PAYLOAD
 
     def test_dump_array_copies_nothing(self, tmp_path):
@@ -155,7 +153,7 @@ class TestOneCopy:
         table = Table("pts", [("x", "float64"), ("cls", "uint8")])
         table.append_columns({"x": [1.0, 2.0], "cls": [3, 4]})
         save_table(table, tmp_path / "pts")
-        back = load_table(tmp_path / "pts")
+        back = recover_table(tmp_path / "pts")[0]
         back.append_columns({"x": [5.0], "cls": [6]})
         np.testing.assert_array_equal(back.column("x").values, [1.0, 2.0, 5.0])
         np.testing.assert_array_equal(back.column("cls").values, [3, 4, 6])
@@ -191,7 +189,7 @@ class TestMappedColumns:
         table = Table("pts", [("x", "float64"), ("c", "uint8")])
         table.append_columns({"x": np.arange(5000.0), "c": np.arange(5000) % 7})
         save_table(table, tmp_path / "pts")
-        values = load_table(tmp_path / "pts").column("x").values
+        values = recover_table(tmp_path / "pts")[0].column("x").values
         assert _mapping_of(values) is not None
         assert values.flags.aligned
         assert values.ctypes.data % 64 == 0
@@ -222,7 +220,7 @@ class TestMappedColumns:
         gc.collect()
         payload = 4 * n * 8
         before = _vm_rss()
-        loaded = load_table(tmp_path / "pts")
+        loaded = recover_table(tmp_path / "pts")[0]
         opened = _vm_rss()
         assert opened - before < 0.1 * payload, (opened - before) / payload
         assert loaded.column("y").values.sum() == n * (n - 1) / 2
@@ -235,7 +233,7 @@ class TestMappedColumns:
         save_table(table, tmp_path / "pts")
         col = tmp_path / "pts" / "x.col"
         digest = _sha256(col)
-        loaded = load_table(tmp_path / "pts")
+        loaded = recover_table(tmp_path / "pts")[0]
         loaded.truncate(990)
         loaded.append_columns({"x": np.full(10, -1.0)})
         # The append fit the adopted buffer: it wrote into mapped pages.
@@ -286,7 +284,7 @@ class TestMappedColumns:
             assert faults.counter_value("durability.checksum_failures") == before + 1
             if at in (20, 63, 64):
                 with pytest.raises(StorageError, match=re.escape(message)):
-                    load_table(tmp_path / "pts")
+                    recover_table(tmp_path / "pts")[0]
                 assert verify_table(tmp_path / "pts") == [message]
 
     def test_version_2_header_is_unsupported(self, tmp_path):
@@ -358,13 +356,6 @@ class TestArrayDump:
 
 
 class TestColumnAndTablePersistence:
-    def test_column_round_trip(self, tmp_path):
-        col = Column("z", "float32", data=np.linspace(0, 1, 50, dtype=np.float32))
-        save_column(col, tmp_path / "z.col")
-        back = load_column("z", tmp_path / "z.col")
-        assert back.name == "z"
-        np.testing.assert_array_equal(back.values, col.values)
-
     def _make_table(self):
         t = Table("pts", [("x", "float64"), ("cls", "uint8")])
         t.append_columns(
@@ -375,22 +366,25 @@ class TestColumnAndTablePersistence:
     def test_table_round_trip(self, tmp_path):
         t = self._make_table()
         save_table(t, tmp_path / "pts")
-        back = load_table(tmp_path / "pts")
+        back = recover_table(tmp_path / "pts")[0]
         assert back.name == "pts"
         assert back.schema == t.schema
         np.testing.assert_array_equal(back.column("x").values, [1.0, 2.0, 3.0])
 
     def test_load_missing_table(self, tmp_path):
         with pytest.raises(StorageError):
-            load_table(tmp_path / "absent")
+            recover_table(tmp_path / "absent")
 
     def test_row_count_mismatch_detected(self, tmp_path):
         t = self._make_table()
         save_table(t, tmp_path / "pts")
         # Corrupt one column file by replacing it with a shorter dump.
         dump_array(np.array([1.0]), tmp_path / "pts" / "x.col")
-        with pytest.raises(Exception):
-            load_table(tmp_path / "pts")
+        back, issues = recover_table(tmp_path / "pts")
+        assert len(back) == 1
+        assert any("rolled back to 1" in issue for issue in issues), issues
+        np.testing.assert_array_equal(back.column("x").values, [1.0])
+        np.testing.assert_array_equal(back.column("cls").values, [2])
 
     def test_copy_binary_appends(self, tmp_path):
         t = self._make_table()
@@ -476,7 +470,7 @@ class TestCompressedSidecar:
     def test_load_attaches_mirrors(self, tmp_path):
         table = self._table()
         save_table(table, tmp_path / "pts")
-        back = load_table(tmp_path / "pts")
+        back = recover_table(tmp_path / "pts")[0]
         packed = back.column("x").packed
         assert packed is not None
         np.testing.assert_array_equal(
@@ -506,9 +500,8 @@ class TestCompressedSidecar:
         raw[len(raw) // 2] ^= 0xFF
         side.write_bytes(bytes(raw))
 
-        issues = []
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            back = load_table(tmp_path / "pts", sidecar_issues=issues)
+            back, issues = recover_table(tmp_path / "pts")
         assert issues and "x.colz" in issues[0]
         assert (tmp_path / "pts" / "x.colz.quarantined").exists()
         # The mirror was re-encoded from the plain column: still usable.
@@ -531,8 +524,6 @@ class TestCompressedSidecar:
         assert any("x.colz" in issue for issue in issues)
 
     def test_recover_table_surfaces_corrupt_sidecar(self, tmp_path):
-        from repro.engine.storage import recover_table
-
         table = self._table()
         save_table(table, tmp_path / "pts")
         side = tmp_path / "pts" / "x.colz"
@@ -574,8 +565,7 @@ class TestCompressedSidecar:
             "x", np.arange(100, dtype=np.int64), 8192
         )
         dump_compressed(other, sidecar_path(tmp_path / "pts", "x"))
-        issues = []
-        back = load_table(tmp_path / "pts", sidecar_issues=issues)
+        back, issues = recover_table(tmp_path / "pts")
         # Stale is not corruption: no quarantine, mirror simply absent.
         assert issues == []
         assert back.column("x").packed is None

@@ -64,19 +64,6 @@ class TestAppend:
         with pytest.raises(SchemaError, match="ragged"):
             points.append_columns({"x": [1.0, 2.0], "y": [2.0], "cls": [1]})
 
-    def test_append_rows(self, points):
-        points.append_rows([(9.0, 9.0, 1), (8.0, 8.0, 2)])
-        assert len(points) == 5
-        assert points.row(4) == (8.0, 8.0, 2)
-
-    def test_append_rows_wrong_width(self, points):
-        with pytest.raises(SchemaError, match="width"):
-            points.append_rows([(1.0, 2.0)])
-
-    def test_append_rows_empty_noop(self, points):
-        assert points.append_rows([]) == 3
-        assert len(points) == 3
-
 
 class TestFetch:
     def test_fetch_selected_columns(self, points):

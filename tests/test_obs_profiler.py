@@ -131,18 +131,17 @@ class TestThreadBinding:
         registry = QueryRegistry()
         with registry.track("spatial") as query:
             ident = threading.get_ident()
-            assert registry.query_for_thread(ident) is query
             assert registry.thread_map()[ident] is query
-        assert registry.query_for_thread(threading.get_ident()) is None
+        assert registry.thread_map().get(threading.get_ident()) is None
 
     def test_nested_track_restores_parent_binding(self):
         registry = QueryRegistry()
         ident = threading.get_ident()
         with registry.track("sql") as outer:
             with registry.track("spatial") as inner:
-                assert registry.query_for_thread(ident) is inner
-            assert registry.query_for_thread(ident) is outer
-        assert registry.query_for_thread(ident) is None
+                assert registry.thread_map().get(ident) is inner
+            assert registry.thread_map().get(ident) is outer
+        assert registry.thread_map().get(ident) is None
 
 
 class TestSamplingProfiler:

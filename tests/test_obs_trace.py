@@ -14,7 +14,6 @@ from repro.obs.trace import (
     maybe_span,
     to_chrome,
     to_json,
-    traced,
 )
 
 
@@ -95,15 +94,6 @@ class TestNesting:
         finally:
             if was_enabled:
                 t.enable()
-
-    def test_traced_decorator(self, tracer):
-        @traced("decorated.op")
-        def work(x):
-            return x * 2
-
-        with tracer.capture() as spans:
-            assert work(21) == 42
-        assert spans[0].name == "decorated.op"
 
 
 def run_on_threads(tracer, parent, n):

@@ -108,12 +108,17 @@ class TestExplain:
         assert "residual scan filter: (z > 1)" in plan
 
     def test_hash_join_visible(self, session):
-        plan = session.explain(
-            "SELECT count(*) FROM zones a, zones2 b WHERE 1 = 1"
-            if False
-            else "SELECT count(*) FROM pts p, zones u WHERE p.c = u.code"
-        )
+        plan = session.explain("SELECT count(*) FROM pts p, zones u WHERE p.c = u.code")
         assert "hash join" in plan
+        assert "join residual" not in plan
+
+    def test_hash_join_residual_visible(self, session):
+        """The conjunct the hash join filters its pairs on is explained."""
+        plan = session.explain(
+            "SELECT count(*) FROM pts p, zones u WHERE p.c = u.code AND p.z > u.code"
+        )
+        assert "hash join on (p.c = u.code)" in plan
+        assert "  join residual: (p.z > u.code)" in plan.splitlines()
 
     def test_nested_loop_join_visible(self, session):
         plan = session.explain(

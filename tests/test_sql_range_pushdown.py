@@ -209,5 +209,5 @@ class TestPackedPushdown:
         sql = "SELECT count(*) FROM pts WHERE z > 2000 AND cls = 1"
         packed_count = packed_session.execute(sql).scalar()
         for name in ("x", "z", "cls"):
-            packed_session._raw.column(name).drop_packed()
+            packed_session._raw.column(name).adopt_packed(None)
         assert packed_session.execute(sql).scalar() == packed_count

@@ -70,13 +70,6 @@ class TestCanvas:
         back = read_ppm(path)
         np.testing.assert_array_equal(back, canvas.pixels)
 
-    def test_pgm_write(self, tmp_path):
-        canvas = Canvas(EXTENT, width=20, height=10)
-        path = canvas.write_pgm(tmp_path / "out.pgm")
-        raw = path.read_bytes()
-        assert raw.startswith(b"P5\n20 10\n255\n")
-        assert len(raw) == len(b"P5\n20 10\n255\n") + 200
-
     def test_read_ppm_rejects_other(self, tmp_path):
         bad = tmp_path / "x.ppm"
         bad.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
