@@ -14,7 +14,6 @@ library gets a CLI instead::
     repro-gis index tiles/                                  # lasindex
     repro-gis render tiles/ out.ppm                         # figure 1 style
     repro-gis serve farm/ --port 8472                       # query daemon
-    repro-gis serve-metrics farm/ --port 9464               # OpenMetrics endpoint
     repro-gis slowlog farm/slow-query.jsonl                 # slow-query records
     repro-gis profile farm/ --sql 'SELECT ...'              # CPU flame profile
     repro-gis heat farm/ [--hints]                          # workload heat map
@@ -541,44 +540,6 @@ def _cmd_elevation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    from .obs.server import PortInUseError, TelemetryServer
-
-    health = None
-    if args.db:
-        db = _open_db(args.db)
-
-        def health():
-            return {
-                "tables": {
-                    name: len(db.table(name)) for name in db.db.table_names
-                }
-            }
-
-    server = TelemetryServer(host=args.host, port=args.port, health=health)
-    try:
-        server.start()
-    except PortInUseError as exc:
-        print(f"error: {exc.strerror}", file=sys.stderr)
-        return 1
-    print(
-        f"serving OpenMetrics on {server.url}/metrics "
-        f"(also /healthz, /debug/trace, /debug/queries)",
-        flush=True,
-    )
-    try:
-        if args.for_seconds is not None:
-            time.sleep(args.for_seconds)
-        else:
-            while True:  # pragma: no cover - interactive serve loop
-                time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        server.stop()
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .obs.context import default_context
     from .obs.server import PortInUseError
@@ -1011,34 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_elevation)
 
     p = sub.add_parser(
-        "serve-metrics",
-        help="serve the metrics registry over HTTP "
-        "(/metrics OpenMetrics, /healthz, /debug/trace, /debug/queries)",
-    )
-    p.add_argument(
-        "db",
-        nargs="?",
-        default=None,
-        help="optional database directory; loading it makes /healthz "
-        "report per-table row counts",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="bind port (default: $REPRO_METRICS_PORT or 9464; 0 = any free)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--for-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="serve for S seconds then exit (default: until interrupted)",
-    )
-    p.set_defaults(fn=_cmd_serve_metrics)
-
-    p = sub.add_parser(
         "serve",
         help="serve queries over HTTP (POST /v1/query, /v1/sql) with "
         "bounded admission, per-tenant quotas and graceful drain",
@@ -1181,8 +1114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--port",
         type=int,
-        default=9464,
-        help="server port when --url is not given (default: 9464)",
+        default=8472,
+        help="server port when --url is not given (default: 8472, the "
+        "serve daemon's)",
     )
     p.add_argument(
         "--json", action="store_true", help="raw JSON snapshot instead of a table"

@@ -25,13 +25,22 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Collection,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ...engine.kernels import RangePredicate
-from ...engine.scan import ScanStats
 from ...engine.table import Table
 from ...obs.metrics import get_registry
 from ...obs.timing import now
@@ -43,6 +52,9 @@ from .segments import (
     SegmentedImprints,
     select_conjunction,
 )
+
+if TYPE_CHECKING:
+    from ..query import QueryStats
 
 
 class ImprintsManager:
@@ -167,25 +179,18 @@ class ImprintsManager:
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
         threads: Optional[int] = None,
-        stats: Optional[Any] = None,
+        stats: Optional["QueryStats"] = None,
     ) -> NDArray[Any]:
         """Exact range select, building the imprint on first use.
 
-        ``stats`` (any object with ``n_segments_skipped`` /
-        ``n_segments_probed`` counters) receives the zone-map accounting
-        of the probe; when it also exposes ``imprint_build_seconds``
-        (e.g. :class:`~repro.core.query.QueryStats`), the seconds a lazy
-        build cost this call are added there.  ``threads`` is ignored;
-        execution is serial; removed when ``benchmarks/e2e/`` stops
-        passing it.
+        ``stats`` receives the scan's zone-map accounting and the seconds
+        a lazy build cost this call.  ``threads`` is ignored; execution
+        is serial; removed when ``benchmarks/e2e/`` stops passing it.
         """
         imp, built_seconds = self._ensure(table, column_name)
         assert imp is not None
-        if stats is not None and built_seconds:
-            try:
-                stats.imprint_build_seconds += built_seconds
-            except AttributeError:
-                pass  # duck-typed stats without the build field
+        if stats is not None:
+            stats.imprint_build_seconds += built_seconds
         with maybe_span(
             "imprints.probe", table=table.name, column=column_name
         ) as span:
@@ -198,7 +203,7 @@ class ImprintsManager:
         table: Table,
         ranges: Sequence[Tuple[str, Any, Any]],
         create: Collection[str] = (),
-        stats: Optional[Any] = None,
+        stats: Optional["QueryStats"] = None,
     ) -> NDArray[np.int64]:
         """Exact oids of the rows inside every closed ``(column, lo, hi)``.
 
@@ -211,10 +216,9 @@ class ImprintsManager:
         index, not one per axis) and only if it sits on the same segment
         grid; otherwise its values are simply compared.
 
-        ``stats`` is a :class:`~repro.core.query.QueryStats`: it receives
-        the build seconds this call spent, each segment counted once, the
-        columns whose imprints took part and the dense/gather split of
-        the probes.
+        ``stats`` receives the build seconds this call spent, the scan
+        (each segment counted once, and the dense/gather split of the
+        probes) and the columns whose imprints took part.
         """
         terms: List[RangeTerm] = []
         grid: Optional[SegmentedImprints] = None
@@ -231,19 +235,16 @@ class ImprintsManager:
             terms.append(RangeTerm(table.column(name), imp, RangePredicate(lo, hi)))
         if grid is None:
             raise ValueError("select_conjunction needs at least one range")
-        scan = ScanStats()
         indexed = tuple(t.column.name for t in terms if t.index is not None)
         with maybe_span(
             "imprints.probe", table=table.name, column=",".join(indexed)
         ) as span:
-            oids = select_conjunction(grid, terms, scan=scan)
+            oids = select_conjunction(
+                grid, terms, scan=stats.scan if stats is not None else None
+            )
             span.set(rows_out=int(oids.shape[0]))
         if stats is not None:
-            stats.n_segments_probed += scan.segments_probed
-            stats.n_segments_skipped += scan.segments_skipped + scan.segments_full
             stats.imprint_columns = indexed
-            stats.n_probes_dense += scan.dense_probes
-            stats.n_probes_gather += scan.gather_probes
         return oids
 
     @property

@@ -32,7 +32,7 @@ false positives of the axes multiply instead of adding up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,6 +56,9 @@ from ...engine.scan import (
 from ...obs import queries as _queries
 from . import bitvec, dictionary
 from .histogram import DEFAULT_SAMPLE, MAX_BINS, BinScheme, build_bins
+
+if TYPE_CHECKING:
+    from ..query import QueryStats
 
 #: Default segment length in rows.  A multiple of 64 so it is aligned to
 #: whole cache lines for every supported dtype (vpc is a power of two
@@ -381,26 +384,21 @@ class SegmentedImprints:
         hi: Optional[Any],
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
-        stats: Optional[Any] = None,
+        stats: Optional["QueryStats"] = None,
     ) -> NDArray[Any]:
         """Exact range select over the indexed prefix, sorted oids.
 
         Zone maps first: disjoint segments are skipped and fully-covered
         segments accepted wholesale, both without touching data.  Only the
         straddling segments pay an imprint probe + exact verification.
-        ``stats`` (any object with ``n_segments_skipped`` /
-        ``n_segments_probed`` counters, e.g. :class:`~..query.QueryStats`)
-        receives the zone-map accounting.
+        ``stats`` receives the scan.
         """
-        scan = ScanStats()
         term = RangeTerm(
             self.column, self, RangePredicate(lo, hi, lo_inclusive, hi_inclusive)
         )
-        oids = select_conjunction(self, [term], scan=scan)
-        if stats is not None:
-            stats.n_segments_probed += scan.segments_probed
-            stats.n_segments_skipped += scan.segments_skipped + scan.segments_full
-        return oids
+        return select_conjunction(
+            self, [term], scan=stats.scan if stats is not None else None
+        )
 
     # -- diagnostics -----------------------------------------------------------
 

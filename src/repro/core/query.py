@@ -14,8 +14,8 @@ This is the paper's query model (Section 3.3) end to end:
    points are tested exactly.
 
 :class:`SpatialSelect` binds the pipeline to one flat table and exposes
-``query(geometry, predicate, distance)``.  Every stage can be toggled for
-the ablation benches (pure scan, no grid, ...).
+``query(geometry, predicate, distance)``.  The imprint filter can be
+toggled off (a plain scan cascade) for the ablation benches.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..engine.scan import ScanStats
 from ..engine.select import mask_select, range_select
 from ..engine.table import Table
 from ..gis.envelope import Box
@@ -38,7 +39,7 @@ from ..obs.timing import now
 from ..obs.trace import maybe_span
 from .grid import DEFAULT_TARGET_CELLS
 from .imprints.manager import ImprintsManager
-from .refine import RefineStats, refine, refine_exhaustive
+from .refine import RefineStats, refine
 
 
 def filter_is_exact(geometry, predicate: str) -> bool:
@@ -85,22 +86,13 @@ class QueryStats:
     n_filter_candidates: int = 0
     n_results: int = 0
     used_imprints: bool = True
-    #: Imprint segments the zone maps answered outright (disjoint on some
-    #: axis, or covered on all) — no imprint probe, no data access.  Each
-    #: segment counts once per query, however many axes were consulted.
-    n_segments_skipped: int = 0
-    #: Imprint segments that paid a probe + exact candidate verification.
-    n_segments_probed: int = 0
     #: Columns whose imprint vectors the filter ANDed.  An axis missing
     #: here had no usable index (never built, or on another segment grid)
     #: and was compared value by value instead.
     imprint_columns: Tuple[str, ...] = ()
-    #: Probed segments that compared whole column slices / gathered only
-    #: the cache lines the vectors left alive (see
-    #: :data:`repro.core.imprints.segments.DENSE_LINE_SHARE`); segments
-    #: the vectors emptied read nothing and count as neither.
-    n_probes_dense: int = 0
-    n_probes_gather: int = 0
+    #: What the imprint segment scans did; the ``n_segments_*`` and
+    #: ``n_probes_*`` properties read it.
+    scan: ScanStats = field(default_factory=ScanStats)
     refine_stats: RefineStats = field(default_factory=RefineStats)
     #: What the query *consumed* (CPU seconds, peak allocations,
     #: rows/bytes touched) — see :mod:`repro.obs.resources`.
@@ -109,6 +101,32 @@ class QueryStats:
     #: empty-table fast path) — the id ``/debug/queries``, the slow log
     #: and the flight recorder all report.
     query_id: str = ""
+
+    @property
+    def n_segments_skipped(self) -> int:
+        """Imprint segments the zone maps answered outright (disjoint on
+        some axis, or covered on all) — no imprint probe, no data access.
+        Each segment counts once per query, however many axes it consulted."""
+        return self.scan.segments_skipped + self.scan.segments_full
+
+    @property
+    def n_segments_probed(self) -> int:
+        """Imprint segments that paid a probe + exact verification."""
+        return self.scan.segments_probed
+
+    @property
+    def n_probes_dense(self) -> int:
+        """Probed segments that compared whole column slices (see
+        :data:`repro.core.imprints.segments.DENSE_LINE_SHARE`); segments
+        the vectors emptied read nothing and count as neither this nor
+        :attr:`n_probes_gather`."""
+        return self.scan.dense_probes
+
+    @property
+    def n_probes_gather(self) -> int:
+        """Probed segments that gathered only the cache lines the imprint
+        vectors left alive."""
+        return self.scan.gather_probes
 
     @property
     def total_seconds(self) -> float:
@@ -230,7 +248,6 @@ class SpatialSelect:
         predicate: str = "contains",
         distance: float = 0.0,
         use_imprints: bool = True,
-        use_grid: bool = True,
         z_column: Optional[str] = None,
         z_range: Optional[tuple] = None,
         threads: Optional[int] = None,
@@ -279,7 +296,6 @@ class SpatialSelect:
                     predicate,
                     distance,
                     use_imprints,
-                    use_grid,
                     z_column,
                     z_range,
                 )
@@ -309,14 +325,11 @@ class SpatialSelect:
         env = _filter_envelope(geometry, predicate, distance)
         x_lo, x_hi = self.table.column(self.x_column).minmax()
         y_lo, y_hi = self.table.column(self.y_column).minmax()
-        nbytes = int(usage.encoded_bytes + usage.materialized_bytes)
-        if nbytes == 0:
-            nbytes = int(usage.bytes_touched)
         heat.record_footprint(
             table=self.table.name,
             bbox=(env.xmin, env.ymin, env.xmax, env.ymax),
             domain=(float(x_lo), float(y_lo), float(x_hi), float(y_hi)),
-            nbytes=nbytes,
+            nbytes=int(usage.bytes_touched),
         )
 
     def _query_traced(
@@ -325,7 +338,6 @@ class SpatialSelect:
         predicate: str,
         distance: float,
         use_imprints: bool,
-        use_grid: bool,
         z_column: Optional[str],
         z_range: Optional[tuple],
     ) -> QueryResult:
@@ -386,19 +398,14 @@ class SpatialSelect:
             with maybe_span("query.refine") as refine_span:
                 xs = self.table.column(self.x_column).take(candidates)
                 ys = self.table.column(self.y_column).take(candidates)
-                if use_grid:
-                    mask, refine_stats = refine(
-                        xs,
-                        ys,
-                        geometry,
-                        predicate,
-                        distance,
-                        target_cells=self.target_cells,
-                    )
-                else:
-                    mask, refine_stats = refine_exhaustive(
-                        xs, ys, geometry, predicate, distance
-                    )
+                mask, refine_stats = refine(
+                    xs,
+                    ys,
+                    geometry,
+                    predicate,
+                    distance,
+                    target_cells=self.target_cells,
+                )
                 refine_span.set(
                     rows_in=int(candidates.shape[0]),
                     boundary_cells=refine_stats.boundary_cells,

@@ -1,9 +1,9 @@
 """The machine's usable hardware threads.
 
 Execution is serial: every scan, imprint build and refine runs on the
-caller's thread (docs/parallelism.md records why).  This count is kept
-for the machine block that benchmark reports print next to their
-numbers.
+caller's thread (docs/architecture.md, "Serial execution", records
+why).  This count is kept for the machine block that benchmark reports
+print next to their numbers.
 """
 
 from __future__ import annotations

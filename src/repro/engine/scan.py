@@ -18,11 +18,13 @@ handful of array comparisons over every segment at once and the only
 place that rule is written.
 
 This module is the only code that registers segment progress with the
-live query, checks its deadline before each probe, credits the
-:class:`~repro.obs.resources.ResourceTracker`, records segment heat, and
-gathers FULL ranges and probe hits in segment order into one sorted
-``int64`` oid array.  Accounting happens in a ``finally`` over the probes
-that completed, so a cancelled scan is billed for exactly the work it did.
+live query, checks its deadline before each probe, and gathers FULL
+ranges and probe hits in segment order into one sorted ``int64`` oid
+array.  Its :func:`bill_scan` is the only code that credits the
+:class:`~repro.obs.resources.ResourceTracker` and records heat, for the
+segmented scans and for the plain one of :mod:`repro.engine.select`.
+Accounting happens in a ``finally`` over the probes that completed, so
+a cancelled scan is billed for exactly the work it did.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ probe_hook: Optional[Callable[[int], None]] = None
 
 @dataclass
 class ScanStats:
-    """What one segment scan actually did, for attribution."""
+    """What segment scans actually did, for attribution: the one per-scan
+    record (:class:`~repro.core.query.QueryStats` holds it as ``scan``)."""
 
     segments_skipped: int = 0
     segments_full: int = 0
@@ -175,6 +178,44 @@ def conjunction_verdicts(own: NDArray[np.int8]) -> NDArray[np.int8]:
     return np.where(lowest == ZONE_SKIP, lowest, own.max(axis=0))
 
 
+def bill_scan(
+    columns: Sequence[str],
+    probed: Sequence[Tuple[int, Sequence[Tuple[int, int]]]],
+    rows: int,
+    verdicts: Optional[NDArray[np.int8]] = None,
+) -> Tuple[int, int]:
+    """Credit one scan to the active resource tracker and the heat map.
+
+    ``probed`` lists each segment that was read with, per column, the
+    ``(encoded, materialized)`` bytes read there; ``rows`` is how many
+    rows those segments hold.  ``verdicts``, one per segment, name the
+    segments the zone maps skipped or accepted.  An unsegmented plain
+    scan passes none and is heat's whole-column pseudo-segment ``-1``.
+    Returns the scan's ``(encoded, materialized)`` totals.
+    """
+    encoded = sum(read[0] for _, reads in probed for read in reads)
+    materialized = sum(read[1] for _, reads in probed for read in reads)
+    tracker = resources.current()
+    if tracker is not None and probed:
+        tracker.add_scan(rows, encoded, materialized)
+    heat = _heat.maybe_heat()
+    if heat is not None:
+        skipped: List[int] = []
+        full: List[int] = []
+        if verdicts is not None:
+            skipped = np.flatnonzero(verdicts == ZONE_SKIP).tolist()
+            full = np.flatnonzero(verdicts == ZONE_FULL).tolist()
+        # One batched update per column per scan, never per segment.
+        for c, column in enumerate(columns):
+            heat.record_scan(
+                column,
+                probed=[(i, *reads[c]) for i, reads in probed],
+                skipped=skipped,
+                full=full,
+            )
+    return encoded, materialized
+
+
 def scan_segments(
     conjuncts: Sequence[Conjunct],
     probe: Prober,
@@ -206,8 +247,6 @@ def scan_segments(
         # skips and wholesale accepts complete instantly, probes tick
         # one by one below.
         active.add_segments(total=n_total, done=n_total - n_probes)
-    tracker = resources.current()
-    heat = _heat.maybe_heat()
     hook = probe_hook
     done: Dict[int, Tuple[NDArray[np.int64], Sequence[Tuple[int, int]]]] = {}
 
@@ -224,29 +263,18 @@ def scan_segments(
         # Bill what was read, whether or not the scan ran to the end:
         # zone-map skips and wholesale accepts cost zero data access (the
         # paper's point), a probe that never ran likewise.
-        encoded = sum(read[0] for i in done for read in done[i][1])
-        materialized = sum(read[1] for i in done for read in done[i][1])
+        ran = list(done)
+        encoded, materialized = bill_scan(
+            [c.column for c in conjuncts],
+            [(i, done[i][1]) for i in ran],
+            rows=int((stops[ran] - starts[ran]).sum()),
+            verdicts=verdicts,
+        )
         stats.packed_probes += sum(
-            1 for i in done if any(read[0] for read in done[i][1])
+            1 for i in ran if any(read[0] for read in done[i][1])
         )
         stats.encoded_bytes += encoded
         stats.materialized_bytes += materialized
-        if tracker is not None and done:
-            ran = list(done)
-            rows = int((stops[ran] - starts[ran]).sum())
-            tracker.add_touched(rows=rows, nbytes=encoded + materialized)
-            tracker.add_scan_bytes(encoded=encoded, materialized=materialized)
-        if heat is not None:
-            # One batched update per column per scan, never per segment.
-            skipped = np.flatnonzero(verdicts == ZONE_SKIP).tolist()
-            full = np.flatnonzero(verdicts == ZONE_FULL).tolist()
-            for c, conjunct in enumerate(conjuncts):
-                heat.record_scan(
-                    conjunct.column,
-                    probed=[(i, *done[i][1][c]) for i in done],
-                    skipped=skipped,
-                    full=full,
-                )
 
     pieces: List[NDArray[np.int64]] = []
     for i in np.flatnonzero(verdicts != ZONE_SKIP).tolist():

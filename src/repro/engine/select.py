@@ -25,13 +25,11 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ..obs import heat as _heat
-from ..obs import resources
 from ..obs.metrics import get_registry
 from ..obs.trace import maybe_span
 from .column import Column
 from .kernels import RangePredicate, bounds_mask, theta_range
-from .scan import ScanStats
+from .scan import ScanStats, bill_scan
 
 #: Comparison operators accepted by :func:`theta_select`.
 _THETA_OPS: Dict[str, Callable[[NDArray[Any], object], NDArray[Any]]] = {
@@ -50,28 +48,6 @@ def _as_candidates(mask: NDArray[Any], candidates: Optional[NDArray[Any]]) -> ND
     if candidates is None:
         return hits.astype(np.int64)
     return candidates[hits]
-
-
-def _account_touched(column: Column, vals: NDArray[Any]) -> None:
-    """Credit a scan's actual data volume to the active resource tracker.
-
-    Post-candidate-list, so an imprint-filtered select reports the small
-    read the index earned it, not the column size.  One thread-local
-    read when no tracker is open.
-    """
-    tracker = resources.current()
-    if tracker is not None:
-        tracker.add_touched(
-            rows=int(vals.shape[0]), nbytes=int(vals.nbytes)
-        )
-        # Plain scans materialize everything they touch.
-        tracker.add_scan_bytes(materialized=int(vals.nbytes))
-    heat = _heat.maybe_heat()
-    if heat is not None:
-        # An unsegmented plain scan: heat's whole-column pseudo-segment.
-        heat.record_scan(
-            column.name, probed=[(-1, 0, int(vals.nbytes))]
-        )
 
 
 def _numeric_bound(bound: object) -> bool:
@@ -114,7 +90,11 @@ def _select(
         )
         return result
     vals = column.values if candidates is None else column.take(candidates)
-    _account_touched(column, vals)
+    # Post-candidate-list, so an imprint-filtered select bills the small
+    # read the index earned it; a plain scan materializes all it reads.
+    bill_scan(
+        [column.name], [(-1, [(0, int(vals.nbytes))])], rows=int(vals.shape[0])
+    )
     result = _as_candidates(kernel(vals), candidates)
     span.set(
         rows_in=int(vals.shape[0]),

@@ -1,7 +1,8 @@
 """Observability: span tracing, metrics, exporters, and telemetry.
 
 The measurement layer under ``EXPLAIN ANALYZE``, ``repro-gis trace``,
-``repro-gis serve-metrics`` and the bench harness's metrics snapshots:
+``repro-gis serve``'s telemetry routes and the bench harness's metrics
+snapshots:
 spans and metrics feed an OpenMetrics endpoint, a slow-query log,
 per-query resource attribution and a crash flight recorder.  See
 ``docs/observability.md`` for the span model and metric names.
@@ -35,7 +36,7 @@ from .queries import (
 )
 from .resources import ResourceTracker, ResourceUsage
 from .resources import current as current_resource_tracker
-from .server import METRICS_PORT_ENV, TelemetryServer
+from .server import TelemetryServer
 from .slowlog import (
     SLOW_QUERY_ENV,
     SLOW_QUERY_LOG_ENV,
@@ -58,7 +59,6 @@ from .trace import (
 
 __all__ = [
     "FLIGHT_DIR_ENV",
-    "METRICS_PORT_ENV",
     "OPENMETRICS_CONTENT_TYPE",
     "SLOW_QUERY_ENV",
     "SLOW_QUERY_LOG_ENV",

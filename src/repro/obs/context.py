@@ -6,10 +6,10 @@ or two concurrent sessions of the query service ROADMAP item 1 builds —
 could not be observed, billed or rate-limited independently.
 
 :class:`ObsContext` bundles the per-scope state (tracer + metrics
-registry + query registry + cumulative resource usage + optional flight
-recorder) into one object owned by a
-:class:`~repro.api.PointCloudDB` / :class:`~repro.sql.executor.Session`
-and resolved through a :mod:`contextvars` variable:
+registry + query registry + optional flight recorder) into one object
+owned by a :class:`~repro.api.PointCloudDB` /
+:class:`~repro.sql.executor.Session` and resolved through a
+:mod:`contextvars` variable:
 
 * ``with context.activate():`` makes it the current context; every
   ``get_tracer()`` / ``get_registry()`` / ``get_queries()`` /
@@ -38,7 +38,6 @@ from ._context_state import CURRENT
 from .flight import FlightRecorder
 from .metrics import MetricsRegistry
 from .queries import QueryRegistry
-from .resources import ResourceUsage
 from .trace import RemoteParent, Tracer
 
 __all__ = [
@@ -85,13 +84,8 @@ def parse_traceparent(token: str) -> RemoteParent:
 
 
 class ObsContext:
-    """One scope's observability state: tracer, metrics, queries, usage.
-
-    ``resources`` accumulates the :class:`ResourceUsage` of every query
-    tracked while this context was active (the registry folds each
-    query's tracker in at finish), giving per-database / per-session
-    cumulative attribution for quotas and billing.
-    """
+    """One scope's observability state: tracer, metrics, queries and
+    (lazily) a flight recorder."""
 
     def __init__(
         self,
@@ -104,7 +98,6 @@ class ObsContext:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.queries = queries if queries is not None else QueryRegistry()
         self.recorder = recorder
-        self.resources = ResourceUsage()
         self._lock = threading.Lock()
 
     @classmethod
@@ -176,24 +169,6 @@ class ObsContext:
                         queries=self.queries,
                     )
             return self.recorder
-
-    # -- resource accumulation --------------------------------------------
-
-    def absorb_usage(self, usage: ResourceUsage) -> None:
-        """Fold one finished query's usage into the context total."""
-        with self._lock:
-            self.resources.cpu_seconds += usage.cpu_seconds
-            self.resources.rows_touched += usage.rows_touched
-            self.resources.bytes_touched += usage.bytes_touched
-            self.resources.encoded_bytes += usage.encoded_bytes
-            self.resources.materialized_bytes += usage.materialized_bytes
-            if usage.peak_alloc_bytes is not None:
-                current = self.resources.peak_alloc_bytes
-                self.resources.peak_alloc_bytes = (
-                    usage.peak_alloc_bytes
-                    if current is None
-                    else max(current, usage.peak_alloc_bytes)
-                )
 
 
 _default: Optional[ObsContext] = None

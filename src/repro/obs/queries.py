@@ -346,9 +346,6 @@ class QueryRegistry:
                 registry.counter("query.cancelled").inc()
             elif status == "error":
                 registry.counter("query.errors").inc()
-            context = CURRENT.get()
-            if context is not None and tracker is not None:
-                context.absorb_usage(tracker.usage)
 
 
 _global_queries = QueryRegistry()

@@ -10,11 +10,11 @@ and "slow because the query did a lot of work".  A
   calling thread, which is the thread every scan, build and refine runs
   on.
 * **Peak allocations** — opt-in via :mod:`tracemalloc`: when tracing is
-  active (``tracemalloc.start()`` or ``REPRO_TRACEMALLOC=1``), the
-  tracker resets the peak at entry and reports the high-water mark of
-  traced allocations over the query.
-* **Rows / bytes touched** — the scan operators in
-  :mod:`repro.engine.select` report how much column data each select
+  active (``tracemalloc.start()``, ``PYTHONTRACEMALLOC=1`` or
+  ``python -X tracemalloc``), the tracker resets the peak at entry and
+  reports the high-water mark of traced allocations over the query.
+* **Rows / bytes touched** — the segment scanner in
+  :mod:`repro.engine.scan` bills how much column data each scan
   actually read (post-candidate-list, so an imprint-filtered query
   reports the small number the index earned it).
 
@@ -25,7 +25,6 @@ The disabled-path cost is one thread-local read per instrumented site.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import tracemalloc
@@ -33,20 +32,9 @@ from dataclasses import dataclass
 from types import TracebackType
 from typing import Dict, Optional, Type
 
-#: Environment switch: start tracemalloc at first tracker entry so peak
-#: allocation attribution is on for the whole process.
-TRACEMALLOC_ENV = "REPRO_TRACEMALLOC"
-
-_FALSY = ("", "0", "false", "no", "off")
-
-
 def thread_cpu() -> float:
     """CPU seconds consumed by the *current thread*."""
     return time.thread_time()
-
-
-def _env_tracemalloc() -> bool:
-    return os.environ.get(TRACEMALLOC_ENV, "").strip().lower() not in _FALSY
 
 
 @dataclass
@@ -60,14 +48,17 @@ class ResourceUsage:
     peak_alloc_bytes: Optional[int] = None
     #: Rows the scan operators actually read (post candidate list).
     rows_touched: int = 0
-    #: Column bytes those reads moved.
-    bytes_touched: int = 0
     #: Compressed bytes packed scans read in place (the PR 6 byte split:
     #: what actually crossed memory on the packed path).
     encoded_bytes: int = 0
     #: Plain-equivalent bytes of everything scanned — packed scans count
     #: what decompressing would have cost, plain scans their array size.
     materialized_bytes: int = 0
+
+    @property
+    def bytes_touched(self) -> int:
+        """Column bytes the scans moved: encoded plus materialized."""
+        return self.encoded_bytes + self.materialized_bytes
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly record (slow log, flight dumps, bench reports)."""
@@ -85,27 +76,21 @@ class ResourceTracker:
     """Accumulate one query's resource usage, as a context manager.
 
     The entering thread's CPU delta is measured at exit; scan volumes
-    arrive through :meth:`add_touched` / :meth:`add_scan_bytes`, which
-    are thread-safe and propagate to enclosing trackers so a SQL
-    statement's tracker includes its spatial sub-queries.
-
-    ``trace_malloc=None`` (the default) samples allocations only when
-    tracemalloc is already tracing or ``REPRO_TRACEMALLOC`` is set;
-    ``True`` forces sampling on (starting tracemalloc if needed).
+    arrive through :meth:`add_scan`, which is thread-safe and propagates
+    to enclosing trackers so a SQL statement's tracker includes its
+    spatial sub-queries.  Allocations are sampled only when tracemalloc
+    is already tracing at construction.
     """
 
     __slots__ = ("usage", "_parent", "_lock", "_cpu0", "_malloc", "_entered")
 
-    def __init__(self, trace_malloc: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.usage = ResourceUsage()
         self._parent: Optional["ResourceTracker"] = None
         self._lock = threading.Lock()
         self._cpu0 = 0.0
         self._entered = False
-        if trace_malloc is None:
-            self._malloc = tracemalloc.is_tracing() or _env_tracemalloc()
-        else:
-            self._malloc = trace_malloc
+        self._malloc = tracemalloc.is_tracing()
 
     def __enter__(self) -> "ResourceTracker":
         stack = _stack()
@@ -113,8 +98,6 @@ class ResourceTracker:
         stack.append(self)
         self._entered = True
         if self._malloc:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
             tracemalloc.reset_peak()
         self._cpu0 = thread_cpu()
         return self
@@ -139,22 +122,15 @@ class ResourceTracker:
 
     # -- scan contributions -----------------------------------------------------
 
-    def add_touched(self, rows: int = 0, nbytes: int = 0) -> None:
-        """Attribute rows/bytes a scan operator actually read."""
+    def add_scan(self, rows: int, encoded: int, materialized: int) -> None:
+        """Attribute the rows a scan actually read, and its bytes split
+        into those read in compressed form and plain-array bytes."""
         with self._lock:
             self.usage.rows_touched += rows
-            self.usage.bytes_touched += nbytes
-        if self._parent is not None:
-            self._parent.add_touched(rows, nbytes)
-
-    def add_scan_bytes(self, encoded: int = 0, materialized: int = 0) -> None:
-        """Attribute the packed-vs-plain byte split of a scan: bytes read
-        in compressed form versus their plain-array equivalent."""
-        with self._lock:
             self.usage.encoded_bytes += encoded
             self.usage.materialized_bytes += materialized
         if self._parent is not None:
-            self._parent.add_scan_bytes(encoded, materialized)
+            self._parent.add_scan(rows, encoded, materialized)
 
 
 def _stack() -> list["ResourceTracker"]:

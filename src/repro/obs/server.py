@@ -38,7 +38,8 @@ process's observability state:
 
 Every request increments the ``obs.http_requests`` counter; the
 ``obs.server_up`` gauge is 1 while the server is bound.  Start it from
-the CLI (``repro-gis serve-metrics --port``), or embed it::
+the query daemon (``repro-gis serve --port``), which serves these
+routes next to its own, or embed it::
 
     server = TelemetryServer(port=0)   # 0 = any free port
     server.start()
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import errno
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Type
@@ -60,10 +60,6 @@ from .metrics import MetricsRegistry, get_registry
 from .openmetrics import CONTENT_TYPE, render
 from .queries import QueryRegistry, get_queries
 from .trace import Tracer, get_tracer, span_to_dict
-
-#: Environment override for the default port (the CLI and embedders
-#: resolve through :func:`resolve_port`).
-METRICS_PORT_ENV = "REPRO_METRICS_PORT"
 
 #: Default port, in the conventional Prometheus-exporter range.
 DEFAULT_PORT = 9464
@@ -87,25 +83,12 @@ class PortInUseError(OSError):
         super().__init__(
             errno.EADDRINUSE,
             f"port {port} on {host} is already in use — another "
-            f"serve/serve-metrics process is likely bound there "
+            f"`repro-gis serve` process is likely bound there "
             f"(`lsof -iTCP:{port} -sTCP:LISTEN` shows its pid); pick "
             f"another port with --port, or 0 for an OS-assigned one",
         )
         self.host = host
         self.port = port
-
-
-def resolve_port(port: Optional[int]) -> int:
-    """An explicit port wins; else ``REPRO_METRICS_PORT``; else 9464."""
-    if port is not None:
-        return int(port)
-    env = os.environ.get(METRICS_PORT_ENV, "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_PORT
 
 
 class TelemetryHandler(BaseHTTPRequestHandler):
@@ -273,9 +256,9 @@ class TelemetryServer:
     Parameters
     ----------
     host, port:
-        Bind address.  ``port=None`` resolves via ``REPRO_METRICS_PORT``
-        then the default (9464); ``port=0`` asks the OS for a free port
-        (read the chosen one back from :attr:`port` after ``start``).
+        Bind address.  ``port=None`` binds the default (9464); ``port=0``
+        asks the OS for a free port (read the chosen one back from
+        :attr:`port` after ``start``).
     registry, tracer, queries:
         Default to the active context's instances (the process-wide
         singletons unless an :class:`~repro.obs.context.ObsContext` is
@@ -294,7 +277,7 @@ class TelemetryServer:
         queries: Optional[QueryRegistry] = None,
     ) -> None:
         self.host = host
-        self._requested_port = resolve_port(port) if port != 0 else 0
+        self._requested_port = DEFAULT_PORT if port is None else int(port)
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.queries = queries if queries is not None else get_queries()

@@ -251,53 +251,6 @@ class TestTrace:
         assert "--sql or --wkt" in capsys.readouterr().err
 
 
-class TestServeMetrics:
-    def test_serves_and_exits_after_deadline(self, db_dir, capsys):
-        import json
-        import re
-        import threading
-        import time
-        import urllib.request
-
-        codes = []
-        thread = threading.Thread(
-            target=lambda: codes.append(
-                main(
-                    [
-                        "serve-metrics",
-                        str(db_dir),
-                        "--port",
-                        "0",
-                        "--for-seconds",
-                        "3",
-                    ]
-                )
-            )
-        )
-        thread.start()
-        # The command prints its URL (OS-picked port) before sleeping.
-        printed, base = "", None
-        for _ in range(100):
-            printed += capsys.readouterr().out
-            match = re.search(r"http://[\d.]+:\d+", printed)
-            if match:
-                base = match.group(0)
-                break
-            time.sleep(0.05)
-        assert base is not None, f"no URL printed: {printed!r}"
-        with urllib.request.urlopen(base + "/metrics", timeout=5) as response:
-            metrics = response.read().decode("utf-8")
-        with urllib.request.urlopen(base + "/healthz", timeout=5) as response:
-            healthz = json.loads(response.read())
-        thread.join(timeout=30)
-        assert codes == [0]
-        assert metrics.endswith("# EOF\n")
-        assert "repro_info" in metrics
-        assert "obs_http_requests_total" in metrics
-        assert healthz["status"] == "ok"
-        assert healthz["tables"] == {"points": 5000}
-
-
 class TestTimeouts:
     HALF_BOX = (
         "POLYGON ((85000 445000, 86000 445000, 86000 446000,"
@@ -600,20 +553,3 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert str(blocker.port) in err
         assert "in use" in err
-
-    def test_serve_metrics_port_in_use_is_actionable(self, db_dir, capsys):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.server import TelemetryServer
-        from repro.obs.trace import Tracer
-
-        blocker = TelemetryServer(
-            port=0, registry=MetricsRegistry(), tracer=Tracer(enabled=False)
-        ).start()
-        try:
-            code = main(
-                ["serve-metrics", str(db_dir), "--port", str(blocker.port)]
-            )
-        finally:
-            blocker.stop()
-        assert code == 1
-        assert str(blocker.port) in capsys.readouterr().err

@@ -115,7 +115,6 @@ def _scan(spatial: SpatialSelect, geometry, predicate, z_range, distance=0.0):
 options = st.fixed_dictionaries(
     {
         "use_imprints": st.booleans(),
-        "use_grid": st.booleans(),
         "z_range": st.none() | st.just((2.5, 7.5)),
     }
 )

@@ -405,12 +405,6 @@ class TestVerdictConjunction:
         assert scan.segments_skipped == returned[1].count(ZONE_SKIP) > 0
 
 
-class _Stats:
-    def __init__(self):
-        self.n_segments_skipped = self.n_segments_probed = 0
-        self.imprint_build_seconds = 0.0
-
-
 def test_build_seconds_are_billed_to_the_thread_that_built():
     """One thread rebuilds its column on every query, the other only ever
     probes a warm one: the builder is always billed, the prober never —
@@ -423,14 +417,14 @@ def test_build_seconds_are_billed_to_the_thread_that_built():
     def builder():
         for _ in range(60):
             manager.invalidate(table, "x")
-            stats = _Stats()
+            stats = QueryStats()
             manager.range_select(table, "x", 10, 20, stats=stats)
             if not stats.imprint_build_seconds > 0.0:
                 wrong.append("builder not billed")
 
     def prober():
         for _ in range(300):
-            stats = _Stats()
+            stats = QueryStats()
             manager.range_select(table, "y", 10, 20, stats=stats)
             if stats.imprint_build_seconds != 0.0:
                 wrong.append("prober billed")

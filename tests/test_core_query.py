@@ -65,9 +65,8 @@ class TestPolygonQueries:
         assert result.stats.n_results == len(result)
 
     def test_polygon_without_grid_matches(self, select):
-        with_grid = select.query(POLY, use_grid=True)
-        without_grid = select.query(POLY, use_grid=False)
-        np.testing.assert_array_equal(with_grid.oids, without_grid.oids)
+        with_grid = select.query(POLY)
+        np.testing.assert_array_equal(with_grid.oids, select.query_scan(POLY))
 
     def test_polygon_without_imprints_matches(self, select):
         with_imp = select.query(POLY, use_imprints=True)

@@ -2,9 +2,9 @@
 
 The scanner is driven here with a fake prober over hand-made zone maps,
 so every verdict, tick, credit and heat record can be pinned without an
-index or an encoding underneath; the last class runs the real probers
+index or an encoding underneath; the last classes run the real probers
 (imprint vectors, packed blocks, two imprints fused) through a cancelled
-scan.
+scan, and bill the plain select and SQL's pushed range the same way.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import PointCloudDB
 from repro.core.imprints import SegmentedImprints
 from repro.core.imprints.segments import RangeTerm, select_conjunction
 from repro.engine import scan as scan_mod
@@ -24,6 +25,7 @@ from repro.engine.kernels import (
     RangePredicate,
     bounds_mask,
 )
+from repro.engine.select import range_select
 from repro.engine.scan import (
     Conjunct,
     ScanStats,
@@ -385,6 +387,8 @@ class TestCancelledScanIsBilled:
         select = self._select(prober)
         with ResourceTracker() as whole:
             select(40, 60)
+        usage = whole.usage
+        assert usage.bytes_touched == usage.encoded_bytes + usage.materialized_bytes > 0
         per_segment = whole.usage.bytes_touched // (self.N // self.SEGMENT)
         k = 3
 
@@ -403,3 +407,45 @@ class TestCancelledScanIsBilled:
             if r["column"] == "v" and round(r["probes"]) == 2
         ]
         assert sorted(r["segment"] for r in probed) == list(range(k))
+
+
+class TestPlainSelectBillsThroughScan:
+    """The unsegmented plain select and SQL's pushed range bill through
+    the scanner's one billing function too, like the probers above."""
+
+    N = 4096
+
+    @pytest.fixture
+    def column(self):
+        values = np.random.default_rng(5).uniform(0, 100, self.N)
+        return Column("v", "float64", data=values)
+
+    @pytest.mark.parametrize("step", [None, 7])
+    def test_rows_and_bytes_read(self, column, step):
+        candidates = None if step is None else np.arange(0, self.N, step, dtype=np.int64)
+        rows = self.N if candidates is None else candidates.shape[0]
+        with ResourceTracker() as tracker:
+            range_select(column, 40, 60, candidates=candidates)
+        usage = tracker.usage
+        assert usage.rows_touched == rows
+        assert (usage.encoded_bytes, usage.materialized_bytes) == (0, 8 * rows)
+        assert usage.bytes_touched == usage.encoded_bytes + usage.materialized_bytes
+
+    def test_heat_is_the_whole_column_segment(self, column, heat):
+        range_select(column, 40, 60)
+        assert heat.registry.counter("heat.updates").value == 1
+        (row,) = heat.snapshot(top=50)["segments"]
+        assert (row["column"], row["segment"]) == ("v", -1)
+        assert (round(row["probes"]), round(row["materialized_bytes"])) == (1, 8 * self.N)
+        assert round(row["encoded_bytes"]) == 0
+
+    def test_sql_pushed_range(self, column, heat):
+        db = PointCloudDB()
+        db.create_pointcloud("pts")
+        values = column.values
+        db.load_points("pts", {"x": values, "y": values[::-1].copy(), "z": values})
+        with ResourceTracker() as tracker:
+            db.sql("SELECT count(*) FROM pts WHERE z BETWEEN 40 AND 60")
+        usage = tracker.usage
+        assert usage.bytes_touched == usage.encoded_bytes + usage.materialized_bytes > 0
+        assert {row["column"] for row in heat.snapshot(top=50)["segments"]} == {"z"}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.imprints import ImprintsManager, SegmentedImprints
 from repro.core.imprints.persist import save_segmented, load_segmented
+from repro.core.query import QueryStats
 from repro.engine.column import Column
 from repro.engine.select import range_select
 from repro.engine.table import Table
@@ -108,11 +109,7 @@ class TestZoneMapSkips:
         # Sorted data: a narrow range hits exactly one segment.
         imp = SegmentedImprints(make_column(np.arange(40_960)), segment_rows=4096)
 
-        class Counters:
-            n_segments_skipped = 0
-            n_segments_probed = 0
-
-        c = Counters()
+        c = QueryStats()
         imp.query(10_000, 10_100, stats=c)
         assert c.n_segments_probed == 1
         assert c.n_segments_skipped == imp.n_segments - 1
@@ -120,11 +117,7 @@ class TestZoneMapSkips:
     def test_covering_range_skips_all_probes(self):
         imp = SegmentedImprints(make_column(np.arange(40_960)), segment_rows=4096)
 
-        class Counters:
-            n_segments_skipped = 0
-            n_segments_probed = 0
-
-        c = Counters()
+        c = QueryStats()
         out = imp.query(None, None, stats=c)
         assert c.n_segments_probed == 0
         assert c.n_segments_skipped == imp.n_segments

@@ -107,12 +107,9 @@ class TestCrossSystemEquivalence:
         np.testing.assert_array_equal(
             np.sort(table.column("x").take(result.oids)), expected
         )
-        # 2. pure scan, no grid
-        result_scan = select.query(
-            geometry, predicate, distance, use_imprints=False, use_grid=False
-        )
+        # 2. brute-force scan, no filter and no grid
         np.testing.assert_array_equal(
-            np.sort(result_scan.oids), np.sort(result.oids)
+            select.query_scan(geometry, predicate, distance), np.sort(result.oids)
         )
         # 3. blockstore
         out_blk, _ = store.query(geometry, predicate, distance)

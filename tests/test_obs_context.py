@@ -14,7 +14,6 @@ from repro.obs.context import (
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.queries import QueryRegistry, get_queries
-from repro.obs.resources import ResourceUsage
 from repro.obs.trace import Tracer, get_tracer
 
 
@@ -131,49 +130,6 @@ class TestAdoption:
             pass
         assert remote_span.trace_id == root.trace_id
         assert remote_span.parent_id == root.span_id
-
-
-class TestUsageAccumulation:
-    def test_absorb_usage_sums_fields(self):
-        context = ObsContext.fresh(enabled=False)
-        context.absorb_usage(
-            ResourceUsage(
-                cpu_seconds=0.5,
-                rows_touched=10,
-                bytes_touched=80,
-                encoded_bytes=8,
-                materialized_bytes=64,
-            )
-        )
-        context.absorb_usage(ResourceUsage(cpu_seconds=0.25, rows_touched=5))
-        assert context.resources.cpu_seconds == pytest.approx(0.75)
-        assert context.resources.rows_touched == 15
-        assert context.resources.encoded_bytes == 8
-        assert context.resources.materialized_bytes == 64
-
-    def test_peak_alloc_takes_the_max(self):
-        context = ObsContext.fresh(enabled=False)
-        context.absorb_usage(ResourceUsage(peak_alloc_bytes=100))
-        context.absorb_usage(ResourceUsage(peak_alloc_bytes=50))
-        context.absorb_usage(ResourceUsage())  # None leaves the max alone
-        assert context.resources.peak_alloc_bytes == 100
-
-    def test_queries_fold_usage_into_the_context(self):
-        context = ObsContext.fresh(enabled=False)
-        db = PointCloudDB(obs=context)
-        db.create_pointcloud("pts")
-        rng = np.random.default_rng(5)
-        db.load_points(
-            "pts",
-            {
-                "x": rng.uniform(0, 100, 5000),
-                "y": rng.uniform(0, 100, 5000),
-                "z": rng.uniform(0, 10, 5000),
-            },
-        )
-        db.spatial_select("pts", Box(10, 10, 80, 80))
-        assert context.resources.cpu_seconds > 0.0
-        assert context.resources.rows_touched > 0
 
 
 class TestFlight:

@@ -33,9 +33,11 @@ class TestTracker:
     def test_add_touched_propagates_to_parents(self):
         with ResourceTracker() as outer:
             with ResourceTracker() as inner:
-                inner.add_touched(rows=10, nbytes=80)
+                inner.add_scan(rows=10, encoded=16, materialized=64)
         for tracker in (inner, outer):
             assert tracker.usage.rows_touched == 10
+            assert tracker.usage.encoded_bytes == 16
+            assert tracker.usage.materialized_bytes == 64
             assert tracker.usage.bytes_touched == 80
 
     def test_worker_threads_have_their_own_stack(self):
@@ -52,18 +54,18 @@ class TestTracker:
         import tracemalloc
 
         was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
         try:
-            with ResourceTracker(trace_malloc=True) as tracker:
+            with ResourceTracker() as tracker:
                 _scratch = bytearray(4 * 1024 * 1024)
         finally:
             if not was_tracing and tracemalloc.is_tracing():
                 tracemalloc.stop()
         assert tracker.usage.peak_alloc_bytes >= 4 * 1024 * 1024
 
-    def test_peak_is_none_when_sampling_off(self, monkeypatch):
+    def test_peak_is_none_when_sampling_off(self):
         import tracemalloc
 
-        monkeypatch.delenv(resources.TRACEMALLOC_ENV, raising=False)
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc already on in this process")
         with ResourceTracker() as tracker:
@@ -72,15 +74,15 @@ class TestTracker:
 
     def test_usage_to_dict_is_json_friendly(self):
         usage = ResourceUsage(
-            cpu_seconds=0.5, rows_touched=3, bytes_touched=24
+            cpu_seconds=0.5, rows_touched=3, encoded_bytes=8, materialized_bytes=16
         )
         assert usage.to_dict() == {
             "cpu_seconds": 0.5,
             "peak_alloc_bytes": None,
             "rows_touched": 3,
             "bytes_touched": 24,
-            "encoded_bytes": 0,
-            "materialized_bytes": 0,
+            "encoded_bytes": 8,
+            "materialized_bytes": 16,
         }
 
 

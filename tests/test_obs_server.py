@@ -13,12 +13,7 @@ from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.openmetrics import CONTENT_TYPE, render
 from repro.obs.queries import QueryRegistry
-from repro.obs.server import (
-    DEFAULT_PORT,
-    METRICS_PORT_ENV,
-    TelemetryServer,
-    resolve_port,
-)
+from repro.obs.server import DEFAULT_PORT, TelemetryServer
 from repro.obs.trace import Tracer
 
 
@@ -245,16 +240,8 @@ class TestConcurrentScrapes:
 
 
 class TestPortResolution:
-    def test_explicit_port_wins(self, monkeypatch):
-        monkeypatch.setenv(METRICS_PORT_ENV, "1234")
-        assert resolve_port(4321) == 4321
+    def test_explicit_port_wins(self):
+        assert TelemetryServer(port=4321).port == 4321
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(METRICS_PORT_ENV, "1234")
-        assert resolve_port(None) == 1234
-
-    def test_default_when_unset_or_garbage(self, monkeypatch):
-        monkeypatch.delenv(METRICS_PORT_ENV, raising=False)
-        assert resolve_port(None) == DEFAULT_PORT
-        monkeypatch.setenv(METRICS_PORT_ENV, "lots")
-        assert resolve_port(None) == DEFAULT_PORT
+    def test_default_port(self):
+        assert TelemetryServer().port == DEFAULT_PORT == 9464
