@@ -1,45 +1,30 @@
 """`repro-check`: AST-based static analysis for the project's invariants.
 
-PRs layered threads, tracing and crash-safe persistence onto the flat
-table/imprint engine, and each layer came with invariants nothing used
-to enforce:
+Each layer built onto the flat table/imprint engine came with an
+invariant nothing used to enforce; one rule checks each:
 
 * all persistence routes through :mod:`repro.engine.durable` (R1),
 * :class:`~repro.engine.durable.InjectedCrash` — a ``BaseException`` —
-  must never be silently absorbed (R2),
+  is never silently absorbed (R2),
 * shared state is mutated under its lock, and locks are acquired in a
   consistent order (R3),
-* ``struct`` format strings agree with their declared header-size
-  constants and pack/unpack call shapes (R4),
-* hot-path modules time themselves through :mod:`repro.obs` helpers,
-  not raw ``time.perf_counter`` (R5),
-* every metric name used in ``src/`` is declared in
-  :mod:`repro.obs.names` (R6).
-
-PRs 7-8 added code whose bugs are *paths*, not statements — leaked
-admission slots, unmapped exception classes, blocking I/O inside a
-critical section — so the framework also builds intraprocedural
-control-flow graphs (:mod:`repro.analysis.cfg`) and runs a generic
-acquire/release dataflow (:mod:`repro.analysis.dataflow`) under five
-flow-aware rules:
-
-* acquired resources (slots, pins, checkouts, file handles) reach
-  their release on every exit path (R7),
-* typed exceptions raised in ``serve/*`` and the cancellation path
-  have an explicit HTTP status mapping (R8),
+* ``struct`` format strings agree with their size constants and
+  pack/unpack call shapes (R4),
+* hot-path modules time themselves through :mod:`repro.obs` helpers (R5),
+* every metric name is declared in :mod:`repro.obs.names` (R6),
+* an acquired slot, pin or file handle is released in the ``finally``
+  of the ``try`` that directly follows the acquire (R7),
+* typed exceptions reaching ``serve/*`` map to an HTTP status (R8),
 * no fsync/socket/sleep/subprocess while a lock is held (R9),
-* raw ``threading.Thread`` in hot paths carries contextvars (R10),
 * segment scan loops reach a cooperative deadline check (R11).
 
-The framework is zero-dependency (stdlib ``ast`` only): rules register
-in a global registry and run over one shared module walk with a cached
-per-module CFG store, findings can be grandfathered into a committed
-baseline file with a justification, and reports render as text, JSON
-or SARIF.  Run it as ``repro-gis check`` or ``python -m repro.analysis``.
+Stdlib ``ast`` only: rules register in a global registry and run over
+one shared module walk, findings can be grandfathered into a committed
+baseline with a justification, and reports render as text or JSON.
+Run it as ``repro-gis check`` or ``python -m repro.analysis``; see
+``docs/static_analysis.md``.
 """
 
-from .cfg import CFG, build_cfg, function_cfgs
-from .dataflow import Leak, find_leaks
 from .engine import AnalysisContext, Config, Project, run_check
 from .findings import Finding, Severity
 from .registry import Rule, all_rules, get_rule, register
@@ -56,22 +41,16 @@ from .rules import (  # noqa: F401
     resource_leak,
     span_discipline,
     struct_format,
-    thread_boundary,
 )
 
 __all__ = [
     "AnalysisContext",
-    "CFG",
     "Config",
     "Finding",
-    "Leak",
     "Project",
     "Rule",
     "Severity",
     "all_rules",
-    "build_cfg",
-    "find_leaks",
-    "function_cfgs",
     "get_rule",
     "register",
     "run_check",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -34,6 +34,22 @@ def int_literal(node: ast.AST) -> Optional[int]:
     ):
         return node.value
     return None
+
+
+#: Nodes that open a scope of their own.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def local_calls(node: ast.AST) -> Iterator[ast.Call]:
+    """Calls lexically in ``node``'s scope (not nested def/class)."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, SCOPES):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        stack.extend(ast.iter_child_nodes(child))
 
 
 def walk_functions(

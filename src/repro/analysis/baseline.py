@@ -11,7 +11,7 @@ entries that survive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Union
 
@@ -34,12 +34,7 @@ class BaselineEntry:
         return f"{self.rule}::{self.path}::{self.snippet}"
 
     def to_dict(self) -> Dict[str, str]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "snippet": self.snippet,
-            "justification": self.justification,
-        }
+        return asdict(self)
 
 
 class Baseline:

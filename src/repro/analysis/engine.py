@@ -3,14 +3,12 @@
 :func:`run_check` walks a source tree, parses every ``.py`` file once,
 then drives every selected rule through one shared module walk:
 ``prepare`` once, ``check_module`` per file, ``finish`` once.  The
-walk owns an :class:`AnalysisContext` that carries the configuration,
-per-rule scratch state and a lazy per-module CFG cache, so a module's
-control-flow graphs are built at most once no matter how many
-flow-aware rules ask for them.  Everything a rule needs — source, AST,
-per-line text, CFG facts, project-level lookups — lives on
-:class:`ModuleInfo` / :class:`Project` / :class:`AnalysisContext`, so
-rules never touch the filesystem themselves (which is what makes them
-trivially testable on synthetic fixture trees).
+walk owns an :class:`AnalysisContext` that carries the configuration
+and per-rule scratch state.  Everything a rule needs — source, AST,
+per-line text, project-level lookups — lives on :class:`ModuleInfo` /
+:class:`Project` / :class:`AnalysisContext`, so rules never touch the
+filesystem themselves (which is what makes them trivially testable on
+synthetic fixture trees).
 """
 
 from __future__ import annotations
@@ -18,31 +16,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .baseline import Baseline
-from .cfg import CFG, function_cfgs
 from .findings import Finding, Report
-from .registry import Rule, select_rules
-
-
-def _default_metric_names() -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
-    from ..obs import names
-
-    return (names.COUNTERS, names.GAUGES, names.HISTOGRAMS)
+from .registry import select_rules
 
 
 #: Modules the service layer contributes to the concurrency-sensitive
-#: scan sets (R8/R9/R10 defaults below).
+#: scan sets (R8/R9 defaults below).
 _SERVE_MODULES = (
     "repro/serve/admission.py",
     "repro/serve/http.py",
@@ -116,7 +98,7 @@ class Config:
         Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]
     ] = None
 
-    #: R7: acquire-method -> release-method pairs the leak analysis
+    #: R7: acquire-method -> release-method pairs the leak check
     #: tracks (the admission slot, snapshot pin, session checkout and
     #: hand-driven context-manager protocols, plus bare Lock.acquire).
     resource_pairs: Tuple[Tuple[str, str], ...] = (
@@ -151,27 +133,6 @@ class Config:
         }
         | set(_SERVE_MODULES)
     )
-    #: R10: modules where a raw ``threading.Thread`` spawn must copy
-    #: contextvars.
-    thread_modules: FrozenSet[str] = frozenset(
-        {
-            "repro/core/query.py",
-            "repro/core/imprints/manager.py",
-            "repro/engine/select.py",
-            "repro/engine/aggregate.py",
-            "repro/engine/join.py",
-            "repro/engine/compression.py",
-            "repro/engine/compressed.py",
-            "repro/engine/kernels.py",
-            "repro/engine/scan.py",
-            "repro/sql/executor.py",
-            "repro/sql/expr.py",
-            "repro/sql/plan.py",
-            "repro/sql/project.py",
-            "repro/sql/run.py",
-        }
-        | set(_SERVE_MODULES)
-    )
     #: R11: modules whose segment scan loops must reach a
     #: cooperative deadline check (the hot-path set plus the imprint
     #: segment store, which is where the scan loops actually live).
@@ -180,7 +141,9 @@ class Config:
     def metrics(self) -> Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]:
         if self.metric_names is not None:
             return self.metric_names
-        return _default_metric_names()
+        from ..obs import names
+
+        return (names.COUNTERS, names.GAUGES, names.HISTOGRAMS)
 
     def cancellation_scan_modules(self) -> FrozenSet[str]:
         if self.cancellation_modules is not None:
@@ -259,29 +222,12 @@ class AnalysisContext:
     ``state`` is per-rule scratch keyed by rule id — rule instances are
     global singletons, so anything accumulated across modules (lock
     edges, raised-exception inventories) must live here, not on the
-    rule.  ``cfgs``/``cfg`` expose the lazily built, cached control-flow
-    graphs; the first flow-aware rule to ask pays the construction cost
-    for a module, everyone after reads the cache.
+    rule.
     """
 
     def __init__(self, project: Project) -> None:
-        self.project = project
         self.config = project.config
         self.state: Dict[str, Any] = {}
-        self._cfg_cache: Dict[str, Dict[int, CFG]] = {}
-
-    def cfgs(self, module: ModuleInfo) -> Dict[int, CFG]:
-        """Every function CFG in ``module``, keyed by ``id(func_node)``."""
-        cached = self._cfg_cache.get(module.relpath)
-        if cached is None:
-            cached = function_cfgs(module.tree)
-            self._cfg_cache[module.relpath] = cached
-        return cached
-
-    def cfg(self, module: ModuleInfo, func: ast.AST) -> Optional[CFG]:
-        """The CFG of one function node in ``module`` (None for nodes
-        that are not function definitions of this module)."""
-        return self.cfgs(module).get(id(func))
 
 
 def default_root() -> Path:

@@ -3,24 +3,15 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict
 
 
 class Severity(str, enum.Enum):
-    """How bad a finding is; ``ERROR`` findings fail the check.
-
-    ``NOTE`` is the informational tier: the CI run over ``tests/``
-    demotes everything to it, so the findings land in the SARIF
-    artifact without failing the job.
-    """
+    """How bad a finding is; ``ERROR`` findings fail the check."""
 
     ERROR = "error"
     WARNING = "warning"
-    NOTE = "note"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -47,15 +38,7 @@ class Finding:
         return f"{self.rule}::{self.path}::{self.snippet}"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-        }
+        return {**asdict(self), "severity": self.severity.value}
 
 
 @dataclass

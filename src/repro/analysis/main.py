@@ -4,28 +4,25 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from .baseline import Baseline
 from .engine import default_baseline_path, default_root, run_check
-from .findings import Severity
 from .registry import all_rules
-from .report import to_json, to_sarif, to_text
+from .report import to_json, to_text
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gis check",
         description=(
-            "AST- and CFG-based invariant linter: durable writes, crash "
+            "AST-based invariant linter: durable writes, crash "
             "transparency, lock discipline, struct formats, span "
-            "discipline, metric-name registry (R1-R6) plus the "
-            "flow-aware rules — resource leaks, exception-status "
-            "exhaustiveness, blocking-under-lock, thread boundaries, "
-            "cancellation coverage (R7-R11)"
+            "discipline, metric-name registry, resource release, "
+            "exception-status mapping, blocking-under-lock, "
+            "cancellation coverage (R1-R9, R11)"
         ),
     )
     parser.add_argument(
@@ -36,10 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
-        help="report format (json is the CI artifact shape; sarif is "
-        "the code-scanning upload shape)",
+        help="report format (json is the CI artifact shape)",
     )
     parser.add_argument(
         "--baseline",
@@ -70,21 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         "root (repeatable): --path src/repro/serve",
     )
     parser.add_argument(
-        "--informational",
-        action="store_true",
-        help="demote every finding to 'note' severity and exit 0 "
-        "regardless (the CI tests/ sweep)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
     parser.add_argument("--out", default=None, help="write the report here")
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="also list baselined findings in text output",
-    )
     return parser
 
 
@@ -109,8 +93,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.list_rules:
         for rule in all_rules():
-            code = f"{rule.code:4s}" if rule.code else "    "
-            print(f"{code} {rule.id:24s} [{rule.severity.value}] {rule.doc}")
+            print(f"{rule.code:4s} {rule.id:24s} [{rule.severity.value}] {rule.doc}")
         return 0
 
     root = Path(args.root) if args.root else default_root()
@@ -132,12 +115,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         root, baseline=baseline, rule_ids=args.select, paths=paths
     )
 
-    if args.informational:
-        report.findings = [
-            dataclasses.replace(f, severity=Severity.NOTE)
-            for f in report.findings
-        ]
-
     if args.update_baseline:
         updated = Baseline.from_findings(
             report.findings + report.suppressed, previous=baseline
@@ -150,12 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
 
-    if args.format == "json":
-        rendered = to_json(report)
-    elif args.format == "sarif":
-        rendered = to_sarif(report)
-    else:
-        rendered = to_text(report, verbose=args.verbose)
+    rendered = to_json(report) if args.format == "json" else to_text(report)
     if args.out:
         from ..engine.durable import atomic_write_text
 
@@ -163,6 +135,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote report to {args.out}", file=sys.stderr)
     else:
         print(rendered)
-    if args.informational:
-        return 0
     return 0 if report.ok else 1

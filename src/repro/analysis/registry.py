@@ -8,8 +8,6 @@ drives:
   cross-module scratch state in ``ctx.state[self.id]``.
 * :meth:`Rule.check_module` — once per parsed module, in path order;
   yield per-file findings and/or accumulate into the scratch state.
-  CFG facts come from ``ctx.cfgs(module)`` — built lazily, cached, and
-  shared between every rule that asks.
 * :meth:`Rule.finish` — once per run, after all modules; yield findings
   that needed the whole project (lock-order cycles, the metric-name
   registry, exception-status exhaustiveness).
@@ -39,24 +37,15 @@ _BY_CODE: Dict[str, "Rule"] = {}
 
 
 class Rule:
-    """One named invariant check.
+    """One named invariant check."""
 
-    Attributes
-    ----------
-    id:
-        Stable identifier (``durable-write``...); baseline entries and
-        ``--select`` refer to it.
-    code:
-        Short alias (``R1``...``R11``) used by docs and ``--rule``.
-    severity:
-        Default severity of this rule's findings.
-    doc:
-        One-line description shown by ``repro-gis check --list-rules``.
-    """
-
+    #: Stable identifier (``durable-write``...): baseline entries and
+    #: ``--select`` refer to it.
     id: str = ""
+    #: Short alias (``R1``...) used by the docs and ``--rule``.
     code: str = ""
     severity: Severity = Severity.ERROR
+    #: One-line description shown by ``repro-gis check --list-rules``.
     doc: str = ""
 
     def prepare(self, ctx: "AnalysisContext") -> None:
@@ -80,7 +69,6 @@ class Rule:
         line: int,
         col: int,
         message: str,
-        severity: Optional[Severity] = None,
     ) -> Finding:
         """Build a finding at ``line`` with the source snippet filled in."""
         snippet = ""
@@ -88,7 +76,7 @@ class Rule:
             snippet = module.lines[line - 1].strip()
         return Finding(
             rule=self.id,
-            severity=severity if severity is not None else self.severity,
+            severity=self.severity,
             path=module.relpath,
             line=line,
             col=col,
@@ -100,38 +88,25 @@ class Rule:
 def register(cls: Type[Rule]) -> Type[Rule]:
     """Class decorator: instantiate and add the rule to the registry."""
     rule = cls()
-    if not rule.id:
-        raise ValueError(f"{cls.__name__} has no rule id")
-    if rule.id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule.id!r}")
-    if rule.code and rule.code.upper() in _BY_CODE:
-        raise ValueError(f"duplicate rule code {rule.code!r}")
+    if not rule.id or not rule.code:
+        raise ValueError(f"{cls.__name__} needs a rule id and an R code")
+    if rule.id in _REGISTRY or rule.code.upper() in _BY_CODE:
+        raise ValueError(f"duplicate rule {rule.id!r} / {rule.code!r}")
     _REGISTRY[rule.id] = rule
-    if rule.code:
-        _BY_CODE[rule.code.upper()] = rule
+    _BY_CODE[rule.code.upper()] = rule
     return cls
 
 
 def all_rules() -> List[Rule]:
-    """Every registered rule, ordered by numeric code then id."""
-
-    def sort_key(rule: Rule) -> tuple:
-        if rule.code.startswith("R") and rule.code[1:].isdigit():
-            return (0, int(rule.code[1:]), rule.id)
-        return (1, 0, rule.id)
-
-    return sorted(_REGISTRY.values(), key=sort_key)
+    """Every registered rule, ordered by code number (R1, R2, ...)."""
+    return sorted(_REGISTRY.values(), key=lambda rule: int(rule.code[1:]))
 
 
 def get_rule(rule_id: str) -> Rule:
     """Look up a rule by long id or short code (``R7`` etc.)."""
-    rule = _REGISTRY.get(rule_id)
+    rule = _REGISTRY.get(rule_id) or _BY_CODE.get(rule_id.upper())
     if rule is None:
-        rule = _BY_CODE.get(rule_id.upper())
-    if rule is None:
-        known = ", ".join(
-            f"{r.code}={r.id}" if r.code else r.id for r in all_rules()
-        )
+        known = ", ".join(f"{r.code}={r.id}" for r in all_rules())
         raise KeyError(f"unknown rule {rule_id!r}; known: {known}")
     return rule
 

@@ -1,14 +1,14 @@
-"""Text, JSON and SARIF reporters for a check run."""
+"""Text and JSON reporters for a check run."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from .findings import Finding, Report, Severity
+from .findings import Report
 
 
-def to_text(report: Report, verbose: bool = False) -> str:
+def to_text(report: Report) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines = []
     for finding in report.findings:
@@ -18,14 +18,6 @@ def to_text(report: Report, verbose: bool = False) -> str:
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    if verbose and report.suppressed:
-        lines.append("")
-        lines.append(f"baselined ({len(report.suppressed)}):")
-        for finding in report.suppressed:
-            lines.append(
-                f"  {finding.path}:{finding.line}: [{finding.rule}] "
-                f"{finding.message}"
-            )
     for entry in report.unused_baseline:
         lines.append(
             f"note: stale baseline entry [{entry.rule}] {entry.path}: "
@@ -39,8 +31,9 @@ def to_text(report: Report, verbose: bool = False) -> str:
     return "\n".join(lines)
 
 
-def to_json_dict(report: Report) -> Dict[str, Any]:
-    return {
+def to_json(report: Report, indent: int = 2) -> str:
+    """Machine-readable report (the CI artifact format)."""
+    doc: Dict[str, Any] = {
         "ok": report.ok,
         "files_scanned": report.files_scanned,
         "errors": report.errors,
@@ -49,90 +42,4 @@ def to_json_dict(report: Report) -> Dict[str, Any]:
         "baselined": [f.to_dict() for f in report.suppressed],
         "unused_baseline": [e.to_dict() for e in report.unused_baseline],
     }
-
-
-def to_json(report: Report, indent: int = 2) -> str:
-    """Machine-readable report (the CI artifact format)."""
-    return json.dumps(to_json_dict(report), indent=indent)
-
-
-_SARIF_LEVELS = {
-    Severity.ERROR: "error",
-    Severity.WARNING: "warning",
-    Severity.NOTE: "note",
-}
-
-
-def _sarif_result(finding: Finding, suppressed: bool) -> Dict[str, Any]:
-    result: Dict[str, Any] = {
-        "ruleId": finding.rule,
-        "level": _SARIF_LEVELS[finding.severity],
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": max(1, finding.line),
-                        "startColumn": max(1, finding.col + 1),
-                    },
-                }
-            }
-        ],
-    }
-    if finding.snippet:
-        result["locations"][0]["physicalLocation"]["region"]["snippet"] = {
-            "text": finding.snippet
-        }
-    if suppressed:
-        # The committed-baseline channel: code-scanning UIs show these
-        # as suppressed instead of open.
-        result["suppressions"] = [{"kind": "external"}]
-    return result
-
-
-def to_sarif_dict(report: Report) -> Dict[str, Any]:
-    """The report as a SARIF 2.1.0 log (one run, one driver).
-
-    Baselined findings ride along with a ``suppressions`` entry rather
-    than being dropped, so the code-scanning artifact shows the whole
-    audited picture.
-    """
-    from .registry import all_rules
-
-    rules: List[Dict[str, Any]] = [
-        {
-            "id": rule.id,
-            "name": rule.code or rule.id,
-            "shortDescription": {"text": rule.doc},
-            "defaultConfiguration": {
-                "level": _SARIF_LEVELS[rule.severity]
-            },
-        }
-        for rule in all_rules()
-    ]
-    results = [_sarif_result(f, suppressed=False) for f in report.findings]
-    results += [_sarif_result(f, suppressed=True) for f in report.suppressed]
-    return {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-check",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-
-
-def to_sarif(report: Report, indent: int = 2) -> str:
-    """SARIF 2.1.0 text (the CI code-scanning artifact format)."""
-    return json.dumps(to_sarif_dict(report), indent=indent)
+    return json.dumps(doc, indent=indent)

@@ -28,7 +28,7 @@ import ast
 import re
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Union
 
-from ..astutil import dotted_name, walk_functions
+from ..astutil import SCOPES, dotted_name, local_calls, walk_functions
 from ..findings import Finding
 from ..registry import Rule, register
 
@@ -54,20 +54,6 @@ _SCAN_CALL_RE = re.compile(
 
 _EXEMPT_FUNCTIONS = frozenset({"__init__", "__post_init__", "__new__"})
 
-_SCOPE_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-
-def _local_calls(node: ast.AST) -> Iterator[ast.Call]:
-    """Calls lexically in ``node``'s scope (not nested def/class)."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, _SCOPE_STMTS):
-            continue
-        if isinstance(child, ast.Call):
-            yield child
-        stack.extend(ast.iter_child_nodes(child))
-
 
 def _callee_key(call: ast.Call) -> Optional[str]:
     name = dotted_name(call.func)
@@ -86,7 +72,7 @@ def _checking_functions(tree: ast.Module) -> Set[str]:
         bodies.setdefault(func.name, func)
         callees = {
             key
-            for call in _local_calls(func)
+            for call in local_calls(func)
             if (key := _callee_key(call)) is not None
         }
         calls.setdefault(func.name, set()).update(callees)
@@ -156,7 +142,7 @@ class CancellationCoverageRule(Rule):
         stack: List[ast.AST] = list(body)
         while stack:
             node = stack.pop()
-            if isinstance(node, _SCOPE_STMTS):
+            if isinstance(node, SCOPES):
                 continue
             if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
                 yield node
@@ -167,7 +153,7 @@ class CancellationCoverageRule(Rule):
         stack: List[ast.AST] = list(loop.body)
         while stack:
             node = stack.pop()
-            if isinstance(node, _SCOPE_STMTS):
+            if isinstance(node, SCOPES):
                 continue
             if isinstance(node, ast.Call):
                 yield node

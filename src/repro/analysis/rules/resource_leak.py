@@ -1,70 +1,110 @@
-"""R7 ``resource-leak``: every acquire must reach its release.
+"""R7 ``resource-leak``: an acquire is released by the ``try`` after it.
 
-The service layer is a chain of counted resources — admission slots,
-snapshot generation pins, session checkouts, resource-tracker frames,
-raw file handles — and each one leaks the same way: an early ``return``
-or an escaping exception between the acquire and the release.  A leaked
-admission slot is permanent denial of service (the daemon's concurrency
-shrinks by one forever); a leaked pin keeps a whole superseded snapshot
-generation alive.
+Admission slots, snapshot pins and file handles all leak the same way:
+an early ``return`` or an escaping exception between the acquire and
+the release.  A leaked slot shrinks the daemon's concurrency by one
+forever; a leaked pin keeps a superseded snapshot generation alive.
 
-This rule runs the generic acquire/release dataflow
-(:mod:`repro.analysis.dataflow`) over the function CFG for:
-
-* every configured method pair (``acquire``/``release``,
-  ``pin``/``unpin``, ``checkout``/``checkin``,
-  ``__enter__``/``__exit__``) where one function calls **both** on the
-  same receiver expression — cross-function protocols (the
-  ``AdmissionController.acquire`` method itself) are out of
-  intraprocedural scope and stay the province of the runtime tests;
-* every ``handle = open(...)`` whose handle is a plain local that does
-  not escape (returned, yielded, aliased, stored on ``self``, passed to
-  a call) and that the function does ``.close()`` somewhere.
-
-``with``-managed acquisition never flags (there is no acquire statement
-to leak), and ``acquire()`` directly followed by ``try/finally:
-release()`` comes out clean by CFG construction.  The finding message
-distinguishes the exception-escape window from the early-return leak
-and names the escaping statement.
+Rather than proving release on every path, the rule asks for the one
+shape that makes every path safe — the shape ``AdmissionController.admit``
+and ``SnapshotManager.pin`` use: the acquire statement is directly
+followed by a ``try`` whose ``finally`` calls the release.  It applies
+to each configured method pair (``acquire``/``release``, ``pin``/
+``unpin``, ...) whose two halves one function calls on the same
+receiver expression — cross-function protocols (the ``acquire`` method
+itself) are left to the runtime tests — and to each ``fh = open(...)``
+that the function closes and never hands on (``fh`` is only ever the
+receiver of a method call).  ``with``-managed acquisition never flags:
+there is no acquire statement.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+import re
+from typing import TYPE_CHECKING, Container, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..astutil import dotted_name
-from ..cfg import CFG, Node
-from ..dataflow import Leak, find_leaks
+from ..astutil import SCOPES, dotted_name, local_calls, walk_functions
 from ..findings import Finding
 from ..registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine import AnalysisContext, ModuleInfo
 
-_FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+#: ``(receiver source, method name)`` of one method call.
+_Method = Tuple[str, str]
 
 
-def _receiver_text(call: ast.Call) -> Optional[str]:
-    """The unparsed receiver of ``<recv>.method(...)``, else None."""
-    if isinstance(call.func, ast.Attribute):
-        try:
-            return ast.unparse(call.func.value)
-        except Exception:  # pragma: no cover - unparse failure
-            return None
+def _blocks(node: ast.AST) -> Iterator[List[ast.stmt]]:
+    """Every statement list in ``node``'s scope (not nested def/class)."""
+    for _field, value in ast.iter_fields(node):
+        if not isinstance(value, list):
+            continue
+        for item in value:
+            if isinstance(item, (ast.excepthandler, ast.match_case)):
+                yield from _blocks(item)
+        if value and isinstance(value[0], ast.stmt):
+            yield value
+            for stmt in value:
+                if not isinstance(stmt, SCOPES):
+                    yield from _blocks(stmt)
+
+
+def _method_call(call: ast.Call, names: Container[str]) -> Optional[_Method]:
+    """``(receiver, method)`` of a call to one of the ``names`` methods."""
+    if isinstance(call.func, ast.Attribute) and call.func.attr in names:
+        return ast.unparse(call.func.value), call.func.attr
     return None
 
 
-def _simple_nodes(cfg: CFG) -> List[Node]:
-    """The simple-statement nodes (the only place an acquire/release
-    call can appear as an executable statement)."""
-    return [n for n in cfg.nodes if n.kind == "stmt" and n.stmt is not None]
+def _opened_handle(func: ast.AST, stmt: ast.stmt) -> Optional[str]:
+    """``fh`` for ``fh = open(...)`` when ``func`` uses ``fh`` only as a
+    method receiver (never returns, stores or passes it on), else None."""
+    if not (
+        isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and isinstance(stmt.value, ast.Call)
+        and dotted_name(stmt.value.func) in ("open", "io.open")
+    ):
+        return None
+    name = stmt.targets[0].id
+    receivers = {id(n.value) for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.Name)
+            and node.id == name
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in receivers
+        ):
+            return None
+    return name
 
 
-def _calls_in(stmt: ast.AST) -> Iterator[ast.Call]:
-    for child in ast.walk(stmt):
-        if isinstance(child, ast.Call):
-            yield child
+def _acquires(
+    func: ast.AST, stmt: ast.stmt, pairs: Dict[str, str], called: Set[_Method]
+) -> Iterator[Tuple[str, _Method]]:
+    """``(what, release call)`` for each resource the simple statement
+    ``stmt`` acquires whose release ``func`` also calls."""
+    if hasattr(stmt, "body") or isinstance(stmt, ast.Match):
+        return  # compound: its own blocks are visited separately
+    for call in local_calls(stmt):
+        method = _method_call(call, pairs)
+        if method is not None:
+            release = (method[0], pairs[method[1]])
+            if release in called:
+                yield f"{method[0]}.{method[1]}()", release
+    handle = _opened_handle(func, stmt)
+    if handle is not None and (handle, "close") in called:
+        yield f"file handle {handle!r}", (handle, "close")
+
+
+def _finally_calls(stmt: Optional[ast.stmt], release: _Method) -> bool:
+    return isinstance(stmt, ast.Try) and any(
+        _method_call(call, {release[1]}) == release
+        for part in stmt.finalbody
+        for call in local_calls(part)
+    )
 
 
 @register
@@ -72,167 +112,31 @@ class ResourceLeakRule(Rule):
     id = "resource-leak"
     code = "R7"
     doc = (
-        "acquired resource (slot/pin/checkout/handle) can escape its "
-        "function without release on some path"
+        "acquired slot/pin/handle not released in the finally of the "
+        "try that directly follows the acquire"
     )
 
     def check_module(
         self, module: "ModuleInfo", ctx: "AnalysisContext"
     ) -> Iterator[Finding]:
-        from ..astutil import walk_functions
-
-        pairs = ctx.config.resource_pairs
+        pairs = dict(ctx.config.resource_pairs)
+        releases = {*pairs.values(), "close"}
+        if not re.search(rf"\.\s*({'|'.join(releases)})\s*\(", module.source):
+            return  # no release call anywhere: nothing to check
         for _class_name, func in walk_functions(module.tree):
-            cfg = ctx.cfg(module, func)
-            if cfg is None:
-                continue
-            nodes = _simple_nodes(cfg)
-            yield from self._check_pairs(module, cfg, nodes, pairs)
-            yield from self._check_open_handles(module, func, cfg, nodes)
-
-    # -- method-pair protocols ---------------------------------------------
-
-    def _check_pairs(
-        self,
-        module: "ModuleInfo",
-        cfg: CFG,
-        nodes: List[Node],
-        pairs: Tuple[Tuple[str, str], ...],
-    ) -> Iterator[Finding]:
-        for acq_name, rel_name in pairs:
-            acquires: Dict[str, List[Node]] = {}
-            releases: Dict[str, List[Node]] = {}
-            for node in nodes:
-                assert node.stmt is not None
-                for call in _calls_in(node.stmt):
-                    if not isinstance(call.func, ast.Attribute):
-                        continue
-                    receiver = _receiver_text(call)
-                    if receiver is None:
-                        continue
-                    if call.func.attr == acq_name:
-                        acquires.setdefault(receiver, []).append(node)
-                    elif call.func.attr == rel_name:
-                        releases.setdefault(receiver, []).append(node)
-            for receiver, acq_nodes in sorted(acquires.items()):
-                rel_nodes = releases.get(receiver)
-                if not rel_nodes:
-                    # No same-function release: a cross-function
-                    # protocol, not an intraprocedural leak.
-                    continue
-                for leak in find_leaks(cfg, acq_nodes, rel_nodes):
-                    yield self._leak_finding(
-                        module,
-                        leak,
-                        what=f"{receiver}.{acq_name}()",
-                        release=f"{receiver}.{rel_name}()",
-                    )
-
-    # -- raw file handles --------------------------------------------------
-
-    def _check_open_handles(
-        self,
-        module: "ModuleInfo",
-        func: _FuncDef,
-        cfg: CFG,
-        nodes: List[Node],
-    ) -> Iterator[Finding]:
-        opens: Dict[str, List[Node]] = {}
-        for node in nodes:
-            stmt = node.stmt
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-                and dotted_name(stmt.value.func) in ("open", "io.open")
-            ):
-                opens.setdefault(stmt.targets[0].id, []).append(node)
-        if not opens:
-            return
-        for name, acq_nodes in sorted(opens.items()):
-            if self._handle_escapes(func, name):
-                continue
-            closes = [
-                node
-                for node in nodes
-                if any(
-                    isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "close"
-                    and isinstance(call.func.value, ast.Name)
-                    and call.func.value.id == name
-                    for call in _calls_in(node.stmt)  # type: ignore[arg-type]
-                )
-            ]
-            if not closes:
-                # Never closed at all: the handle's lifetime is someone
-                # else's problem only if it escaped, which it did not —
-                # but a function that never closes is usually relying on
-                # GC; R7 stays scoped to broken close discipline.
-                continue
-            for leak in find_leaks(cfg, acq_nodes, closes):
-                yield self._leak_finding(
-                    module,
-                    leak,
-                    what=f"file handle {name!r}",
-                    release=f"{name}.close()",
-                )
-
-    @staticmethod
-    def _handle_escapes(func: _FuncDef, name: str) -> bool:
-        """True when the handle outlives the function on some path:
-        returned, yielded, aliased, stored on an attribute/subscript, or
-        passed to a call."""
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None and any(
-                    isinstance(n, ast.Name) and n.id == name
-                    for n in ast.walk(value)
-                ):
-                    return True
-            elif isinstance(node, ast.Call):
-                for arg in list(node.args) + [k.value for k in node.keywords]:
-                    if any(
-                        isinstance(n, ast.Name) and n.id == name
-                        for n in ast.walk(arg)
-                    ):
-                        return True
-            elif isinstance(node, ast.Assign):
-                # Aliasing or storing anywhere but the defining Name.
-                if isinstance(node.value, ast.Name) and node.value.id == name:
-                    return True
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        if any(
-                            isinstance(n, ast.Name) and n.id == name
-                            for n in ast.walk(node.value)
-                        ):
-                            return True
-        return False
-
-    # -- shared message ----------------------------------------------------
-
-    def _leak_finding(
-        self, module: "ModuleInfo", leak: Leak, what: str, release: str
-    ) -> Finding:
-        escape = leak.escape_node()
-        where = (
-            f" (escapes via line {escape.line}: {escape.label})"
-            if escape is not None
-            else ""
-        )
-        if leak.exceptional:
-            message = (
-                f"an exception between {what} and {release} escapes "
-                f"without releasing{where}; move the release into a "
-                "try/finally or use a with block"
-            )
-        else:
-            message = (
-                f"a path from {what} reaches the function exit without "
-                f"calling {release}{where}; release on every exit path"
-            )
-        return self.finding(
-            module, leak.acquire.line, 0, message
-        )
+            called = {m for c in local_calls(func) if (m := _method_call(c, releases))}
+            for block in _blocks(func):
+                for index, stmt in enumerate(block):
+                    after = block[index + 1] if index + 1 < len(block) else None
+                    for what, release in _acquires(func, stmt, pairs, called):
+                        if _finally_calls(after, release):
+                            continue
+                        yield self.finding(
+                            module,
+                            stmt.lineno,
+                            stmt.col_offset,
+                            f"{what} is not directly followed by a try whose "
+                            f"finally calls {'.'.join(release)}(): an exception "
+                            "or early return in between leaks it; use "
+                            "try/finally or a with block",
+                        )

@@ -1139,7 +1139,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="repro-check: AST-based invariant linter (durable writes, "
         "crash transparency, lock discipline, struct formats, span "
-        "discipline, metric-name registry)",
+        "discipline, metric-name registry, resource release, exception "
+        "status, blocking under lock, cancellation coverage)",
     )
     # The linter owns its own grammar (shared with `python -m
     # repro.analysis`); forward everything after `check` verbatim.

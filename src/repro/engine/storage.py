@@ -44,7 +44,8 @@ stays the source of truth, the sidecar is the execution format the packed
 select kernels scan.  A ``source_crc`` header field ties a sidecar to the
 exact column payload it was encoded from, so a stale sidecar (column
 rewritten, sidecar not yet) is detected and ignored rather than served.
-:func:`load_array` reads both generations; a corrupt sidecar is
+Sidecars are read only by :func:`load_compressed` (:func:`load_array`
+rejects them as an unsupported version); a corrupt sidecar is
 quarantined (renamed ``*.quarantined``) and re-encoded from the plain
 column, mirroring the imprint quarantine path.
 
@@ -135,31 +136,22 @@ def _payload_view(array: NDArray[Any]) -> memoryview:
     return memoryview(little.view(np.uint8))
 
 
-def _parse_header(raw: bytes, path: Path) -> Tuple[int, "np.dtype[Any]", int, int, int]:
-    """(version, dtype, count, crc, payload offset) of a .col blob."""
+def _parse_header(raw: bytes, path: Path) -> Tuple["np.dtype[Any]", int, int]:
+    """(dtype, count, crc) of a .col blob; the payload starts at
+    ``_PAYLOAD_OFFSET``."""
     if len(raw) < _PREFIX.size:
         raise StorageError(f"{path}: truncated header")
     magic, version = _PREFIX.unpack(raw[: _PREFIX.size])
     if magic != _MAGIC:
         raise StorageError(f"{path}: bad magic {magic!r}")
-    if version == _VERSION:
-        if len(raw) < _PAYLOAD_OFFSET:
-            raise StorageError(f"{path}: truncated header")
-        _magic, _version, type_code, count, crc = _HEADER.unpack(raw[: _HEADER.size])
-        offset = _PAYLOAD_OFFSET
-    elif version == _VERSION_V3:
-        header = _HEADER_V3
-        if len(raw) < header.size:
-            raise StorageError(f"{path}: truncated header")
-        (_magic, _version, type_code, count, _n_seg, _seg_rows, _src_crc, crc) = (
-            header.unpack(raw[: header.size])
-        )
-        offset = header.size
-    else:
+    if version != _VERSION:
         raise StorageError(f"{path}: unsupported version {version}")
+    if len(raw) < _PAYLOAD_OFFSET:
+        raise StorageError(f"{path}: truncated header")
+    _magic, _version, type_code, count, crc = _HEADER.unpack(raw[: _HEADER.size])
     if type_code >= len(_TYPE_NAMES):
         raise StorageError(f"{path}: unknown type code {type_code}")
-    return version, TYPE_MAP[_TYPE_NAMES[type_code]], count, crc, offset
+    return TYPE_MAP[_TYPE_NAMES[type_code]], count, crc
 
 
 def read_column_header(path: PathLike) -> Dict[str, object]:
@@ -174,9 +166,9 @@ def read_column_header(path: PathLike) -> Dict[str, object]:
             raw = fh.read(_PAYLOAD_OFFSET)
     except FileNotFoundError:
         raise StorageError(f"column file not found: {path}") from None
-    version, dtype, count, _crc, _offset = _parse_header(raw, path)
+    dtype, count, _crc = _parse_header(raw, path)
     type_name = {v: k for k, v in TYPE_MAP.items()}[dtype]
-    return {"version": version, "type": type_name, "count": count}
+    return {"version": _VERSION, "type": type_name, "count": count}
 
 
 def load_array(path: PathLike) -> NDArray[Any]:
@@ -199,16 +191,11 @@ def load_array(path: PathLike) -> NDArray[Any]:
 
 def _read_column(fh: io.FileIO, path: Path) -> NDArray[Any]:
     head = fh.read(_PAYLOAD_OFFSET)
-    version, dtype, count, crc, offset = _parse_header(head, path)
-    if version == _VERSION_V3:
-        # The compressed generation: decode the segments back to one
-        # flat array (checksum verification happens in the parser).
-        raw = head + fh.read()
-        return _parse_compressed(raw, path, name=path.stem).decode_all()
+    dtype, count, crc = _parse_header(head, path)
     expected = count * dtype.itemsize
     # Size the payload from the file before reading it: a corrupt count
     # must fail as a short payload, not as a huge read or map.
-    got = min(os.fstat(fh.fileno()).st_size - offset, expected)
+    got = min(os.fstat(fh.fileno()).st_size - _PAYLOAD_OFFSET, expected)
     if got != expected:
         raise StorageError(
             f"{path}: expected {expected} payload bytes, got {got}"
@@ -222,7 +209,11 @@ def _read_column(fh: io.FileIO, path: Path) -> NDArray[Any]:
     if count == 0:
         return np.empty(0, dtype=dtype)  # a zero-length map is an error
     mapped = np.memmap(
-        fh, dtype=dtype.newbyteorder("<"), mode="c", offset=offset, shape=(count,)
+        fh,
+        dtype=dtype.newbyteorder("<"),
+        mode="c",
+        offset=_PAYLOAD_OFFSET,
+        shape=(count,),
     ).view(np.ndarray)
     return mapped if mapped.dtype == dtype else mapped.astype(dtype)
 

@@ -3,12 +3,16 @@
 Each rule gets positive + negative fixture snippets; the fixture trees
 mirror the real layout (``repro/...``) so the default configuration's
 module designations (hot paths, lock modules, the durable allowlist)
-apply to them exactly as they do to the real tree.
+apply to them exactly as they do to the real tree.  R1, R5, R8 and R11
+also carry code from this repo's history that they flagged, next to the
+form that fixed it; the other rules never flagged real code, so their
+fixtures are synthetic.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -19,7 +23,7 @@ from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.engine import Config, Project
 from repro.analysis.main import main as check_main
 from repro.analysis.registry import all_rules
-from repro.analysis.report import to_json, to_sarif, to_text
+from repro.analysis.report import to_json, to_text
 from repro.analysis.rules.struct_format import field_count
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -587,6 +591,21 @@ def handle(slot, work):
     slot.release()
 """
 
+# serve/admission.py's AdmissionController.admit with its try/finally
+# removed, and as it is.
+ADMIT_WITHOUT_FINALLY = """
+class AdmissionController:
+    @contextmanager
+    def admit(self):
+        self.acquire()
+        yield
+        self.release()
+"""
+ADMIT = ADMIT_WITHOUT_FINALLY.replace(
+    "        yield\n        self.release()\n",
+    "        try:\n            yield\n        finally:\n            self.release()\n",
+)
+
 
 class TestResourceLeak:
     def test_exception_window_flagged(self, tmp_path):
@@ -895,71 +914,6 @@ class TestBlockingUnderLock:
         assert report.findings == []
 
 
-# -- R10 thread-boundary -------------------------------------------------------
-
-RAW_THREAD_SPAWN = """
-import threading
-
-
-def spawn(fn):
-    worker = threading.Thread(target=fn)
-    worker.start()
-    return worker
-"""
-
-
-class TestThreadBoundary:
-    def test_raw_spawn_flagged(self, tmp_path):
-        report = check(tmp_path, {"repro/engine/select.py": RAW_THREAD_SPAWN})
-        assert rule_ids(report) == ["thread-boundary"]
-
-    def test_copy_context_passes(self, tmp_path):
-        report = check(
-            tmp_path,
-            {
-                "repro/engine/select.py": """
-                import contextvars
-                import threading
-
-
-                def spawn(fn):
-                    ctx = contextvars.copy_context()
-                    worker = threading.Thread(target=lambda: ctx.run(fn))
-                    worker.start()
-                    return worker
-                """
-            },
-            rule_ids=["thread-boundary"],
-        )
-        assert report.findings == []
-
-    def test_other_call_in_scope_does_not_exempt(self, tmp_path):
-        report = check(
-            tmp_path,
-            {
-                "repro/engine/select.py": """
-                import threading
-
-
-                def drive(fn, watchdog):
-                    thread = threading.Thread(target=watchdog)
-                    thread.start()
-                    return run_tasks(fn, [1, 2, 3])
-                """
-            },
-            rule_ids=["thread-boundary"],
-        )
-        assert rule_ids(report) == ["thread-boundary"]
-
-    def test_non_designated_module_ignored(self, tmp_path):
-        report = check(
-            tmp_path,
-            {"repro/gis/whatever.py": RAW_THREAD_SPAWN},
-            rule_ids=["thread-boundary"],
-        )
-        assert report.findings == []
-
-
 # -- R11 cancellation-coverage -------------------------------------------------
 
 CHECKLESS_SCAN_LOOP = """
@@ -1131,21 +1085,150 @@ class TestReporters:
         assert doc["findings"][0]["rule"] == "durable-write"
         assert doc["findings"][0]["path"] == "repro/x.py"
 
-    def test_sarif_marks_baselined_findings_suppressed(self, tmp_path):
-        root = make_tree(
-            tmp_path, {"repro/x.py": 'fh = open("out.col", "wb")\n'}
-        )
-        first = run_check(
-            root, baseline=Baseline(), rule_ids=["durable-write"]
-        )
-        baseline = Baseline.from_findings(first.findings)
-        report = run_check(root, baseline=baseline, rule_ids=["durable-write"])
-        assert report.findings == [] and report.suppressed
 
-        doc = json.loads(to_sarif(report))
-        results = doc["runs"][0]["results"]
-        assert len(results) == 1
-        assert results[0]["suppressions"] == [{"kind": "external"}]
+# -- code this repo's history shipped, and its fix ----------------------------
+
+# b93171c engine/storage.py: the seed wrote columns with a raw open().
+RAW_DUMP_ARRAY = """
+def dump_array(array, path):
+    header = _HEADER.pack(_MAGIC, _VERSION, _TYPE_CODES[type_name], array.shape[0])
+    payload = array.astype(array.dtype.newbyteorder("<")).tobytes()
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
+    return len(header) + len(payload)
+"""
+DURABLE_DUMP_ARRAY = RAW_DUMP_ARRAY.split("    with open")[0] + (
+    '    return durable.atomic_write_bytes(path, header + payload, label="col")\n'
+)
+
+# b93171c core/query.py and 288d8fe core/imprints/manager.py: the filter
+# step and the imprint build timed themselves with a raw clock.
+RAW_QUERY_CLOCK = """
+import time
+
+class SpatialSelect:
+    def query(self, geometry, use_imprints=True):
+        t0 = time.perf_counter()
+        candidates = self._filter(geometry_envelope(geometry), use_imprints)
+        t1 = time.perf_counter()
+        return candidates, QueryStats(filter_seconds=t1 - t0)
+"""
+RAW_BUILD_CLOCK = """
+import time
+
+class ImprintsManager:
+    def ensure(self, table, column_name):
+        key = self._key(table, column_name)
+        imp = self._imprints.get(key)
+        if imp is None:
+            with maybe_span("imprints.build", table=table.name, column=column_name):
+                t0 = time.perf_counter()
+                imp = SegmentedImprints(table.column(column_name))
+                self.last_build_seconds = time.perf_counter() - t0
+            self._imprints[key] = imp
+        return imp
+"""
+
+
+def obs_clock(source):
+    source = source.replace("import time", "from ..obs.timing import now")
+    return source.replace("time.perf_counter()", "now()")
+
+
+# d6c9c97 obs/queries.py: QueryCancelled existed before any handler mapped
+# it; e20ca2f's serve/http.py answers it with 408.
+QUERY_CANCELLED = """
+class QueryCancelled(RuntimeError):
+    def __init__(self, query_id, timeout_s, elapsed_s):
+        super().__init__(f"query {query_id} cancelled after {elapsed_s:.3f}s")
+"""
+CANCELLED_408 = """
+from ..obs.queries import QueryCancelled
+
+def respond(run):
+    try:
+        return 200, run()
+    except QueryCancelled as exc:
+        return 408, {"error": "cancelled", "message": str(exc)}
+"""
+
+# e20ca2f core/imprints/segments.py and 8dc0b42 engine/compressed.py:
+# scan loops that never looked at the deadline.
+UNCHECKED_CANDIDATE_ROWS = """
+class SegmentedImprints:
+    def candidate_rows(self, lo, hi):
+        pieces = []
+        for seg in self.segments:
+            if self._classify(seg, lo, hi, True, True) == _SKIP:
+                continue
+            lines = self._candidate_lines(seg, lo, hi)
+            pieces.append(lines * self.vpc + seg.start)
+        return pieces
+"""
+UNCHECKED_TAKE = """
+class CompressedColumn:
+    def take(self, oids):
+        starts = np.asarray(self._starts, dtype=np.int64)
+        seg_of = np.searchsorted(starts, oids, side="right") - 1
+        pieces = []
+        for seg in np.unique(seg_of):
+            in_seg = oids[seg_of == seg] - starts[seg]
+            pieces.append(kernels.take(self.blocks[int(seg)], in_seg))
+        return np.concatenate(pieces)
+"""
+
+
+def deadline_checked(source):
+    """``source`` with the check its fix put first in the scan loop."""
+    return re.sub(
+        r"\n( +)(for seg .*:)\n", r"\n\1\2\n\1    _queries.check_deadline()\n", source
+    )
+
+
+SWALLOWED_CRASH = "try:\n    pass\nexcept BaseException:\n    pass\n"
+PACK_ARITY = 'import struct\nS = struct.Struct("<H")\nS.pack(1, 2)\n'
+TYPOD_COUNTER = (
+    "from repro.obs.metrics import get_registry\n"
+    'get_registry().counter("durability.retires")\n'
+)
+STORAGE, QUERY = "repro/engine/storage.py", "repro/core/query.py"
+MANAGER = "repro/core/imprints/manager.py"
+SEGMENTS, COMPRESSED = "repro/core/imprints/segments.py", "repro/engine/compressed.py"
+
+# id -> files: one seeded violation per rule, then ``rule@source`` cases:
+# code from that commit, or a live function with its fix taken out.
+VIOLATIONS = {
+    "durable-write": {"repro/x.py": 'open("a.col", "wb")\n'},
+    "crash-transparency": {"repro/x.py": SWALLOWED_CRASH},
+    "lock-discipline": {"repro/obs/metrics.py": LOCKED_CLASS_BAD},
+    "struct-format": {"repro/x.py": PACK_ARITY},
+    "span-discipline": {QUERY: "import time\ntime.perf_counter()\n"},
+    "counter-registry": {"repro/x.py": TYPOD_COUNTER},
+    "resource-leak": {"repro/x.py": LEAKED_SLOT},
+    "exception-status": {"repro/serve/quotas.py": UNMAPPED_EXCEPTION},
+    "blocking-under-lock": {"repro/serve/admission.py": FSYNC_UNDER_LOCK},
+    "cancellation-coverage": {"repro/engine/select.py": CHECKLESS_SCAN_LOOP},
+    "durable-write@b93171c": {STORAGE: RAW_DUMP_ARRAY},
+    "span-discipline@b93171c": {QUERY: RAW_QUERY_CLOCK},
+    "span-discipline@288d8fe": {MANAGER: RAW_BUILD_CLOCK},
+    "exception-status@d6c9c97": {"repro/obs/queries.py": QUERY_CANCELLED},
+    "cancellation-coverage@e20ca2f": {SEGMENTS: UNCHECKED_CANDIDATE_ROWS},
+    "cancellation-coverage@8dc0b42": {COMPRESSED: UNCHECKED_TAKE},
+    "resource-leak@admit": {"repro/serve/admission.py": ADMIT_WITHOUT_FINALLY},
+}
+# id -> the files the fix wrote; the fixed tree is clean.
+FIXES = {
+    "durable-write@b93171c": {STORAGE: DURABLE_DUMP_ARRAY},
+    "span-discipline@b93171c": {QUERY: obs_clock(RAW_QUERY_CLOCK)},
+    "span-discipline@288d8fe": {MANAGER: obs_clock(RAW_BUILD_CLOCK)},
+    "exception-status@d6c9c97": {"repro/serve/http.py": CANCELLED_408},
+    "cancellation-coverage@e20ca2f": {
+        SEGMENTS: deadline_checked(UNCHECKED_CANDIDATE_ROWS)
+    },
+    "cancellation-coverage@8dc0b42": {COMPRESSED: deadline_checked(UNCHECKED_TAKE)},
+    "resource-leak@admit": {"repro/serve/admission.py": ADMIT},
+}
 
 
 # -- CLI entry points ----------------------------------------------------------
@@ -1155,50 +1238,14 @@ class TestCli:
     def seed(self, tmp_path, files):
         return str(make_tree(tmp_path, files))
 
-    @pytest.mark.parametrize(
-        "relpath,source",
-        [
-            ("repro/x.py", 'open("a.col", "wb")\n'),  # R1
-            (
-                "repro/x.py",
-                "try:\n    pass\nexcept BaseException:\n    pass\n",
-            ),  # R2
-            ("repro/obs/metrics.py", LOCKED_CLASS_BAD),  # R3
-            (
-                "repro/x.py",
-                'import struct\nS = struct.Struct("<H")\nS.pack(1, 2)\n',
-            ),  # R4
-            ("repro/core/query.py", "import time\ntime.perf_counter()\n"),  # R5
-            (
-                "repro/x.py",
-                'from repro.obs.metrics import get_registry\n'
-                'get_registry().counter("durability.retires")\n',
-            ),  # R6
-            ("repro/x.py", LEAKED_SLOT),  # R7
-            ("repro/serve/quotas.py", UNMAPPED_EXCEPTION),  # R8
-            ("repro/serve/admission.py", FSYNC_UNDER_LOCK),  # R9
-            ("repro/engine/select.py", RAW_THREAD_SPAWN),  # R10
-            ("repro/engine/select.py", CHECKLESS_SCAN_LOOP),  # R11
-        ],
-        ids=[
-            "durable-write",
-            "crash-transparency",
-            "lock-discipline",
-            "struct-format",
-            "span-discipline",
-            "counter-registry",
-            "resource-leak",
-            "exception-status",
-            "blocking-under-lock",
-            "thread-boundary",
-            "cancellation-coverage",
-        ],
-    )
-    def test_seeded_violation_exits_nonzero(self, tmp_path, relpath, source, capsys):
-        root = self.seed(tmp_path, {relpath: source})
+    @pytest.mark.parametrize("case", list(VIOLATIONS))
+    def test_seeded_violation_exits_nonzero(self, tmp_path, case, capsys):
+        root = self.seed(tmp_path, VIOLATIONS[case])
         assert check_main([root]) == 1
-        out = capsys.readouterr().out
-        assert "error[" in out
+        assert f"error[{case.split('@')[0]}]" in capsys.readouterr().out
+        if case in FIXES:
+            self.seed(tmp_path, FIXES[case])
+            assert check_main([root]) == 0, capsys.readouterr().out
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         root = self.seed(tmp_path, {"repro/x.py": "value = 1\n"})
@@ -1275,29 +1322,6 @@ class TestCli:
         root = self.seed(tmp_path, {"repro/x.py": "value = 1\n"})
         assert check_main([root, "--path", "no/such/file.py"]) == 2
 
-    def test_sarif_format(self, tmp_path, capsys):
-        root = self.seed(tmp_path, {"repro/x.py": 'open("a", "wb")\n'})
-        assert check_main([root, "--format", "sarif"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-check"
-        assert {r["id"] for r in run["tool"]["driver"]["rules"]} == {
-            rule.id for rule in all_rules()
-        }
-        result = run["results"][0]
-        assert result["ruleId"] == "durable-write"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "repro/x.py"
-        assert location["region"]["startLine"] >= 1
-
-    def test_informational_demotes_and_passes(self, tmp_path, capsys):
-        root = self.seed(tmp_path, {"repro/x.py": 'open("a", "wb")\n'})
-        assert check_main([root, "--informational"]) == 0
-        out = capsys.readouterr().out
-        assert "note[durable-write]" in out
-        assert "error[" not in out
-
 
 # -- the meta-test: the repo itself is clean -----------------------------------
 
@@ -1343,16 +1367,16 @@ class TestSelfCheck:
             "resource-leak",
             "exception-status",
             "blocking-under-lock",
-            "thread-boundary",
             "cancellation-coverage",
         }
 
     def test_rule_codes_are_r1_through_r11(self):
+        # R10 (thread-boundary) was deleted; its code is not reused.
         codes = sorted(
             (rule.code for rule in all_rules()),
             key=lambda c: int(c[1:]),
         )
-        assert codes == [f"R{i}" for i in range(1, 12)]
+        assert codes == [f"R{i}" for i in range(1, 12) if i != 10]
 
 
 # -- config plumbing -----------------------------------------------------------

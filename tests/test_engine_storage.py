@@ -486,11 +486,10 @@ class TestCompressedSidecar:
         dump_compressed(packed, path)
         back = load_compressed(path)
         np.testing.assert_array_equal(back.decode_all(), packed.decode_all())
-        # A .colz also loads through the generic array reader (v3 is a
-        # .col generation, not a private format).
-        np.testing.assert_array_equal(
-            load_array(path), table.column("x").values
-        )
+        # Only load_compressed reads a sidecar: the plain-column reader
+        # rejects the v3 layout.
+        with pytest.raises(StorageError):
+            load_array(path)
 
     def test_corrupt_sidecar_quarantined_on_load(self, tmp_path):
         table = self._table()

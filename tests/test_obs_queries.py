@@ -186,7 +186,8 @@ class TestTrack:
 
 def in_context_thread(fn):
     """Run ``fn`` on a new thread under a copy of this thread's
-    contextvars (the form R10 sanctions); re-raise what it raised."""
+    contextvars (the form docs/architecture.md asks for); re-raise what
+    it raised."""
     ctx = contextvars.copy_context()
     outcome = {}
 

@@ -501,6 +501,15 @@ class TestProcessLifecycle:
         url = banner.split("serving queries on ")[1].split(" ")[0]
         return proc, url
 
+    @staticmethod
+    def _stop(proc):
+        """Kill the daemon if it still runs, reap it, close its pipes."""
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
+
     def test_sigterm_drains_and_flight_records(self, store, tmp_path):
         (tmp_path / "flight").mkdir()
         proc, url = self._spawn(store, tmp_path)
@@ -519,9 +528,7 @@ class TestProcessLifecycle:
             with pytest.raises(Exception):
                 get(url + "/healthz", timeout=2)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            self._stop(proc)
 
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
@@ -546,9 +553,7 @@ class TestProcessLifecycle:
             proc.kill()
             proc.wait(timeout=10)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            self._stop(proc)
         report = PointCloudDB.load(store).verify()
         assert report["ok"] is True
         recovered = PointCloudDB.recover(store)
