@@ -99,14 +99,11 @@ class Config:
     ] = None
 
     #: R7: acquire-method -> release-method pairs the leak check
-    #: tracks (the admission slot, snapshot pin, session checkout and
-    #: hand-driven context-manager protocols, plus bare Lock.acquire).
+    #: tracks: the admission slot (and bare ``Lock.acquire``) and the
+    #: snapshot pin, the only two protocols ``src/`` drives by hand.
     resource_pairs: Tuple[Tuple[str, str], ...] = (
         ("acquire", "release"),
-        ("pin", "unpin"),
         ("_pin", "_unpin"),
-        ("checkout", "checkin"),
-        ("__enter__", "__exit__"),
     )
     #: R8: modules whose typed exceptions must be status-mapped, and the
     #: front-end module whose handlers define the mapping.

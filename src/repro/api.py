@@ -27,7 +27,6 @@ from .core.query import QueryResult, SpatialSelect
 from .engine.catalog import Database
 from .engine.table import Table
 from .las.binloader import LoadStats, create_flat_table, load_arrays, load_files
-from .gis.predicates import geometry_envelope
 from .obs.context import ObsContext, default_context
 from .obs.slowlog import (
     DEFAULT_LOG_NAME,
@@ -39,20 +38,6 @@ from .obs.trace import Tracer, get_tracer
 from .sql.executor import Result, Session
 
 PathLike = Union[str, Path]
-
-
-def _query_hot_stacks(query_id: str) -> Optional[Dict[str, object]]:
-    """The always-on profiler's hot stacks for one query, if sampled.
-
-    ``maybe_profiler`` never creates — databases without serve-mode
-    profiling pay one module-global read per slow-logged query.
-    """
-    from .obs.profiler import maybe_profiler
-
-    profiler = maybe_profiler()
-    if profiler is None:
-        return None
-    return profiler.query_summary(query_id)
 
 
 class PointCloudDB:
@@ -158,54 +143,23 @@ class PointCloudDB:
         """
         select = self.select_for(name)
         with self.obs.activate():
-            if self.slow_log is None:
-                return select.query(geometry, predicate, distance, **kwargs)
-            env = geometry_envelope(geometry)
-            with self.slow_log.observe(
-                "spatial",
-                table=name,
-                predicate=predicate,
-                bbox=[env.xmin, env.ymin, env.xmax, env.ymax],
-            ) as observation:
-                result = select.query(geometry, predicate, distance, **kwargs)
-                usage = result.stats.resources
-                observation.set(
-                    query_id=result.stats.query_id,
-                    rows=len(result),
-                    stats={
-                        "filter_seconds": result.stats.filter_seconds,
-                        "refine_seconds": result.stats.refine_seconds,
-                        "imprint_build_seconds": result.stats.imprint_build_seconds,
-                        "n_filter_candidates": result.stats.n_filter_candidates,
-                        "n_segments_skipped": result.stats.n_segments_skipped,
-                        "n_segments_probed": result.stats.n_segments_probed,
-                        "imprint_columns": list(result.stats.imprint_columns),
-                        "n_probes_dense": result.stats.n_probes_dense,
-                        "n_probes_gather": result.stats.n_probes_gather,
-                    },
-                    resources=usage.to_dict(),
-                    encoded_bytes=usage.encoded_bytes,
-                    materialized_bytes=usage.materialized_bytes,
-                )
-                hot = _query_hot_stacks(result.stats.query_id)
-                if hot is not None:
-                    observation.set(hot_stacks=hot)
-        return result
+            return select.query(geometry, predicate, distance, **kwargs)
 
     def select_for(self, name: str) -> SpatialSelect:
-        """The cached :class:`SpatialSelect` over table ``name``.
+        """The cached :class:`SpatialSelect` over table ``name``, armed
+        with this database's slow-query log.
 
         The building block :meth:`spatial_select` wraps; the query
         service calls it directly so each request can run ``query()``
         under its own request-scoped observability context instead of
-        the database-wide one.
+        the database-wide one, and is slow-logged all the same.
         """
-        try:
-            return self._selects[name]
-        except KeyError:
+        select = self._selects.get(name)
+        if select is None:
             select = SpatialSelect(self.db.table(name), manager=self.manager)
             self._selects[name] = select
-            return select
+        select.slow_log = self.slow_log
+        return select
 
     # -- SQL ---------------------------------------------------------------------------
 
@@ -230,6 +184,7 @@ class PointCloudDB:
         to the columns, not the session).
         """
         session = Session(manager=self.manager, obs=self.obs)
+        session.slow_log = self.slow_log
         for name in self.db.table_names:
             session.register_table(self.db.table(name))
         for name, columns in self._vector_relations.items():
@@ -242,27 +197,7 @@ class PointCloudDB:
         ``timeout_s`` arms a cooperative deadline; a query that outruns
         it raises :class:`~repro.obs.queries.QueryCancelled`.
         """
-        session = self._session()
-        with self.obs.activate():
-            if self.slow_log is None:
-                return session.execute(query, timeout_s=timeout_s)
-            with self.slow_log.observe("sql", sql=query.strip()) as observation:
-                result = session.execute(query, timeout_s=timeout_s)
-                usage = session.last_resources
-                observation.set(
-                    query_id=session.last_query_id,
-                    rows=len(result.rows),
-                    profile=dict(session.last_profile),
-                    resources=usage.to_dict() if usage is not None else None,
-                    encoded_bytes=usage.encoded_bytes if usage is not None else 0,
-                    materialized_bytes=(
-                        usage.materialized_bytes if usage is not None else 0
-                    ),
-                )
-                hot = _query_hot_stacks(session.last_query_id)
-                if hot is not None:
-                    observation.set(hot_stacks=hot)
-        return result
+        return self._session().execute(query, timeout_s=timeout_s)
 
     def explain(self, query: str) -> str:
         """The query's plan as text (which indexes it would use)."""

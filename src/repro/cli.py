@@ -596,9 +596,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except PortInUseError as exc:
         print(f"error: {exc.strerror}", file=sys.stderr)
         return 1
-    # The sampling profiler (hot stacks for /debug/profile bursts,
-    # slowlog records, flight dumps) starts only once the store is open
-    # and the daemon is up: sampling the open slowed it for nothing.
+    # The sampling profiler (hot stacks for /debug/profile bursts, the
+    # slow-query records of served queries, flight dumps) starts only
+    # once the store is open and the daemon is up: sampling the open
+    # slowed it for nothing.
     profiler = None
     if not args.no_profile:
         from .obs.profiler import get_profiler

@@ -33,8 +33,9 @@ from ..gis.geometry import is_rectangle
 from ..gis.predicates import geometry_envelope, points_in_geometry, points_satisfy
 from ..obs import heat as _heat
 from ..obs.metrics import get_registry
-from ..obs.queries import current_query, get_queries
-from ..obs.resources import ResourceTracker, ResourceUsage
+from ..obs.queries import query_scope
+from ..obs.resources import ResourceUsage
+from ..obs.slowlog import SlowQueryLog
 from ..obs.timing import now
 from ..obs.trace import maybe_span
 from .grid import DEFAULT_TARGET_CELLS
@@ -189,6 +190,9 @@ class SpatialSelect:
         self.y_column = y_column
         self.manager = manager if manager is not None else ImprintsManager()
         self.target_cells = target_cells
+        #: The owning database's slow-query log, refreshed by
+        #: :meth:`~repro.api.PointCloudDB.select_for`; ``None`` logs nothing.
+        self.slow_log: Optional[SlowQueryLog] = None
 
     # -- the two steps ---------------------------------------------------------
 
@@ -280,77 +284,19 @@ class SpatialSelect:
                 oids=np.empty(0, dtype=np.int64),
                 stats=QueryStats(n_rows=0, used_imprints=use_imprints),
             )
-        # The tracker accumulates this thread's CPU at exit and receives
-        # scan volumes from the select operators while open; the
-        # histogram is observed after exit, once the CPU delta has landed.
-        tracker = ResourceTracker()
-        with get_queries().track(
+        with query_scope(
             "spatial",
-            detail={"table": self.table.name, "predicate": predicate},
-            timeout_s=timeout_s,
-            tracker=tracker,
+            "query.spatial",
+            {"table": self.table.name, "predicate": predicate},
+            timeout_s,
+            self.slow_log,
         ) as active:
-            with tracker:
-                result = self._query_traced(
-                    geometry,
-                    predicate,
-                    distance,
-                    use_imprints,
-                    z_column,
-                    z_range,
+            if active.slow_record is not None:
+                bbox = geometry_envelope(geometry)
+                active.slow_record.update(
+                    bbox=[bbox.xmin, bbox.ymin, bbox.xmax, bbox.ymax]
                 )
-        result.stats.resources = tracker.usage
-        result.stats.query_id = active.query_id
-        get_registry().histogram("query.cpu_seconds").observe(
-            tracker.usage.cpu_seconds
-        )
-        self._record_heat(geometry, predicate, distance, tracker.usage)
-        return result
-
-    def _record_heat(
-        self,
-        geometry,
-        predicate: str,
-        distance: float,
-        usage: ResourceUsage,
-    ) -> None:
-        """Fold this query's bbox footprint into the workload heat map.
-
-        Outside the tracker/track windows so the bookkeeping never counts
-        against the query's own resource or latency accounting.
-        """
-        heat = _heat.maybe_heat()
-        if heat is None:
-            return
-        env = _filter_envelope(geometry, predicate, distance)
-        x_lo, x_hi = self.table.column(self.x_column).minmax()
-        y_lo, y_hi = self.table.column(self.y_column).minmax()
-        heat.record_footprint(
-            table=self.table.name,
-            bbox=(env.xmin, env.ymin, env.xmax, env.ymax),
-            domain=(float(x_lo), float(y_lo), float(x_hi), float(y_hi)),
-            nbytes=int(usage.bytes_touched),
-        )
-
-    def _query_traced(
-        self,
-        geometry,
-        predicate: str,
-        distance: float,
-        use_imprints: bool,
-        z_column: Optional[str],
-        z_range: Optional[tuple],
-    ) -> QueryResult:
-        with maybe_span(
-            "query.spatial", table=self.table.name, predicate=predicate
-        ) as query_span:
-            active = current_query()
-            if active is not None:
-                query_span.set(query_id=active.query_id)
-                trace_id = getattr(query_span, "trace_id", 0)
-                if trace_id:
-                    active.set_trace(int(trace_id))
-                active.set_phase("filter")
+            active.set_phase("filter")
             stats = QueryStats(
                 n_rows=len(self.table),
                 used_imprints=use_imprints,
@@ -365,12 +311,10 @@ class SpatialSelect:
                 zmin, zmax = z_range
                 z_slab = (z_column if z_column is not None else "z", zmin, zmax)
             with maybe_span("query.filter") as filter_span:
-                candidates = self._filter(
-                    env, use_imprints, stats=stats, z_slab=z_slab
-                )
+                oids = self._filter(env, use_imprints, stats=stats, z_slab=z_slab)
                 filter_span.set(
                     rows_in=stats.n_rows,
-                    rows_out=int(candidates.shape[0]),
+                    rows_out=int(oids.shape[0]),
                     segments_skipped=stats.n_segments_skipped,
                     segments_probed=stats.n_segments_probed,
                     imprint_columns=",".join(stats.imprint_columns),
@@ -384,47 +328,86 @@ class SpatialSelect:
             stats.filter_seconds = max(
                 (t1 - t0) - stats.imprint_build_seconds, 0.0
             )
-            stats.n_filter_candidates = int(candidates.shape[0])
+            stats.n_filter_candidates = int(oids.shape[0])
 
-            if filter_is_exact(geometry, predicate):
-                stats.n_results = int(candidates.shape[0])
-                query_span.set(rows_out=stats.n_results)
-                self._record_metrics(stats)
-                return QueryResult(oids=candidates, stats=stats)
-
-            if active is not None:
+            if not filter_is_exact(geometry, predicate):
                 active.set_phase("refine")
                 active.check_deadline()
-            with maybe_span("query.refine") as refine_span:
-                xs = self.table.column(self.x_column).take(candidates)
-                ys = self.table.column(self.y_column).take(candidates)
-                mask, refine_stats = refine(
-                    xs,
-                    ys,
-                    geometry,
-                    predicate,
-                    distance,
-                    target_cells=self.target_cells,
-                )
-                refine_span.set(
-                    rows_in=int(candidates.shape[0]),
-                    boundary_cells=refine_stats.boundary_cells,
-                    points_tested_exact=refine_stats.points_tested_exact,
-                )
-            t2 = now()
+                with maybe_span("query.refine") as refine_span:
+                    xs = self.table.column(self.x_column).take(oids)
+                    ys = self.table.column(self.y_column).take(oids)
+                    mask, refine_stats = refine(
+                        xs,
+                        ys,
+                        geometry,
+                        predicate,
+                        distance,
+                        target_cells=self.target_cells,
+                    )
+                    refine_span.set(
+                        rows_in=int(oids.shape[0]),
+                        boundary_cells=refine_stats.boundary_cells,
+                        points_tested_exact=refine_stats.points_tested_exact,
+                    )
+                stats.refine_seconds = now() - t1
+                stats.refine_stats = refine_stats
+                oids = mask_select(mask, oids)
 
-            stats.refine_seconds = t2 - t1
-            stats.refine_stats = refine_stats
-            oids = mask_select(mask, candidates)
             stats.n_results = int(oids.shape[0])
-            query_span.set(rows_out=stats.n_results)
-            self._record_metrics(stats)
-            return QueryResult(oids=oids, stats=stats)
+            active.span.set(rows_out=stats.n_results)
+            if active.slow_record is not None:
+                active.slow_record.update(
+                    rows=stats.n_results,
+                    stats={
+                        "filter_seconds": stats.filter_seconds,
+                        "refine_seconds": stats.refine_seconds,
+                        "imprint_build_seconds": stats.imprint_build_seconds,
+                        "n_filter_candidates": stats.n_filter_candidates,
+                        "n_segments_skipped": stats.n_segments_skipped,
+                        "n_segments_probed": stats.n_segments_probed,
+                        "imprint_columns": list(stats.imprint_columns),
+                        "n_probes_dense": stats.n_probes_dense,
+                        "n_probes_gather": stats.n_probes_gather,
+                    },
+                )
+        # The tracker's CPU delta lands at scope exit.
+        stats.resources = active.tracker.usage
+        stats.query_id = active.query_id
+        self._record_metrics(stats)
+        self._record_heat(geometry, predicate, distance, stats.resources)
+        return QueryResult(oids=oids, stats=stats)
+
+    def _record_heat(
+        self,
+        geometry,
+        predicate: str,
+        distance: float,
+        usage: ResourceUsage,
+    ) -> None:
+        """Fold this query's bbox footprint into the workload heat map.
+
+        Outside the query scope so the bookkeeping never counts against
+        the query's own resource or latency accounting.
+        """
+        heat = _heat.maybe_heat()
+        if heat is None:
+            return
+        env = _filter_envelope(geometry, predicate, distance)
+        x_lo, x_hi = self.table.column(self.x_column).minmax()
+        y_lo, y_hi = self.table.column(self.y_column).minmax()
+        heat.record_footprint(
+            table=self.table.name,
+            bbox=(env.xmin, env.ymin, env.xmax, env.ymax),
+            domain=(float(x_lo), float(y_lo), float(x_hi), float(y_hi)),
+            nbytes=int(usage.bytes_touched),
+        )
 
     @staticmethod
     def _record_metrics(stats: QueryStats) -> None:
-        """Fold one query's stats into the process-wide registry."""
+        """Fold one query's stats into the active context's registry
+        (after the query scope, like the heat map)."""
         registry = get_registry()
+        registry.histogram("query.cpu_seconds").observe(stats.resources.cpu_seconds)
         registry.counter("query.count").inc()
         registry.counter("query.segments_skipped").inc(stats.n_segments_skipped)
         registry.counter("query.segments_probed").inc(stats.n_segments_probed)

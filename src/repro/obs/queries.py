@@ -1,13 +1,18 @@
 """Live in-flight query registry with cooperative deadlines.
 
-Every spatial or SQL query entering the engine is wrapped in
-:meth:`QueryRegistry.track`, which assigns it a process-unique
-``query_id``, publishes an :class:`ActiveQuery` record (phase, progress,
-elapsed, resources) while the query runs, and retires the record into a
-bounded recent-history ring when it finishes.  The registry backs the
-``/debug/queries`` route on :class:`~repro.obs.server.TelemetryServer`,
-the ``repro-gis queries`` CLI view, and the flight recorder's
-crash-time snapshot of what was running.
+Every spatial or SQL query entering the engine runs inside
+:func:`query_scope`, which opens all of its per-query observers at once:
+:meth:`QueryRegistry.track` assigns it a process-unique ``query_id``,
+publishes an :class:`ActiveQuery` record (phase, progress, elapsed,
+resources) while the query runs, and retires the record into a bounded
+recent-history ring when it finishes; a :class:`ResourceTracker` bills
+what it consumed; a root span carries its ``query_id``; and a top-level
+query of a database with an armed
+:class:`~repro.obs.slowlog.SlowQueryLog` is observed by it.  The
+registry backs the ``/debug/queries`` route on
+:class:`~repro.obs.server.TelemetryServer`, the ``repro-gis queries``
+CLI view, and the flight recorder's crash-time snapshot of what was
+running.
 
 Progress is fed from the segment classifiers: both
 :class:`~repro.core.imprints.segments.SegmentedImprints` and
@@ -31,14 +36,16 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Deque, Dict, Iterator, List, Optional, Union
 
 from ._context_state import CURRENT
 from .metrics import get_registry
 from .resources import ResourceTracker
+from .slowlog import SlowQueryLog
 from .timing import now
+from .trace import NOOP_SPAN, Span, _NoopSpan, maybe_span
 
 __all__ = [
     "ActiveQuery",
@@ -47,6 +54,7 @@ __all__ = [
     "check_deadline",
     "current_query",
     "get_queries",
+    "query_scope",
 ]
 
 _ids = itertools.count(1)
@@ -76,6 +84,9 @@ class ActiveQuery:
     ``timeout_s``, ``deadline``) is immutable after construction; the
     mutable progress fields are guarded by ``_lock`` because the
     telemetry server reads them while the query thread ticks them.
+    ``span`` and ``slow_record`` are set by :func:`query_scope` and used
+    only by the query's own thread: the root span, and the fields of the
+    query's slow-query record (``None`` when it is not logged).
     """
 
     __slots__ = (
@@ -86,6 +97,8 @@ class ActiveQuery:
         "timeout_s",
         "deadline",
         "tracker",
+        "span",
+        "slow_record",
         "started",
         "started_ts",
         "_lock",
@@ -106,7 +119,6 @@ class ActiveQuery:
         timeout_s: Optional[float] = None,
         deadline: Optional[float] = None,
         parent_id: Optional[str] = None,
-        tracker: Optional[ResourceTracker] = None,
     ):
         self.query_id = query_id
         self.kind = kind
@@ -114,7 +126,9 @@ class ActiveQuery:
         self.parent_id = parent_id
         self.timeout_s = timeout_s
         self.deadline = deadline
-        self.tracker = tracker
+        self.tracker = ResourceTracker()
+        self.span: Union[Span, _NoopSpan] = NOOP_SPAN
+        self.slow_record: Optional[Dict[str, object]] = None
         self.started = now()
         self.started_ts = time.time()  # wall clock, display only
         self._lock = threading.Lock()
@@ -194,8 +208,7 @@ class ActiveQuery:
             record["timeout_s"] = self.timeout_s
         if error is not None:
             record["error"] = error
-        if self.tracker is not None:
-            record["resources"] = self.tracker.usage.to_dict()
+        record["resources"] = self.tracker.usage.to_dict()
         return record
 
 
@@ -288,7 +301,6 @@ class QueryRegistry:
         kind: str,
         detail: Optional[Dict[str, Any]] = None,
         timeout_s: Optional[float] = None,
-        tracker: Optional[ResourceTracker] = None,
     ) -> Iterator[ActiveQuery]:
         """Publish an :class:`ActiveQuery` for the duration of a query.
 
@@ -312,7 +324,6 @@ class QueryRegistry:
             timeout_s=timeout_s,
             deadline=deadline,
             parent_id=parent.query_id if parent is not None else None,
-            tracker=tracker,
         )
         with self._lock:
             self._active[query.query_id] = query
@@ -340,12 +351,70 @@ class QueryRegistry:
                 self._active.pop(query.query_id, None)
                 self._recent.append(query.to_dict())
                 n_active = len(self._active)
-            registry = get_registry()
             registry.gauge("query.active").set(float(n_active))
             if status == "cancelled":
                 registry.counter("query.cancelled").inc()
             elif status == "error":
                 registry.counter("query.errors").inc()
+
+
+#: Stands in for :meth:`SlowQueryLog.observe` when a query is not logged.
+_UNOBSERVED: ContextManager[Optional[Dict[str, object]]] = nullcontext()
+
+
+@contextmanager
+def query_scope(
+    kind: str,
+    span_name: str,
+    detail: Dict[str, Any],
+    timeout_s: Optional[float] = None,
+    slow_log: Optional[SlowQueryLog] = None,
+) -> Iterator[ActiveQuery]:
+    """Open one query's observers; every front door enters this once.
+
+    Publishes the query in the active context's registry
+    (:meth:`QueryRegistry.track`, ``timeout_s`` tightened by an
+    enclosing query's deadline), bills it to the query's
+    :class:`ResourceTracker` (``query.tracker``), and opens the root span
+    ``span_name`` with ``detail`` as attributes, linked to the ``query_id``
+    both ways.  A top-level query runs under ``slow_log.observe`` when a
+    log is given; its record then carries the ``query_id``, resources,
+    the encoded/materialized byte split and, when the always-on profiler
+    sampled the query, its hot stacks.  A nested query (a SQL statement's
+    spatial sub-query) is never logged on its own.  The front door adds
+    its answer to ``query.slow_record`` (rows, stats) and to
+    ``query.span`` (``rows_out``).
+    """
+    log = slow_log if _ACTIVE.get() is None else None
+    with (
+        log.observe(kind, **detail) if log is not None else _UNOBSERVED
+    ) as record, get_queries().track(kind, detail, timeout_s) as query:
+        query.slow_record = record
+        try:
+            with query.tracker, maybe_span(span_name, **detail) as root:
+                query.span = root
+                if isinstance(root, Span):  # tracing off hands out NOOP_SPAN
+                    root.set(query_id=query.query_id)
+                    query.set_trace(root.trace_id)
+                yield query
+        finally:
+            if record is not None:
+                usage = query.tracker.usage
+                record.update(
+                    query_id=query.query_id,
+                    resources=usage.to_dict(),
+                    encoded_bytes=usage.encoded_bytes,
+                    materialized_bytes=usage.materialized_bytes,
+                )
+                # Lazy: the profiler imports this module.  maybe_profiler
+                # never creates one; only serve mode starts it.
+                from .profiler import maybe_profiler
+
+                profiler = maybe_profiler()
+                if profiler is not None:
+                    hot = profiler.query_summary(query.query_id)
+                    if hot is not None:
+                        record["hot_stacks"] = hot
 
 
 _global_queries = QueryRegistry()

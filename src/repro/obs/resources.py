@@ -82,21 +82,19 @@ class ResourceTracker:
     is already tracing at construction.
     """
 
-    __slots__ = ("usage", "_parent", "_lock", "_cpu0", "_malloc", "_entered")
+    __slots__ = ("usage", "_parent", "_lock", "_cpu0", "_malloc")
 
     def __init__(self) -> None:
         self.usage = ResourceUsage()
         self._parent: Optional["ResourceTracker"] = None
         self._lock = threading.Lock()
         self._cpu0 = 0.0
-        self._entered = False
         self._malloc = tracemalloc.is_tracing()
 
     def __enter__(self) -> "ResourceTracker":
         stack = _stack()
         self._parent = stack[-1] if stack else None
         stack.append(self)
-        self._entered = True
         if self._malloc:
             tracemalloc.reset_peak()
         self._cpu0 = thread_cpu()
@@ -117,7 +115,6 @@ class ResourceTracker:
         stack = _stack()
         if stack and stack[-1] is self:
             stack.pop()
-        self._entered = False
         return False
 
     # -- scan contributions -----------------------------------------------------

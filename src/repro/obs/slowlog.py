@@ -2,13 +2,15 @@
 
 P99 latency lives in the histograms; *which query* was the p99 does
 not.  When a :class:`SlowQueryLog` is armed (``PointCloudDB(
-slow_query_s=...)`` or ``REPRO_SLOW_QUERY_S``), every query runs inside
-:meth:`SlowQueryLog.observe`; the ones that exceed the threshold append
-exactly one JSON record to the log file — the query text or bbox, its
-:class:`~repro.core.query.QueryStats`, its resource attribution, and
-the **full span tree** captured while it ran, so the post-hoc question
-"where did those 800 ms go" has the same answer ``EXPLAIN ANALYZE``
-would have given live.
+slow_query_s=...)`` or ``REPRO_SLOW_QUERY_S``), every top-level query
+of that database, in-process or served, runs inside
+:meth:`SlowQueryLog.observe` (opened by
+:func:`~repro.obs.queries.query_scope`); the ones that exceed the
+threshold append exactly one JSON record to the log file — the query
+text or bbox, its :class:`~repro.core.query.QueryStats`, its resource
+attribution, and the **full span tree** captured while it ran, so the
+post-hoc question "where did those 800 ms go" has the same answer
+``EXPLAIN ANALYZE`` would have given live.
 
 Records are one JSON object per line (JSONL).  Appends go through
 :func:`repro.engine.durable.atomic_append_text` — written, flushed and
@@ -65,23 +67,6 @@ def path_from_env() -> Optional[str]:
     return raw or None
 
 
-class SlowQueryObservation:
-    """Mutable context handed to the query body by :meth:`observe`.
-
-    The body attaches whatever it learns (stats, resources, row counts)
-    with :meth:`set`; the log merges those fields into the record if the
-    query turns out slow."""
-
-    __slots__ = ("fields",)
-
-    def __init__(self) -> None:
-        self.fields: Dict[str, object] = {}
-
-    def set(self, **fields: object) -> "SlowQueryObservation":
-        self.fields.update(fields)
-        return self
-
-
 class SlowQueryLog:
     """Append-only JSONL log of queries slower than ``threshold_s``.
 
@@ -121,35 +106,37 @@ class SlowQueryLog:
         return self._registry if self._registry is not None else get_registry()
 
     @contextmanager
-    def observe(self, kind: str, **detail: object) -> Iterator[SlowQueryObservation]:
+    def observe(self, kind: str, **detail: object) -> Iterator[Dict[str, object]]:
         """Run one query under observation.
 
         ``kind`` names the entry point (``"sql"``, ``"spatial"``);
-        ``detail`` carries its identity (the SQL text, the bbox).  Spans
+        ``detail`` carries its identity (the SQL text, the bbox).  The
+        body adds what it learns (stats, resources, row counts) to the
+        yielded dict, which the record merges if the query is slow.  Spans
         finished inside are captured via the tracer (force-enabled for
         the duration, same as ``EXPLAIN ANALYZE``); if the body takes at
         least ``threshold_s`` seconds, one record is durably appended —
         whether the query succeeded or raised.
         """
-        obs = SlowQueryObservation()
+        fields: Dict[str, object] = {}
         error: Optional[str] = None
         with self.tracer.capture() as spans:
             watch = Stopwatch()
             try:
-                yield obs
+                yield fields
             except Exception as exc:
                 error = type(exc).__name__
                 raise
             finally:
                 elapsed = watch.stop()
                 if elapsed >= self.threshold_s:
-                    self._write(kind, detail, obs, elapsed, spans, error)
+                    self._write(kind, detail, fields, elapsed, spans, error)
 
     def _write(
         self,
         kind: str,
         detail: Dict[str, object],
-        obs: SlowQueryObservation,
+        fields: Dict[str, object],
         elapsed: float,
         spans: List[Span],
         error: Optional[str],
@@ -161,7 +148,7 @@ class SlowQueryLog:
             "threshold_s": self.threshold_s,
         }
         record.update(detail)
-        record.update(obs.fields)
+        record.update(fields)
         if error is not None:
             record["error"] = error
         record["spans"] = [span_to_dict(span) for span in spans]

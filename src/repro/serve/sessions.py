@@ -14,8 +14,9 @@ matches it.  Sessions for retired generations are dropped on the floor
 (GC'd with their snapshot) the next time the pool is trimmed.
 
 Each checkout rebinds the session's observability context to the
-request's own (trace adoption, per-request attribution) — the pooled
-object carries no request state across uses beyond its relations.
+request's own (trace adoption, per-request attribution) and arms the
+snapshot database's slow-query log — the pooled object carries no
+request state across uses beyond its relations.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ class SessionPool:
         """Check out a session bound to ``snapshot``'s generation.
 
         The session's ``obs`` is rebound to the request context for the
-        duration; on the way out the session returns to the pool unless
-        its generation has been retired or the pool is full.
+        duration, and its ``slow_log`` to ``snapshot.db``'s; on the way
+        out the session returns to the pool unless its generation has
+        been retired or the pool is full.
         """
         generation = snapshot.generation
         found: Optional[Session] = None
@@ -87,6 +89,7 @@ class SessionPool:
             found if found is not None else self._build(snapshot, obs)
         )
         session.obs = obs
+        session.slow_log = snapshot.db.slow_log
         try:
             yield session
         finally:

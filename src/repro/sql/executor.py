@@ -18,8 +18,9 @@ from ..core.imprints import ImprintsManager
 from ..core.query import SpatialSelect
 from ..engine.table import Table
 from ..obs.context import ObsContext, default_context
-from ..obs.queries import get_queries
-from ..obs.resources import ResourceTracker, ResourceUsage
+from ..obs.queries import query_scope
+from ..obs.resources import ResourceUsage
+from ..obs.slowlog import SlowQueryLog
 from ..obs.timing import now
 from ..obs.trace import format_tree, maybe_span
 from . import ast
@@ -65,6 +66,9 @@ class Session:
         #: Registry identity of the most recent execute() (None before
         #: the first query and after EXPLAIN, which is not tracked).
         self.last_query_id: Optional[str] = None
+        #: The owning database's slow-query log, set by whoever builds
+        #: or checks out the session; ``None`` logs nothing.
+        self.slow_log: Optional[SlowQueryLog] = None
 
     # -- registration ---------------------------------------------------------------
 
@@ -153,22 +157,9 @@ class Session:
                 columns=["plan"], rows=[(line,) for line in text.splitlines()]
             )
 
-        # The tracker nests inside any caller's tracker (the spatial
-        # sub-query's own tracker nests inside this one in turn), so the
-        # SQL statement's attribution includes its index probes.
-        tracker = ResourceTracker()
-        with self.obs.activate(), get_queries().track(
-            "sql",
-            detail={"sql": sql.strip()},
-            timeout_s=timeout_s,
-            tracker=tracker,
-        ) as active, tracker, maybe_span(
-            "sql.query", sql=sql.strip()
-        ) as query_span:
-            query_span.set(query_id=active.query_id)
-            trace_id = getattr(query_span, "trace_id", 0)
-            if trace_id:
-                active.set_trace(int(trace_id))
+        with self.obs.activate(), query_scope(
+            "sql", "sql.query", {"sql": sql.strip()}, timeout_s, self.slow_log
+        ) as active:
             t0 = now()
             active.set_phase("parse")
             with maybe_span("sql.parse"):
@@ -177,15 +168,19 @@ class Session:
             active.set_phase("execute")
             result, t_join = self._run_profiled(select)
             t2 = now()
-            query_span.set(rows_out=len(result.rows))
-        self.last_resources = tracker.usage
+            self.last_profile = {
+                "parse": t1 - t0,
+                "join_filter": t_join,
+                "project": (t2 - t1) - t_join,
+                "total": t2 - t0,
+            }
+            active.span.set(rows_out=len(result.rows))
+            if active.slow_record is not None:
+                active.slow_record.update(
+                    rows=len(result.rows), profile=dict(self.last_profile)
+                )
+        self.last_resources = active.tracker.usage
         self.last_query_id = active.query_id
-        self.last_profile = {
-            "parse": t1 - t0,
-            "join_filter": t_join,
-            "project": (t2 - t1) - t_join,
-            "total": t2 - t0,
-        }
         registry = self.obs.registry
         registry.counter("sql.queries").inc()
         registry.histogram("sql.seconds").observe(t2 - t0)

@@ -653,9 +653,9 @@ class TestResourceLeak:
             {
                 "repro/x.py": """
                 def read(snapshot, work):
-                    snapshot.pin()
+                    snapshot._pin()
                     work()
-                    snapshot.unpin()
+                    snapshot._unpin()
                 """
             },
             rule_ids=["resource-leak"],

@@ -466,7 +466,7 @@ class TestServeCommand:
                         "--port",
                         "0",
                         "--for-seconds",
-                        "4",
+                        "1.5",
                     ]
                 )
             )

@@ -7,8 +7,11 @@ import time
 import numpy as np
 import pytest
 
+from repro import Box, PointCloudDB
 from repro.cli import main
+from repro.engine import scan
 from repro.engine.compressed import CompressedColumn
+from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
     DEFAULT_RATE_HZ,
@@ -21,7 +24,8 @@ from repro.obs.profiler import (
     maybe_profiler,
     reset_profiler,
 )
-from repro.obs.queries import QueryRegistry
+from repro.obs.queries import QueryRegistry, current_query
+from repro.obs.slowlog import read_records
 
 
 @pytest.fixture(autouse=True)
@@ -325,19 +329,39 @@ class TestEmbeddings:
         path = recorder.dump("test_dump")
         assert "profile" not in json.loads(path.read_text())
 
-    def test_slowlog_helper_digests_the_owning_query(self):
-        from repro.api import _query_hot_stacks
-
-        assert _query_hot_stacks("q-any") is None  # no profiler running
+    def test_slow_record_digests_the_owning_query(self, tmp_path, monkeypatch):
+        db = PointCloudDB(
+            slow_query_s=0.0,
+            slow_query_log=tmp_path / "slow.jsonl",
+            obs=ObsContext.fresh(enabled=False),
+        )
+        db.create_pointcloud("pts")
+        rng = np.random.default_rng(7)
+        db.load_points(
+            "pts",
+            {name: rng.uniform(0, 100, 2000) for name in ("x", "y", "z")},
+        )
+        box = Box(10, 10, 60, 60)
+        db.spatial_select("pts", box)  # no profiler running
         profiler = get_profiler(rate_hz=100.0)
-        with profiler._lock:
-            agg = StackAggregate()
-            agg.add(("kernels.range_mask",), count=3)
-            profiler._per_query["q-embed"] = agg
-        digest = _query_hot_stacks("q-embed")
+
+        def sampled(_segment):
+            # What a sweep that caught this thread mid-probe records.
+            with profiler._lock:
+                agg = StackAggregate()
+                agg.add(("kernels.range_mask",), count=3)
+                profiler._per_query[current_query().query_id] = agg
+
+        monkeypatch.setattr(scan, "probe_hook", sampled)
+        db.spatial_select("pts", box)
+        monkeypatch.setattr(scan, "probe_hook", None)
+        db.spatial_select("pts", box)  # never sampled
+        unprofiled, owner, other = read_records(db.slow_log.path)
+        assert "hot_stacks" not in unprofiled
+        digest = owner["hot_stacks"]
         assert digest["samples"] == 3
         assert digest["hot_frames"][0]["frame"] == "kernels.range_mask"
-        assert _query_hot_stacks("q-other") is None
+        assert "hot_stacks" not in other
 
 
 class TestProfileCli:

@@ -2,6 +2,8 @@
 
 import contextvars
 import json
+import os
+import sys
 import threading
 import time
 import urllib.request
@@ -9,6 +11,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+import repro.obs as obs_package
 from repro import Box, PointCloudDB
 from repro.core.imprints import ImprintsManager
 from repro.engine import scan as scan_mod
@@ -371,3 +374,38 @@ class TestGlobalRegistry:
         # recent() is newest-first (and bounded, so counting is unreliable
         # once the full suite has filled the ring).
         assert registry.recent()[0]["query_id"] == query.query_id
+
+
+class TestPerQueryObsCost:
+    """The per-query observers cost no more ``repro/obs/`` work than the
+    hand-wired front doors they replaced (counted with ``sys.setprofile``,
+    as ``tests/reachability.py`` does)."""
+
+    #: ``repro/obs/`` Python calls of the warm query below with the
+    #: per-query wiring written out at each front door.
+    HAND_WIRED_OBS_CALLS = 95
+
+    def test_small_box_obs_calls(self):
+        context = ObsContext.fresh(enabled=False)
+        db = make_db(context)
+        box = Box(40, 40, 42, 42)
+        db.spatial_select("pts", box)  # warm: imprints built, metrics made
+        obs_dir = os.path.dirname(obs_package.__file__) + os.sep
+        calls = 0
+        previous = sys.getprofile()
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(obs_dir):
+                calls += 1
+            if previous is not None:
+                previous(frame, event, arg)
+
+        sys.setprofile(profile)
+        try:
+            result = db.spatial_select("pts", box)
+        finally:
+            sys.setprofile(previous)
+        assert len(result) > 0
+        assert context.tracer.enabled is False and db.slow_log is None
+        assert calls <= self.HAND_WIRED_OBS_CALLS

@@ -75,7 +75,8 @@ class TestRoutes:
             with pytest.raises(urllib.error.HTTPError) as err:
                 get(srv.url + "/healthz")
         assert err.value.code == 500
-        payload = json.loads(err.value.read().decode("utf-8"))
+        with err.value:
+            payload = json.loads(err.value.read().decode("utf-8"))
         assert payload["status"] == "error"
         assert "catalog unreadable" in payload["error"]
 
@@ -93,6 +94,7 @@ class TestRoutes:
     def test_debug_trace_rejects_bad_last(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server.url + "/debug/trace?last=soon")
+        err.value.close()
         assert err.value.code == 400
 
     def test_debug_queries_shows_active_then_recent(self, server):
@@ -114,7 +116,8 @@ class TestRoutes:
         with pytest.raises(urllib.error.HTTPError) as err:
             get(server.url + "/nope")
         assert err.value.code == 404
-        assert "/debug/queries" in err.value.read().decode("utf-8")
+        with err.value:
+            assert "/debug/queries" in err.value.read().decode("utf-8")
 
     def test_requests_increment_counter(self, server):
         counter = server.registry.counter("obs.http_requests")

@@ -56,8 +56,8 @@ class TestEnv:
 
 class TestObserve:
     def test_slow_query_appends_exactly_one_record(self, log):
-        with log.observe("sql", sql="SELECT 1") as obs:
-            obs.set(rows=1)
+        with log.observe("sql", sql="SELECT 1") as fields:
+            fields.update(rows=1)
         records = read_records(log.path)
         assert len(records) == 1
         record = records[0]
@@ -209,6 +209,38 @@ class TestPointCloudDBIntegration:
         assert record["sql"] == "SELECT avg(z) FROM pts WHERE x < 50"
         assert record["rows"] == 1
         assert record["resources"]["rows_touched"] > 0
+
+    def test_sql_spatial_subquery_writes_no_record_of_its_own(self, db):
+        db.sql(
+            "SELECT count(*) FROM pts WHERE "
+            "ST_Contains(ST_MakeEnvelope(10, 10, 60, 60), ST_Point(x, y))"
+        )
+        (record,) = read_records(db.slow_log.path)
+        assert record["kind"] == "sql"
+        # The spatial pipeline did run, nested under the statement.
+        assert any(
+            q["kind"] == "spatial" and q.get("parent_id") == record["query_id"]
+            for q in db.active_queries()["recent"]
+        )
+
+    def test_raising_query_logged_with_identity(self, db):
+        with pytest.raises(Exception) as err:
+            db.sql("SELECT nope FROM pts")
+        (record,) = read_records(db.slow_log.path)
+        assert record["kind"] == "sql"
+        assert record["error"] == type(err.value).__name__
+        assert record["query_id"].startswith("q")
+        assert "resources" in record
+
+    def test_fast_query_below_threshold_writes_nothing(self, tmp_path):
+        db = PointCloudDB(
+            slow_query_s=3600.0, slow_query_log=tmp_path / "slow.jsonl"
+        )
+        db.create_pointcloud("pts")
+        db.load_points("pts", {"x": np.arange(10.0), "y": np.arange(10.0)})
+        db.spatial_select("pts", Box(0, 0, 5, 5))
+        db.sql("SELECT count(*) FROM pts WHERE x < 5")
+        assert not (tmp_path / "slow.jsonl").exists()
 
     def test_disarmed_db_has_no_slow_log(self, monkeypatch):
         monkeypatch.delenv(SLOW_QUERY_ENV, raising=False)

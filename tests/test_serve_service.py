@@ -11,6 +11,7 @@ from repro.engine.catalog import CatalogError
 from repro.engine.table import SchemaError
 from repro.obs.context import ObsContext
 from repro.obs.queries import QueryCancelled
+from repro.obs.slowlog import SlowQueryLog, read_records
 from repro.serve import wire
 from repro.serve.admission import AdmissionRejected
 from repro.serve.quotas import QuotaExceeded, TenantBudget
@@ -330,6 +331,19 @@ class TestObservability:
         assert (
             context.registry.histogram("serve.request_seconds").count == 1
         )
+
+    def test_requests_reach_the_slow_query_log(self, context, cloud, tmp_path):
+        db, _table = cloud
+        db.slow_log = SlowQueryLog(0.0, tmp_path / "slow.jsonl")
+        service = service_for(context, db)
+        spatial = service.handle("query", {"table": "pts", "bbox": BBOX})
+        (record,) = read_records(db.slow_log.path)
+        assert record["kind"] == "spatial"
+        assert record["query_id"] == spatial.payload["meta"]["query_id"]
+        sql = service.handle("sql", {"sql": "SELECT count(*) FROM pts"})
+        (_spatial, record) = read_records(db.slow_log.path)
+        assert record["kind"] == "sql"
+        assert record["query_id"] == sql.payload["meta"]["query_id"]
 
     def test_health_report_shape(self, context, cloud):
         db, _ = cloud
