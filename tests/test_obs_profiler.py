@@ -329,7 +329,7 @@ class TestEmbeddings:
         path = recorder.dump("test_dump")
         assert "profile" not in json.loads(path.read_text())
 
-    def test_slow_record_digests_the_owning_query(self, tmp_path, monkeypatch):
+    def test_slowlog_helper_digests_the_owning_query(self, tmp_path, monkeypatch):
         db = PointCloudDB(
             slow_query_s=0.0,
             slow_query_log=tmp_path / "slow.jsonl",
