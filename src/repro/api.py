@@ -34,7 +34,6 @@ from .obs.slowlog import (
     path_from_env,
     threshold_from_env,
 )
-from .obs.trace import Tracer, get_tracer
 from .sql.executor import Result, Session
 
 PathLike = Union[str, Path]
@@ -150,9 +149,8 @@ class PointCloudDB:
         with this database's slow-query log.
 
         The building block :meth:`spatial_select` wraps; the query
-        service calls it directly so each request can run ``query()``
-        under its own request-scoped observability context instead of
-        the database-wide one, and is slow-logged all the same.
+        service calls it directly, under the service's own observability
+        context, and is slow-logged all the same.
         """
         select = self._selects.get(name)
         if select is None:
@@ -209,28 +207,6 @@ class PointCloudDB:
         return self._session().explain_analyze(query)
 
     # -- observability ----------------------------------------------------------------
-
-    def request_context(
-        self, traceparent: Optional[str] = None
-    ) -> ObsContext:
-        """A per-request observability context over this database.
-
-        Shares this database's metrics registry, query registry and
-        flight recorder — one request's counters land where every other
-        query's do — but carries its *own* tracer, so a request adopting
-        an inbound W3C ``traceparent`` joins the caller's trace without
-        perturbing concurrent requests.  The query service builds one of
-        these per HTTP request.
-        """
-        context = ObsContext(
-            tracer=Tracer(enabled=self.obs.tracer.enabled),
-            registry=self.obs.registry,
-            queries=self.obs.queries,
-            recorder=self.obs.recorder,
-        )
-        if traceparent is not None:
-            context.adopt_traceparent(traceparent)
-        return context
 
     def trace_spans(self):
         """Finished spans currently in this database's tracer ring."""

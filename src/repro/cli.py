@@ -546,6 +546,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import (
         QueryDaemon,
         QueryService,
+        ServeHandler,
         ServiceConfig,
         SnapshotManager,
         TenantBudget,
@@ -612,10 +613,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # main() from a worker thread) still get the daemon, minus signals.
     if threading.current_thread() is threading.main_thread():
         daemon.install_signal_handlers()
+    routes = ", ".join(
+        route.replace("POST:", "POST ")
+        for route in ServeHandler.known_routes.split()
+    )
     print(
-        f"serving queries on {daemon.url} "
-        f"(POST /v1/query, POST /v1/sql; GET /metrics, /healthz, "
-        f"/debug/queries, /debug/serve, /debug/profile, /debug/heat) — "
+        f"serving queries on {daemon.url} ({routes}) — "
         f"generation {snapshot.generation}, {config.max_concurrency} slots + "
         f"{config.queue_depth} queued",
         flush=True,

@@ -1,31 +1,33 @@
 """Scoped observability contexts.
 
 Before this module, the engine's observability state was process-global:
-one tracer, one metrics registry, one flight recorder.  Two databases —
-or two concurrent sessions of the query service ROADMAP item 1 builds —
-could not be observed, billed or rate-limited independently.
+one tracer, one metrics registry, one query registry.  Two databases
+could not be observed independently.
 
 :class:`ObsContext` bundles the per-scope state (tracer + metrics
-registry + query registry + optional flight recorder) into one object
-owned by a :class:`~repro.api.PointCloudDB` /
-:class:`~repro.sql.executor.Session` and resolved through a
-:mod:`contextvars` variable:
+registry + query registry) into one object owned by a
+:class:`~repro.api.PointCloudDB` / :class:`~repro.sql.executor.Session`
+and resolved through a :mod:`contextvars` variable:
 
 * ``with context.activate():`` makes it the current context; every
-  ``get_tracer()`` / ``get_registry()`` / ``get_queries()`` /
-  ``get_flight_recorder()`` and every ``maybe_span`` below that point
-  resolves to it — including inside a thread started under
-  ``contextvars.copy_context().run``, which carries the context over.
+  ``get_tracer()`` / ``get_registry()`` / ``get_queries()`` and every
+  ``maybe_span`` below that point resolves to it — including inside a
+  thread started under ``contextvars.copy_context().run``, which carries
+  the context over.
 * Code that never activates a context sees :func:`default_context`,
   a lazy singleton wrapping the original module singletons — the
   pre-context API (``get_tracer()`` etc.) behaves exactly as before.
 
-For the upcoming cross-process scatter-gather (ROADMAP item 2) the
-context serializes its trace position to a W3C-traceparent-style token
-(``00-<trace_id>-<span_id>-01``); a child process context built with
-:meth:`ObsContext.fresh` ``(traceparent=...)`` adopts it, so root spans
-in the child join the parent's trace and the pieces stitch back into
-one tree.
+The flight recorder is not part of a context: crash hooks are
+process-wide, so there is one recorder per process
+(:func:`~repro.obs.flight.get_flight_recorder`).
+
+For cross-process tracing the context serializes its trace position to
+a W3C-traceparent-style token (``00-<trace_id>-<span_id>-01``); a
+context that adopts one (:meth:`ObsContext.fresh` ``(traceparent=...)``
+or :meth:`ObsContext.adopt_traceparent`) makes the root spans the
+*adopting thread* opens join the remote trace, so the pieces stitch
+back into one tree while other threads keep starting their own traces.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from ._context_state import CURRENT
-from .flight import FlightRecorder
 from .metrics import MetricsRegistry
 from .queries import QueryRegistry
 from .trace import RemoteParent, Tracer
@@ -84,21 +85,17 @@ def parse_traceparent(token: str) -> RemoteParent:
 
 
 class ObsContext:
-    """One scope's observability state: tracer, metrics, queries and
-    (lazily) a flight recorder."""
+    """One scope's observability state: tracer, metrics and queries."""
 
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
         queries: Optional[QueryRegistry] = None,
-        recorder: Optional[FlightRecorder] = None,
     ):
         self.tracer = tracer if tracer is not None else Tracer()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.queries = queries if queries is not None else QueryRegistry()
-        self.recorder = recorder
-        self._lock = threading.Lock()
 
     @classmethod
     def fresh(
@@ -108,9 +105,10 @@ class ObsContext:
     ) -> "ObsContext":
         """A fully isolated context (own tracer/registry/query registry).
 
-        ``traceparent`` adopts a remote trace position so this context's
-        root spans join a trace started in another process; ``enabled``
-        forces tracing on/off (default: the ``REPRO_TRACE`` switch).
+        ``traceparent`` adopts a remote trace position so the root spans
+        the calling thread opens under this context join a trace started
+        in another process; ``enabled`` forces tracing on/off (default:
+        the ``REPRO_TRACE`` switch).
         """
         context = cls(tracer=Tracer(enabled=enabled))
         if traceparent is not None:
@@ -134,8 +132,8 @@ class ObsContext:
         """This context's trace position as a token, or ``None``.
 
         Prefers the innermost open span on the calling thread; falls
-        back to an adopted remote parent, so a context can re-propagate
-        a token it received even before starting spans of its own.
+        back to the remote parent that thread adopted, so a context can
+        re-propagate a token it received before starting spans of its own.
         """
         span = self.tracer.current()
         if span is not None and span.trace_id:
@@ -146,37 +144,14 @@ class ObsContext:
         return None
 
     def adopt_traceparent(self, token: str) -> "ObsContext":
-        """Join the trace described by ``token`` (see module docstring)."""
+        """Join the trace described by ``token`` on the calling thread
+        (see module docstring); ``tracer.remote_parent = None`` drops it."""
         self.tracer.remote_parent = parse_traceparent(token)
         return self
-
-    # -- flight recorder ---------------------------------------------------
-
-    def flight(self) -> FlightRecorder:
-        """This context's flight recorder, created lazily and bound to
-        its tracer/registry/query registry.  The default context hands
-        back the process-wide recorder instead of shadowing it."""
-        with self._lock:
-            if self.recorder is None:
-                if self is _peek_default():
-                    from .flight import get_flight_recorder
-
-                    self.recorder = get_flight_recorder()
-                else:
-                    self.recorder = FlightRecorder(
-                        tracer=self.tracer,
-                        registry=self.registry,
-                        queries=self.queries,
-                    )
-            return self.recorder
 
 
 _default: Optional[ObsContext] = None
 _default_lock = threading.Lock()
-
-
-def _peek_default() -> Optional[ObsContext]:
-    return _default
 
 
 def default_context() -> ObsContext:

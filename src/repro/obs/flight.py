@@ -41,7 +41,6 @@ from pathlib import Path
 from types import FrameType, TracebackType
 from typing import Callable, Deque, Dict, List, Optional, Type, Union
 
-from ._context_state import CURRENT as _CONTEXT
 from .metrics import MetricsRegistry, get_registry
 from .queries import QueryRegistry, get_queries
 from .trace import Tracer, get_tracer, span_to_dict
@@ -256,13 +255,8 @@ _recorder_lock = threading.Lock()
 
 
 def get_flight_recorder() -> FlightRecorder:
-    """The active context's recorder if it has one, else the process-wide
-    recorder (created on first use, like the tracer's singleton — but
-    lazily, so importing obs stays cheap)."""
-    context = _CONTEXT.get()
-    if context is not None and context.recorder is not None:
-        recorder = context.recorder
-        return recorder
+    """The process-wide recorder (created on first use, like the tracer's
+    singleton — but lazily, so importing obs stays cheap)."""
     global _global_recorder
     with _recorder_lock:
         if _global_recorder is None:

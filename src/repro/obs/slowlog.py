@@ -112,9 +112,10 @@ class SlowQueryLog:
         ``kind`` names the entry point (``"sql"``, ``"spatial"``);
         ``detail`` carries its identity (the SQL text, the bbox).  The
         body adds what it learns (stats, resources, row counts) to the
-        yielded dict, which the record merges if the query is slow.  Spans
-        finished inside are captured via the tracer (force-enabled for
-        the duration, same as ``EXPLAIN ANALYZE``); if the body takes at
+        yielded dict, which the record merges if the query is slow.  The
+        spans the calling thread opens inside are captured (the tracer
+        records while the capture is open, same as ``EXPLAIN ANALYZE``),
+        never a concurrent query's; if the body takes at
         least ``threshold_s`` seconds, one record is durably appended —
         whether the query succeeded or raised.
         """

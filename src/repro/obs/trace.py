@@ -20,8 +20,10 @@ enabled, so instrumented hot paths pay one attribute check.  Enable it
 with ``REPRO_TRACE=1`` in the environment, ``get_tracer().enable()``,
 or ``PointCloudDB(tracing=True)``.
 
-Other threads do not inherit the caller's span stack; a cross-thread
-parent is passed explicitly (``tracer.span(name, parent=span)``).
+Per-query state is per thread: each thread has its own span stack,
+its own open captures and its own adopted remote parent.  Other threads
+do not inherit the caller's span stack; a cross-thread parent is passed
+explicitly (``tracer.span(name, parent=span)``).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Tuple,
     Type,
     Union,
 )
@@ -78,6 +81,7 @@ class Span:
         "end",
         "thread_id",
         "thread_name",
+        "sinks",
         "_recording",
     )
 
@@ -101,21 +105,29 @@ class Span:
         self.end = 0.0
         self.thread_id = 0
         self.thread_name = ""
+        #: The captures this span lands in (see :meth:`Tracer.capture`).
+        self.sinks: Tuple[List["Span"], ...] = ()
         self._recording = False
 
     def __enter__(self) -> "Span":
         self._recording = self.tracer.enabled
         if self._recording:
-            stack = self.tracer._stack()
+            local = self.tracer._local
+            stack = local.stack
             parent = self.parent if self.parent is not None else (
                 stack[-1] if stack else None
             )
             self.span_id = next(_ids)
+            # This thread's open captures; a span on a thread with none
+            # (a worker under an explicit parent) joins its parent's.
+            self.sinks = local.sinks
             if parent is not None:
                 self.parent_id = parent.span_id
                 self.trace_id = parent.trace_id
+                if not self.sinks:
+                    self.sinks = parent.sinks
             else:
-                remote = self.tracer.remote_parent
+                remote = local.remote
                 if remote is not None:
                     # Root span of a trace started elsewhere (adopted
                     # from a traceparent token): join the remote trace.
@@ -140,7 +152,7 @@ class Span:
         if self._recording:
             if exc_type is not None:
                 self.attributes.setdefault("error", exc_type.__name__)
-            stack = self.tracer._stack()
+            stack = self.tracer._local.stack
             if stack and stack[-1] is self:
                 stack.pop()
             self.tracer._finish(self)
@@ -187,7 +199,7 @@ NOOP_SPAN = _NoopSpan()
 class RemoteParent:
     """A parent span in another process, adopted from a traceparent
     token (:func:`repro.obs.context.parse_traceparent`): root spans
-    started under a tracer carrying one join the remote trace instead of
+    started on the adopting thread join the remote trace instead of
     starting a fresh one."""
 
     __slots__ = ("trace_id", "span_id")
@@ -197,12 +209,23 @@ class RemoteParent:
         self.span_id = span_id
 
 
+class _ThreadState(threading.local):
+    """One thread's per-query tracer state: its open spans, the captures
+    it opened (innermost last) and the remote parent it adopted."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+        self.sinks: Tuple[List[Span], ...] = ()
+        self.remote: Optional[RemoteParent] = None
+
+
 class Tracer:
     """Per-context span collector with an in-memory ring buffer.
 
     ``enabled`` is a plain attribute so hot paths can check it without a
-    property call.  Finished spans append to the ring buffer (and to any
-    active :meth:`capture` sinks) under one lock; span *creation* is
+    property call: it reads ``True`` while :meth:`enable` is in force or
+    any :meth:`capture` is open.  Finished spans append to the ring
+    buffer (and to their captures) under one lock; span *creation* is
     lock-free, so concurrent threads never serialise on starting spans.
     """
 
@@ -213,39 +236,45 @@ class Tracer:
     ) -> None:
         if enabled is None:
             enabled = os.environ.get(TRACE_ENV, "").strip().lower() not in _FALSY
-        self.enabled = bool(enabled)
-        self.remote_parent: Optional[RemoteParent] = None
+        self._switched_on = bool(enabled)
+        self._open_captures = 0
+        self.enabled = self._switched_on
         self._buffer: Deque[Span] = deque(maxlen=max_spans)
         self._lock = threading.Lock()
-        self._captures: List[List[Span]] = []
-        self._local = threading.local()
+        self._local = _ThreadState()
 
     # -- state -----------------------------------------------------------------
 
     def enable(self) -> None:
-        self.enabled = True
+        with self._lock:
+            self._switched_on = True
+            self.enabled = True
 
     def disable(self) -> None:
-        self.enabled = False
+        with self._lock:
+            self._switched_on = False
+            self.enabled = self._open_captures > 0
 
     def clear(self) -> None:
         """Drop all buffered spans (the ring buffer, not active captures)."""
         with self._lock:
             self._buffer.clear()
 
-    # -- span plumbing ---------------------------------------------------------
+    @property
+    def remote_parent(self) -> Optional[RemoteParent]:
+        """The remote parent the calling thread adopted, or None."""
+        return self._local.remote
 
-    def _stack(self) -> List[Span]:
-        stack: Optional[List[Span]] = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+    @remote_parent.setter
+    def remote_parent(self, remote: Optional[RemoteParent]) -> None:
+        self._local.remote = remote
+
+    # -- span plumbing ---------------------------------------------------------
 
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread (for explicit
         cross-thread parenting), or None."""
-        stack: Optional[List[Span]] = getattr(self._local, "stack", None)
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     def span(
@@ -263,7 +292,7 @@ class Tracer:
             ):
                 dropped = True  # the append below evicts the oldest span
             self._buffer.append(span)
-            for sink in self._captures:
+            for sink in span.sinks:
                 sink.append(span)
         if dropped:
             # Counted outside the tracer lock: the counter has a lock of
@@ -276,23 +305,32 @@ class Tracer:
 
     @contextmanager
     def capture(self) -> Iterator[List[Span]]:
-        """Force-enable tracing and collect every span finished inside.
+        """Record, and collect the spans the calling thread opens inside.
 
         Yields the list the spans accumulate into (ordered by finish
-        time) — this is how ``EXPLAIN ANALYZE`` gets exactly one query's
-        spans without disturbing the ring buffer or the global switch.
+        time): every span opened on this thread while the capture is
+        open, plus spans on other threads that name one of those as
+        their explicit parent.  Other threads' traces never land in it.
+        This is how ``EXPLAIN ANALYZE`` and the slow-query log get
+        exactly one query's spans without disturbing the ring buffer or
+        the global switch: ``enabled`` reads ``True`` while any capture
+        is open and returns to what :meth:`enable` / :meth:`disable` last
+        set when the last one closes.
         """
         collected: List[Span] = []
+        local = self._local
+        outer = local.sinks
+        local.sinks = outer + (collected,)
         with self._lock:
-            self._captures.append(collected)
-        previous = self.enabled
-        self.enabled = True
+            self._open_captures += 1
+            self.enabled = True
         try:
             yield collected
         finally:
-            self.enabled = previous
+            local.sinks = outer
             with self._lock:
-                self._captures.remove(collected)
+                self._open_captures -= 1
+                self.enabled = self._switched_on or self._open_captures > 0
 
     # -- reading the buffer ----------------------------------------------------
 

@@ -10,10 +10,11 @@ it directly.  One request travels:
    — beyond the bounded queue the request is shed immediately.
 3. **Snapshot pin** — the request scans exactly one catalog generation,
    whatever writers publish meanwhile.
-4. **Execution** under a per-request observability context (own tracer
-   adopting the inbound ``traceparent``, shared registry/query log) and
-   a per-request deadline wired into the engine's cooperative
-   cancellation (:class:`~repro.obs.queries.QueryCancelled`).
+4. **Execution** under the service's own observability context, so the
+   request's spans land in the tracer ``/debug/trace`` reads; the
+   handling thread adopts the inbound ``traceparent`` for the request's
+   duration only.  A per-request deadline is wired into the engine's
+   cooperative cancellation (:class:`~repro.obs.queries.QueryCancelled`).
 5. **Charge** — the request's :class:`ResourceTracker` usage is folded
    into the tenant's ledger, cancelled and failed requests included
    (they consumed the CPU either way).
@@ -162,31 +163,33 @@ class QueryService:
             durable.crash_point("serve.request.admitted", endpoint=endpoint)
             timeout_s = self._resolve_timeout(payload)
             with self.snapshots.pin() as snapshot:
-                context = snapshot.db.request_context(traceparent)
+                tracer = self.obs.tracer
+                adopted = tracer.remote_parent
+                if traceparent is not None:
+                    self.obs.adopt_traceparent(traceparent)
                 tracker = ResourceTracker()
                 try:
-                    with context.activate(), tracker:
+                    with self.obs.activate(), tracker:
                         if endpoint == "query":
                             response = self._spatial(
                                 snapshot, payload, timeout_s
                             )
                         elif endpoint == "sql":
-                            response = self._sql(
-                                snapshot, payload, timeout_s, context
-                            )
+                            response = self._sql(snapshot, payload, timeout_s)
                         else:
                             raise BadRequest(
                                 f"unknown endpoint {endpoint!r} "
                                 f"(want 'query' or 'sql')"
                             )
+                    outbound = self.obs.traceparent()
                 finally:
+                    tracer.remote_parent = adopted
                     # Cancelled and failed requests burned the CPU too;
                     # the ledger charges what actually happened.
                     self.quotas.charge(tenant, tracker.usage)
                 durable.crash_point(
                     "serve.request.executed", endpoint=endpoint
                 )
-                outbound = context.traceparent()
                 if outbound is not None:
                     response.headers.setdefault("traceparent", outbound)
         registry.histogram("serve.request_seconds").observe(now() - t0)
@@ -273,12 +276,11 @@ class QueryService:
         snapshot: Snapshot,
         payload: Dict[str, Any],
         timeout_s: Optional[float],
-        context: ObsContext,
     ) -> ServiceResponse:
         sql = payload.get("sql")
         if not isinstance(sql, str) or not sql.strip():
             raise BadRequest("sql request needs a non-empty 'sql' string")
-        with self.sessions.session(snapshot, context) as session:
+        with self.sessions.session(snapshot) as session:
             result = session.execute(sql, timeout_s=timeout_s)
             meta: Dict[str, Any] = {
                 "generation": snapshot.generation,

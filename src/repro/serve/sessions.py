@@ -13,10 +13,10 @@ generation N+1.  Checking in records the generation; checking out
 matches it.  Sessions for retired generations are dropped on the floor
 (GC'd with their snapshot) the next time the pool is trimmed.
 
-Each checkout rebinds the session's observability context to the
-request's own (trace adoption, per-request attribution) and arms the
-snapshot database's slow-query log — the pooled object carries no
-request state across uses beyond its relations.
+A session is bound once, when it is built, to the snapshot database's
+observability context and slow-query log.  Trace adoption is per thread,
+so a checkout rebinds nothing, and the pooled object carries no request
+state across uses beyond its relations.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple
 
-from ..obs.context import ObsContext
 from ..sql.executor import Session
 from .snapshot import Snapshot
 
@@ -50,9 +49,10 @@ class SessionPool:
         with self._lock:
             return len(self._idle)
 
-    def _build(self, snapshot: Snapshot, obs: ObsContext) -> Session:
+    def _build(self, snapshot: Snapshot) -> Session:
         db = snapshot.db
-        session = Session(manager=db.manager, obs=obs)
+        session = Session(manager=db.manager, obs=db.obs)
+        session.slow_log = db.slow_log
         for name in db.db.table_names:
             session.register_table(db.db.table(name))
         for name, columns in db.vector_relations.items():
@@ -62,15 +62,11 @@ class SessionPool:
         return session
 
     @contextmanager
-    def session(
-        self, snapshot: Snapshot, obs: ObsContext
-    ) -> Iterator[Session]:
+    def session(self, snapshot: Snapshot) -> Iterator[Session]:
         """Check out a session bound to ``snapshot``'s generation.
 
-        The session's ``obs`` is rebound to the request context for the
-        duration, and its ``slow_log`` to ``snapshot.db``'s; on the way
-        out the session returns to the pool unless its generation has
-        been retired or the pool is full.
+        On the way out the session returns to the pool unless its
+        generation has been retired or the pool is full.
         """
         generation = snapshot.generation
         found: Optional[Session] = None
@@ -85,11 +81,7 @@ class SessionPool:
             self._idle = [
                 (gen, s) for gen, s in self._idle if gen >= generation
             ]
-        session = (
-            found if found is not None else self._build(snapshot, obs)
-        )
-        session.obs = obs
-        session.slow_log = snapshot.db.slow_log
+        session = found if found is not None else self._build(snapshot)
         try:
             yield session
         finally:

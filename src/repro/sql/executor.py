@@ -211,15 +211,11 @@ class Session:
         Each line is one span: operator name, wall-clock milliseconds and
         the attributes the operator recorded (rows in/out, segments
         skipped/probed, ...).  Works whether or not tracing is enabled
-        globally — the capture context force-enables it for this query.
+        globally — the capture records while it is open, and holds only
+        the spans of this thread's statement.
         """
-        tracer = self.obs.tracer
-        with tracer.capture() as spans:
+        with self.obs.tracer.capture() as spans:
             result = self.execute(sql)
-        roots = [s for s in spans if s.name == "sql.query"]
-        if roots:
-            trace_id = roots[-1].trace_id
-            spans = [s for s in spans if s.trace_id == trace_id]
         tree = format_tree(spans)
         footer = ""
         usage = self.last_resources

@@ -500,6 +500,12 @@ class TestServeCommand:
         assert payload["meta"]["n_results"] == 5000
         assert payload["meta"]["n_returned"] == 5
         assert "serving queries on" in printed
+        # The banner lists every route the daemon answers.
+        from repro.serve import ServeHandler
+
+        banner = printed[printed.index("serving queries on"):].splitlines()[0]
+        for route in ServeHandler.known_routes.split():
+            assert route.replace("POST:", "POST ") in banner, route
 
     def test_profiler_starts_after_the_store_is_open(self, db_dir, monkeypatch):
         import threading

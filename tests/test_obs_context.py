@@ -11,7 +11,6 @@ from repro.obs.context import (
     format_traceparent,
     parse_traceparent,
 )
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.queries import QueryRegistry, get_queries
 from repro.obs.trace import Tracer, get_tracer
@@ -130,21 +129,6 @@ class TestAdoption:
             pass
         assert remote_span.trace_id == root.trace_id
         assert remote_span.parent_id == root.span_id
-
-
-class TestFlight:
-    def test_custom_context_gets_its_own_recorder(self):
-        context = ObsContext.fresh(enabled=False)
-        recorder = context.flight()
-        assert isinstance(recorder, FlightRecorder)
-        assert recorder.registry is context.registry
-        assert recorder.queries is context.queries
-        assert context.flight() is recorder  # cached
-
-    def test_default_context_hands_back_the_global_recorder(self):
-        from repro.obs.flight import get_flight_recorder
-
-        assert default_context().flight() is get_flight_recorder()
 
 
 class TestDatabaseIsolation:

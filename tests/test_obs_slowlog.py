@@ -1,11 +1,14 @@
 """The slow-query log: thresholds, JSONL records, span capture."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro import Box, PointCloudDB
+from repro.engine import scan as scan_mod
+from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import (
     SLOW_QUERY_ENV,
@@ -231,6 +234,53 @@ class TestPointCloudDBIntegration:
         assert record["error"] == type(err.value).__name__
         assert record["query_id"].startswith("q")
         assert "resources" in record
+
+    def test_overlapping_queries_log_only_their_own_spans(
+        self, tmp_path, monkeypatch
+    ):
+        context = ObsContext.fresh(enabled=False)
+        db = PointCloudDB(
+            slow_query_s=0.0, slow_query_log=tmp_path / "slow.jsonl", obs=context
+        )
+        db.create_pointcloud("pts")
+        rng = np.random.default_rng(7)
+        db.load_points(
+            "pts",
+            {"x": rng.uniform(0, 100, 2000), "y": rng.uniform(0, 100, 2000)},
+        )
+        box = Box(10, 10, 60, 60)
+        db.spatial_select("pts", box)  # build the imprints first
+        both_probing = threading.Barrier(2, timeout=5)
+        waited = set()
+
+        def hook(_segment):
+            # Each thread's first probe waits for the other's: the two
+            # queries are both inside their scans at once.
+            me = threading.get_ident()
+            if me not in waited:
+                waited.add(me)
+                both_probing.wait()
+
+        monkeypatch.setattr(scan_mod, "probe_hook", hook)
+        threads = [
+            threading.Thread(target=db.spatial_select, args=("pts", box))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        records = read_records(db.slow_log.path)[1:]
+        assert len(records) == 2 and len(waited) == 2
+        trace_ids = set()
+        for record in records:
+            (root,) = [s for s in record["spans"] if s["parent_id"] is None]
+            assert root["attributes"]["query_id"] == record["query_id"]
+            assert {s["trace_id"] for s in record["spans"]} == {root["trace_id"]}
+            trace_ids.add(root["trace_id"])
+        assert len(trace_ids) == 2
+        assert context.tracer.enabled is False
 
     def test_fast_query_below_threshold_writes_nothing(self, tmp_path):
         db = PointCloudDB(

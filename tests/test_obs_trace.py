@@ -1,12 +1,14 @@
 """The span tracer: nesting, thread-safety, exporters, tree rendering."""
 
 import json
+import sys
 import threading
 
 import pytest
 
 from repro.obs.trace import (
     NOOP_SPAN,
+    RemoteParent,
     Tracer,
     format_tree,
     from_json,
@@ -130,15 +132,103 @@ class TestThreadSafety:
                 with tracer.span("worker.op") as span:
                     span.set(i=i)
 
-        with tracer.capture() as spans:
-            threads = [threading.Thread(target=spin) for _ in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        ours = [s for s in spans if s.name == "worker.op"]
+        tracer.clear()
+        threads = [threading.Thread(target=spin) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        ours = [s for s in tracer.spans() if s.name == "worker.op"]
         assert len(ours) == n_threads * per_thread
         assert len({s.span_id for s in ours}) == len(ours)
+
+    def test_overlapping_captures_keep_their_own_threads_spans(self):
+        t = Tracer(enabled=False)
+        b_ran, a_closed = threading.Event(), threading.Event()
+        captured, enabled_while_b_open = {}, []
+
+        def first():
+            with t.capture() as spans:
+                assert b_ran.wait(5)  # b's root finished while a is open
+                with t.span("a.root"):
+                    with t.span("a.child"):
+                        pass
+            captured["a"] = spans
+            a_closed.set()
+
+        def second():
+            with t.capture() as spans:
+                with t.span("b.root"):
+                    pass
+                b_ran.set()
+                assert a_closed.wait(5)
+                enabled_while_b_open.append(t.enabled)
+                with t.span("b.late"):
+                    pass
+            captured["b"] = spans
+
+        threads = [threading.Thread(target=fn) for fn in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert [s.name for s in captured["a"]] == ["a.child", "a.root"]
+        assert [s.name for s in captured["b"]] == ["b.root", "b.late"]
+        assert enabled_while_b_open == [True]
+        assert t.enabled is False
+
+    def test_many_threads_capturing_keep_their_spans_and_the_switch(self):
+        t = Tracer(enabled=False)
+        n_threads, rounds = 8, 200
+        leaked = []
+
+        def spin(k):
+            for _ in range(rounds):
+                with t.capture() as spans:
+                    with t.span("op", thread=k):
+                        pass
+                if [s.attributes["thread"] for s in spans] != [k]:
+                    leaked.append((k, spans))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=spin, args=(k,))
+                for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert leaked == []
+        assert t.enabled is False
+        assert len(t.spans()) == n_threads * rounds
+
+    def test_adopted_remote_parent_is_per_thread(self):
+        t = Tracer(enabled=True)
+        t.remote_parent = RemoteParent(trace_id=7, span_id=9)
+        other = []
+
+        def elsewhere():
+            other.append(t.remote_parent)
+            with t.span("elsewhere") as span:
+                other.append(span)
+
+        thread = threading.Thread(target=elsewhere)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        with t.span("here") as here:
+            pass
+        assert (here.trace_id, here.parent_id) == (7, 9)
+        assert other[0] is None
+        assert other[1].trace_id == other[1].span_id
+        assert other[1].parent_id is None
 
     def test_capture_restores_enabled_state(self):
         t = get_tracer()

@@ -157,6 +157,23 @@ class TestHappyPaths:
         assert status == 200
         assert headers["traceparent"].split("-")[1] == inbound.split("-")[1]
 
+    def test_served_query_reaches_debug_trace(self, daemon):
+        server, context = daemon
+        context.tracer.enable()
+        try:
+            status, _, body = post(
+                server.url + "/v1/query",
+                {"table": "pts", "bbox": BBOX, "limit": 1},
+            )
+            assert status == 200
+            query_id = json.loads(body)["meta"]["query_id"]
+            status, body = get(server.url + "/debug/trace?last=1")
+        finally:
+            context.tracer.disable()
+        assert status == 200
+        roots = [s for s in json.loads(body) if s["name"] == "query.spatial"]
+        assert [s["attributes"]["query_id"] for s in roots] == [query_id]
+
     def test_debug_serve_endpoint(self, daemon):
         server, _ = daemon
         status, body = get(server.url + "/debug/serve")

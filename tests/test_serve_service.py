@@ -322,6 +322,28 @@ class TestObservability:
         echoed = response.headers["traceparent"]
         assert echoed.split("-")[1] == inbound.split("-")[1]
 
+    def test_request_spans_land_in_the_service_tracer(self, cloud):
+        traced = ObsContext.fresh(enabled=True)
+        db, _ = cloud
+        service = service_for(traced, db)
+        inbound = "00-000102030405060708090a0b0c0d0e0f-0001020304050607-01"
+        first = service.handle(
+            "query", {"table": "pts", "bbox": BBOX}, traceparent=inbound
+        )
+        second = service.handle("query", {"table": "pts", "bbox": BBOX})
+        roots = {
+            span.attributes["query_id"]: span
+            for span in traced.tracer.spans()
+            if span.name == "query.spatial"
+        }
+        adopted = roots[first.payload["meta"]["query_id"]]
+        assert adopted.trace_id == 0x000102030405060708090A0B0C0D0E0F
+        assert adopted.parent_id == 0x0001020304050607
+        fresh = roots[second.payload["meta"]["query_id"]]
+        assert fresh.trace_id == fresh.span_id
+        assert fresh.parent_id is None
+        assert traced.tracer.remote_parent is None
+
     def test_request_metrics(self, context, cloud):
         db, _ = cloud
         service = service_for(context, db)
