@@ -18,6 +18,7 @@ from repro.bench.harness import Report, best_of
 from repro.core.imprints import SegmentedImprints
 from repro.engine.column import Column
 from repro.engine.compressed import CompressedColumn
+from repro.engine.kernels import RangePredicate
 from repro.engine.scan import ScanStats
 from repro.engine.select import range_select
 
@@ -88,10 +89,10 @@ class TestImprintReport:
                 zm_scan = ScanStats()
                 np.testing.assert_array_equal(
                     np.sort(imp.query(lo, hi)),
-                    np.sort(zm.range_select(lo, hi, stats=zm_scan)),
+                    np.sort(zm.select(RangePredicate(lo, hi), zm_scan)),
                 )
                 t_imp = best_of(lambda: imp.query(lo, hi))
-                t_zm = best_of(lambda: zm.range_select(lo, hi))
+                t_zm = best_of(lambda: zm.select(RangePredicate(lo, hi)))
                 t_scan = best_of(lambda: range_select(col, lo, hi))
                 scanned[layout] = (
                     imp.scanned_fraction(lo, hi),

@@ -24,6 +24,7 @@ import numpy as np
 from repro.bench.harness import best_of
 from repro.bench.workloads import standard_queries
 from repro.engine.compressed import CompressedColumn
+from repro.engine.kernels import RangePredicate
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import DEFAULT_RATE_HZ, SamplingProfiler
 from repro.obs.queries import QueryRegistry
@@ -113,7 +114,7 @@ def test_always_on_profiler_overhead(cloud):
 
     def _scan_loop():
         while not stop.is_set():
-            column.range_select(int(lo), int(hi))
+            column.select(RangePredicate(int(lo), int(hi)))
 
     thread = threading.Thread(target=_scan_loop, daemon=True)
     thread.start()

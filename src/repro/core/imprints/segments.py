@@ -449,8 +449,7 @@ class SegmentedImprints:
 
 class RangeTerm(NamedTuple):
     """A range predicate on ``column`` as one term of
-    :func:`select_conjunction` (imprint vectors cannot answer a
-    complement, so ``predicate.negate`` is rejected).
+    :func:`select_conjunction`.
 
     ``index`` is an imprint over ``column`` on the scan's segment grid, or
     ``None``: the term then has no zone maps and no vectors, and its
@@ -482,8 +481,6 @@ def select_conjunction(
     straddling column.  Every term's ``index`` must be ``None`` or
     satisfy ``grid.same_grid(index)``.
     """
-    if any(term.predicate.negate for term in terms):
-        raise ValueError("select_conjunction takes plain ranges, not complements")
     scan = scan if scan is not None else ScanStats()
     segments = grid.segments
     starts, stops = grid.zones.starts, grid.zones.stops
@@ -521,8 +518,7 @@ def select_conjunction(
             part = values[c][start:stop]
             if picked is not None:
                 part = part.reshape(n_lines, vpc).take(picked, axis=0)
-            lo, hi, lo_inclusive, hi_inclusive, _ = terms[c].predicate
-            match = bounds_mask(part, lo, hi, lo_inclusive, hi_inclusive)
+            match = bounds_mask(part, *terms[c].predicate)
             hit = match if hit is None else hit & match
             reads[c] = (0, int(part.nbytes))
         assert hit is not None  # a probed segment has a straddling term

@@ -12,9 +12,7 @@ rather than a storage codec:
   payload byte;
 * segments that must be probed are evaluated by the packed kernels —
   FOR offsets compared at stored width, dictionary/RLE verdicts
-  broadcast through codes and run lengths — decoding nothing;
-* only predicate survivors are materialized, via
-  :func:`repro.engine.kernels.take`.
+  broadcast through codes and run lengths — decoding nothing.
 
 The loop around those steps is :func:`repro.engine.scan.scan_segments`,
 shared with the segmented imprints: this module supplies the per-block
@@ -138,21 +136,6 @@ class CompressedColumn:
             return np.empty(0, dtype=np.dtype(self.dtype))
         return np.concatenate([decode(b) for b in self.blocks])
 
-    def take(self, oids: NDArray[Any]) -> NDArray[Any]:
-        """Gather values at sorted global row ids, late-materializing
-        from each touched segment only."""
-        oids = np.asarray(oids, dtype=np.int64)
-        if oids.shape[0] == 0:
-            return np.empty(0, dtype=np.dtype(self.dtype))
-        starts = self.zones.starts
-        seg_of = np.searchsorted(starts, oids, side="right") - 1
-        pieces: List[NDArray[Any]] = []
-        for seg in np.unique(seg_of):
-            _queries.check_deadline()
-            in_seg = oids[seg_of == seg] - starts[seg]
-            pieces.append(kernels.take(self.blocks[int(seg)], in_seg))
-        return np.concatenate(pieces)
-
     # -- predicate scans ---------------------------------------------------
 
     def select(
@@ -168,7 +151,7 @@ class CompressedColumn:
             i: int, own: Sequence[int]
         ) -> Tuple[NDArray[np.int64], List[Tuple[int, int]]]:
             block = self.blocks[i]
-            mask, packed = kernels.predicate_mask(block, predicate)
+            mask, packed = kernels.range_mask(block, *predicate)
             oids = (np.flatnonzero(mask) + self.zones.starts[i]).astype(
                 np.int64, copy=False
             )
@@ -178,26 +161,3 @@ class CompressedColumn:
         return scan_segments(
             [Conjunct(self.name, self.zones, predicate)], probe, stats=stats
         )
-
-    def range_select(
-        self,
-        lo: Optional[Any],
-        hi: Optional[Any],
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-        stats: Optional[ScanStats] = None,
-    ) -> NDArray[np.int64]:
-        """Row ids where ``lo <(=) value <(=) hi``."""
-        return self.select(
-            RangePredicate(lo, hi, lo_inclusive, hi_inclusive), stats
-        )
-
-    def theta_select(
-        self,
-        op: str,
-        constant: Any,
-        stats: Optional[ScanStats] = None,
-    ) -> NDArray[np.int64]:
-        """Row ids where ``value <op> constant`` for the six comparison
-        operators; every operator reduces to a zone-pruned range probe."""
-        return self.select(kernels.theta_range(op, constant), stats)

@@ -2,10 +2,10 @@
 
 This is the execution half of the compressed-execution design: given a
 :class:`~repro.engine.compression.CompressedBlock`, produce the boolean
-selection mask for a range or theta predicate *without* decompressing
-rows that do not survive it.
+selection mask for a range predicate *without* decompressing rows that
+do not survive it.
 
-Three levels of work avoidance, cheapest first:
+Two levels of work avoidance, cheapest first:
 
 1. Zone maps — the block's encode-time ``zmin``/``zmax`` (free FOR
    header fields) decide SKIP / FULL / PROBE before any payload byte is
@@ -17,10 +17,6 @@ Three levels of work avoidance, cheapest first:
    and compare the stored-width packed words directly; dictionary and
    RLE blocks evaluate the predicate once per distinct value / run and
    broadcast the verdicts through codes / run lengths.
-3. Late materialization — :func:`take` gathers only surviving rows, and
-   only decodes what the gather needs (FOR: ``offsets[idx] + ref``;
-   dict: ``uniques[codes[idx]]``; RLE: a ``searchsorted`` over run
-   bounds).
 
 Only ``delta_zlib`` blocks fall back to a full decode (deflate is not
 random-access); :func:`range_mask` reports which path ran so callers can
@@ -59,22 +55,19 @@ _FLOAT_EXACT_LIMIT = 1 << 53
 
 
 class RangePredicate(NamedTuple):
-    """``lo <(=) value <(=) hi`` (either bound may be ``None``), or its
-    complement when ``negate`` is set."""
+    """``lo <(=) value <(=) hi``; either bound may be ``None``."""
 
     lo: Optional[Any]
     hi: Optional[Any]
     lo_inclusive: bool = True
     hi_inclusive: bool = True
-    negate: bool = False
 
 
-#: Every comparison operator as a range predicate on the constant
-#: (``==`` is the degenerate range ``[c, c]``, ``!=`` its complement), so
-#: zone pruning and the packed fast paths cover all six operators.
+#: Every range-shaped comparison operator as a range predicate on the
+#: constant (``==`` is the degenerate range ``[c, c]``): the one rule
+#: SQL maps its comparisons through.
 _THETA_RANGES: Dict[str, Callable[[Any], RangePredicate]] = {
     "==": lambda c: RangePredicate(c, c),
-    "!=": lambda c: RangePredicate(c, c, negate=True),
     "<": lambda c: RangePredicate(None, c, hi_inclusive=False),
     "<=": lambda c: RangePredicate(None, c),
     ">": lambda c: RangePredicate(c, None, lo_inclusive=False),
@@ -199,47 +192,6 @@ def range_mask(
     return bounds_mask(values, lo, hi, lo_inclusive, hi_inclusive), False
 
 
-def predicate_mask(
-    block: CompressedBlock, predicate: RangePredicate
-) -> Tuple[NDArray[np.bool_], bool]:
-    """:func:`range_mask` of the predicate's range, complemented when it
-    is negated; ``packed`` as for :func:`range_mask`."""
-    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
-    mask, packed = range_mask(block, lo, hi, lo_inclusive, hi_inclusive)
-    return (~mask if negate else mask), packed
-
-
-def take(block: CompressedBlock, idx: NDArray[Any]) -> NDArray[Any]:
-    """Materialize only the rows at ``idx`` (block-local positions).
-
-    This is the late-materialization gather: survivors of a packed
-    predicate are decoded individually instead of round-tripping the
-    whole block.
-    """
-    dtype = np.dtype(block.dtype)
-    if idx.shape[0] == 0:
-        return np.empty(0, dtype=dtype)
-    if block.scheme == "for":
-        reference, offsets = for_parts(block)
-        picked = offsets[idx].astype(np.uint64) + np.uint64(
-            reference & 0xFFFFFFFFFFFFFFFF
-        )
-        return picked.astype(dtype)
-    if block.scheme == "dict":
-        uniques, codes = dict_parts(block)
-        out: NDArray[Any] = uniques[codes[idx]]
-        return out.astype(dtype)
-    if block.scheme == "rle":
-        run_values, run_lengths = rle_parts(block)
-        stops = np.cumsum(run_lengths)
-        picked_rle: NDArray[Any] = run_values[np.searchsorted(stops, idx, side="right")]
-        return picked_rle.astype(dtype)
-    if block.scheme == "plain":
-        view = plain_view(block)
-        return view[idx].astype(dtype)
-    return decode(block)[idx]
-
-
 def scan_bytes(block: CompressedBlock, packed: bool) -> int:
     """Bytes a predicate evaluation actually moved over this block:
     the encoded payload for packed evaluation, the materialized array
@@ -255,7 +207,5 @@ __all__ = [
     "theta_range",
     "bounds_mask",
     "range_mask",
-    "predicate_mask",
-    "take",
     "scan_bytes",
 ]

@@ -139,11 +139,9 @@ def zone_verdicts(zones: Zones, predicate: RangePredicate) -> NDArray[np.int8]:
     when it lies wholly inside; SKIP wins when a degenerate zone is both.
     Empty segments SKIP; segments without a zone map PROBE, as do NaN
     zones (they compare false everywhere), so missing metadata costs
-    time, never correctness.  ``negate`` complements the verdicts:
-    every-row-matches becomes no-row-matches and vice versa, PROBE stays
-    PROBE.
+    time, never correctness.
     """
-    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
+    lo, hi, lo_inclusive, hi_inclusive = predicate
     starts, stops, zmin, zmax, known = zones
     verdicts = np.full(starts.shape[0], ZONE_PROBE, dtype=np.int8)
     if zmin is not None and zmax is not None:
@@ -159,8 +157,6 @@ def zone_verdicts(zones: Zones, predicate: RangePredicate) -> NDArray[np.int8]:
         if known is not None:
             skip &= known
             full &= known
-        if negate:
-            skip, full = full, skip
         verdicts[full] = ZONE_FULL
         verdicts[skip] = ZONE_SKIP
     verdicts[stops <= starts] = ZONE_SKIP

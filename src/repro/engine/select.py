@@ -20,7 +20,7 @@ operator really moved.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,18 +28,8 @@ from numpy.typing import NDArray
 from ..obs.metrics import get_registry
 from ..obs.trace import maybe_span
 from .column import Column
-from .kernels import RangePredicate, bounds_mask, theta_range
+from .kernels import RangePredicate, bounds_mask
 from .scan import ScanStats, bill_scan
-
-#: Comparison operators accepted by :func:`theta_select`.
-_THETA_OPS: Dict[str, Callable[[NDArray[Any], object], NDArray[Any]]] = {
-    "==": lambda v, c: v == c,
-    "!=": lambda v, c: v != c,
-    "<": lambda v, c: v < c,
-    "<=": lambda v, c: v <= c,
-    ">": lambda v, c: v > c,
-    ">=": lambda v, c: v >= c,
-}
 
 
 def _as_candidates(mask: NDArray[Any], candidates: Optional[NDArray[Any]]) -> NDArray[Any]:
@@ -60,13 +50,12 @@ def _numeric_bound(bound: object) -> bool:
 def _select(
     column: Column,
     predicate: RangePredicate,
-    kernel: Callable[[NDArray[Any]], NDArray[Any]],
     candidates: Optional[NDArray[Any]],
     span: Any,
 ) -> NDArray[Any]:
     """Run one select: ``predicate`` on the compressed mirror when the
-    select starts from the full column and has one, else ``kernel`` (the
-    same predicate as a numpy compare) over the (candidate) values."""
+    select starts from the full column and has one, else as a numpy
+    compare over the (candidate) values."""
     packed = column.packed if candidates is None else None
     if packed is not None and _numeric_bound(predicate.lo) and _numeric_bound(predicate.hi):
         # The segment scanner has already credited the resource tracker
@@ -95,7 +84,7 @@ def _select(
     bill_scan(
         [column.name], [(-1, [(0, int(vals.nbytes))])], rows=int(vals.shape[0])
     )
-    result = _as_candidates(kernel(vals), candidates)
+    result = _as_candidates(bounds_mask(vals, *predicate), candidates)
     span.set(
         rows_in=int(vals.shape[0]),
         rows_out=int(result.shape[0]),
@@ -103,28 +92,6 @@ def _select(
         materialized_bytes=int(vals.nbytes),
     )
     return result
-
-
-def theta_select(
-    column: Column,
-    op: str,
-    constant: object,
-    candidates: Optional[NDArray[Any]] = None,
-) -> NDArray[Any]:
-    """Rows where ``column <op> constant`` holds, as a sorted oid array.
-
-    When ``candidates`` is given, only those rows are inspected and the
-    result is a subset of them (preserving order).
-    """
-    try:
-        fn = _THETA_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown theta operator {op!r}") from None
-    predicate = theta_range(op, constant)
-    with maybe_span("select.theta", column=column.name, op=op) as span:
-        return _select(
-            column, predicate, lambda part: fn(part, constant), candidates, span
-        )
 
 
 def range_select(
@@ -146,13 +113,7 @@ def range_select(
     """
     predicate = RangePredicate(lo, hi, lo_inclusive, hi_inclusive)
     with maybe_span("select.range", column=column.name) as span:
-        return _select(
-            column,
-            predicate,
-            lambda part: bounds_mask(part, lo, hi, lo_inclusive, hi_inclusive),
-            candidates,
-            span,
-        )
+        return _select(column, predicate, candidates, span)
 
 
 def mask_select(

@@ -41,6 +41,7 @@ from pathlib import Path
 from types import FrameType, TracebackType
 from typing import Callable, Deque, Dict, List, Optional, Type, Union
 
+from .context import default_context
 from .metrics import MetricsRegistry, get_registry
 from .queries import QueryRegistry, get_queries
 from .trace import Tracer, get_tracer, span_to_dict
@@ -256,9 +257,16 @@ _recorder_lock = threading.Lock()
 
 def get_flight_recorder() -> FlightRecorder:
     """The process-wide recorder (created on first use, like the tracer's
-    singleton — but lazily, so importing obs stays cheap)."""
+    singleton — but lazily, so importing obs stays cheap).  Crash hooks
+    are process-wide, so it observes the process default context even
+    when first asked for under another one."""
     global _global_recorder
     with _recorder_lock:
         if _global_recorder is None:
-            _global_recorder = FlightRecorder()
+            process = default_context()
+            _global_recorder = FlightRecorder(
+                tracer=process.tracer,
+                registry=process.registry,
+                queries=process.queries,
+            )
         return _global_recorder

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..core.imprints import ImprintsManager
 from ..core.query import SpatialSelect, filter_is_exact
+from ..engine.kernels import RangePredicate, theta_range
 from ..engine.table import Table
 from ..gis.geometry import Geometry
 from . import ast
@@ -98,16 +99,13 @@ class SpatialFilter:
 
 @dataclass
 class RangeFilter:
-    """The conjunct pushed down as a range on one column (either bound
-    may be None); ``packed`` serves it from the column's packed segments,
-    otherwise from its imprint."""
+    """The conjunct pushed down as a range on one column, its bounds
+    still AST nodes (either may be None); ``packed`` serves it from the
+    column's packed segments, otherwise from its imprint."""
 
     expr: str
     column: str
-    lo: Optional[ast.Node]
-    hi: Optional[ast.Node]
-    lo_inclusive: bool
-    hi_inclusive: bool
+    bounds: RangePredicate
     packed: bool
 
 
@@ -307,7 +305,8 @@ def _match_spatial(
     return None
 
 
-_RANGE_OPS = {"<", "<=", ">", ">=", "="}
+#: A pushable comparison with its operands swapped: ``c < t.z`` is ``t.z > c``.
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _match_range(
@@ -318,7 +317,8 @@ def _match_range(
     ``t.z BETWEEN a AND b``.  Pushable means the relation can serve the
     range from an index-shaped access path: an imprints manager, or a
     compressed execution mirror whose packed segments the select kernels
-    scan directly.
+    scan directly.  Comparisons become ranges through the engine's one
+    rule, :func:`~repro.engine.kernels.theta_range`.
     """
     table = relation.table
     if table is None:
@@ -344,29 +344,21 @@ def _match_range(
             _refs_binding(conjunct.low, binding, bare)
             or _refs_binding(conjunct.high, binding, bare)
         ):
-            bounds = (name, conjunct.low, conjunct.high, True, True)
-    elif isinstance(conjunct, ast.BinOp) and conjunct.op in _RANGE_OPS:
-        for col_side, const_side, flip in (
-            (conjunct.left, conjunct.right, False),
-            (conjunct.right, conjunct.left, True),
+            bounds = RangePredicate(conjunct.low, conjunct.high)
+    elif isinstance(conjunct, ast.BinOp) and conjunct.op in _FLIPPED:
+        for col_side, const_side, op in (
+            (conjunct.left, conjunct.right, conjunct.op),
+            (conjunct.right, conjunct.left, _FLIPPED[conjunct.op]),
         ):
             name = own_column(col_side)
-            if name is None or _refs_binding(const_side, binding, bare):
-                continue
-            op = conjunct.op
-            if flip:  # c OP column  ->  column OP' c
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
-            if op == "=":
-                bounds = (name, const_side, const_side, True, True)
-            elif op in ("<", "<="):
-                bounds = (name, None, const_side, True, op == "<=")
-            else:
-                bounds = (name, const_side, None, op == ">=", True)
-            break
+            if name is not None and not _refs_binding(const_side, binding, bare):
+                bounds = theta_range("==" if op == "=" else op, const_side)
+                break
     if bounds is None:
         return None
-    packed = _range_via_packed(relation, bounds[0])
-    return RangeFilter(describe(conjunct), *bounds, packed)
+    return RangeFilter(
+        describe(conjunct), name, bounds, _range_via_packed(relation, name)
+    )
 
 
 def _range_via_packed(relation: Relation, name: str) -> bool:
@@ -460,11 +452,16 @@ def _access_lines(access: Access) -> List[str]:
     relation = access.relation
     lines = [f"access {relation.name} as {access.binding} ({relation.n_rows} rows)"]
     for spatial in access.spatial:
-        value = spatial.value
-        exact = value is not None and filter_is_exact(value, spatial.predicate)
-        via = "on its box (exact, no refinement)" if exact else "+ grid refinement"
+        value, predicate = spatial.value, spatial.predicate
+        if value is not None and filter_is_exact(value, predicate):
+            via = "on its box (exact, no refinement)"
+        elif value is None and predicate != "dwithin":
+            # Per-row geometries: SpatialSelect asks filter_is_exact per row.
+            via = "+ grid refinement unless the row's geometry is a rectangle"
+        else:
+            via = "+ grid refinement"
         lines.append(
-            f"  spatial filter [{spatial.predicate}] via imprints {via}: {spatial.expr}"
+            f"  spatial filter [{predicate}] via imprints {via}: {spatial.expr}"
         )
     pushed = access.range
     if pushed is not None:

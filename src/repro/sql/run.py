@@ -15,6 +15,7 @@ import numpy as np
 from ..core.query import QueryStats
 from ..engine.column import Column
 from ..engine.join import hash_join
+from ..engine.kernels import RangePredicate
 from ..engine.select import range_select
 from ..obs.trace import maybe_span
 from . import ast
@@ -101,19 +102,23 @@ def _select_rows(access: Access, outer: Optional[Tuple[Frame, int]]) -> np.ndarr
 
 def _range_rows(relation: Relation, pushed: RangeFilter, scalars: Frame) -> np.ndarray:
     """The pushed range through the packed segments or the imprint."""
-    lo = evaluate(pushed.lo, scalars) if pushed.lo is not None else None
-    hi = evaluate(pushed.hi, scalars) if pushed.hi is not None else None
-    bounds = (lo, hi, pushed.lo_inclusive, pushed.hi_inclusive)
+    lo, hi, lo_inclusive, hi_inclusive = pushed.bounds
+    predicate = RangePredicate(
+        None if lo is None else evaluate(lo, scalars),
+        None if hi is None else evaluate(hi, scalars),
+        lo_inclusive,
+        hi_inclusive,
+    )
     with maybe_span(
         "filter.range", column=pushed.column, expr=pushed.expr
     ) as range_span:
         if pushed.packed:
-            oids = range_select(relation.table.column(pushed.column), *bounds)
+            oids = range_select(relation.table.column(pushed.column), *predicate)
             range_span.set(rows_out=int(oids.shape[0]), access="packed")
         else:
             stats = QueryStats()
             oids = relation.manager.range_select(
-                relation.table, pushed.column, *bounds, stats=stats
+                relation.table, pushed.column, *predicate, stats=stats
             )
             range_span.set(
                 rows_out=int(oids.shape[0]),

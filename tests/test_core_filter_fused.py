@@ -303,7 +303,7 @@ def numpy_answer(terms):
     mask = np.ones(len(terms[0].column), dtype=bool)
     for term in terms:
         values = np.asarray(term.column.values)
-        lo, hi, lo_inclusive, hi_inclusive, _ = term.predicate
+        lo, hi, lo_inclusive, hi_inclusive = term.predicate
         if lo is not None:
             mask &= values >= lo if lo_inclusive else values > lo
         if hi is not None:
@@ -399,7 +399,7 @@ class TestVerdictConjunction:
 
         packed = CompressedColumn.from_values("x", table.column("x").values, SEGMENT_ROWS)
         scan = ScanStats()
-        packed.range_select(10, 60, stats=scan)
+        packed.select(RangePredicate(10, 60), scan)
         assert len(returned) == 2
         assert scan.segments_probed == returned[1].count(ZONE_PROBE) > 0
         assert scan.segments_skipped == returned[1].count(ZONE_SKIP) > 0

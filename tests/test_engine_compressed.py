@@ -13,13 +13,14 @@ from repro.core.sfc import morton_encode, quantize
 from repro.datasets.lidar import generate_points, make_scene
 from repro.engine.column import Column
 from repro.engine.compressed import CompressedColumn
+from repro.engine.kernels import RangePredicate, theta_range
 from repro.engine.scan import ScanStats
-from repro.engine.select import range_select, theta_select
+from repro.engine.select import range_select
 from repro.engine.table import Table
 from repro.gis.envelope import Box
 from repro.obs.resources import ResourceTracker
 
-THETA_OPS = ["==", "!=", "<", "<=", ">", ">="]
+THETA_OPS = ["==", "<", "<=", ">", ">="]
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +84,6 @@ class TestCompressedColumn:
     def test_decode_all_round_trips(self, packed, values):
         np.testing.assert_array_equal(packed.decode_all(), values)
 
-    def test_take_crosses_segments(self, packed, values):
-        oids = np.array([0, 8191, 8192, 50_000, values.shape[0] - 1])
-        np.testing.assert_array_equal(packed.take(oids), values[oids])
-
     def test_compresses(self, packed, las_morton):
         assert packed.nbytes < packed.plain_nbytes / 2
         for name, column in las_morton.items():
@@ -104,7 +101,7 @@ class TestCompressedColumn:
             (119_999, None, False, True),
         ]
         for lo, hi, lo_inc, hi_inc in cases:
-            got = packed.range_select(lo, hi, lo_inc, hi_inc)
+            got = packed.select(RangePredicate(lo, hi, lo_inc, hi_inc))
             np.testing.assert_array_equal(
                 got, plain_range(values, lo, hi, lo_inc, hi_inc)
             )
@@ -115,21 +112,20 @@ class TestCompressedColumn:
         packed = packed_by_split[split]
         fn = {
             "==": np.equal,
-            "!=": np.not_equal,
             "<": np.less,
             "<=": np.less_equal,
             ">": np.greater,
             ">=": np.greater_equal,
         }[op]
         constant = int(values[12_345])
-        got = packed.theta_select(op, constant)
+        got = packed.select(theta_range(op, constant))
         np.testing.assert_array_equal(
             got, np.flatnonzero(fn(values, constant)).astype(np.int64)
         )
 
     def test_zone_pruning_stats(self, packed):
         stats = ScanStats()
-        packed.range_select(41_000, 43_000, stats=stats)
+        packed.select(RangePredicate(41_000, 43_000), stats)
         # Values 41k-43k live only in the second quarter's segments.
         assert stats.segments_skipped > 0
         assert stats.segments_probed > 0
@@ -138,7 +134,7 @@ class TestCompressedColumn:
 
     def test_all_skip_costs_nothing(self, packed):
         stats = ScanStats()
-        result = packed.range_select(10**9, 2 * 10**9, stats=stats)
+        result = packed.select(RangePredicate(10**9, 2 * 10**9), stats)
         assert result.shape == (0,)
         assert stats.segments_probed == 0
         assert stats.encoded_bytes == 0
@@ -146,7 +142,7 @@ class TestCompressedColumn:
 
     def test_full_segments_short_circuit(self, packed, values):
         stats = ScanStats()
-        result = packed.range_select(None, None, stats=stats)
+        result = packed.select(RangePredicate(None, None), stats)
         assert result.shape[0] == values.shape[0]
         assert stats.segments_probed == 0
         assert stats.segments_full == len(packed.blocks)
@@ -206,9 +202,9 @@ class TestSelectDispatch:
 
     @pytest.mark.parametrize("op", THETA_OPS)
     def test_theta_parity_with_plain(self, column, values, op):
-        packed_result = theta_select(column, op, 42_000)
+        packed_result = range_select(column, *theta_range(op, 42_000))
         column.adopt_packed(None)
-        plain_result = theta_select(column, op, 42_000)
+        plain_result = range_select(column, *theta_range(op, 42_000))
         np.testing.assert_array_equal(packed_result, plain_result)
 
     def test_candidates_bypass_packed(self, column, values):

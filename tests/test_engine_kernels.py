@@ -1,8 +1,8 @@
 """Tests for the packed predicate kernels (repro.engine.kernels).
 
-The contract is bit-identical parity: every ``range_mask`` /
-``predicate_mask`` / ``take`` result must equal the numpy evaluation of
-the same predicate over the decoded values, whatever the encoding scheme —
+The contract is bit-identical parity: every ``range_mask`` result must
+equal the numpy evaluation of the same predicate over the decoded
+values, whatever the encoding scheme —
 that is what lets the select operators swap the packed path in without
 changing any answer.
 """
@@ -19,16 +19,14 @@ from repro.engine.kernels import (
     ZONE_PROBE,
     ZONE_SKIP,
     RangePredicate,
-    predicate_mask,
     range_mask,
     scan_bytes,
-    take,
     theta_range,
 )
 from repro.engine.scan import ScanStats, zone_verdicts, zones_of
 
 SCHEME_NAMES = sorted(SCHEMES)
-THETA_OPS = ["==", "!=", "<", "<=", ">", ">="]
+THETA_OPS = ["==", "<", "<=", ">", ">="]
 
 
 def reference_mask(vals, lo, hi, lo_inc=True, hi_inc=True):
@@ -86,7 +84,7 @@ class TestZoneVerdict:
     def test_empty_block_skips(self):
         block = encode("plain", np.empty(0, dtype=np.int64))
         stats = ScanStats()
-        CompressedColumn("v", "<i8", 8, 0, (block,)).range_select(0, 1, stats=stats)
+        CompressedColumn("v", "<i8", 8, 0, (block,)).select(RangePredicate(0, 1), stats)
         assert (stats.segments_skipped, stats.segments_probed) == (1, 0)
 
     def test_zoneless_block_probes(self):
@@ -95,7 +93,7 @@ class TestZoneVerdict:
             block.scheme, block.dtype, block.count, block.payload
         )
         stats = ScanStats()
-        CompressedColumn("v", "<i8", 8, 1, (stripped,)).range_select(0, 1, stats=stats)
+        CompressedColumn("v", "<i8", 8, 1, (stripped,)).select(RangePredicate(0, 1), stats)
         assert (stats.segments_skipped, stats.segments_probed) == (0, 1)
 
 
@@ -157,35 +155,21 @@ class TestThetaMaskParity:
         block = encode(scheme, vals)
         fn = {
             "==": np.equal,
-            "!=": np.not_equal,
             "<": np.less,
             "<=": np.less_equal,
             ">": np.greater,
             ">=": np.greater_equal,
         }[op]
-        mask, _ = predicate_mask(block, theta_range(op, 4))
+        mask, _ = range_mask(block, *theta_range(op, 4))
         np.testing.assert_array_equal(mask, fn(vals, 4))
 
     def test_unknown_op(self):
         from repro.engine.compression import CompressionError
 
-        block = encode("plain", np.array([1], dtype=np.int64))
-        with pytest.raises(CompressionError):
-            predicate_mask(block, theta_range("<>", 1))
-
-
-class TestTake:
-    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-    def test_matches_fancy_indexing(self, scheme):
-        rng = np.random.default_rng(17)
-        vals = rng.integers(0, 6, 400).astype(np.int64)
-        idx = np.array([0, 399, 7, 7, 200], dtype=np.int64)
-        block = encode(scheme, vals)
-        np.testing.assert_array_equal(take(block, idx), vals[idx])
-
-    def test_empty_index(self):
-        block = encode("for", np.arange(10, dtype=np.int64))
-        assert take(block, np.empty(0, dtype=np.int64)).shape == (0,)
+        # ``!=`` is no range: no predicate of the engine is a complement.
+        for op in ("<>", "!="):
+            with pytest.raises(CompressionError):
+                theta_range(op, 1)
 
 
 class TestByteAccounting:

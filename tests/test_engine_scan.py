@@ -56,7 +56,7 @@ VALUES = np.arange(50)
 def fake_prober(predicate, calls=None):
     """The numpy answer per segment, billed as 3 encoded bytes per row on
     even segments and 5 materialized bytes per row on odd ones."""
-    lo, hi, lo_inc, hi_inc, negate = predicate
+    lo, hi, lo_inc, hi_inc = predicate
 
     def probe(i, own):
         assert list(own) == [ZONE_PROBE]  # only straddling segments get here
@@ -64,8 +64,6 @@ def fake_prober(predicate, calls=None):
             calls.append(i)
         start, stop = SEGMENTS[i][:2]
         mask = bounds_mask(VALUES[start:stop], lo, hi, lo_inc, hi_inc)
-        if negate:
-            mask = ~mask
         oids = np.flatnonzero(mask).astype(np.int64) + start
         rows = stop - start
         return oids, [(3 * rows, 0) if i % 2 == 0 else (0, 5 * rows)]
@@ -103,16 +101,6 @@ class TestZoneVerdicts:
             ZONE_SKIP,
         ]
 
-    def test_negate_complements_all_but_probe_and_empty(self):
-        assert zone_verdicts(ZONES, RangePredicate(5, 19, negate=True)).tolist() == [
-            ZONE_PROBE,
-            ZONE_SKIP,
-            ZONE_SKIP,  # an empty segment matches nothing either way
-            ZONE_PROBE,
-            ZONE_PROBE,
-            ZONE_FULL,
-        ]
-
     def test_exclusive_bounds_reach_the_zone_algebra(self):
         seg = zones_of([(0, 10, 0, 9)])
         assert zone_verdicts(seg, RangePredicate(9, None)).tolist() == [ZONE_PROBE]
@@ -131,18 +119,14 @@ def scalar_rule(start, stop, zmin, zmax, predicate):
         return ZONE_SKIP
     if zmin is None or zmax is None:
         return ZONE_PROBE
-    lo, hi, lo_inclusive, hi_inclusive, negate = predicate
+    lo, hi, lo_inclusive, hi_inclusive = predicate
     if lo is not None and (zmax < lo or (not lo_inclusive and zmax <= lo)):
-        verdict = ZONE_SKIP
-    elif hi is not None and (zmin > hi or (not hi_inclusive and zmin >= hi)):
-        verdict = ZONE_SKIP
-    else:
-        lo_full = lo is None or (zmin >= lo if lo_inclusive else zmin > lo)
-        hi_full = hi is None or (zmax <= hi if hi_inclusive else zmax < hi)
-        verdict = ZONE_FULL if lo_full and hi_full else ZONE_PROBE
-    if negate and verdict != ZONE_PROBE:
-        return ZONE_FULL if verdict == ZONE_SKIP else ZONE_SKIP
-    return verdict
+        return ZONE_SKIP
+    if hi is not None and (zmin > hi or (not hi_inclusive and zmin >= hi)):
+        return ZONE_SKIP
+    lo_full = lo is None or (zmin >= lo if lo_inclusive else zmin > lo)
+    hi_full = hi is None or (zmax <= hi if hi_inclusive else zmax < hi)
+    return ZONE_FULL if lo_full and hi_full else ZONE_PROBE
 
 
 def _zone_values(dtype):
@@ -181,7 +165,7 @@ def zone_cases(draw):
         *([st.sampled_from(edges), st.sampled_from(edges).map(lambda z: z.item())] if edges else []),
     )
     predicate = RangePredicate(
-        draw(bound), draw(bound), draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+        draw(bound), draw(bound), draw(st.booleans()), draw(st.booleans())
     )
     return segments, predicate
 
@@ -284,7 +268,7 @@ class TestScanSegments:
         "predicate",
         [
             RangePredicate(5, 19),
-            RangePredicate(5, 19, negate=True),
+            RangePredicate(5, 19, lo_inclusive=False, hi_inclusive=False),
             RangePredicate(None, 44, hi_inclusive=False),
             RangePredicate(100, 200),
             RangePredicate(None, None),
@@ -293,7 +277,7 @@ class TestScanSegments:
     @pytest.mark.parametrize("terms", [1, 4])
     def test_gathers_the_numpy_answer_in_segment_order(self, predicate, terms):
         """The answer of ``terms`` identical conjuncts is the answer of one."""
-        lo, hi, lo_inc, hi_inc, negate = predicate
+        lo, hi, lo_inc, hi_inc = predicate
         mask = np.ones(VALUES.shape[0], dtype=bool)
         if lo is not None:
             mask &= (VALUES >= lo) if lo_inc else (VALUES > lo)
@@ -307,7 +291,7 @@ class TestScanSegments:
 
         got = scan_segments([Conjunct("v", ZONES, predicate)] * terms, probe)
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, np.flatnonzero(~mask if negate else mask))
+        np.testing.assert_array_equal(got, np.flatnonzero(mask))
 
     def test_only_probe_segments_reach_the_prober(self):
         calls = []
@@ -368,7 +352,8 @@ class TestCancelledScanIsBilled:
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 100, self.N)  # every zone straddles [40, 60]
         if prober == "packed":
-            return CompressedColumn.from_values("v", values, self.SEGMENT).range_select
+            packed = CompressedColumn.from_values("v", values, self.SEGMENT)
+            return lambda lo, hi: packed.select(RangePredicate(lo, hi))
         index = SegmentedImprints(Column("v", "float64", data=values), self.SEGMENT)
         if prober == "imprint":
             return index.query

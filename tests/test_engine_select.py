@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.column import Column
-from repro.engine.select import (
-    mask_select,
-    range_select,
-    theta_select,
-)
+from repro.engine.kernels import theta_range
+from repro.engine.select import mask_select, range_select
 
 
 @pytest.fixture
@@ -19,24 +16,20 @@ def col():
 
 
 class TestThetaSelect:
+    """Comparisons select as SQL runs them: ``theta_range`` of the
+    operator, then ``range_select``."""
+
     def test_equality(self, col):
-        np.testing.assert_array_equal(theta_select(col, "==", 3), [3, 5])
+        np.testing.assert_array_equal(range_select(col, *theta_range("==", 3)), [3, 5])
 
     def test_less_than(self, col):
-        np.testing.assert_array_equal(theta_select(col, "<", 5), [1, 3, 5])
-
-    def test_not_equal(self, col):
-        np.testing.assert_array_equal(theta_select(col, "!=", 3), [0, 1, 2, 4])
+        np.testing.assert_array_equal(range_select(col, *theta_range("<", 5)), [1, 3, 5])
 
     def test_with_candidates_subsets(self, col):
         cands = np.array([0, 2, 4], dtype=np.int64)
         np.testing.assert_array_equal(
-            theta_select(col, ">=", 7, candidates=cands), [2, 4]
+            range_select(col, *theta_range(">=", 7), candidates=cands), [2, 4]
         )
-
-    def test_unknown_op(self, col):
-        with pytest.raises(ValueError):
-            theta_select(col, "<>", 1)
 
 
 class TestRangeSelect:
@@ -96,8 +89,6 @@ def test_theta_select_partition(values):
     """<, ==, > of the same constant must partition all rows."""
     col = Column("v", "int64", data=np.array(values, dtype=np.int64))
     const = values[0]
-    lt = theta_select(col, "<", const)
-    eq = theta_select(col, "==", const)
-    gt = theta_select(col, ">", const)
+    lt, eq, gt = (range_select(col, *theta_range(op, const)) for op in ("<", "==", ">"))
     merged = np.sort(np.concatenate([lt, eq, gt]))
     np.testing.assert_array_equal(merged, np.arange(len(values)))

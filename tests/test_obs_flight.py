@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import flight
+from repro.obs.context import ObsContext, default_context
 from repro.obs.flight import (
     FLIGHT_DIR_ENV,
     FlightRecorder,
@@ -213,3 +215,14 @@ class TestHooks:
 class TestSingleton:
     def test_get_flight_recorder_is_stable(self):
         assert get_flight_recorder() is get_flight_recorder()
+
+    def test_binds_the_process_context_under_another(self, monkeypatch):
+        """First asked for under an activated context, the process
+        recorder still observes the process default's state."""
+        monkeypatch.setattr(flight, "_global_recorder", None)
+        with ObsContext.fresh().activate():
+            rec = get_flight_recorder()
+        process = default_context()
+        assert rec.tracer is process.tracer
+        assert rec.registry is process.registry
+        assert rec.queries is process.queries

@@ -9,6 +9,7 @@ from repro import Box, PointCloudDB
 from repro.cli import main
 from repro.engine.compressed import CompressedColumn
 from repro.engine.durable import InjectedCrash
+from repro.engine.kernels import RangePredicate
 from repro.obs.heat import (
     HEAT_JOURNAL_NAME,
     HeatMap,
@@ -343,7 +344,7 @@ class TestScanIntegration:
         column = CompressedColumn.from_values(
             "v", rng.integers(0, 100_000, 100_000), segment_rows=8192
         )
-        column.range_select(10_000, 12_000)
+        column.select(RangePredicate(10_000, 12_000))
         rows = heat.snapshot(top=50)["segments"]
         assert rows, "compressed range_select recorded no heat"
         assert {row["column"] for row in rows} == {"v"}

@@ -11,6 +11,7 @@ from repro import Box, PointCloudDB
 from repro.cli import main
 from repro.engine import scan
 from repro.engine.compressed import CompressedColumn
+from repro.engine.kernels import RangePredicate
 from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
@@ -261,7 +262,7 @@ class TestPackedScanCapture:
 
         def _scan_loop():
             while not stop.is_set():
-                column.range_select(100_000, 200_000)
+                column.select(RangePredicate(100_000, 200_000))
 
         thread = threading.Thread(target=_scan_loop, daemon=True)
         thread.start()

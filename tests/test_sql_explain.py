@@ -130,6 +130,29 @@ class TestExplain:
         assert "inner probe" in plan
         assert "spatial filter" in plan
 
+    def test_per_row_geometry_refines_unless_a_rectangle(self, session):
+        """A geometry read from the outer row is unknown at plan time: the
+        plan says refinement runs unless the row's geometry is a rectangle
+        (geo_zones' one polygon is, so EXPLAIN ANALYZE shows no refine
+        span); ``dwithin`` always refines."""
+        sql = (
+            "SELECT count(*) FROM pts p, geo_zones g WHERE "
+            "ST_Contains(g.geom, ST_Point(p.x, p.y))"
+        )
+        assert (
+            "spatial filter [contains] via imprints + grid refinement unless "
+            "the row's geometry is a rectangle: st_contains(g.geom, st_point(p.x, p.y))"
+        ) in session.explain(sql)
+        assert "query.refine" not in session.explain_analyze(sql)
+        plan = session.explain(
+            "SELECT count(*) FROM pts p, roads r WHERE "
+            "ST_DWithin(r.geom, ST_Point(p.x, p.y), 5)"
+        )
+        assert (
+            "spatial filter [dwithin] via imprints + grid refinement: "
+            "st_dwithin(r.geom, st_point(p.x, p.y), 5)"
+        ) in plan
+
     def test_clauses_listed(self, session):
         plan = session.explain(
             "SELECT c, count(*) FROM pts GROUP BY c HAVING count(*) > 1 "
