@@ -651,8 +651,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_queries(args: argparse.Namespace) -> int:
     import json
+    import textwrap
     import urllib.error
     import urllib.request
+
+    from .obs.slowlog import format_record
 
     url = args.url if args.url else f"http://127.0.0.1:{args.port}"
     endpoint = url.rstrip("/") + "/debug/queries"
@@ -681,13 +684,7 @@ def _cmd_queries(args: argparse.Namespace) -> int:
         )
     print(f"recent ({len(recent)}):")
     for query in recent:
-        print(
-            f"  {query.get('query_id', '?'):<18}"
-            f" {query.get('kind', '?'):<8}"
-            f" {query.get('status', '?'):<10}"
-            f" {query.get('elapsed_s', 0.0):>8.3f}s"
-            f"  {query.get('detail') or ''}"
-        )
+        print(textwrap.indent(format_record(query), "  "))
     return 0
 
 
@@ -1163,9 +1160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # JSON dump behind.  Idempotent across repeated main() calls.
     from .obs.flight import get_flight_recorder
 
-    recorder = get_flight_recorder()
-    recorder.install()
-    recorder.note("cli.start", argv=list(argv))
+    get_flight_recorder().install()
     if argv[:1] == ["check"]:
         # Dispatch before argparse: REMAINDER mis-parses a remainder that
         # starts with an option (`check --format json`, bpo-17050), so the

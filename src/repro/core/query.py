@@ -291,11 +291,6 @@ class SpatialSelect:
             timeout_s,
             self.slow_log,
         ) as active:
-            if active.slow_record is not None:
-                bbox = geometry_envelope(geometry)
-                active.slow_record.update(
-                    bbox=[bbox.xmin, bbox.ymin, bbox.xmax, bbox.ymax]
-                )
             active.set_phase("filter")
             stats = QueryStats(
                 n_rows=len(self.table),
@@ -305,6 +300,7 @@ class SpatialSelect:
             # geometry parsing counts toward the reported wall time.
             t0 = now()
             env = _filter_envelope(geometry, predicate, distance)
+            active.answer["bbox"] = [env.xmin, env.ymin, env.xmax, env.ymax]
 
             z_slab = None
             if z_range is not None:
@@ -355,21 +351,20 @@ class SpatialSelect:
 
             stats.n_results = int(oids.shape[0])
             active.span.set(rows_out=stats.n_results)
-            if active.slow_record is not None:
-                active.slow_record.update(
-                    rows=stats.n_results,
-                    stats={
-                        "filter_seconds": stats.filter_seconds,
-                        "refine_seconds": stats.refine_seconds,
-                        "imprint_build_seconds": stats.imprint_build_seconds,
-                        "n_filter_candidates": stats.n_filter_candidates,
-                        "n_segments_skipped": stats.n_segments_skipped,
-                        "n_segments_probed": stats.n_segments_probed,
-                        "imprint_columns": list(stats.imprint_columns),
-                        "n_probes_dense": stats.n_probes_dense,
-                        "n_probes_gather": stats.n_probes_gather,
-                    },
-                )
+            active.answer.update(
+                rows=stats.n_results,
+                stats={
+                    "filter_seconds": stats.filter_seconds,
+                    "refine_seconds": stats.refine_seconds,
+                    "imprint_build_seconds": stats.imprint_build_seconds,
+                    "n_filter_candidates": stats.n_filter_candidates,
+                    "n_segments_skipped": stats.n_segments_skipped,
+                    "n_segments_probed": stats.n_segments_probed,
+                    "imprint_columns": list(stats.imprint_columns),
+                    "n_probes_dense": stats.n_probes_dense,
+                    "n_probes_gather": stats.n_probes_gather,
+                },
+            )
         # The tracker's CPU delta lands at scope exit.
         stats.resources = active.tracker.usage
         stats.query_id = active.query_id

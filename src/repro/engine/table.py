@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import ArrayLike
 
 from .column import Column
 
@@ -160,13 +160,6 @@ class Table:
         return report
 
     # -- access ------------------------------------------------------------
-
-    def fetch(
-        self, oids: NDArray[Any], columns: Optional[Sequence[str]] = None
-    ) -> Dict[str, NDArray[Any]]:
-        """Materialise the requested columns at the given row ids."""
-        names = list(columns) if columns is not None else self.column_names
-        return {name: self.column(name).take(oids) for name in names}
 
     def row(self, oid: int) -> Tuple[Any, ...]:
         """A single row as a tuple in schema order (debug/point lookups)."""

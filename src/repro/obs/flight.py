@@ -1,14 +1,15 @@
 """Crash flight recorder: post-mortem telemetry for dying processes.
 
 Metrics endpoints and slow-query logs only help while the process is
-alive; the question after a crash is "what were the last things it
-did".  The :class:`FlightRecorder` keeps an always-on, bounded,
-in-memory buffer of recent **events** — CLI entry notes, phase marks,
-anything callers :meth:`~FlightRecorder.note` — and, when the process
-dies abnormally, writes one JSON dump containing:
+alive; the question after a crash is "what was it doing".  When the
+process dies abnormally, the :class:`FlightRecorder` writes one JSON
+dump containing:
 
-* the reason (exception with traceback, or the fatal signal),
-* the buffered events, newest last,
+* the reason (exception with traceback, or the fatal signal), the pid
+  and the argv,
+* the query registry's snapshot: the records of the queries that were
+  running and of the ones that just finished (the query record of
+  docs/observability.md),
 * the most recent spans from the tracer's ring buffer (when tracing
   was on — the recorder never enables tracing itself),
 * the full metrics snapshot *and* the counter deltas since
@@ -22,8 +23,7 @@ the process still dies, it just leaves a black box behind.  Dumps are
 written with the durable atomic-write protocol to ``REPRO_FLIGHT_DIR``
 (default: the system temp directory) as ``flight-<pid>-<ts>.json``.
 
-The steady-state cost is one deque append per ``note()``; nothing is
-serialised until the process is already dying.
+Nothing is kept or serialised until the process is already dying.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ import tempfile
 import threading
 import time
 import traceback
-from collections import deque
 from pathlib import Path
 from types import FrameType, TracebackType
-from typing import Callable, Deque, Dict, List, Optional, Type, Union
+from typing import Callable, Dict, Optional, Type, Union
 
 from .context import default_context
 from .metrics import MetricsRegistry, get_registry
@@ -48,9 +47,6 @@ from .trace import Tracer, get_tracer, span_to_dict
 
 #: Environment override for where dumps land (default: cwd).
 FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
-
-#: Bounded event-buffer capacity; old events fall off the back.
-DEFAULT_MAX_EVENTS = 256
 
 #: How many of the tracer's most recent spans a dump embeds.
 DUMP_SPANS = 200
@@ -68,18 +64,15 @@ def flight_directory() -> Path:
 
 
 class FlightRecorder:
-    """Bounded black-box buffer plus the hooks that flush it on death."""
+    """The hooks that write a post-mortem dump when the process dies."""
 
     def __init__(
         self,
-        max_events: int = DEFAULT_MAX_EVENTS,
         directory: Optional[Union[str, Path]] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
         queries: Optional[QueryRegistry] = None,
     ) -> None:
-        self._events: Deque[Dict[str, object]] = deque(maxlen=max_events)
-        self._lock = threading.Lock()
         self.directory = Path(directory) if directory is not None else None
         self.tracer = tracer if tracer is not None else get_tracer()
         self.registry = registry if registry is not None else get_registry()
@@ -89,20 +82,6 @@ class FlightRecorder:
         self._installed_hook: Optional[ExceptHook] = None
         self._prev_sigterm: Optional[object] = None
         self._installed = False
-
-    # -- the black box ---------------------------------------------------------
-
-    def note(self, name: str, **attributes: object) -> None:
-        """Record one event (a breadcrumb, not a span — no duration)."""
-        event: Dict[str, object] = {"ts": time.time(), "event": name}
-        event.update(attributes)
-        with self._lock:
-            self._events.append(event)
-
-    def events(self) -> List[Dict[str, object]]:
-        """Snapshot of the buffered events, oldest first."""
-        with self._lock:
-            return list(self._events)
 
     # -- install / uninstall ---------------------------------------------------
 
@@ -126,7 +105,6 @@ class FlightRecorder:
             except (ValueError, OSError):
                 self._prev_sigterm = None
         self._installed = True
-        self.note("flight.installed", pid=os.getpid())
         return self
 
     def uninstall(self) -> None:
@@ -181,11 +159,10 @@ class FlightRecorder:
             "ts": time.time(),
             "pid": os.getpid(),
             "argv": list(sys.argv),
-            "events": self.events(),
             "counter_deltas": self._counter_deltas(),
             "metrics": self.registry.snapshot(),
-            # What was running (and what just ran) at dump time: id,
-            # phase, progress, elapsed — the post-mortem's first question.
+            # What was running (and what just ran) at dump time: the
+            # query records — the post-mortem's first question.
             "queries": self.queries.snapshot(),
         }
         if exc is not None:
@@ -198,8 +175,8 @@ class FlightRecorder:
             }
         spans = self.tracer.spans()
         record["spans"] = [span_to_dict(s) for s in spans[-DUMP_SPANS:]]
-        # What the process was *executing*, not just its breadcrumbs:
-        # the always-on sampler's hot stacks, when one is running.
+        # What the process was *executing*: the always-on sampler's hot
+        # stacks, when one is running.
         # maybe_profiler never creates — crashing must not start sampling.
         from .profiler import maybe_profiler
 

@@ -4,15 +4,15 @@ Every spatial or SQL query entering the engine runs inside
 :func:`query_scope`, which opens all of its per-query observers at once:
 :meth:`QueryRegistry.track` assigns it a process-unique ``query_id``,
 publishes an :class:`ActiveQuery` record (phase, progress, elapsed,
-resources) while the query runs, and retires the record into a bounded
-recent-history ring when it finishes; a :class:`ResourceTracker` bills
-what it consumed; a root span carries its ``query_id``; and a top-level
-query of a database with an armed
-:class:`~repro.obs.slowlog.SlowQueryLog` is observed by it.  The
-registry backs the ``/debug/queries`` route on
-:class:`~repro.obs.server.TelemetryServer`, the ``repro-gis queries``
-CLI view, and the flight recorder's crash-time snapshot of what was
-running.
+resources) while the query runs, and retires its final record into a
+bounded recent-history ring when it finishes; a :class:`ResourceTracker`
+bills what it consumed; a root span carries its ``query_id``; and a
+top-level query of a database with an armed
+:class:`~repro.obs.slowlog.SlowQueryLog` is captured for it.  One
+builder, :meth:`ActiveQuery.to_dict`, makes the record that the
+``/debug/queries`` route on :class:`~repro.obs.server.TelemetryServer`,
+the ``repro-gis queries`` CLI view, the slow-query log and the flight
+recorder's crash-time snapshot all show.
 
 Progress is fed from the segment classifiers: both
 :class:`~repro.core.imprints.segments.SegmentedImprints` and
@@ -38,14 +38,14 @@ import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from typing import Any, ContextManager, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Deque, Dict, Iterator, List, Optional, Union
 
 from ._context_state import CURRENT
 from .metrics import get_registry
 from .resources import ResourceTracker
 from .slowlog import SlowQueryLog
 from .timing import now
-from .trace import NOOP_SPAN, Span, _NoopSpan, maybe_span
+from .trace import NOOP_SPAN, Span, _NoopSpan, get_tracer, maybe_span, span_to_dict
 
 __all__ = [
     "ActiveQuery",
@@ -84,9 +84,12 @@ class ActiveQuery:
     ``timeout_s``, ``deadline``) is immutable after construction; the
     mutable progress fields are guarded by ``_lock`` because the
     telemetry server reads them while the query thread ticks them.
-    ``span`` and ``slow_record`` are set by :func:`query_scope` and used
-    only by the query's own thread: the root span, and the fields of the
-    query's slow-query record (``None`` when it is not logged).
+    ``span``, ``answer``, ``slow_log`` and ``spans`` are set by
+    :func:`query_scope` and the front door, and written only by the
+    query's own thread: the root span, the answer fields the record
+    merges (``rows``, ``stats`` or ``profile``, ``bbox``), and the slow
+    log the query is captured for with the spans captured so far
+    (``None`` and empty when it is not logged).
     """
 
     __slots__ = (
@@ -98,7 +101,9 @@ class ActiveQuery:
         "deadline",
         "tracker",
         "span",
-        "slow_record",
+        "answer",
+        "slow_log",
+        "spans",
         "started",
         "started_ts",
         "_lock",
@@ -128,7 +133,9 @@ class ActiveQuery:
         self.deadline = deadline
         self.tracker = ResourceTracker()
         self.span: Union[Span, _NoopSpan] = NOOP_SPAN
-        self.slow_record: Optional[Dict[str, object]] = None
+        self.answer: Dict[str, Any] = {}
+        self.slow_log: Optional[SlowQueryLog] = None
+        self.spans: List[Span] = []
         self.started = now()
         self.started_ts = time.time()  # wall clock, display only
         self._lock = threading.Lock()
@@ -162,11 +169,29 @@ class ActiveQuery:
             timeout = self.timeout_s if self.timeout_s is not None else 0.0
             raise QueryCancelled(self.query_id, timeout, now() - self.started)
 
-    def finish(self, status: str, error: Optional[str] = None) -> None:
+    def finish(self, status: str, error: Optional[str] = None) -> Dict[str, Any]:
+        """Fix the outcome and elapsed time; return the final record.
+
+        A query captured for a slow log that took at least its threshold
+        also gets its span tree (serialised only now) and, when the
+        always-on profiler sampled it, its hot stacks.
+        """
         with self._lock:
             self._status = status
             self._error = error
-            self._elapsed = now() - self.started
+            self._elapsed = elapsed = now() - self.started
+        if self.slow_log is not None and elapsed >= self.slow_log.threshold_s:
+            self.answer["spans"] = [span_to_dict(span) for span in self.spans]
+            # Lazy: the profiler imports this module.  maybe_profiler
+            # never creates one; only serve mode starts it.
+            from .profiler import maybe_profiler
+
+            profiler = maybe_profiler()
+            if profiler is not None:
+                hot = profiler.query_summary(self.query_id)
+                if hot is not None:
+                    self.answer["hot_stacks"] = hot
+        return self.to_dict()
 
     # -- views -------------------------------------------------------------
 
@@ -181,6 +206,9 @@ class ActiveQuery:
         return min(1.0, done / total)
 
     def to_dict(self) -> Dict[str, Any]:
+        """The query's record, live or final: identity and state, then
+        the front door's answer fields (and, for a slow logged query, its
+        spans and hot stacks)."""
         with self._lock:
             total = self._segments_total
             done = self._segments_done
@@ -209,6 +237,7 @@ class ActiveQuery:
         if error is not None:
             record["error"] = error
         record["resources"] = self.tracker.usage.to_dict()
+        record.update(self.answer)
         return record
 
 
@@ -257,10 +286,6 @@ class QueryRegistry:
             "recent": self.recent(),
         }
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._active)
-
     # -- thread attribution (for the sampling profiler) ---------------------
     #
     # Contextvars cannot be read *across* threads, but the profiler's
@@ -305,9 +330,11 @@ class QueryRegistry:
         """Publish an :class:`ActiveQuery` for the duration of a query.
 
         Sets the active-query context variable (so progress hooks and
-        deadline checks anywhere below find the record), and retires
-        it into the recent ring on the way out with status ``finished``,
-        ``cancelled`` (:class:`QueryCancelled`) or ``error``.
+        deadline checks anywhere below find the record), and retires its
+        final record (:meth:`ActiveQuery.finish`) into the recent ring on
+        the way out with status ``finished``, ``cancelled``
+        (:class:`QueryCancelled`) or ``error``.  A slow query captured for
+        a slow log appends that same record to the log.
         """
         parent = _ACTIVE.get()
         deadline = now() + timeout_s if timeout_s is not None else None
@@ -346,20 +373,19 @@ class QueryRegistry:
         finally:
             self.unbind_thread(previous_binding)
             _ACTIVE.reset(token)
-            query.finish(status, error)
+            record = query.finish(status, error)
             with self._lock:
                 self._active.pop(query.query_id, None)
-                self._recent.append(query.to_dict())
+                self._recent.append(record)
                 n_active = len(self._active)
             registry.gauge("query.active").set(float(n_active))
             if status == "cancelled":
                 registry.counter("query.cancelled").inc()
             elif status == "error":
                 registry.counter("query.errors").inc()
-
-
-#: Stands in for :meth:`SlowQueryLog.observe` when a query is not logged.
-_UNOBSERVED: ContextManager[Optional[Dict[str, object]]] = nullcontext()
+            # finish() embedded the spans: the query is logged and slow.
+            if query.slow_log is not None and "spans" in record:
+                query.slow_log.append(record)
 
 
 @contextmanager
@@ -377,44 +403,25 @@ def query_scope(
     enclosing query's deadline), bills it to the query's
     :class:`ResourceTracker` (``query.tracker``), and opens the root span
     ``span_name`` with ``detail`` as attributes, linked to the ``query_id``
-    both ways.  A top-level query runs under ``slow_log.observe`` when a
-    log is given; its record then carries the ``query_id``, resources,
-    the encoded/materialized byte split and, when the always-on profiler
-    sampled the query, its hot stacks.  A nested query (a SQL statement's
-    spatial sub-query) is never logged on its own.  The front door adds
-    its answer to ``query.slow_record`` (rows, stats) and to
-    ``query.span`` (``rows_out``).
+    both ways.  A top-level query of an owner with an armed ``slow_log``
+    runs under a :meth:`~repro.obs.trace.Tracer.capture`; if it is slow,
+    its record carries the captured spans and the log appends it.  A
+    nested query (a SQL statement's spatial sub-query) is never logged on
+    its own.  The front door adds its answer to ``query.answer`` (rows,
+    stats) and to ``query.span`` (``rows_out``).
     """
     log = slow_log if _ACTIVE.get() is None else None
-    with (
-        log.observe(kind, **detail) if log is not None else _UNOBSERVED
-    ) as record, get_queries().track(kind, detail, timeout_s) as query:
-        query.slow_record = record
-        try:
-            with query.tracker, maybe_span(span_name, **detail) as root:
-                query.span = root
-                if isinstance(root, Span):  # tracing off hands out NOOP_SPAN
-                    root.set(query_id=query.query_id)
-                    query.set_trace(root.trace_id)
-                yield query
-        finally:
-            if record is not None:
-                usage = query.tracker.usage
-                record.update(
-                    query_id=query.query_id,
-                    resources=usage.to_dict(),
-                    encoded_bytes=usage.encoded_bytes,
-                    materialized_bytes=usage.materialized_bytes,
-                )
-                # Lazy: the profiler imports this module.  maybe_profiler
-                # never creates one; only serve mode starts it.
-                from .profiler import maybe_profiler
-
-                profiler = maybe_profiler()
-                if profiler is not None:
-                    hot = profiler.query_summary(query.query_id)
-                    if hot is not None:
-                        record["hot_stacks"] = hot
+    with get_queries().track(kind, detail, timeout_s) as query, (
+        get_tracer().capture() if log is not None else nullcontext(query.spans)
+    ) as spans:
+        query.slow_log = log
+        query.spans = spans
+        with query.tracker, maybe_span(span_name, **detail) as root:
+            query.span = root
+            if isinstance(root, Span):  # tracing off hands out NOOP_SPAN
+                root.set(query_id=query.query_id)
+                query.set_trace(root.trace_id)
+            yield query
 
 
 _global_queries = QueryRegistry()

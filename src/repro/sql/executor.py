@@ -175,10 +175,9 @@ class Session:
                 "total": t2 - t0,
             }
             active.span.set(rows_out=len(result.rows))
-            if active.slow_record is not None:
-                active.slow_record.update(
-                    rows=len(result.rows), profile=dict(self.last_profile)
-                )
+            active.answer.update(
+                rows=len(result.rows), profile=dict(self.last_profile)
+            )
         self.last_resources = active.tracker.usage
         self.last_query_id = active.query_id
         registry = self.obs.registry

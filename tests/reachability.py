@@ -5,15 +5,17 @@
 Runs tier-1 (``tests/``) and ``benchmarks/e2e/test_smoke.py`` under a
 ``sys.setprofile`` / ``threading.setprofile`` profiler.  A generated
 ``sitecustomize`` on ``PYTHONPATH`` installs the same profiler in every
-subprocess those suites start (the examples, the CLI daemons,
-``benchmarks/e2e/run.py`` and its children), and each process appends
-what it enters to its own file, one line per function, so a process
-ended by a signal loses nothing.
+subprocess those suites start (the CLI daemons, ``benchmarks/e2e/run.py``
+and its children), and each process appends what it enters to its own
+file, one line per function, so a process ended by a signal loses
+nothing.
 
 A function counts as **reached** when
 
 * it is entered in a consumer process: an ``examples/`` or
   ``benchmarks/`` script, or ``python -m repro.cli``;
+* it is entered below an ``examples/`` script's frame: the example
+  smoke tests run each example in-process as ``__main__``;
 * it is entered in any other process and its outermost ``src/`` caller
   frame (a thread inherits its starter's) is in a surface module:
   :data:`SURFACE`;
@@ -58,6 +60,9 @@ SURFACE = (
 
 #: Consumer scripts live here; everything they enter is reached.
 CONSUMERS = (ROOT / "examples", ROOT / "benchmarks")
+
+#: Stands in for the outermost ``src/`` caller of code an example runs.
+_EXAMPLE = "<example>"
 
 SUITES = ["tests", "benchmarks/e2e/test_smoke.py"]
 
@@ -104,6 +109,7 @@ def install(out_dir: str, shim_dir: str) -> None:
     """Profile this process into ``out_dir/<pid>.txt``; make every child
     Python process load the ``sitecustomize`` in ``shim_dir`` too."""
     src = str(PKG) + os.sep
+    examples = str(ROOT / "examples") + os.sep
     consumer = _is_consumer(list(sys.orig_argv))
     fd = os.open(
         os.path.join(out_dir, f"{os.getpid()}.txt"),
@@ -125,6 +131,8 @@ def install(out_dir: str, shim_dir: str) -> None:
             name = frame.f_code.co_filename
             if name.startswith(src):
                 found = name[len(src):].replace(os.sep, "/")
+            elif name.startswith(examples):
+                return _EXAMPLE
             frame = frame.f_back
         return found
 
@@ -140,7 +148,8 @@ def install(out_dir: str, shim_dir: str) -> None:
         if code not in entered:
             entered.add(code)
             note("E", code)
-        if consumer or _is_surface(outermost(frame) or ""):
+        origin = outermost(frame) or ""
+        if consumer or origin == _EXAMPLE or _is_surface(origin):
             done.add(code)
             note("R", code)
 

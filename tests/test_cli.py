@@ -304,6 +304,12 @@ class TestQueriesCommand:
         out = capsys.readouterr().out
         assert "active (1):" in out
         assert query.query_id in out
+        # Retired, it is rendered as its record.
+        assert main(["queries", "--url", server.url]) == 0
+        out = capsys.readouterr().out
+        assert "active (0):" in out
+        assert f"  {query.query_id} spatial finished, took" in out
+        assert "table=pts" in out
 
     def test_json_output(self, live_server, capsys):
         import json
@@ -336,7 +342,7 @@ class TestSlowlogCommand:
     def test_pretty_output(self, log_path, capsys):
         assert main(["slowlog", str(log_path)]) == 0
         captured = capsys.readouterr()
-        assert "sql took" in captured.out
+        assert "sql finished, took" in captured.out
         assert "SELECT count(*) FROM points" in captured.out
         assert "sql.query" in captured.out  # the span tree
         assert "(1 slow queries)" in captured.err

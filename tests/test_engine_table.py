@@ -66,15 +66,5 @@ class TestAppend:
 
 
 class TestFetch:
-    def test_fetch_selected_columns(self, points):
-        out = points.fetch(np.array([2, 0]), columns=["x"])
-        assert list(out.keys()) == ["x"]
-        np.testing.assert_array_equal(out["x"], [2.0, 0.0])
-
-    def test_fetch_all_columns(self, points):
-        out = points.fetch(np.array([1]))
-        assert set(out.keys()) == {"x", "y", "cls"}
-        assert out["cls"][0] == 6
-
     def test_nbytes(self, points):
         assert points.nbytes == 3 * 8 + 3 * 8 + 3 * 1

@@ -1,82 +1,75 @@
 """Smoke tests: the example scripts must run end-to-end.
 
-Each example is executed as a subprocess in a temp directory (they write
-images/files to the working directory).  Only the faster examples run
-here; the long ones (500k-1M point renders) are exercised manually and
-by the benchmarks.
+Each example runs in-process as ``__main__`` (``runpy``) in a temp working
+directory (they write images/files there), with its command line patched
+into ``sys.argv``.  None of them leaves process-wide state changed: no
+tracer switched on, no heat map or profiler started, no signal handler or
+excepthook installed.  Only the faster examples run here; the long ones
+(500k-1M point renders) are exercised manually and by the benchmarks.
 """
 
-import os
-import subprocess
+import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_example(name: str, tmp_path, *args, timeout=420):
-    # The examples import `repro` from the source tree; the subprocess does
-    # not inherit pytest's import path, so prepend src/ explicitly.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(EXAMPLES / name), *args],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout
+@pytest.fixture
+def run_example(tmp_path, monkeypatch, capsys):
+    """Run ``examples/<name> *args`` as ``__main__``; return its stdout."""
+
+    def run(name: str, *args: str) -> str:
+        script = str(EXAMPLES / name)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", [script, *args])
+        runpy.run_path(script, run_name="__main__")
+        return capsys.readouterr().out
+
+    return run
 
 
 class TestExamples:
-    def test_quickstart(self, tmp_path):
-        out = run_example("quickstart.py", tmp_path)
+    def test_quickstart(self, run_example):
+        out = run_example("quickstart.py")
         assert "polygon query ->" in out
         assert "per-class breakdown" in out
         assert "storage:" in out
 
-    def test_figure2(self, tmp_path):
-        out = run_example("figure2_map.py", tmp_path, str(tmp_path / "f2.ppm"))
+    def test_figure2(self, run_example, tmp_path):
+        out = run_example("figure2_map.py", str(tmp_path / "f2.ppm"))
         assert (tmp_path / "f2.ppm").exists()
         assert "layer inventory" in out
 
-    def test_scenario2(self, tmp_path):
-        out = run_example("scenario2_thematic_sql.py", tmp_path)
+    def test_scenario2(self, run_example):
+        out = run_example("scenario2_thematic_sql.py")
         assert "points_near_transit" in out
         assert "avg_elevation" in out
         assert "EXPLAIN" in out
         assert "imprints + grid refinement" in out
 
     @pytest.mark.slow
-    def test_scenario1(self, tmp_path):
-        out = run_example("scenario1_file_vs_dbms.py", tmp_path)
+    def test_scenario1(self, run_example):
+        out = run_example("scenario1_file_vs_dbms.py")
         assert "flat table + imprints" in out
         assert "functional gap" in out
 
     @pytest.mark.slow
-    def test_figure1(self, tmp_path):
-        out = run_example(
-            "figure1_pointcloud.py", tmp_path, str(tmp_path / "f1.ppm")
-        )
+    def test_figure1(self, run_example, tmp_path):
+        run_example("figure1_pointcloud.py", str(tmp_path / "f1.ppm"))
         assert (tmp_path / "f1.ppm").exists()
         assert (tmp_path / "f1_query.ppm").exists()
 
     @pytest.mark.slow
-    def test_elevation_models(self, tmp_path):
-        out = run_example("elevation_models.py", tmp_path, str(tmp_path))
+    def test_elevation_models(self, run_example, tmp_path):
+        out = run_example("elevation_models.py", str(tmp_path))
         assert (tmp_path / "dsm.pgm").exists()
         assert "DSM coverage" in out
 
     @pytest.mark.slow
-    def test_lod_navigation(self, tmp_path):
-        out = run_example("lod_navigation.py", tmp_path, str(tmp_path))
+    def test_lod_navigation(self, run_example, tmp_path):
+        out = run_example("lod_navigation.py", str(tmp_path))
         assert (tmp_path / "nav_street.ppm").exists()
         assert "pyramid" in out

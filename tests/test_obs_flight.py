@@ -1,4 +1,4 @@
-"""The crash flight recorder: event buffer, hooks, post-mortem dumps."""
+"""The crash flight recorder: hooks and post-mortem dumps."""
 
 import json
 import os
@@ -39,38 +39,19 @@ def read_dump(tmp_path):
     return json.loads(dumps[0].read_text())
 
 
-class TestBlackBox:
-    def test_note_buffers_events_oldest_first(self, recorder):
-        recorder.note("load.start", tiles=4)
-        recorder.note("load.done")
-        events = recorder.events()
-        assert [e["event"] for e in events] == ["load.start", "load.done"]
-        assert events[0]["tiles"] == 4
-        assert events[0]["ts"] <= events[1]["ts"]
-
-    def test_buffer_is_bounded(self, tmp_path):
-        rec = FlightRecorder(max_events=8, directory=tmp_path)
-        for i in range(20):
-            rec.note(f"e{i}")
-        events = rec.events()
-        assert len(events) == 8
-        assert events[0]["event"] == "e12"
-
-
 class TestDump:
     def test_dump_writes_reason_events_and_deltas(self, recorder):
+        """The process's identity and what it did since install: argv,
+        counter deltas and metrics (the query records are checked in
+        test_obs_slowlog's three-views test)."""
         recorder.install()
         recorder.registry.counter("sql.queries").inc(3)
-        recorder.note("phase", stage="load")
         path = recorder.dump("test_reason")
         assert path is not None and path.exists()
         record = json.loads(path.read_text())
         assert record["reason"] == "test_reason"
-        assert record["pid"] > 0
-        assert [e["event"] for e in record["events"]] == [
-            "flight.installed",
-            "phase",
-        ]
+        assert record["pid"] == os.getpid()
+        assert record["argv"] == sys.argv
         assert record["counter_deltas"] == {"sql.queries": 3}
         assert "metrics" in record
         assert recorder.registry.counter("flight.dumps").value == 1
@@ -162,16 +143,12 @@ class TestHooks:
         try:
             recorder.install()
             hook = sys.excepthook
+            recorder.registry.counter("sql.queries").inc()
             recorder.install()
             assert sys.excepthook is hook
-            assert (
-                sum(
-                    1
-                    for e in recorder.events()
-                    if e["event"] == "flight.installed"
-                )
-                == 1
-            )
+            # The lifetime baseline was taken once, not reset.
+            record = json.loads(recorder.dump("twice").read_text())
+            assert record["counter_deltas"] == {"sql.queries": 1}
         finally:
             recorder.uninstall()
             sys.excepthook = original
@@ -188,8 +165,7 @@ class TestHooks:
         script = (
             "import sys; sys.argv = ['repro-gis', 'info']\n"
             "from repro.obs.flight import get_flight_recorder\n"
-            "rec = get_flight_recorder(); rec.install()\n"
-            "rec.note('cli.start', argv=sys.argv)\n"
+            "get_flight_recorder().install()\n"
             "raise RuntimeError('simulated crash')\n"
         )
         result = subprocess.run(
@@ -209,7 +185,7 @@ class TestHooks:
         record = read_dump(tmp_path)
         assert record["reason"] == "unhandled_exception"
         assert record["exception"]["message"] == "simulated crash"
-        assert any(e["event"] == "cli.start" for e in record["events"])
+        assert record["argv"] == ["repro-gis", "info"]
 
 
 class TestSingleton:

@@ -114,10 +114,10 @@ class TestTrack:
         registry = QueryRegistry()
         with registry.track("spatial", detail={"table": "pts"}) as query:
             assert query.query_id.startswith("q")
-            assert len(registry) == 1
+            assert len(registry.active()) == 1
             assert registry.active()[0] is query
             assert current_query() is query
-        assert len(registry) == 0
+        assert len(registry.active()) == 0
         assert current_query() is None
         (record,) = registry.recent()
         assert record["query_id"] == query.query_id

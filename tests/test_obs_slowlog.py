@@ -1,4 +1,4 @@
-"""The slow-query log: thresholds, JSONL records, span capture."""
+"""The slow-query log: thresholds, JSONL query records, span capture."""
 
 import json
 import threading
@@ -9,7 +9,8 @@ import pytest
 from repro import Box, PointCloudDB
 from repro.engine import scan as scan_mod
 from repro.obs.context import ObsContext
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.flight import FlightRecorder
+from repro.obs.queries import query_scope
 from repro.obs.slowlog import (
     SLOW_QUERY_ENV,
     SLOW_QUERY_LOG_ENV,
@@ -19,18 +20,36 @@ from repro.obs.slowlog import (
     read_records,
     threshold_from_env,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import maybe_span
+
+
+def make_db(tmp_path, threshold_s=0.0, n=2000):
+    """A db with a private obs context and a slow log at ``threshold_s``."""
+    db = PointCloudDB(
+        slow_query_s=threshold_s,
+        slow_query_log=tmp_path / "slow.jsonl",
+        obs=ObsContext.fresh(enabled=False),
+    )
+    db.create_pointcloud("pts")
+    rng = np.random.default_rng(7)
+    db.load_points(
+        "pts", {name: rng.uniform(0, 100, n) for name in ("x", "y", "z")}
+    )
+    return db
+
+
+@pytest.fixture
+def context():
+    """A private obs context (tracer off), activated for the test."""
+    context = ObsContext.fresh(enabled=False)
+    with context.activate():
+        yield context
 
 
 @pytest.fixture
 def log(tmp_path):
-    """A threshold-0 log (records everything) with private singletons."""
-    return SlowQueryLog(
-        0.0,
-        tmp_path / "slow.jsonl",
-        tracer=Tracer(enabled=False),
-        registry=MetricsRegistry(),
-    )
+    """A threshold-0 log: every top-level query is slow."""
+    return SlowQueryLog(0.0, tmp_path / "slow.jsonl")
 
 
 class TestEnv:
@@ -58,36 +77,35 @@ class TestEnv:
 
 
 class TestObserve:
-    def test_slow_query_appends_exactly_one_record(self, log):
-        with log.observe("sql", sql="SELECT 1") as fields:
-            fields.update(rows=1)
-        records = read_records(log.path)
+    """What ``query_scope`` does for a query whose owner armed a log."""
+
+    def test_slow_query_appends_exactly_one_record(self, tmp_path):
+        db = make_db(tmp_path)
+        db.sql("SELECT count(*) FROM pts WHERE x < 50")
+        records = read_records(db.slow_log.path)
         assert len(records) == 1
         record = records[0]
         assert record["kind"] == "sql"
-        assert record["sql"] == "SELECT 1"
+        assert record["detail"] == {"sql": "SELECT count(*) FROM pts WHERE x < 50"}
         assert record["rows"] == 1
-        assert record["seconds"] >= 0.0
-        assert record["threshold_s"] == 0.0
+        assert record["status"] == "finished"
+        assert record["elapsed_s"] >= 0.0
         assert "error" not in record
-        assert log.registry.counter("slowlog.records").value == 1
+        assert db.obs.registry.counter("slowlog.records").value == 1
 
-    def test_fast_query_writes_nothing(self, tmp_path):
-        log = SlowQueryLog(
-            3600.0,
-            tmp_path / "slow.jsonl",
-            tracer=Tracer(enabled=False),
-            registry=MetricsRegistry(),
-        )
-        with log.observe("sql", sql="SELECT 1"):
+    def test_fast_query_writes_nothing(self, context, tmp_path):
+        log = SlowQueryLog(3600.0, tmp_path / "slow.jsonl")
+        with query_scope("sql", "sql.query", {"sql": "SELECT 1"}, slow_log=log):
             pass
         assert not log.path.exists()
+        # Nothing was serialised into the kept record either.
+        (record,) = context.queries.recent()
+        assert "spans" not in record
 
-    def test_record_embeds_span_tree(self, log):
-        with log.observe("spatial", table="pts"):
-            with log.tracer.span("query.spatial"):
-                with log.tracer.span("imprints.probe"):
-                    pass
+    def test_record_embeds_span_tree(self, context, log):
+        with query_scope("spatial", "query.spatial", {"table": "pts"}, slow_log=log):
+            with maybe_span("imprints.probe"):
+                pass
         (record,) = read_records(log.path)
         names = {span["name"] for span in record["spans"]}
         assert names == {"query.spatial", "imprints.probe"}
@@ -98,34 +116,60 @@ class TestObserve:
             == by_name["query.spatial"]["span_id"]
         )
 
-    def test_capture_restores_tracer_state(self, log):
-        assert not log.tracer.enabled
-        with log.observe("sql", sql="SELECT 1"):
-            assert log.tracer.enabled
-        assert not log.tracer.enabled
+    def test_capture_restores_tracer_state(self, context, log):
+        assert not context.tracer.enabled
+        with query_scope("sql", "sql.query", {"sql": "SELECT 1"}, slow_log=log):
+            assert context.tracer.enabled
+        assert not context.tracer.enabled
 
-    def test_raising_query_still_logged_with_error(self, log):
+    def test_raising_query_still_logged_with_error(self, context, log):
         with pytest.raises(RuntimeError):
-            with log.observe("sql", sql="SELECT boom"):
+            with query_scope("sql", "sql.query", {"sql": "boom"}, slow_log=log):
                 raise RuntimeError("boom")
         (record,) = read_records(log.path)
+        assert record["status"] == "error"
         assert record["error"] == "RuntimeError"
 
-    def test_records_accumulate_as_jsonl(self, log):
+    def test_records_accumulate_as_jsonl(self, tmp_path):
+        db = make_db(tmp_path)
         for i in range(3):
-            with log.observe("sql", sql=f"SELECT {i}"):
-                pass
-        records = read_records(log.path)
-        assert [r["sql"] for r in records] == [f"SELECT {i}" for i in range(3)]
+            db.sql(f"SELECT count(*) FROM pts WHERE x < {i}")
+        records = read_records(db.slow_log.path)
+        assert [r["detail"]["sql"] for r in records] == [
+            f"SELECT count(*) FROM pts WHERE x < {i}" for i in range(3)
+        ]
+
+
+class TestOneRecord:
+    def test_log_ring_and_flight_dump_hold_the_same_record(self, tmp_path):
+        """One query, one record: the slow-log line, the registry's
+        recent ring and a flight dump's snapshot are the same dict."""
+        db = make_db(tmp_path)
+        db.spatial_select("pts", Box(10, 10, 60, 60))
+        db.sql("SELECT avg(z) FROM pts WHERE x < 50")
+        logged = read_records(db.slow_log.path)
+        assert [r["kind"] for r in logged] == ["spatial", "sql"]
+        recent = {r["query_id"]: r for r in db.active_queries()["recent"]}
+        path = FlightRecorder(directory=tmp_path, queries=db.obs.queries).dump(
+            "test"
+        )
+        dumped = {
+            r["query_id"]: r
+            for r in json.loads(path.read_text())["queries"]["recent"]
+        }
+        for record in logged:
+            assert record["spans"]
+            assert record == recent[record["query_id"]]
+            assert record == dumped[record["query_id"]]
 
 
 class TestReadRecords:
-    def test_torn_final_line_is_skipped(self, log):
-        with log.observe("sql", sql="SELECT 1"):
-            pass
-        with open(log.path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "sql", "secon')  # crash mid-append
-        records = read_records(log.path)
+    def test_torn_final_line_is_skipped(self, tmp_path):
+        db = make_db(tmp_path)
+        db.sql("SELECT count(*) FROM pts")
+        with open(db.slow_log.path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "sql", "elaps')  # crash mid-append
+        records = read_records(db.slow_log.path)
         assert len(records) == 1
 
     def test_blank_and_non_dict_lines_are_skipped(self, tmp_path):
@@ -135,44 +179,30 @@ class TestReadRecords:
 
 
 class TestFormatRecord:
-    def test_header_and_span_tree(self, log):
-        with log.observe("sql", sql="SELECT count(*) FROM pts"):
-            with log.tracer.span("sql.query"):
-                pass
-        (record,) = read_records(log.path)
+    def test_header_and_span_tree(self, tmp_path):
+        db = make_db(tmp_path)
+        db.sql("SELECT count(*) FROM pts")
+        (record,) = read_records(db.slow_log.path)
         text = format_record(record)
         lines = text.splitlines()
-        assert "sql took" in lines[0]
-        assert "SELECT count(*) FROM pts" in lines[0]
+        assert lines[0].startswith(f"{record['query_id']} sql finished, took")
+        assert "sql=SELECT count(*) FROM pts" in lines[0]
         assert lines[1].startswith("sql.query")
 
     def test_tolerates_minimal_record(self):
-        assert "? took 0.0 ms" in format_record({})
+        assert format_record({}) == "? ? ?, took 0.0 ms"
 
 
 class TestPointCloudDBIntegration:
     @pytest.fixture
     def db(self, tmp_path):
-        db = PointCloudDB(
-            slow_query_s=0.0, slow_query_log=tmp_path / "slow.jsonl"
-        )
-        db.create_pointcloud("pts")
-        rng = np.random.default_rng(7)
-        db.load_points(
-            "pts",
-            {
-                "x": rng.uniform(0, 100, 2000),
-                "y": rng.uniform(0, 100, 2000),
-                "z": rng.uniform(0, 10, 2000),
-            },
-        )
-        return db
+        return make_db(tmp_path)
 
     def test_spatial_select_logs_one_record(self, db):
         result = db.spatial_select("pts", Box(10, 10, 60, 60))
         (record,) = read_records(db.slow_log.path)
         assert record["kind"] == "spatial"
-        assert record["table"] == "pts"
+        assert record["detail"]["table"] == "pts"
         assert record["bbox"] == [10.0, 10.0, 60.0, 60.0]
         assert record["rows"] == len(result)
         assert record["resources"]["cpu_seconds"] >= 0.0
@@ -188,8 +218,7 @@ class TestPointCloudDBIntegration:
         assert record["query_id"].startswith("q")
         # This db has no packed columns, so nothing was scanned encoded;
         # probing boundary segments materializes their values.
-        assert record["encoded_bytes"] == 0
-        assert record["materialized_bytes"] > 0
+        assert record["resources"]["encoded_bytes"] == 0
         assert record["resources"]["materialized_bytes"] > 0
 
     def test_sql_record_carries_query_identity(self, db):
@@ -199,8 +228,8 @@ class TestPointCloudDBIntegration:
         ]
         record = records[0]
         assert record["query_id"].startswith("q")
-        assert record["encoded_bytes"] >= 0
-        assert record["materialized_bytes"] >= 0
+        assert record["resources"]["encoded_bytes"] >= 0
+        assert record["resources"]["materialized_bytes"] >= 0
 
     def test_sql_logs_one_record(self, db):
         db.sql("SELECT avg(z) FROM pts WHERE x < 50")
@@ -209,7 +238,7 @@ class TestPointCloudDBIntegration:
         ]
         assert len(records) == 1
         record = records[0]
-        assert record["sql"] == "SELECT avg(z) FROM pts WHERE x < 50"
+        assert record["detail"]["sql"] == "SELECT avg(z) FROM pts WHERE x < 50"
         assert record["rows"] == 1
         assert record["resources"]["rows_touched"] > 0
 
