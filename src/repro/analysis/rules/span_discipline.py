@@ -2,11 +2,11 @@
 
 The observability layer promises that disabled tracing costs one
 attribute check; that only holds while hot-path code takes its wall
-clock through :mod:`repro.obs` (``maybe_span``, ``obs.timing.now`` /
-``Stopwatch``) rather than scattering raw ``time.time()`` /
-``time.perf_counter()`` calls that the tracer can never see.  This rule
-flags direct clock calls in the configured hot-path modules; the obs
-modules themselves are exempt because they *are* the helpers.
+clock through :mod:`repro.obs` (``maybe_span``, ``obs.timing.now``)
+rather than scattering raw ``time.time()`` / ``time.perf_counter()``
+calls that the tracer can never see.  This rule flags direct clock
+calls in the configured hot-path modules; the obs modules themselves
+are exempt because they *are* the helpers.
 """
 
 from __future__ import annotations
@@ -61,6 +61,6 @@ class SpanDisciplineRule(Rule):
                     node.lineno,
                     node.col_offset,
                     f"hot-path module calls {name}() directly: use "
-                    "repro.obs.timing.now()/Stopwatch (or maybe_span) "
+                    "repro.obs.timing.now() (or maybe_span) "
                     "so timing stays observable and consistent",
                 )

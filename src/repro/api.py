@@ -174,12 +174,14 @@ class PointCloudDB:
         """Registered vector relations (name -> columns), read-only use."""
         return self._vector_relations
 
-    def _session(self) -> Session:
-        """A session over the current tables and vector relations.
+    def session(self) -> Session:
+        """A SQL session over the current tables and vector relations,
+        bound to this database's observability context and slow log.
 
         Assembled per call so appended points are always visible;
         imprints persist across calls via the shared manager (they belong
-        to the columns, not the session).
+        to the columns, not the session).  The daemon pools these per
+        snapshot (:class:`~repro.serve.sessions.SessionPool`).
         """
         session = Session(manager=self.manager, obs=self.obs)
         session.slow_log = self.slow_log
@@ -195,16 +197,16 @@ class PointCloudDB:
         ``timeout_s`` arms a cooperative deadline; a query that outruns
         it raises :class:`~repro.obs.queries.QueryCancelled`.
         """
-        return self._session().execute(query, timeout_s=timeout_s)
+        return self.session().execute(query, timeout_s=timeout_s)
 
     def explain(self, query: str) -> str:
         """The query's plan as text (which indexes it would use)."""
-        return self._session().explain(query)
+        return self.session().explain(query)
 
     def explain_analyze(self, query: str) -> str:
         """Run the query under the tracer; per-operator tree with timings,
         cardinalities and imprint segment counts."""
-        return self._session().explain_analyze(query)
+        return self.session().explain_analyze(query)
 
     # -- observability ----------------------------------------------------------------
 

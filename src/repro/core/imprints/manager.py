@@ -40,9 +40,9 @@ from typing import (
 import numpy as np
 from numpy.typing import NDArray
 
+from ...engine.durable import StorageError, quarantine
 from ...engine.kernels import RangePredicate
 from ...engine.table import Table
-from ...obs.metrics import get_registry
 from ...obs.timing import now
 from ...obs.trace import maybe_span
 from .segments import (
@@ -138,7 +138,8 @@ class ImprintsManager:
                     built_seconds = now() - t0
                     span.set(segments_built=imp.n_segments)
                 self._imprints[key] = imp
-                self._record_build(imp.n_segments, built_seconds)
+                self.builds += 1
+                self.segment_builds += imp.n_segments
             elif imp.stale:
                 # Incremental: only new (and one trailing partial) segments
                 # are indexed — appends no longer pay O(n).
@@ -149,17 +150,9 @@ class ImprintsManager:
                     built = imp.extend()
                     built_seconds = now() - t0
                     span.set(segments_built=built)
-                self._record_build(built, built_seconds)
+                self.builds += 1
+                self.segment_builds += built
             return imp, built_seconds
-
-    def _record_build(self, segments_built: int, seconds: float) -> None:
-        """One column-level build event (caller holds the lock)."""
-        self.builds += 1
-        self.segment_builds += segments_built
-        registry = get_registry()
-        registry.counter("imprints.builds").inc()
-        registry.counter("imprints.segment_builds").inc(segments_built)
-        registry.histogram("imprints.build_seconds").observe(seconds)
 
     def invalidate(self, table: Table, column_name: Optional[str] = None) -> None:
         """Drop imprints for one column or a whole table."""
@@ -285,63 +278,40 @@ class ImprintsManager:
     def load(self, tables: Dict[str, Table], directory: Union[str, Path]) -> int:
         """Restore imprints for the given tables; returns how many loaded.
 
-        The key comes from each file's header (never from the file name,
-        which cannot round-trip dotted table names).  Degradation is
-        graceful, never fatal: a corrupt, truncated or stale (foreign
-        snapshot) imprint file is **quarantined** — renamed to
-        ``<name>.quarantined`` with a warning and a
+        Each file is read once.  The key comes from its header (never
+        from the file name, which cannot round-trip dotted table
+        names).  Degradation is graceful, never fatal: a corrupt,
+        truncated or stale (foreign snapshot) imprint file is
+        **quarantined** by :func:`~repro.engine.durable.quarantine` —
+        renamed to ``<name>.quarantined`` with a warning and a
         ``durability.quarantines`` count — and the first query on that
         column simply rebuilds the index lazily, exactly as if it had
         never been persisted.  Files without the imprint magic and files
         for tables/columns this database does not know are skipped
         silently.
         """
-        import warnings
+        from .persist import verify_segmented_file
 
-        from ...engine.durable import quarantine_file
-        from .persist import (
-            ImprintPersistError,
-            load_segmented,
-            looks_like_segmented,
-            read_segmented_key,
-        )
-
-        root = Path(directory)
-        if not root.is_dir():
-            return 0
         loaded = 0
-
-        def _quarantine(path: Path, exc: Exception) -> None:
-            target = quarantine_file(path, reason=str(exc))
-            where = target if target is not None else path
-            warnings.warn(
-                f"quarantined corrupt imprint {path.name}: {exc} "
-                f"(moved to {getattr(where, 'name', where)}; the index "
-                f"will be rebuilt lazily)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            with self._lock:
-                self.quarantined.append(str(where))
-
-        for path in sorted(root.glob("*.imprint")):
-            if not looks_like_segmented(path):
-                continue  # foreign file: lazy build covers the column
+        for path in sorted(Path(directory).glob("*.imprint")):
             try:
-                table_name, column_name = read_segmented_key(path)
-            except ImprintPersistError as exc:
-                _quarantine(path, exc)
-                continue
-            table = tables.get(table_name)
-            if table is None or column_name not in table:
-                continue
-            try:
-                imprint = load_segmented(table.column(column_name), path)
-            except ImprintPersistError as exc:
-                _quarantine(path, exc)
+                stored = verify_segmented_file(path, foreign_ok=True)
+                if stored is None:
+                    continue  # foreign file: lazy build covers the column
+                table_name, column_name = stored.key
+                table = tables.get(table_name)
+                if table is None or column_name not in table:
+                    continue
+                imprint = stored.restore(table.column(column_name))
+            except StorageError as exc:
+                _issue, where = quarantine(
+                    path, exc, "imprint", "; the index will be rebuilt lazily"
+                )
+                with self._lock:
+                    self.quarantined.append(str(where))
                 continue
             with self._lock:
-                self._imprints[(table_name, column_name)] = imprint
+                self._imprints[stored.key] = imprint
             loaded += 1
         return loaded
 
@@ -349,25 +319,16 @@ class ImprintsManager:
     def verify_directory(directory: Union[str, Path]) -> List[str]:
         """Issues with the imprint files under ``directory`` (no load).
 
-        Structural/checksum verification only — used by
-        ``Database``-level health reports; an empty list means every
+        Structural/checksum verification only, one read per file — used
+        by ``Database``-level health reports; an empty list means every
         segmented imprint file parses and checksums cleanly.
         """
-        from .persist import (
-            ImprintPersistError,
-            looks_like_segmented,
-            verify_segmented_file,
-        )
+        from .persist import verify_segmented_file
 
-        root = Path(directory)
         issues: List[str] = []
-        if not root.is_dir():
-            return issues
-        for path in sorted(root.glob("*.imprint")):
-            if not looks_like_segmented(path):
-                continue
+        for path in sorted(Path(directory).glob("*.imprint")):
             try:
-                verify_segmented_file(path)
-            except ImprintPersistError as exc:
+                verify_segmented_file(path, foreign_ok=True)
+            except StorageError as exc:
                 issues.append(str(exc))
         return issues

@@ -404,10 +404,6 @@ class SpatialSelect:
         registry = get_registry()
         registry.histogram("query.cpu_seconds").observe(stats.resources.cpu_seconds)
         registry.counter("query.count").inc()
-        registry.counter("query.segments_skipped").inc(stats.n_segments_skipped)
-        registry.counter("query.segments_probed").inc(stats.n_segments_probed)
-        registry.histogram("query.filter_seconds").observe(stats.filter_seconds)
-        registry.histogram("query.refine_seconds").observe(stats.refine_seconds)
         registry.histogram("query.total_seconds").observe(stats.total_seconds)
 
     # -- reference path ----------------------------------------------------------

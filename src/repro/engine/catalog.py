@@ -12,6 +12,7 @@ Durability contract (see ``docs/durability.md``):
   ``_catalog.json`` naming the live tables.  A crash at any instant
   leaves the previous catalog intact, and a table dropped in memory can
   no longer resurrect from a stale directory: load trusts the catalog.
+  A directory without a catalog holds no committed table.
 * :meth:`Database.load` degrades gracefully: a table with a torn tail is
   rolled back to its last committed rows, an unreadable table is skipped,
   and either way per-table health lands in :attr:`Database.health`
@@ -137,28 +138,21 @@ class Database:
         return total
 
     @staticmethod
-    def _catalog_meta(root: Path) -> Optional[Dict[str, Any]]:
-        """Parsed ``_catalog.json``, or ``None`` for legacy farms."""
+    def _catalog_meta(root: Path) -> Dict[str, Any]:
+        """Parsed ``_catalog.json``; before the first save commits one,
+        generation 0 with no tables."""
         path = root / CATALOG_FILE
         try:
             meta = json.loads(path.read_text())
         except FileNotFoundError:
-            return None
+            return {"tables": [], "generation": 0}
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise storage.StorageError(
+            raise durable.StorageError(
                 f"{path}: corrupt catalog metadata ({exc})"
             ) from None
-        if not isinstance(meta, dict):
-            raise storage.StorageError(f"{path}: corrupt catalog metadata")
+        if not isinstance(meta, dict) or not {"tables", "generation"} <= meta.keys():
+            raise durable.StorageError(f"{path}: corrupt catalog metadata")
         return meta
-
-    @classmethod
-    def _catalog_table_names(cls, root: Path) -> Optional[List[str]]:
-        """Table names from ``_catalog.json``, or None for legacy farms."""
-        meta = cls._catalog_meta(root)
-        if meta is None:
-            return None
-        return list(meta.get("tables", []))
 
     @classmethod
     def read_generation(cls, directory: PathLike) -> int:
@@ -166,13 +160,9 @@ class Database:
 
         Reads only ``_catalog.json`` — cheap enough to poll from a
         serving process deciding whether a writer has published a newer
-        snapshot.  Legacy farms without a catalog (or catalogs written
-        before generations existed) report generation 0.
+        snapshot.  A directory without a catalog reports generation 0.
         """
-        meta = cls._catalog_meta(Path(directory))
-        if meta is None:
-            return 0
-        return int(meta.get("generation", 0))
+        return int(cls._catalog_meta(Path(directory))["generation"])
 
     @classmethod
     def load(cls, directory: PathLike) -> "Database":
@@ -185,21 +175,14 @@ class Database:
         """
         root = Path(directory)
         if not root.is_dir():
-            raise storage.StorageError(f"no database directory at {root}")
+            raise durable.StorageError(f"no database directory at {root}")
         db = cls(directory=root)
-        db.generation = cls.read_generation(root)
-        names = cls._catalog_table_names(root)
-        if names is None:
-            # Legacy farm without a catalog file: directory scan.
-            names = sorted(
-                entry.name
-                for entry in root.iterdir()
-                if entry.is_dir() and (entry / "schema.json").exists()
-            )
-        for name in sorted(names):
+        meta = cls._catalog_meta(root)
+        db.generation = int(meta["generation"])
+        for name in sorted(meta["tables"]):
             try:
                 table, issues = storage.recover_table(root / name)
-            except storage.StorageError as exc:
+            except durable.StorageError as exc:
                 db.health[name] = {"ok": False, "issues": [str(exc)]}
                 continue
             db.register(table)
@@ -224,15 +207,9 @@ class Database:
         if not root.is_dir():
             return {"ok": False, "tables": {}, "error": f"no database at {root}"}
         try:
-            names = self._catalog_table_names(root)
-        except storage.StorageError as exc:
+            names = self._catalog_meta(root)["tables"]
+        except durable.StorageError as exc:
             return {"ok": False, "tables": {}, "error": str(exc)}
-        if names is None:
-            names = sorted(
-                entry.name
-                for entry in root.iterdir()
-                if entry.is_dir() and (entry / "schema.json").exists()
-            )
         for name in sorted(names):
             issues = storage.verify_table(root / name)
             report["tables"][name] = {"ok": not issues, "issues": issues}

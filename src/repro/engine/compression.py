@@ -35,10 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from ..obs.metrics import get_registry
-from ..obs.timing import Stopwatch
-from ..obs.trace import maybe_span
-
 #: 2^64 - 1: the modulus mask for two's-complement FOR arithmetic.
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -437,30 +433,13 @@ SCHEMES: Dict[
 }
 
 
-def _record_encode(block: CompressedBlock, seconds: float) -> None:
-    registry = get_registry()
-    registry.counter("compression.encoded_blocks").inc()
-    registry.histogram("compression.encode_seconds").observe(seconds)
-
-
-def _record_decode(block: CompressedBlock, seconds: float) -> None:
-    registry = get_registry()
-    registry.counter("compression.decoded_blocks").inc()
-    registry.histogram("compression.decode_seconds").observe(seconds)
-
-
 def encode(scheme: str, values: NDArray[Any]) -> CompressedBlock:
     """Encode with a named scheme."""
     try:
         enc, _dec = SCHEMES[scheme]
     except KeyError:
         raise CompressionError(f"unknown scheme {scheme!r}") from None
-    with maybe_span("compression.encode", scheme=scheme) as span:
-        with Stopwatch() as watch:
-            block = enc(values)
-        _record_encode(block, watch.seconds)
-        span.set(count=block.count, nbytes=block.nbytes)
-    return block
+    return enc(values)
 
 
 def decode(block: CompressedBlock) -> NDArray[Any]:
@@ -469,12 +448,7 @@ def decode(block: CompressedBlock) -> NDArray[Any]:
         _enc, dec = SCHEMES[block.scheme]
     except KeyError:
         raise CompressionError(f"unknown scheme {block.scheme!r}") from None
-    with maybe_span("compression.decode", scheme=block.scheme) as span:
-        with Stopwatch() as watch:
-            values = dec(block)
-        _record_decode(block, watch.seconds)
-        span.set(count=block.count, nbytes=int(values.nbytes))
-    return values
+    return dec(block)
 
 
 def choose_scheme(values: NDArray[Any], sample_target: int = 4096) -> str:
@@ -537,11 +511,9 @@ def best_scheme(values: NDArray[Any]) -> CompressedBlock:
     best: Optional[CompressedBlock] = None
     for name, (enc, _dec) in SCHEMES.items():
         try:
-            with Stopwatch() as watch:
-                block = enc(values)
+            block = enc(values)
         except CompressionError:
             continue
-        _record_encode(block, watch.seconds)
         if best is None or block.nbytes < best.nbytes:
             best = block
     if best is None:

@@ -13,10 +13,22 @@ same protocol:
 4. best-effort ``fsync`` the directory so the rename itself is durable.
 
 A reader therefore sees either the complete old file or the complete new
-file, never a torn hybrid; payload CRC32 checksums (embedded in the
-``.col`` v4 and ``.imprint`` v3 headers) catch the remaining failure
+file, never a torn hybrid; CRC32 checksums (embedded in the ``.col`` v4,
+``.colz`` v3 and ``.imprint`` v3 headers) catch the remaining failure
 modes — media corruption and torn writes on filesystems without atomic
 rename.
+
+File framing
+------------
+
+The three binary file kinds share one codec, kept here: a 4-byte magic
+and a u16 version open every header (:data:`PREFIX`); a CRC32 field in
+the header covers the header, with that field zeroed, plus everything
+after it (:func:`write_checksummed`, :func:`read_checked`); strings are
+a u16 length plus UTF-8 bytes (:func:`frame_str`, :func:`read_str`);
+and any malformed byte is a :class:`StorageError`.  A corrupt *derived*
+file (a ``.colz`` sidecar or an ``.imprint``) is moved aside by
+:func:`quarantine` and rebuilt from the column it was derived from.
 
 Fault injection
 ---------------
@@ -35,7 +47,7 @@ Transient-error policy
 
 :func:`with_retries` retries ``OSError`` with bounded exponential
 backoff (NFS hiccups, ``EINTR``, overloaded disks) but never retries
-typed corruption errors (``StorageError`` and friends subclass
+typed corruption errors (:class:`StorageError` and friends subclass
 ``IOError`` — corrupt bytes do not heal on retry) and never touches
 :class:`InjectedCrash`.  Retries increment the ``durability.retries``
 counter; checksum failures and quarantines have counters of their own
@@ -45,10 +57,12 @@ counter; checksum failures and quarantines have counters of their own
 from __future__ import annotations
 
 import os
+import struct
 import time
+import warnings
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Type, TypeVar, Union
+from typing import Callable, Dict, Optional, Tuple, Type, TypeVar, Union
 
 PathLike = Union[str, Path]
 #: What the write and checksum helpers take: raw bytes or a byte view of
@@ -62,6 +76,10 @@ _open = open
 _replace = os.replace
 
 
+class StorageError(IOError):
+    """Raised when a store file is missing, corrupt, or truncated."""
+
+
 class InjectedCrash(BaseException):
     """A simulated process kill, raised by fault-injection hooks.
 
@@ -73,8 +91,8 @@ class InjectedCrash(BaseException):
 
 # -- crash points -----------------------------------------------------------
 
-#: Every crash-point name that has ever fired (or been declared) in this
-#: process.  The fault harness enumerates this to prove coverage.
+#: Every crash-point name that has fired in this process.  The fault
+#: harness enumerates this to prove coverage.
 KNOWN_CRASH_POINTS: set[str] = set()
 
 _crash_hook: Optional[Callable[[str, Dict[str, object]], None]] = None
@@ -95,12 +113,6 @@ def crash_point(name: str, **context: object) -> None:
     KNOWN_CRASH_POINTS.add(name)
     if _crash_hook is not None:
         _crash_hook(name, context)
-
-
-def declare_crash_points(names: Iterable[str]) -> None:
-    """Pre-register crash-point names so coverage tools see them before
-    the code path first runs."""
-    KNOWN_CRASH_POINTS.update(names)
 
 
 # -- atomic writes ----------------------------------------------------------
@@ -182,11 +194,15 @@ def atomic_append_text(path: PathLike, text: str, label: str = "log") -> int:
     return len(data)
 
 
-# -- checksums --------------------------------------------------------------
+# -- file framing -----------------------------------------------------------
+
+#: Magic + version: the first six bytes of every checksummed store file.
+PREFIX = struct.Struct("<4sH")
 
 
 def checksum(*parts: Buffer) -> int:
-    """The CRC32 embedded in the v4 column / v3 imprint headers.
+    """The CRC32 embedded in the ``.col``, ``.colz`` and ``.imprint``
+    headers.
 
     Covers ``parts`` as if concatenated, with a running CRC instead of
     the concatenation, so "header with the CRC zeroed + payload" is
@@ -198,18 +214,84 @@ def checksum(*parts: Buffer) -> int:
     return crc & 0xFFFFFFFF
 
 
+def write_checksummed(
+    path: PathLike, pack: Callable[[int], bytes], *body: Buffer, label: str
+) -> int:
+    """Atomically write the header ``pack(crc)`` followed by ``body``;
+    returns bytes written.
+
+    ``crc`` is the :func:`checksum` of ``pack(0)`` and the body, so a
+    bit flip anywhere in the file fails verification, header fields
+    included.  The body parts are written as given, never joined.
+    """
+    crc = checksum(pack(0), *body)
+    return atomic_write_bytes(path, pack(crc), *body, label=label)
+
+
+def check_prefix(
+    raw: bytes, path: PathLike, magic: bytes, version: int, size: int
+) -> None:
+    """Raise :class:`StorageError` unless ``raw`` opens with ``magic``
+    and ``version`` and holds at least ``size`` header bytes."""
+    if len(raw) < PREFIX.size:
+        raise StorageError(f"{path}: truncated header")
+    got_magic, got_version = PREFIX.unpack_from(raw)
+    if got_magic != magic:
+        raise StorageError(f"{path}: bad magic {got_magic!r}")
+    if got_version != version:
+        raise StorageError(f"{path}: unsupported version {got_version}")
+    if len(raw) < size:
+        raise StorageError(f"{path}: truncated header")
+
+
+def read_checked(
+    raw: bytes, path: PathLike, magic: bytes, version: int, size: int
+) -> None:
+    """Check a whole file read into ``raw``: :func:`check_prefix`, then
+    the CRC32 in the last four bytes of its ``size``-byte header against
+    the file with those bytes zeroed.  A mismatch counts
+    ``durability.checksum_failures`` and raises :class:`StorageError`."""
+    check_prefix(raw, path, magic, version, size)
+    crc = int.from_bytes(raw[size - 4 : size], "little")
+    if checksum(raw[: size - 4], bytes(4), memoryview(raw)[size:]) != crc:
+        record_checksum_failure(path)
+        raise StorageError(f"{path}: checksum mismatch")
+
+
+def read_file(path: Path, what: str) -> bytes:
+    """Every byte of ``path``, read with one open; a missing file raises
+    :class:`StorageError` naming it as ``what``."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise StorageError(f"no {what} at {path}") from None
+
+
+def frame_str(text: str) -> bytes:
+    """``text`` as stored: a u16 byte length, then its UTF-8 bytes."""
+    raw = text.encode("utf-8")
+    return len(raw).to_bytes(2, "little") + raw
+
+
+def read_str(raw: bytes, pos: int, path: PathLike) -> Tuple[str, int]:
+    """The :func:`frame_str` string at ``pos`` and the offset after it."""
+    start = pos + 2
+    end = start + int.from_bytes(raw[pos:start], "little")
+    if end > len(raw):
+        raise StorageError(f"{path}: truncated string at byte {pos}")
+    try:
+        return raw[start:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise StorageError(
+            f"{path}: corrupt string at byte {pos} ({exc})"
+        ) from None
+
+
 def record_checksum_failure(path: PathLike) -> None:
     """Count a checksum mismatch in the metrics registry."""
     from ..obs.metrics import get_registry
 
     get_registry().counter("durability.checksum_failures").inc()
-
-
-def record_quarantine(path: PathLike) -> None:
-    """Count a quarantined artifact in the metrics registry."""
-    from ..obs.metrics import get_registry
-
-    get_registry().counter("durability.quarantines").inc()
 
 
 # -- bounded retries --------------------------------------------------------
@@ -255,18 +337,28 @@ def with_retries(
                 time.sleep(delay)
 
 
-def quarantine_file(path: PathLike, reason: str = "") -> Optional[Path]:
-    """Move a corrupt artifact aside as ``<name>.quarantined``.
+def quarantine(
+    path: Path, error: Exception, kind: str, note: str = ""
+) -> Tuple[str, Path]:
+    """Move a corrupt derived file aside as ``<name>.quarantined`` and
+    warn; returns the issue line and where the file now is.
 
-    Returns the quarantine path, or ``None`` when the rename itself
-    failed (the caller then leaves the file in place — degradation must
-    never raise).  Counts ``durability.quarantines``.
+    The caller rebuilds the file's contents from the column it was
+    derived from; ``note`` ends the warning with what that rebuild is.
+    A failed rename leaves the file in place: degradation never raises.
+    Counts ``durability.quarantines`` when the file moved.
     """
-    path = Path(path)
-    target = path.with_name(path.name + ".quarantined")
+    where = path.with_name(path.name + ".quarantined")
     try:
-        _replace(path, target)
+        _replace(path, where)
     except OSError:
-        return None
-    record_quarantine(path)
-    return target
+        where = path
+    else:
+        from ..obs.metrics import get_registry
+
+        get_registry().counter("durability.quarantines").inc()
+    issue = f"quarantined corrupt {kind} {path.name}: {error}"
+    warnings.warn(
+        f"{issue} (moved to {where.name}{note})", RuntimeWarning, stacklevel=3
+    )
+    return issue, where

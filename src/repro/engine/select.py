@@ -25,7 +25,6 @@ from typing import Any, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ..obs.metrics import get_registry
 from ..obs.trace import maybe_span
 from .column import Column
 from .kernels import RangePredicate, bounds_mask
@@ -59,15 +58,9 @@ def _select(
     packed = column.packed if candidates is None else None
     if packed is not None and _numeric_bound(predicate.lo) and _numeric_bound(predicate.hi):
         # The segment scanner has already credited the resource tracker
-        # and the heat map; what is left is compression's own view.
+        # and the heat map; the span reports compression's view of it.
         stats = ScanStats()
         result = packed.select(predicate, stats)
-        registry = get_registry()
-        if stats.packed_probes:
-            registry.counter("compression.packed_predicate_hits").inc(stats.packed_probes)
-        saved = packed.plain_nbytes - stats.encoded_bytes - stats.materialized_bytes
-        if saved > 0:
-            registry.counter("compression.materialized_bytes_saved").inc(saved)
         span.set(
             rows_in=packed.n_rows,
             rows_out=stats.rows_out,

@@ -46,12 +46,14 @@ exact column payload it was encoded from, so a stale sidecar (column
 rewritten, sidecar not yet) is detected and ignored rather than served.
 Sidecars are read only by :func:`load_compressed` (:func:`load_array`
 rejects them as an unsupported version); a corrupt sidecar is
-quarantined (renamed ``*.quarantined``) and re-encoded from the plain
-column, mirroring the imprint quarantine path.
+quarantined by :func:`repro.engine.durable.quarantine`, as a corrupt
+imprint is, and re-encoded from the plain column.
 
-A corrupted header, a short payload, or a checksum mismatch raises
-:class:`StorageError` rather than yielding a truncated column; checksum
-mismatches also increment the ``durability.checksum_failures`` counter.
+Both layouts are framed by :mod:`repro.engine.durable`: magic and
+version prefix, header CRC, u16-length strings.  A corrupted header, a
+short payload, or a checksum mismatch raises :class:`StorageError`
+rather than yielding a truncated column; checksum mismatches also
+increment the ``durability.checksum_failures`` counter.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ import io
 import json
 import os
 import struct
-import warnings
 import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -73,6 +74,7 @@ from . import durable
 from .column import TYPE_MAP, Column
 from .compressed import CompressedColumn
 from .compression import CompressedBlock, CompressionError
+from .durable import StorageError
 from .table import Table
 
 _MAGIC = b"RCOL"
@@ -87,15 +89,10 @@ _CRC_CHUNK = 1 << 20
 #: v3: magic, version, type, count, n_segments, segment_rows,
 #: source_crc (crc32 of the plain column payload), file crc32 (last).
 _HEADER_V3 = struct.Struct("<4sHHQIIII")
-_PREFIX = struct.Struct("<4sH")  # magic + version, shared by all layouts
 _TYPE_NAMES: List[str] = list(TYPE_MAP.keys())
 _TYPE_CODES = {name: i for i, name in enumerate(_TYPE_NAMES)}
 
 PathLike = Union[str, Path]
-
-
-class StorageError(IOError):
-    """Raised when a column or table file is missing, corrupt, or truncated."""
 
 
 # -- raw array dumps (the loader's intermediate files) ----------------------
@@ -113,20 +110,13 @@ def dump_array(array: NDArray[Any], path: PathLike) -> int:
     type_name = {v: k for k, v in TYPE_MAP.items()}.get(array.dtype)
     if type_name is None:
         raise StorageError(f"unsupported dtype {array.dtype}")
-    payload = _payload_view(array)
-    # The CRC covers the header (with the CRC field zeroed, padding
-    # included) plus the payload, so a bit flip anywhere in the file
-    # fails verification — including type/count header bytes a
-    # payload-only CRC would miss.
-    base = _HEADER.pack(_MAGIC, _VERSION, _TYPE_CODES[type_name], array.shape[0], 0)
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        _TYPE_CODES[type_name],
-        array.shape[0],
-        durable.checksum(base, _PAD, payload),
+    code, count = _TYPE_CODES[type_name], array.shape[0]
+    return durable.write_checksummed(
+        path,
+        lambda crc: _HEADER.pack(_MAGIC, _VERSION, code, count, crc) + _PAD,
+        _payload_view(array),
+        label="col",
     )
-    return durable.atomic_write_bytes(path, header, _PAD, payload, label="col")
 
 
 def _payload_view(array: NDArray[Any]) -> memoryview:
@@ -139,16 +129,8 @@ def _payload_view(array: NDArray[Any]) -> memoryview:
 def _parse_header(raw: bytes, path: Path) -> Tuple["np.dtype[Any]", int, int]:
     """(dtype, count, crc) of a .col blob; the payload starts at
     ``_PAYLOAD_OFFSET``."""
-    if len(raw) < _PREFIX.size:
-        raise StorageError(f"{path}: truncated header")
-    magic, version = _PREFIX.unpack(raw[: _PREFIX.size])
-    if magic != _MAGIC:
-        raise StorageError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise StorageError(f"{path}: unsupported version {version}")
-    if len(raw) < _PAYLOAD_OFFSET:
-        raise StorageError(f"{path}: truncated header")
-    _magic, _version, type_code, count, crc = _HEADER.unpack(raw[: _HEADER.size])
+    durable.check_prefix(raw, path, _MAGIC, _VERSION, _PAYLOAD_OFFSET)
+    _magic, _version, type_code, count, crc = _HEADER.unpack_from(raw)
     if type_code >= len(_TYPE_NAMES):
         raise StorageError(f"{path}: unknown type code {type_code}")
     return TYPE_MAP[_TYPE_NAMES[type_code]], count, crc
@@ -236,24 +218,6 @@ def _stream_crc(fh: io.FileIO, nbytes: int, *head: bytes) -> int:
 # -- compressed sidecars (v3) ------------------------------------------------
 
 
-def _frame_str(text: str) -> bytes:
-    raw = text.encode()
-    return len(raw).to_bytes(2, "little") + raw
-
-
-def _read_frame_str(raw: bytes, pos: int, path: Path) -> Tuple[str, int]:
-    if pos + 2 > len(raw):
-        raise StorageError(f"{path}: truncated segment framing")
-    n = int.from_bytes(raw[pos : pos + 2], "little")
-    pos += 2
-    if pos + n > len(raw):
-        raise StorageError(f"{path}: truncated segment framing")
-    try:
-        return raw[pos : pos + n].decode(), pos + n
-    except UnicodeDecodeError as exc:
-        raise StorageError(f"{path}: corrupt segment framing ({exc})") from None
-
-
 def column_payload_crc(array: NDArray[Any]) -> int:
     """CRC32 of a column's raw little-endian payload bytes — the value
     that links a ``.colz`` sidecar to the exact ``.col`` data it encodes."""
@@ -274,63 +238,48 @@ def dump_compressed(packed: CompressedColumn, path: PathLike) -> int:
         raise StorageError(f"unsupported dtype {packed.dtype}")
     body_parts: List[bytes] = []
     for block in packed.blocks:
-        body_parts.append(_frame_str(block.scheme))
-        body_parts.append(_frame_str(block.dtype))
+        body_parts.append(durable.frame_str(block.scheme))
+        body_parts.append(durable.frame_str(block.dtype))
         body_parts.append(block.count.to_bytes(8, "little"))
         if block.zmin is not None and block.zmax is not None:
             zone = np.ascontiguousarray(np.asarray([block.zmin, block.zmax]))
             body_parts.append(b"\x01")
-            body_parts.append(_frame_str(zone.dtype.str))
+            body_parts.append(durable.frame_str(zone.dtype.str))
             body_parts.append(zone.tobytes())
         else:
             body_parts.append(b"\x00")
         body_parts.append(len(block.payload).to_bytes(8, "little"))
         body_parts.append(block.payload)
-    base = _HEADER_V3.pack(
-        _MAGIC,
-        _VERSION_V3,
-        _TYPE_CODES[type_name],
-        packed.n_rows,
-        len(packed.blocks),
-        packed.segment_rows,
-        packed.source_crc,
-        0,
+    return durable.write_checksummed(
+        path,
+        lambda crc: _HEADER_V3.pack(
+            _MAGIC,
+            _VERSION_V3,
+            _TYPE_CODES[type_name],
+            packed.n_rows,
+            len(packed.blocks),
+            packed.segment_rows,
+            packed.source_crc,
+            crc,
+        ),
+        *body_parts,
+        label="colz",
     )
-    header = _HEADER_V3.pack(
-        _MAGIC,
-        _VERSION_V3,
-        _TYPE_CODES[type_name],
-        packed.n_rows,
-        len(packed.blocks),
-        packed.segment_rows,
-        packed.source_crc,
-        durable.checksum(base, *body_parts),
-    )
-    return durable.atomic_write_bytes(path, header, *body_parts, label="colz")
 
 
 def _parse_compressed(raw: bytes, path: Path, name: str) -> CompressedColumn:
     """Parse (and checksum-verify) a v3 blob into a CompressedColumn."""
-    if len(raw) < _HEADER_V3.size:
-        raise StorageError(f"{path}: truncated header")
-    (magic, version, type_code, count, n_seg, seg_rows, src_crc, crc) = (
-        _HEADER_V3.unpack(raw[: _HEADER_V3.size])
+    durable.read_checked(raw, path, _MAGIC, _VERSION_V3, _HEADER_V3.size)
+    (_magic, _version, type_code, count, n_seg, seg_rows, src_crc, _crc) = (
+        _HEADER_V3.unpack_from(raw)
     )
-    if magic != _MAGIC:
-        raise StorageError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION_V3:
-        raise StorageError(f"{path}: not a v3 compressed file (v{version})")
     if type_code >= len(_TYPE_NAMES):
         raise StorageError(f"{path}: unknown type code {type_code}")
-    body = memoryview(raw)[_HEADER_V3.size :]
-    if durable.checksum(raw[: _HEADER_V3.size - 4], b"\x00\x00\x00\x00", body) != crc:
-        durable.record_checksum_failure(path)
-        raise StorageError(f"{path}: checksum mismatch")
     pos = _HEADER_V3.size
     blocks: List[CompressedBlock] = []
     for _ in range(n_seg):
-        scheme, pos = _read_frame_str(raw, pos, path)
-        dtype_tag, pos = _read_frame_str(raw, pos, path)
+        scheme, pos = durable.read_str(raw, pos, path)
+        dtype_tag, pos = durable.read_str(raw, pos, path)
         if pos + 8 > len(raw):
             raise StorageError(f"{path}: truncated segment header")
         seg_count = int.from_bytes(raw[pos : pos + 8], "little")
@@ -341,7 +290,7 @@ def _parse_compressed(raw: bytes, path: Path, name: str) -> CompressedColumn:
         pos += 1
         zmin = zmax = None
         if has_zone:
-            zone_tag, pos = _read_frame_str(raw, pos, path)
+            zone_tag, pos = durable.read_str(raw, pos, path)
             try:
                 zone_dtype = np.dtype(zone_tag)
             except TypeError as exc:
@@ -381,10 +330,7 @@ def load_compressed(path: PathLike, name: Optional[str] = None) -> CompressedCol
     """Read a ``.colz`` sidecar back; raises :class:`StorageError` on any
     corruption (the caller decides whether to quarantine)."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise StorageError(f"compressed sidecar not found: {path}") from None
+    raw = durable.read_file(path, "compressed sidecar")
     return _parse_compressed(raw, path, name=name or path.stem)
 
 
@@ -409,12 +355,7 @@ def _attach_sidecar(
     try:
         packed = load_compressed(path, name=column.name)
     except StorageError as exc:
-        where = durable.quarantine_file(path, reason=str(exc))
-        message = f"quarantined corrupt sidecar {path.name}: {exc}"
-        warnings.warn(
-            f"{message} (moved to {where.name})", RuntimeWarning, stacklevel=4
-        )
-        issues.append(message)
+        issues.append(durable.quarantine(path, exc, "sidecar")[0])
         column.pack()
         return
     if packed.n_rows != values.shape[0] or (

@@ -26,7 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional, Tuple, Union
 
-from ..engine.catalog import CATALOG_FILE, Database
+from ..engine.catalog import Database
 from ..engine.durable import crash_point
 from ..obs.metrics import get_registry
 from ..obs.trace import maybe_span
@@ -80,16 +80,9 @@ class ResumableIngest:
         """Open (or recover) the database and journal for this ingest."""
         self.root.mkdir(parents=True, exist_ok=True)
         journal = manifest_path(self.root, self.table_name)
-        has_store = (self.root / CATALOG_FILE).exists() or any(
-            p.is_dir() and (p / "schema.json").exists()
-            for p in self.root.iterdir()
-        )
-        if has_store:
-            # Load (tolerantly) whatever the farm already holds so other
-            # tables survive the next catalog write.
-            db = Database.load(self.root)
-        else:
-            db = Database(directory=self.root)
+        # Load (tolerantly) whatever the farm already holds so other
+        # tables survive the next catalog write.
+        db = Database.load(self.root)
         if not resume and self.table_name in db:
             # Fresh load replaces the target table, nothing else.
             db.drop_table(self.table_name)

@@ -328,9 +328,6 @@ class HeatMap:
         registry.gauge("heat.hottest_segment_bytes").set(
             float(segments[0]["bytes"]) if segments else 0.0
         )
-        registry.gauge("heat.hottest_extent_bytes").set(
-            float(extents[0]["bytes"]) if extents else 0.0
-        )
         return {
             "enabled": True,
             "ts": ts,

@@ -1,8 +1,8 @@
 """Process-wide metrics registry: counters, gauges, latency histograms.
 
 Where :mod:`repro.obs.trace` answers "what did *this* query do",
-metrics answer "what has the process done" — total segments skipped,
-query latency percentiles, points loaded — in the style of the storage
+metrics answer "what has the process done" — queries run, query
+latency percentiles, points loaded — in the style of the storage
 instrumentation in the LiDAR/point-cloud evaluation literature.  Every
 metric is thread-safe (one small lock per instrument) so serve threads
 can record without contending on a global lock, and the whole registry
@@ -10,7 +10,7 @@ snapshots to one JSON-friendly dict (``repro-gis trace --metrics``
 prints it; ``/metrics`` serves the same series as OpenMetrics).
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<what>``
-(``query.filter_seconds``, ``imprints.segments_probed``,
+(``query.total_seconds``, ``durability.quarantines``,
 ``load.points``).  See ``docs/observability.md`` for the full list the
 engine emits.
 """

@@ -17,10 +17,6 @@ from typing import FrozenSet
 #: Monotonic event counts.
 COUNTERS: FrozenSet[str] = frozenset(
     {
-        "compression.decoded_blocks",
-        "compression.encoded_blocks",
-        "compression.materialized_bytes_saved",
-        "compression.packed_predicate_hits",
         "durability.checksum_failures",
         "durability.quarantines",
         "durability.retries",
@@ -28,8 +24,6 @@ COUNTERS: FrozenSet[str] = frozenset(
         "flight.dumps",
         "heat.flushes",
         "heat.updates",
-        "imprints.builds",
-        "imprints.segment_builds",
         "load.files",
         "load.points",
         "load.tiles_skipped",
@@ -40,11 +34,8 @@ COUNTERS: FrozenSet[str] = frozenset(
         "query.cancelled",
         "query.count",
         "query.errors",
-        "query.segments_probed",
-        "query.segments_skipped",
         "serve.admitted",
         "serve.client_disconnects",
-        "serve.errors",
         "serve.requests",
         "serve.shed",
         "slowlog.records",
@@ -57,7 +48,6 @@ COUNTERS: FrozenSet[str] = frozenset(
 GAUGES: FrozenSet[str] = frozenset(
     {
         "heat.extents",
-        "heat.hottest_extent_bytes",
         "heat.hottest_segment_bytes",
         "heat.segments",
         "heat.tables",
@@ -67,25 +57,18 @@ GAUGES: FrozenSet[str] = frozenset(
         "query.active",
         "serve.draining",
         "serve.inflight",
-        "serve.queued",
     }
 )
 
 #: Latency / size distributions.
 HISTOGRAMS: FrozenSet[str] = frozenset(
     {
-        "compression.decode_seconds",
-        "compression.encode_seconds",
-        "imprints.build_seconds",
         "load.seconds",
         "profiler.sweep_seconds",
         "query.cpu_seconds",
-        "query.filter_seconds",
-        "query.refine_seconds",
         "query.total_seconds",
         "serve.queue_wait_seconds",
         "serve.request_seconds",
-        "sql.seconds",
     }
 )
 

@@ -1,9 +1,9 @@
-"""Clock helpers for hot-path code.
+"""The clock hot-path code reads.
 
 Hot-path modules are barred (by the ``span-discipline`` rule of
 ``repro-gis check``) from calling ``time.perf_counter`` directly: raw
 clock reads scatter timing the tracer can never attribute, and make it
-ambiguous which clock a stat was measured on.  They use these helpers
+ambiguous which clock a stat was measured on.  They use this helper
 instead — same monotonic clock the tracer's spans use, one obvious
 place to swap it out.
 """
@@ -11,62 +11,9 @@ place to swap it out.
 from __future__ import annotations
 
 import time
-from types import TracebackType
-from typing import Optional, Type
 
 
 def now() -> float:
     """The monotonic timestamp spans are measured on (seconds)."""
     return time.perf_counter()
 
-
-class Stopwatch:
-    """Measure a wall-clock interval, usable as a context manager.
-
-    ::
-
-        with Stopwatch() as watch:
-            work()
-        stats.seconds = watch.seconds
-
-    ``seconds`` reads live while the watch is running and freezes at
-    ``stop()`` / context exit.
-    """
-
-    __slots__ = ("_start", "_elapsed", "_running")
-
-    def __init__(self) -> None:
-        self._start = now()
-        self._elapsed = 0.0
-        self._running = True
-
-    def restart(self) -> "Stopwatch":
-        self._start = now()
-        self._elapsed = 0.0
-        self._running = True
-        return self
-
-    def stop(self) -> float:
-        """Freeze and return the elapsed seconds."""
-        if self._running:
-            self._elapsed = now() - self._start
-            self._running = False
-        return self._elapsed
-
-    @property
-    def seconds(self) -> float:
-        if self._running:
-            return now() - self._start
-        return self._elapsed
-
-    def __enter__(self) -> "Stopwatch":
-        return self.restart()
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> bool:
-        self.stop()
-        return False

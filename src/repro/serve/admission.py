@@ -148,7 +148,6 @@ class AdmissionController:
 
     def _publish_gauges_locked(self) -> None:
         self.registry.gauge("serve.inflight").set(float(self._inflight))
-        self.registry.gauge("serve.queued").set(float(self._queued))
 
     def acquire(self) -> None:
         """Take an execution slot (see :meth:`admit`)."""

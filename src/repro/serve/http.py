@@ -172,7 +172,6 @@ class ServeHandler(TelemetryHandler):
             # A handler bug must never take the daemon down: answer 500
             # and keep serving.  InjectedCrash is a BaseException and
             # deliberately NOT caught here — crash transparency.
-            self.owner.registry.counter("serve.errors").inc()
             return 500, {
                 "error": "internal",
                 "type": type(exc).__name__,

@@ -50,13 +50,7 @@ class SessionPool:
             return len(self._idle)
 
     def _build(self, snapshot: Snapshot) -> Session:
-        db = snapshot.db
-        session = Session(manager=db.manager, obs=db.obs)
-        session.slow_log = db.slow_log
-        for name in db.db.table_names:
-            session.register_table(db.db.table(name))
-        for name, columns in db.vector_relations.items():
-            session.register_columns(name, columns)
+        session = snapshot.db.session()
         with self._lock:
             self._built += 1
         return session

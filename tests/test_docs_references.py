@@ -1,9 +1,11 @@
-"""Docs name files and modules that exist.
+"""Docs name files, modules and metrics that exist.
 
 Every path in backticks ending ``.py`` / ``.json`` / ``.md`` / ``.yml``
 in the prose docs must be a tracked file (or the tail of one:
 ``engine/scan.py`` for ``src/repro/engine/scan.py``), and every
 ``python -m repro.<module>`` command must name an importable module.
+``docs/observability.md`` names every declared metric, and its "Metric
+names" list names only declared ones.
 """
 
 import importlib.util
@@ -59,3 +61,16 @@ def test_named_files_and_modules_exist(doc, tracked):
         {m for m in _MODULE.findall(text) if importlib.util.find_spec(m) is None}
     )
     assert not modules, f"{doc.name} runs modules that do not import: {modules}"
+
+
+def test_observability_doc_matches_declared_metrics():
+    from repro.obs.names import ALL_METRICS
+
+    text = (ROOT / "docs" / "observability.md").read_text()
+    undocumented = sorted(name for name in ALL_METRICS if f"`{name}`" not in text)
+    assert not undocumented, f"observability.md never names: {undocumented}"
+    listed = text.split("## Metric names", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`([a-z_]+(?:\.[a-z_]+)+)`", listed))
+    assert names, "the Metric names section lists no metric"
+    undeclared = sorted(names - ALL_METRICS)
+    assert not undeclared, f"Metric names lists undeclared series: {undeclared}"

@@ -374,6 +374,20 @@ class TestDroppedTableCatalog:
         report = loaded.verify()
         assert report["ok"] and "drop_me" not in report["tables"]
 
+    def test_crash_before_the_first_catalog_commits_no_table(self, tmp_path):
+        # Table files written, catalog never: the store holds nothing,
+        # and a later save publishes generation 1 as if from scratch.
+        db = Database(directory=tmp_path)
+        db.create_table("t", [("v", "int64")]).append_columns({"v": [1, 2]})
+        with faults.crash_at("durable.catalog.begin"):
+            with pytest.raises(InjectedCrash):
+                db.save()
+        assert (tmp_path / "t" / "schema.json").exists()
+        loaded = Database.load(tmp_path)
+        assert loaded.table_names == [] and loaded.generation == 0
+        assert loaded.verify() == {"ok": True, "tables": {}}
+        assert Database.read_generation(tmp_path) == 0
+
     def test_catalog_is_written_last(self, tmp_path):
         db = Database(directory=tmp_path)
         db.create_table("t", [("v", "int64")]).append_columns({"v": [1]})

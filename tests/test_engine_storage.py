@@ -583,3 +583,62 @@ class TestCompressedSidecar:
         health = loaded.health["pts"]
         assert health["ok"] is True
         assert any("x.colz" in issue for issue in health["issues"])
+
+
+class TestStoreBytes:
+    """Every file of a small store, byte for byte: the ``.col``,
+    ``.colz`` and ``.imprint`` codecs and the JSON metadata may change
+    how they are written, never what."""
+
+    #: SHA-256 of each file of :meth:`_save_store`'s store, recorded with
+    #: the codecs as they stood before they shared one module.
+    PINNED = {
+        "_catalog.json": "33655a0c433e043bc8d9b2e7c9f9b7730a0a9326f66e4ad13427dea17cb565e7",
+        "_imprints/0000.pts_x.imprint": "bb6e33e7f56b6dc30856efe0ed83e29ef2325e0043aadb7678e3ff104fd0dded",
+        "_imprints/0001.pts_y.imprint": "da80c915bfa4a3093a90c2242ef7c7e02ea3371c7fc192f0cb7c5b20e0972669",
+        "pts/k.col": "1a7f439c3842d8b57a7c5366d4f6fa664403d8725a4130c0b6ca12b0b8ff6cce",
+        "pts/k.colz": "17a7cae8c63612c7f145570f5bd18679426afbab7bfafeab88bdf4fc9bdc7661",
+        "pts/schema.json": "5f1b2ce3bfc099567c9e8e0dd2a2087f5cf2e22b5da53475c425931d7d710404",
+        "pts/x.col": "1218ca26ec4168d5461a415867c515aac7462be45bdce6000c256f50fe5fca5a",
+        "pts/y.col": "ce61279d5d7d26ca19236bdd8c2a421b4c878926a7268ebc3b146217852a8e72",
+        "roads/id.col": "b9879d4495a16e37b7cad02f380e9776ddf2972cdd0072fc84bd308de6744d20",
+        "roads/schema.json": "50d40257cc78a4b5582739c1334b93f4122e6e6ca65ad550542d29b3ad5b0967",
+        "roads/w.col": "a0265d26bd56f70029039d4db6665e019b581af579a809788cfd1ab121065370",
+    }
+
+    @staticmethod
+    def _save_store(root):
+        """Two tables, one compressed column, x/y imprints, one save."""
+        from repro.api import PointCloudDB
+
+        db = PointCloudDB(directory=root)
+        rng = np.random.default_rng(11)
+        pts = db.db.create_table(
+            "pts", [("x", "float64"), ("y", "float64"), ("k", "int32")]
+        )
+        pts.append_columns(
+            {
+                "x": rng.uniform(0, 100, 5000),
+                "y": rng.uniform(0, 100, 5000),
+                "k": rng.integers(0, 4, 5000).astype(np.int32),
+            }
+        )
+        roads = db.db.create_table("roads", [("id", "int64"), ("w", "float32")])
+        roads.append_columns(
+            {"id": np.arange(40), "w": rng.uniform(2, 9, 40).astype(np.float32)}
+        )
+        db.compress("pts", columns=["k"], segment_rows=1024)
+        for column in "xy":
+            db.manager.ensure(pts, column)
+        db.save()
+
+    def test_every_file_matches_its_pinned_digest(self, tmp_path):
+        self._save_store(tmp_path)
+        digests = {
+            str(path.relative_to(tmp_path)): hashlib.sha256(
+                path.read_bytes()
+            ).hexdigest()
+            for path in sorted(tmp_path.rglob("*"))
+            if path.is_file()
+        }
+        assert digests == self.PINNED

@@ -129,7 +129,7 @@ class TestCorruptColumnFiles:
 
 class TestTruncatedPersistentFiles:
     """Truncations and bit flips at sampled offsets must raise typed
-    errors — ``StorageError`` / ``ImprintPersistError`` — never a raw
+    errors — ``StorageError`` — never a raw
     ``struct.error`` or a silently wrong array (the v2 ``.col`` / v3
     ``.imprint`` checksums cover the whole file, header included)."""
 
@@ -194,16 +194,13 @@ class TestTruncatedPersistentFiles:
     def test_truncated_imprint_raises_typed_error(
         self, fraction, tmp_path_factory
     ):
-        from repro.core.imprints.persist import (
-            ImprintPersistError,
-            verify_segmented_file,
-        )
+        from repro.core.imprints.persist import verify_segmented_file
 
         raw = self._imprint_bytes()
         cut = int(fraction * len(raw))
         path = tmp_path_factory.mktemp("itrunc") / "x.imprint"
         path.write_bytes(raw[:cut])
-        with pytest.raises(ImprintPersistError):
+        with pytest.raises(StorageError):
             verify_segmented_file(path)
 
     @settings(max_examples=60, deadline=None)
@@ -211,25 +208,19 @@ class TestTruncatedPersistentFiles:
     def test_flipped_imprint_byte_raises_typed_error(
         self, fraction, tmp_path_factory
     ):
-        from repro.core.imprints.persist import (
-            ImprintPersistError,
-            verify_segmented_file,
-        )
+        from repro.core.imprints.persist import verify_segmented_file
 
         raw = bytearray(self._imprint_bytes())
         raw[int(fraction * len(raw))] ^= 0xFF
         path = tmp_path_factory.mktemp("iflip") / "x.imprint"
         path.write_bytes(bytes(raw))
-        with pytest.raises(ImprintPersistError):
+        with pytest.raises(StorageError):
             verify_segmented_file(path)
 
     def test_truncated_imprint_never_loads_over_a_column(
         self, tmp_path
     ):
-        from repro.core.imprints.persist import (
-            ImprintPersistError,
-            load_segmented,
-        )
+        from repro.core.imprints.persist import load_segmented
         from repro.engine.column import Column
 
         raw = self._imprint_bytes()
@@ -238,7 +229,7 @@ class TestTruncatedPersistentFiles:
         for cut in (0, 3, 17, len(raw) // 2, len(raw) - 1):
             path = tmp_path / f"cut_{cut}.imprint"
             path.write_bytes(raw[:cut])
-            with pytest.raises(ImprintPersistError):
+            with pytest.raises(StorageError):
                 load_segmented(column, path)
 
 

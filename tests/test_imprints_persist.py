@@ -6,11 +6,11 @@ import pytest
 from repro import Box, PointCloudDB
 from repro.core.imprints import ImprintsManager, SegmentedImprints
 from repro.core.imprints.persist import (
-    ImprintPersistError,
     load_segmented,
     save_segmented,
 )
 from repro.engine.column import Column
+from repro.engine.durable import StorageError
 from repro.engine.select import range_select
 from repro.engine.table import Table
 
@@ -59,17 +59,17 @@ class TestSaveLoad:
         path = tmp_path / "x.imprint"
         saved(make_column(seed=3), path)
         small = make_column(n=10, seed=3)
-        with pytest.raises(ImprintPersistError, match="holds only"):
+        with pytest.raises(StorageError, match="holds only"):
             load_segmented(small, path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ImprintPersistError, match="no imprint"):
+        with pytest.raises(StorageError, match="no imprint"):
             load_segmented(make_column(), tmp_path / "ghost.imprint")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.imprint"
         path.write_bytes(b"XXXX" + b"\x00" * 30)
-        with pytest.raises(ImprintPersistError, match="magic"):
+        with pytest.raises(StorageError, match="magic"):
             load_segmented(make_column(), path)
 
     def test_truncated(self, tmp_path):
@@ -77,7 +77,7 @@ class TestSaveLoad:
         path = tmp_path / "x.imprint"
         saved(col, path)
         path.write_bytes(path.read_bytes()[:-20])
-        with pytest.raises(ImprintPersistError, match="checksum"):
+        with pytest.raises(StorageError, match="checksum"):
             load_segmented(col, path)
 
 
@@ -127,6 +127,35 @@ class TestManagerPersistence:
         assert len(mgr2.quarantined) == 1 and not path.exists()
         np.testing.assert_array_equal(mgr2.range_select(table, "x", 10, 20), want)
         assert mgr2.builds == 1  # the lazy rebuild
+
+    def test_load_and_verify_open_each_file_once(self, tmp_path, monkeypatch):
+        import builtins
+        import io
+
+        table = Table("pts", [("x", "float64"), ("y", "float64"), ("z", "float64")])
+        rng = np.random.default_rng(9)
+        table.append_columns({name: rng.uniform(0, 100, 3000) for name in "xyz"})
+        mgr = ImprintsManager()
+        for name in "xyz":
+            mgr.ensure(table, name)
+        mgr.save(tmp_path / "imp")
+        opened = []
+
+        def counting(real):
+            def wrapper(file, *args, **kwargs):
+                if str(file).endswith(".imprint"):
+                    opened.append(str(file))
+                return real(file, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(io, "open", counting(io.open))
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        assert ImprintsManager().load({"pts": table}, tmp_path / "imp") == 3
+        assert len(opened) == 3
+        opened.clear()
+        assert ImprintsManager.verify_directory(tmp_path / "imp") == []
+        assert len(opened) == 3
 
     def test_load_ignores_unknown_tables(self, tmp_path):
         table = self._table()
