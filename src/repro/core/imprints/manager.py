@@ -281,7 +281,7 @@ class ImprintsManager:
         Each file is read once.  The key comes from its header (never
         from the file name, which cannot round-trip dotted table
         names).  Degradation is graceful, never fatal: a corrupt,
-        truncated or stale (foreign snapshot) imprint file is
+        truncated, unreadable or stale (foreign snapshot) imprint file is
         **quarantined** by :func:`~repro.engine.durable.quarantine` —
         renamed to ``<name>.quarantined`` with a warning and a
         ``durability.quarantines`` count — and the first query on that
@@ -290,12 +290,12 @@ class ImprintsManager:
         for tables/columns this database does not know are skipped
         silently.
         """
-        from .persist import verify_segmented_file
+        from .persist import read_imprint_file
 
         loaded = 0
         for path in sorted(Path(directory).glob("*.imprint")):
             try:
-                stored = verify_segmented_file(path, foreign_ok=True)
+                stored = read_imprint_file(path)
                 if stored is None:
                     continue  # foreign file: lazy build covers the column
                 table_name, column_name = stored.key
@@ -323,12 +323,12 @@ class ImprintsManager:
         by ``Database``-level health reports; an empty list means every
         segmented imprint file parses and checksums cleanly.
         """
-        from .persist import verify_segmented_file
+        from .persist import read_imprint_file
 
         issues: List[str] = []
         for path in sorted(Path(directory).glob("*.imprint")):
             try:
-                verify_segmented_file(path, foreign_ok=True)
+                read_imprint_file(path)
             except StorageError as exc:
                 issues.append(str(exc))
         return issues

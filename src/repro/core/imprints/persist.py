@@ -28,7 +28,7 @@ manager's loader reads it from there instead of parsing file names
 (which breaks on table names containing dots).  The prefix, the CRC and
 the string framing are the store's one codec in
 :mod:`repro.engine.durable`, which also writes the file atomically.  A
-file is read whole, once: :func:`verify_segmented_file` checks it and
+file is read whole, once: :func:`read_imprint_file` checks it and
 parses its key, and :meth:`ImprintFile.restore` decodes the segments.
 Any corruption, a checksum mismatch (counting
 ``durability.checksum_failures``) or another version number raises
@@ -196,26 +196,16 @@ class ImprintFile:
         )
 
 
-def verify_segmented_file(
-    path: PathLike, foreign_ok: bool = False
-) -> Optional[ImprintFile]:
+def read_imprint_file(path: PathLike) -> Optional[ImprintFile]:
     """Read an imprint file with one open and check it as an
     :class:`ImprintFile`; raises :class:`StorageError` on any corruption.
 
-    With ``foreign_ok``, a file that does not start with the ``RIMS``
-    magic is not an imprint at all: ``None``, not an error.  Does not
-    validate against a live column — that happens in
-    :meth:`ImprintFile.restore`.
+    A file that does not start with the ``RIMS`` magic is not an imprint
+    at all: ``None``, not an error.  Does not validate against a live
+    column — that happens in :meth:`ImprintFile.restore`.
     """
     path = Path(path)
     raw = durable.read_file(path, "imprint file")
-    if foreign_ok and not raw.startswith(_MAGIC):
+    if not raw.startswith(_MAGIC):
         return None
     return ImprintFile(raw, path)
-
-
-def load_segmented(column: Column, path: PathLike) -> "SegmentedImprints":
-    """Restore a :class:`SegmentedImprints` over its column from one
-    file (see :meth:`ImprintFile.restore`)."""
-    path = Path(path)
-    return ImprintFile(durable.read_file(path, "imprint file"), path).restore(column)

@@ -259,12 +259,16 @@ def read_checked(
 
 
 def read_file(path: Path, what: str) -> bytes:
-    """Every byte of ``path``, read with one open; a missing file raises
-    :class:`StorageError` naming it as ``what``."""
+    """Every byte of ``path``, read with one open.  A missing file raises
+    :class:`StorageError` naming it as ``what``, and so does any other
+    ``OSError`` (unreadable, a directory), so a caller that quarantines
+    bad derived files contains both."""
     try:
         return path.read_bytes()
     except FileNotFoundError:
         raise StorageError(f"no {what} at {path}") from None
+    except OSError as exc:
+        raise StorageError(f"{path}: cannot read {what} ({exc})") from None
 
 
 def frame_str(text: str) -> bytes:
@@ -338,13 +342,15 @@ def with_retries(
 
 
 def quarantine(
-    path: Path, error: Exception, kind: str, note: str = ""
+    path: Path, error: Exception, kind: str, note: str = "", stacklevel: int = 2
 ) -> Tuple[str, Path]:
     """Move a corrupt derived file aside as ``<name>.quarantined`` and
     warn; returns the issue line and where the file now is.
 
     The caller rebuilds the file's contents from the column it was
     derived from; ``note`` ends the warning with what that rebuild is.
+    ``stacklevel`` is the warning's frame counted from the caller, as
+    :func:`warnings.warn` counts it there (2: the caller's caller).
     A failed rename leaves the file in place: degradation never raises.
     Counts ``durability.quarantines`` when the file moved.
     """
@@ -359,6 +365,8 @@ def quarantine(
         get_registry().counter("durability.quarantines").inc()
     issue = f"quarantined corrupt {kind} {path.name}: {error}"
     warnings.warn(
-        f"{issue} (moved to {where.name}{note})", RuntimeWarning, stacklevel=3
+        f"{issue} (moved to {where.name}{note})",
+        RuntimeWarning,
+        stacklevel=stacklevel + 1,
     )
     return issue, where

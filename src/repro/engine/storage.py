@@ -355,7 +355,8 @@ def _attach_sidecar(
     try:
         packed = load_compressed(path, name=column.name)
     except StorageError as exc:
-        issues.append(durable.quarantine(path, exc, "sidecar")[0])
+        # Warn at the caller of Database.load, past recover_table.
+        issues.append(durable.quarantine(path, exc, "sidecar", stacklevel=4)[0])
         column.pack()
         return
     if packed.n_rows != values.shape[0] or (

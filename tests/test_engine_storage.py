@@ -584,6 +584,16 @@ class TestCompressedSidecar:
         assert health["ok"] is True
         assert any("x.colz" in issue for issue in health["issues"])
 
+    def test_sidecar_warning_points_at_the_load_caller(self, tmp_path):
+        db = Database(directory=tmp_path / "db")
+        db.register(self._table())
+        db.save()
+        side = tmp_path / "db" / "pts" / "x.colz"
+        side.write_bytes(side.read_bytes()[:40])
+        with pytest.warns(RuntimeWarning, match="quarantined") as record:
+            Database.load(tmp_path / "db")
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestStoreBytes:
     """Every file of a small store, byte for byte: the ``.col``,

@@ -167,6 +167,14 @@ class TestTruncatedPersistentFiles:
                 cls._imprint_raw = path.read_bytes()
         return cls._imprint_raw
 
+    @staticmethod
+    def _read_imprint(path):
+        """Strict read: a file without the imprint magic is an error too."""
+        from repro.core.imprints.persist import ImprintFile
+        from repro.engine import durable
+
+        return ImprintFile(durable.read_file(path, "imprint file"), path)
+
     @settings(max_examples=60, deadline=None)
     @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_truncated_col_raises_typed_error(self, fraction, tmp_path_factory):
@@ -194,33 +202,28 @@ class TestTruncatedPersistentFiles:
     def test_truncated_imprint_raises_typed_error(
         self, fraction, tmp_path_factory
     ):
-        from repro.core.imprints.persist import verify_segmented_file
-
         raw = self._imprint_bytes()
         cut = int(fraction * len(raw))
         path = tmp_path_factory.mktemp("itrunc") / "x.imprint"
         path.write_bytes(raw[:cut])
         with pytest.raises(StorageError):
-            verify_segmented_file(path)
+            self._read_imprint(path)
 
     @settings(max_examples=60, deadline=None)
     @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_flipped_imprint_byte_raises_typed_error(
         self, fraction, tmp_path_factory
     ):
-        from repro.core.imprints.persist import verify_segmented_file
-
         raw = bytearray(self._imprint_bytes())
         raw[int(fraction * len(raw))] ^= 0xFF
         path = tmp_path_factory.mktemp("iflip") / "x.imprint"
         path.write_bytes(bytes(raw))
         with pytest.raises(StorageError):
-            verify_segmented_file(path)
+            self._read_imprint(path)
 
     def test_truncated_imprint_never_loads_over_a_column(
         self, tmp_path
     ):
-        from repro.core.imprints.persist import load_segmented
         from repro.engine.column import Column
 
         raw = self._imprint_bytes()
@@ -230,7 +233,7 @@ class TestTruncatedPersistentFiles:
             path = tmp_path / f"cut_{cut}.imprint"
             path.write_bytes(raw[:cut])
             with pytest.raises(StorageError):
-                load_segmented(column, path)
+                self._read_imprint(path).restore(column)
 
 
 class TestCorruptLaxIndex:

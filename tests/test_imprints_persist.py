@@ -5,10 +5,8 @@ import pytest
 
 from repro import Box, PointCloudDB
 from repro.core.imprints import ImprintsManager, SegmentedImprints
-from repro.core.imprints.persist import (
-    load_segmented,
-    save_segmented,
-)
+from repro.core.imprints.persist import ImprintFile, save_segmented
+from repro.engine import durable
 from repro.engine.column import Column
 from repro.engine.durable import StorageError
 from repro.engine.select import range_select
@@ -18,6 +16,11 @@ from repro.engine.table import Table
 def make_column(n=5000, seed=0):
     rng = np.random.default_rng(seed)
     return Column("x", "float64", data=rng.uniform(0, 1000, n))
+
+
+def restore(col, path):
+    """The imprint file at ``path`` read whole and restored over ``col``."""
+    return ImprintFile(durable.read_file(path, "imprint file"), path).restore(col)
 
 
 def saved(col, path):
@@ -32,7 +35,7 @@ class TestSaveLoad:
         col = make_column()
         path = tmp_path / "x.imprint"
         imp = saved(col, path)
-        back = load_segmented(col, path)
+        back = restore(col, path)
         for lo, hi in [(0, 10), (500, 600), (990, 1000), (-5, 2000)]:
             np.testing.assert_array_equal(back.query(lo, hi), imp.query(lo, hi))
         assert back.nbytes == imp.nbytes
@@ -42,7 +45,7 @@ class TestSaveLoad:
         col = make_column(seed=1)
         path = tmp_path / "x.imprint"
         saved(col, path)
-        back = load_segmented(col, path)
+        back = restore(col, path)
         np.testing.assert_array_equal(
             back.query(100, 200), range_select(col, 100, 200)
         )
@@ -52,7 +55,7 @@ class TestSaveLoad:
         path = tmp_path / "x.imprint"
         saved(col, path)
         col.append([1.0, 2.0])
-        back = load_segmented(col, path)
+        back = restore(col, path)
         assert back.stale
 
     def test_shorter_column_rejected(self, tmp_path):
@@ -60,17 +63,17 @@ class TestSaveLoad:
         saved(make_column(seed=3), path)
         small = make_column(n=10, seed=3)
         with pytest.raises(StorageError, match="holds only"):
-            load_segmented(small, path)
+            restore(small, path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError, match="no imprint"):
-            load_segmented(make_column(), tmp_path / "ghost.imprint")
+            restore(make_column(), tmp_path / "ghost.imprint")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.imprint"
         path.write_bytes(b"XXXX" + b"\x00" * 30)
         with pytest.raises(StorageError, match="magic"):
-            load_segmented(make_column(), path)
+            restore(make_column(), path)
 
     def test_truncated(self, tmp_path):
         col = make_column(seed=4)
@@ -78,7 +81,7 @@ class TestSaveLoad:
         saved(col, path)
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(StorageError, match="checksum"):
-            load_segmented(col, path)
+            restore(col, path)
 
 
 class TestManagerPersistence:
@@ -127,6 +130,50 @@ class TestManagerPersistence:
         assert len(mgr2.quarantined) == 1 and not path.exists()
         np.testing.assert_array_equal(mgr2.range_select(table, "x", 10, 20), want)
         assert mgr2.builds == 1  # the lazy rebuild
+
+    def test_quarantine_warning_points_at_the_load_caller(self, tmp_path):
+        table = self._table()
+        mgr = ImprintsManager()
+        mgr.ensure(table, "x")
+        mgr.save(tmp_path / "imp")
+        (path,) = sorted((tmp_path / "imp").glob("*.imprint"))
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.warns(RuntimeWarning, match="quarantined") as record:
+            ImprintsManager().load({"pts": table}, tmp_path / "imp")
+        assert [w.filename for w in record] == [__file__]
+
+    def test_unreadable_files_are_contained(self, tmp_path, monkeypatch):
+        """An ``.imprint`` entry that cannot be read — a directory, or a
+        file the process may not open — is reported by verification and
+        quarantined by load, never raised."""
+        import pathlib
+
+        table = self._table()
+        mgr = ImprintsManager()
+        want = mgr.range_select(table, "x", 10, 20)
+        mgr.save(tmp_path / "imp")
+        (tmp_path / "imp" / "dir.imprint").mkdir()
+        locked = tmp_path / "imp" / "locked.imprint"
+        locked.write_bytes(b"RIMS")
+        real = pathlib.Path.read_bytes
+
+        def read_bytes(self):
+            if self.name == "locked.imprint":
+                raise PermissionError(13, "Permission denied", str(self))
+            return real(self)
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
+        issues = ImprintsManager.verify_directory(tmp_path / "imp")
+        assert len(issues) == 2
+        assert all("cannot read imprint file" in issue for issue in issues)
+
+        mgr2 = ImprintsManager()
+        with pytest.warns(RuntimeWarning, match="cannot read imprint file"):
+            assert mgr2.load({"pts": table}, tmp_path / "imp") == 1
+        assert len(mgr2.quarantined) == 2
+        assert not locked.exists() and not (tmp_path / "imp" / "dir.imprint").exists()
+        np.testing.assert_array_equal(mgr2.range_select(table, "x", 10, 20), want)
+        assert mgr2.builds == 0
 
     def test_load_and_verify_open_each_file_once(self, tmp_path, monkeypatch):
         import builtins

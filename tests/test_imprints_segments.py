@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.imprints import ImprintsManager, SegmentedImprints
-from repro.core.imprints.persist import save_segmented, load_segmented
+from repro.core.imprints.persist import ImprintFile, save_segmented
+from repro.engine import durable
 from repro.core.query import QueryStats
 from repro.engine.column import Column
 from repro.engine.select import range_select
@@ -225,7 +226,8 @@ class TestSegmentedPersistence:
         imp = SegmentedImprints(col, segment_rows=4096)
         path = tmp_path / "x.imprint"
         save_segmented(imp, "tbl", "x", path)
-        back = load_segmented(col, path)
+        raw = durable.read_file(path, "imprint file")
+        back = ImprintFile(raw, path).restore(col)
         assert back.n_segments == imp.n_segments
         for lo, hi in [(0, 10), (500, 600), (990, 1000), (-5, 2000)]:
             np.testing.assert_array_equal(
