@@ -51,8 +51,13 @@ def build_vectors(
     pad = n_lines * vpc - n
     if pad:
         bins = np.concatenate([bins, np.repeat(bins[-1], pad)])
-    bits = np.left_shift(np.uint64(1), bins)
-    return np.bitwise_or.reduce(bits.reshape(n_lines, vpc), axis=1)
+    bits = np.left_shift(np.uint64(1), bins, out=bins).reshape(n_lines, vpc)
+    if vpc > 16:  # else ORing the strided columns in place is faster
+        return np.bitwise_or.reduce(bits, axis=1)
+    vectors = bits[:, 0].copy()
+    for column in range(1, vpc):
+        vectors |= bits[:, column]
+    return vectors
 
 
 def match_vectors(vectors: NDArray[Any], mask: int) -> NDArray[Any]:

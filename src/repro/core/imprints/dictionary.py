@@ -106,34 +106,35 @@ def compress(vectors: NDArray[Any], max_counter: int = MAX_COUNTER) -> Cacheline
     # Every run becomes a sequence of *items*, one stored vector each:
     # as many full ``max_counter`` pieces as fit, then the remainder.  An
     # item of one line is a single; anything longer is a repeat entry.
-    n_full = run_lengths // max_counter
-    remainder = run_lengths % max_counter
-    per_run = n_full + (remainder > 0)
-    n_items = int(per_run.sum())
-    item = np.arange(n_items)
-    run_of = np.repeat(np.arange(run_starts.shape[0]), per_run)
-    first_item = np.cumsum(per_run) - per_run
-    position = item - first_item[run_of]
-    lines = np.where(position < n_full[run_of], max_counter, remainder[run_of])
+    lines = run_lengths
+    if n > max_counter:  # else every run is one item
+        n_full = run_lengths // max_counter
+        remainder = run_lengths % max_counter
+        per_run = n_full + (remainder > 0)
+        run_of = np.repeat(np.arange(run_starts.shape[0]), per_run)
+        position = np.arange(run_of.shape[0]) - (np.cumsum(per_run) - per_run)[run_of]
+        lines = np.where(position < n_full[run_of], max_counter, remainder[run_of])
+        run_vectors = run_vectors[run_of]
     single = lines == 1
 
     # Consecutive singles coalesce into non-repeat entries of at most
-    # ``max_counter`` vectors: a single opens an entry at the start of
-    # its streak and every ``max_counter`` items after.
-    streak_start = single.copy()
-    streak_start[1:] &= ~single[:-1]
-    in_streak = item - np.maximum.accumulate(np.where(streak_start, item, 0))
-    opens = ~single | (in_streak % max_counter == 0)
+    # ``max_counter`` vectors: a single opens an entry at the start of its
+    # streak and, in a streak that long, every ``max_counter`` items after.
+    opens = ~(single & np.append(False, single[:-1]))
+    if n > max_counter:
+        item = np.arange(lines.shape[0])
+        in_streak = item - np.maximum.accumulate(np.where(opens, item, 0))
+        opens |= in_streak % max_counter == 0
     entry_starts = np.flatnonzero(opens)
     repeats = ~single[entry_starts]
     counters = np.where(
-        repeats, lines[entry_starts], np.diff(np.append(entry_starts, n_items))
+        repeats, lines[entry_starts], np.diff(np.append(entry_starts, lines.shape[0]))
     )
 
     return CachelineDict(
         counters=counters.astype(np.int64, copy=False),
         repeats=repeats,
-        vectors=run_vectors[run_of],
+        vectors=run_vectors,
         n_lines=n,
     )
 

@@ -12,6 +12,7 @@ distinct value can own a bin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Optional
 
 import numpy as np
@@ -22,6 +23,8 @@ MAX_BINS = 64
 
 #: Default sample size used to estimate the value distribution.
 DEFAULT_SAMPLE = 2048
+
+BUCKETS = 1 << 15  #: buckets in ``bin_of``'s table; fewer for short inputs
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,32 @@ class BinScheme:
         return self.borders.nbytes
 
     def bin_of(self, values: NDArray[Any]) -> NDArray[Any]:
-        """Bin id for each value (vectorised)."""
-        return np.searchsorted(self.borders, np.asarray(values), side="right")
+        """``searchsorted(borders, values, side="right")``, read from a table
+        of small integers or buckets; values in a border's bucket are searched."""
+        values = np.asarray(values)
+        borders, dtype = self.borders, values.dtype
+        if dtype.kind in "iu" and dtype.itemsize <= 2 and borders.dtype == dtype:
+            lo = int(np.iinfo(dtype).min)
+            table = _bin_table(borders.astype(np.intp) - lo, 1 << (8 * dtype.itemsize))
+            return table[values.astype(np.intp) - lo]
+        searched = values.ndim != 1 or not values.size or dtype.kind not in "iuf"
+        if searched or borders.shape[0] < 2:
+            return np.searchsorted(borders, values, side="right")
+        start, span = float(borders[0]), float(borders[-1]) - float(borders[0])
+        size = min(BUCKETS, values.shape[0] + 3)  # borders fill 1 .. size - 2
+        scale = (size - 3) / span if 0 < span < np.inf else np.inf
+        if not scale < np.inf:  # NaN, +-inf or a span float64 cannot scale
+            return np.searchsorted(borders, values, side="right")
+        marks = _buckets(borders, start, scale, size)
+        table = _bin_table(marks, size)
+        table[marks] = -1  # a border shares the bucket: search its values
+        # Mostly values in a border's bucket (few distinct): search them all.
+        if (table[_buckets(values[::64], start, scale, size)] < 0).mean() > 0.25:
+            return np.searchsorted(borders, values, side="right")
+        index = table[_buckets(values, start, scale, size)]
+        marked = np.flatnonzero(index < 0)
+        index[marked] = np.searchsorted(borders, values[marked], side="right")
+        return index
 
     def range_mask(self, lo: Optional[Any], hi: Optional[Any]) -> int:
         """64-bit mask with a 1 for every bin that may hold values in [lo, hi].
@@ -80,12 +107,36 @@ class BinScheme:
         return ((1 << width) - 1) << first
 
 
+def _bin_table(firsts: NDArray[np.intp], size: int) -> NDArray[np.intp]:
+    """``table[k]``: how many of the ascending border slots ``firsts`` are <= k."""
+    steps = np.diff(np.concatenate(([0], firsts, [size])))
+    return np.repeat(np.arange(firsts.shape[0] + 1, dtype=np.intp), steps)
+
+
+def _buckets(a: NDArray[Any], lo: float, scale: float, size: int) -> NDArray[np.intp]:
+    """``floor(clip((a - lo) * scale + 1, 0, size - 1))``, monotone in ``a``:
+    -inf to bucket 0, +inf and NaN (fmin, unlike clip, drops it) to the top."""
+    with np.errstate(over="ignore"):
+        f = np.subtract(a, lo, dtype=np.float64)
+        f *= scale
+    f += 1.0
+    return np.fmax(np.fmin(f, size - 1.0, out=f), 0.0, out=f).astype(np.intp)
+
+
 def _pow2_at_most(n: int, cap: int = MAX_BINS) -> int:
     """Largest power of two <= max(n, 1), capped."""
     p = 1
     while p * 2 <= min(n, cap):
         p *= 2
     return p
+
+
+@lru_cache(maxsize=8)
+def _sample_positions(n: int, size: int) -> NDArray[np.int64]:
+    """The rows a fresh ``default_rng(0xC0FFEE)`` samples out of ``n``."""
+    positions = np.random.default_rng(0xC0FFEE).integers(0, n, size)
+    positions.flags.writeable = False  # shared by every build of ``n`` rows
+    return positions
 
 
 def build_bins(
@@ -108,8 +159,10 @@ def build_bins(
         raise ValueError(f"max_bins must be in [1, {MAX_BINS}]")
 
     if values.shape[0] > sample_size:
-        rng = rng if rng is not None else np.random.default_rng(0xC0FFEE)
-        sample = values[rng.integers(0, values.shape[0], sample_size)]
+        if rng is None:
+            sample = values[_sample_positions(values.shape[0], sample_size)]
+        else:
+            sample = values[rng.integers(0, values.shape[0], sample_size)]
     else:
         sample = values
     uniques = np.unique(sample)

@@ -152,11 +152,12 @@ def build_segment(
 ) -> SegmentImprint:
     """Build one segment's imprint from the column slice ``[start, stop)``.
 
-    Pure function of the slice: each build seeds its own sampling RNG, so
-    a segment's index does not depend on which segments were built
-    before it.  ``zone`` supplies a precomputed ``(zmin, zmax)``
-    when the caller already knows the range — the compressed mirror's FOR
-    headers carry it for free, saving the min/max sweep here.
+    Pure function of the slice: every build samples the rows a freshly
+    seeded RNG draws, so a segment's index does not depend on which
+    segments were built before it.  ``zone`` supplies a precomputed
+    ``(zmin, zmax)`` when the caller already knows the range — the
+    compressed mirror's FOR headers carry it for free, saving the min/max
+    sweep here.
     """
     part = values[start:stop]
     scheme = build_bins(part, max_bins=max_bins, sample_size=sample_size)

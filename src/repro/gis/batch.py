@@ -4,9 +4,11 @@ The refinement step classifies every non-empty grid cell against the
 query geometry (Section 3.3).  Doing that cell-by-cell in Python costs
 more than the point tests it saves, so this module provides the batched
 kernels: arrays of cell rectangles in, an int8 relation array out
-(0 = outside, 1 = inside, 2 = boundary).  Semantics match
-:func:`repro.gis.predicates.classify_box` exactly — INSIDE/OUTSIDE are
-exact, BOUNDARY is the conservative fallback.
+(0 = outside, 1 = inside, 2 = boundary).  Semantics follow
+:func:`repro.gis.predicates.classify_box`: INSIDE/OUTSIDE hold for every
+point of the cell under the exact point test, BOUNDARY is the
+conservative fallback, also for a cell within that test's edge
+tolerance of a polygon ring.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .algorithms import dist_points_to_segment, points_in_polygon
+from .algorithms import _EPS, dist_points_to_segment, points_in_polygon
 from .envelope import Box
 from .geometry import LineString, MultiLineString, MultiPolygon, Point, Polygon
 
@@ -105,11 +107,36 @@ def _vertices_strictly_inside(boxes: BoxArrays, ring: np.ndarray) -> np.ndarray:
     return hit
 
 
+def _edge_reach(ring: np.ndarray) -> float:
+    """How far from ``ring`` :func:`points_in_polygon` may still count a
+    point as on an edge, plus eight ulps of the ring's largest coordinate
+    for the rounding of its ray test and of the cells' corners.
+
+    An edge counts points whose cross product is within ``_EPS * max(1,
+    L1)`` inside its bbox grown by ``_EPS``: at most ``_EPS * max(1, L1) /
+    L2`` off its line and ``sqrt(2) * _EPS`` past its ends, and never
+    more than ``L1 + 2 * _EPS`` from its first vertex.
+    """
+    d = np.diff(ring, axis=0)
+    l1 = np.abs(d).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off_line = _EPS * np.maximum(1.0, l1) / np.hypot(d[:, 0], d[:, 1]) + 2 * _EPS
+    reach = np.fmin(off_line, l1 + 2 * _EPS).max()
+    return float(reach + 8 * np.spacing(np.abs(ring).max()))
+
+
 def classify_boxes_vs_polygon(boxes: BoxArrays, polygon: Polygon) -> np.ndarray:
-    """Vectorised :func:`classify_box_vs_polygon` over box arrays."""
-    xmin, ymin, xmax, ymax = boxes
-    n = xmin.shape[0]
+    """Vectorised :func:`classify_box_vs_polygon` over box arrays.
+
+    A cell closer to a ring than the exact test's edge tolerance is
+    BOUNDARY: the exact test may count a point there inside while the
+    cell's centre is outside, or the reverse.
+    """
+    n = boxes[0].shape[0]
     relations = np.full(n, OUTSIDE, dtype=np.int8)
+    pad = max(_edge_reach(ring) for ring in polygon.rings)
+    boxes = (boxes[0] - pad, boxes[1] - pad, boxes[2] + pad, boxes[3] + pad)
+    xmin, ymin, xmax, ymax = boxes
 
     env = polygon.envelope
     touching = ~(

@@ -157,6 +157,22 @@ class TestRefine:
         want, _ = refine_exhaustive(xs, ys, POLY)
         np.testing.assert_array_equal(mask, want)
 
+    def test_point_within_edge_tolerance_of_a_cell_the_ring_misses(self):
+        # The triangle's edge passes about 4e-16 right of x = 1 over
+        # y in [3, 3.73], missing cell [0, 1] x [3, 4]; the exact test
+        # counts (1 - 1e-16, 3.5) inside, as on that edge.
+        angles = np.linspace(0, 2 * np.pi, 3, endpoint=False)
+        radii = np.array([1.0, 2.0, 2.0])
+        tri = Polygon(
+            np.column_stack([2 + radii * np.cos(angles), 2 + radii * np.sin(angles)])
+        )
+        xs = np.array([1 - 1e-16, 0.5, 2.0, 6.5])
+        ys = np.array([3.5, 3.5, 2.0, 6.5])
+        mask, _ = refine(xs, ys, tri, extent=Box(0, 0, 7, 7), target_cells=49)
+        want, _ = refine_exhaustive(xs, ys, tri)
+        np.testing.assert_array_equal(want, [True, False, True, False])
+        np.testing.assert_array_equal(mask, want)
+
 
 @st.composite
 def random_polygon(draw):

@@ -652,3 +652,46 @@ class TestStoreBytes:
             if path.is_file()
         }
         assert digests == self.PINNED
+
+
+class TestMultiSegmentImprintBytes:
+    """The ``.imprint`` files of a table with several full segments, byte
+    for byte: a skewed float64 column takes the bucketed binning, a
+    uint16 column the per-value table, and every segment must come out as
+    the plain ``searchsorted`` build wrote it."""
+
+    #: SHA-256 of each imprint file of :meth:`_save_store`'s store,
+    #: recorded with the build that bins every value by ``searchsorted``.
+    PINNED = {
+        "_imprints/0000.pts_intensity.imprint": "a402b2eacfa9eff0066d9add4f9e606e27f5e682222ea6739f55a625e1794f97",
+        "_imprints/0001.pts_z.imprint": "d4e125b067cf165a9c090898f8a10613fd66a1cce467bafc2158681b4283899c",
+    }
+
+    @staticmethod
+    def _save_store(root):
+        """3 full 64 Ki-row segments and a partial one per column."""
+        from repro.api import PointCloudDB
+
+        db = PointCloudDB(directory=root)
+        rng = np.random.default_rng(23)
+        n = 3 * 65536 + 1000
+        pts = db.db.create_table("pts", [("z", "float64"), ("intensity", "uint16")])
+        pts.append_columns(
+            {
+                "z": np.round(rng.lognormal(1.0, 0.8, n), 2) - 2.0,
+                "intensity": rng.gamma(2.0, 300.0, n).astype(np.uint16),
+            }
+        )
+        for column in ("z", "intensity"):
+            db.manager.ensure(pts, column)
+        db.save()
+
+    def test_imprint_files_match_their_pinned_digests(self, tmp_path):
+        self._save_store(tmp_path)
+        digests = {
+            str(path.relative_to(tmp_path)): hashlib.sha256(
+                path.read_bytes()
+            ).hexdigest()
+            for path in sorted(tmp_path.glob("_imprints/*"))
+        }
+        assert digests == self.PINNED
